@@ -289,6 +289,19 @@ def parse_config(argv: list[str]) -> RunConfig:
     return config
 
 
+def _check_threads(opts):
+    """--threads (else CATSPIN_THREADS) must be an integer.  It is accepted
+    for compatibility only: the scan engine runs no worker pool."""
+    value = opts.get("threads") or os.environ.get(THREADS_ENV)
+    if value:
+        try:
+            int(value)
+        except (TypeError, ValueError):
+            raise UsageError(
+                f"--threads / {THREADS_ENV} must be an integer, got {value!r}"
+            ) from None
+
+
 def _validate(config: RunConfig):
     opts = config.options
     if "n" in opts and opts.get("n") is not None:
@@ -304,8 +317,17 @@ def _validate(config: RunConfig):
         if opts.get("csd_index") is not None:
             if opts.get("detection") != "csd":
                 raise UsageError("--csd-index only applies with --detection csd")
-            if abs(opts["csd_index"]) > opts["n"] + 1:
-                raise UsageError(f"--csd-index out of range for N={opts['n']}")
+            n = int(opts["n"])
+            if not -(n + 1) <= opts["csd_index"] <= n:
+                raise UsageError(
+                    f"--csd-index must lie in [{-(n + 1)}, {n}] for N={n}"
+                )
+    if config.command in ("fringe", "sensitivity"):
+        _check_threads(opts)
+    if config.command == "fringe":
+        lo, hi, _ = parse_range(opts["phi_range"])
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise UsageError("--phi-range must be finite and ascending")
     if config.command == "sensitivity":
         lo, hi, _ = parse_range(opts["mu_range"])
         if not (0.0 <= lo <= hi <= math.pi / 2 + 1e-12):
@@ -342,23 +364,11 @@ def _protocol_setup(opts):
     return dims, ops, spec
 
 
-def _threads(opts) -> int | None:
-    if opts.get("threads"):
-        return int(opts["threads"])
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return os.cpu_count()
-
-
 def _cmd_fringe(opts) -> list[str]:
     dims, ops, spec = _protocol_setup(opts)
     start, stop, count = parse_range(opts["phi_range"])
     phis = np.linspace(start, stop, count)
-    points = fringe_scan(spec, dims, ops, phis, threads=_threads(opts))
+    points = fringe_scan(spec, dims, ops, phis)
     gamma = float(opts.get("gamma", 1.0))
 
     def write(fh):
@@ -387,7 +397,6 @@ def _cmd_sensitivity(opts) -> list[str]:
         spec, dims, ops, mus,
         phi_window=window,
         normalize_hl=bool(opts.get("normalize_hl")),
-        threads=_threads(opts),
     )
     gamma = float(opts.get("gamma", 1.0))
 

@@ -2,26 +2,52 @@
 
 Sensitivity is the dimensionless Lambda = |dS/dphi| / DeltaS with the
 linewidth conversion factor set to 1; the CLI applies an optional physical
-scale.  Phase gradients use a central finite difference with step
-h = min(1e-4, pi/(200 N)) plus one Richardson refinement step (evaluations
-at phi +- h and phi +- h/2), which keeps the slope error orders of
-magnitude below every tolerance used here.
+scale.
+
+Every scan goes through one spectral engine.  Once fold_echoes has turned
+the CRAIN/SCAIN spin echo into a single dark zone, each built-in reads
+psi(phi) = Tail B e^{-i c phi J_z} v0, so <J_z> and its variance are
+trigonometric polynomials of degree N and 2N in theta = c phi.  Their
+samples on an equispaced theta grid of at least 4N+1 points come from FFTs
+of the matrix B diag(v0), with J_z pushed back through Tail as a
+tridiagonal T; one FFT of the samples gives the exact coefficients, and
+signal, variance and the exact dS/dphi follow at every requested phi.
+Collective-state detection evaluates the degree-N amplitude polynomial of
+its single row directly.  Variance samples are centered, sum |(T - S) w|^2,
+and requested points whose interpolated SDS falls in the rounding band
+below 1e-6 N are recomputed directly from the state.  Specs that do not
+fold to one dark zone feed the same interpolation from
+CompiledProtocol.evaluate samples on a grid sized to their bandwidth.
+
+Measured accuracy: the SDS matches the centered variance of run()'s state
+to 1e-15 N at N = 40/41; at N = 2000 (SCAIN, mu = pi/2) the signal matches
+-(N/2) cos(N phi) to 5e-12, the gradient (N^2/2) sin(N phi) to 1e-13 N^2
+and the CSD population cos^2(N phi/2) to 6e-15.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from catspin.dicke import EnsembleDims, OperatorSet, SpinState
-from catspin.protocols import Detection, ProtocolSpec, compile_protocol
-
-# phi points per worker task; fixed so the task split (and therefore the
-# output bytes) never depends on the worker count.
-_CHUNK = 256
+from catspin.dicke import (
+    DimensionError,
+    EnsembleDims,
+    OperatorSet,
+    SpinState,
+    apply_pulse,
+)
+from catspin.protocols import (
+    Detection,
+    ProtocolSpec,
+    compile_protocol,
+    fold_echoes,
+    initial_state,
+    pulse_product,
+    pulse_unitary,
+)
 
 GAMMA_NOTE = "Gamma = 1 (dimensionless phase sensitivity)"
 
@@ -69,11 +95,6 @@ class FringePoint:
     pgs: float
 
 
-def pgs_step(n_atoms: int) -> float:
-    """Finite-difference step; must resolve fringes of period 2 pi / N."""
-    return min(1e-4, math.pi / (200 * n_atoms))
-
-
 def noise_floor(n_atoms: int) -> float:
     """SDS below this marks the operating point degenerate (0/0 extremum)."""
     return 1e-9 * n_atoms
@@ -90,65 +111,268 @@ def _resolve_csd_index(detection: Detection, dims: EnsembleDims) -> int:
     return index
 
 
-def _signal_and_sds(block: np.ndarray, detection: Detection, dims: EnsembleDims):
-    """Per-column signal and SDS of a (dim, n_phi) amplitude block."""
-    if detection.kind == "cd":
-        m = dims.m_values()
-        p = np.abs(block) ** 2
-        s = m @ p
-        var = (m * m) @ p - s * s
-        sds = np.sqrt(np.maximum(var, 0.0))
-        if detection.add_j:
-            s = s + dims.j
-        return s, sds
-    idx = _resolve_csd_index(detection, dims)
-    p = np.abs(block[idx]) ** 2
-    # projector: Q^2 = Q, so the variance is p - p^2
-    return p, np.sqrt(np.maximum(p - p * p, 0.0))
+# Interpolated SDS below this times N is dominated by the rounding of the
+# variance polynomial and is recomputed directly from the state.
+_ROUNDING_BAND = 1e-6
+
+# Elements per block of a (points x frequencies) exponential or a sample
+# matrix: bounds the scratch memory of a scan independently of its size.
+_BLOCK_ELEMENTS = 1 << 20
 
 
-def _scan_arrays(
-    spec: ProtocolSpec,
-    dims: EnsembleDims,
-    ops: OperatorSet,
-    phis: np.ndarray,
-    mu_override=None,
-    richardson: bool = True,
-    threads: int | None = None,
-):
-    """signal, sds, pgs arrays over a phi grid, batched through the kernel."""
-    phis = np.asarray(phis, dtype=float)
-    if phis.size == 0:
-        empty = np.empty(0)
-        return empty, empty.copy(), empty.copy()
-    kernel = compile_protocol(spec, dims, ops, mu_override)
-    h = pgs_step(dims.n_atoms)
+def _fourier_sum(first: float, coefs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k, :] e^{i (first + k) theta} at every theta.
 
-    def do_chunk(chunk: np.ndarray):
-        shifts = [chunk, chunk + h, chunk - h]
-        if richardson:
-            shifts += [chunk + h / 2, chunk - h / 2]
-        block = kernel.evaluate(np.concatenate(shifts))
-        s, sds = _signal_and_sds(block, spec.detection, dims)
-        n = len(chunk)
-        d1 = (s[n : 2 * n] - s[2 * n : 3 * n]) / (2 * h)
-        if richardson:
-            d2 = (s[3 * n : 4 * n] - s[4 * n : 5 * n]) / h
-            pgs = (4.0 * d2 - d1) / 3.0
+    Baby-step giant-step: with k = B h + l each theta needs about 2 sqrt(K)
+    exponentials, e^{i (first + B h) theta} and e^{i l theta}, instead of K;
+    theta is taken in blocks.
+    """
+    count, cols = coefs.shape
+    baby = math.isqrt(count - 1) + 1
+    giant = -(-count // baby)
+    table = np.zeros((giant * baby, cols), dtype=complex)
+    table[:count] = coefs
+    table = table.reshape(giant, baby, cols).transpose(1, 0, 2).reshape(baby, giant * cols)
+    out = np.empty((len(theta), cols), dtype=complex)
+    step = max(1, _BLOCK_ELEMENTS // (giant * cols))
+    for i in range(0, len(theta), step):
+        t = theta[i : i + step]
+        inner = (np.exp(1j * np.outer(t, np.arange(baby))) @ table).reshape(len(t), giant, cols)
+        outer = np.exp(1j * np.outer(t, first + baby * np.arange(giant)))
+        out[i : i + step] = np.einsum("th,thc->tc", outer, inner)
+    return out
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a fast FFT length."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _trig_coefficients(samples: np.ndarray, degree: int) -> np.ndarray:
+    """a_0 .. a_degree of the real polynomial sum_d Re(a_d e^{i d theta})
+    through samples at theta_j = 2 pi j / L (exact for L > 2 degree)."""
+    coefs = np.fft.fft(samples)[: degree + 1] / len(samples)
+    coefs[1:] *= 2.0
+    return coefs
+
+
+def _moments(w: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+    """<T> and the centered ||(T - <T>) w||^2 of each column of w for the
+    Hermitian tridiagonal T = (diag, upper)."""
+    tw = diag[:, None] * w
+    tw[:-1] += upper[:, None] * w[1:]
+    tw[1:] += upper.conj()[:, None] * w[:-1]
+    mean = np.einsum("ij,ij->j", w.real, tw.real) + np.einsum("ij,ij->j", w.imag, tw.imag)
+    tw -= mean * w
+    var = np.einsum("ij,ij->j", tw.real, tw.real) + np.einsum("ij,ij->j", tw.imag, tw.imag)
+    return mean, var
+
+
+def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
+    """Active 3-d rotation R with e^{i angle J_a} J e^{-i angle J_a} = R J,
+    for a = x or y."""
+    c, s = math.cos(angle), math.sin(angle)
+    i, j = {"x": (1, 2), "y": (2, 0)}[axis]
+    rot = np.eye(3)
+    rot[i, i] = rot[j, j] = c
+    rot[i, j], rot[j, i] = -s, s
+    return rot
+
+
+class _Scanner:
+    """Spectral evaluation of one protocol over phi, at any mu.
+
+    The folded sequence is the operator product tail middle D(rate phi) pre,
+    pre acting first.  tail is the longest trailing run that J_z can be
+    pushed back through as a tridiagonal T: diagonal pulses followed in
+    time by x/y rotations.  Through the rotations T stays a spin component
+    n.J; the diagonal pulses only twist its off-diagonal.  middle is a dense
+    matrix, built once when it holds no squeeze.  Specs with more than one
+    dark zone after folding go through CompiledProtocol samples instead.
+    """
+
+    def __init__(self, spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet):
+        if dims != ops.dims:
+            raise DimensionError("dims and operator set disagree")
+        self.spec, self.dims, self.ops = spec, dims, ops
+        self._middle = None
+        pulses = fold_echoes(spec.pulses)
+        darks = [i for i, p in enumerate(pulses) if p.kind == "dark_phase"]
+        self.folded = len(darks) <= 1
+        if not self.folded:
+            return
+        split = darks[0] if darks else len(pulses)
+        self.rate = pulses[split].sign * pulses[split].fraction if darks else 0.0
+        post = pulses[split + 1 :]
+        n_tail, twisted = 0, False
+        for pulse in reversed(post):
+            diagonal = pulse.kind == "squeeze" or pulse.axis == "z"
+            if twisted and not diagonal:
+                break
+            twisted = twisted or diagonal
+            n_tail += 1
+        self.pre = pulses[:split]
+        self.middle_pulses = post[: len(post) - n_tail]
+        self.tail = post[len(post) - n_tail :]
+
+    # --- per-mu pieces ----------------------------------------------------
+
+    def _v0(self, mu) -> np.ndarray:
+        state = initial_state(self.dims)
+        for pulse in self.pre:
+            state = apply_pulse(state, self.ops, pulse, 0.0, mu)
+        return state.amps
+
+    def _middle_matrix(self, mu) -> np.ndarray:
+        if any(p.kind == "squeeze" for p in self.middle_pulses):
+            return pulse_product(self.ops, self.middle_pulses, mu)
+        if self._middle is None:
+            self._middle = pulse_product(self.ops, self.middle_pulses)
+        return self._middle
+
+    def _observable(self, mu):
+        """T = tail^dagger J_z tail as (diagonal, superdiagonal)."""
+        n = np.array([0.0, 0.0, 1.0])
+        twists = []
+        for pulse in reversed(self.tail):
+            if pulse.kind == "rotate" and pulse.axis != "z":
+                n = _rotation_matrix(pulse.axis, pulse.angle).T @ n
+            else:
+                twists.append(pulse)
+        upper = (n[0] + 1j * n[1]) * np.diag(self.ops.jx, 1)
+        for pulse in twists:
+            u = pulse_unitary(self.ops, pulse, mu)
+            upper = upper * u[:-1].conj() * u[1:]
+        return n[2] * self.ops.m, upper
+
+    def _csd_row(self, mu) -> np.ndarray:
+        """Row e_idx^dagger (tail . middle), pushed back pulse by pulse."""
+        row = np.zeros(self.dims.dim, dtype=complex)
+        row[_resolve_csd_index(self.spec.detection, self.dims)] = 1.0
+        for pulse in reversed(self.middle_pulses + self.tail):
+            if pulse.kind == "rotate" and pulse.axis != "z":
+                eig = self.ops.jx_eigensystem if pulse.axis == "x" else self.ops.jy_eigensystem
+                row = (row @ eig.vectors) * np.exp(-1j * pulse.angle * eig.values)
+                row = row @ eig.vectors.conj().T
+            else:
+                row = row * pulse_unitary(self.ops, pulse, mu)
+        return row
+
+    # --- evaluation -------------------------------------------------------
+
+    def arrays(self, phis: np.ndarray, mu: float | None):
+        """signal, SDS and exact dS/dphi at every phi."""
+        phis = np.asarray(phis, dtype=float)
+        if phis.size == 0:
+            return np.empty(0), np.empty(0), np.empty(0)
+        detection = self.spec.detection
+        if not self.folded:
+            signal, sds, pgs = self._sampled_kernel(phis, mu)
+        elif detection.kind == "csd":
+            signal, sds, pgs = self._csd(phis, mu)
         else:
-            pgs = d1
-        return s[:n], sds[:n], pgs
+            signal, sds, pgs = self._cd(phis, mu)
+        if detection.kind == "cd" and detection.add_j:
+            signal = signal + self.dims.j
+        return signal, sds, pgs
 
-    chunks = [phis[i : i + _CHUNK] for i in range(0, len(phis), _CHUNK)]
-    if threads is not None and threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(do_chunk, chunks))
-    else:
-        parts = [do_chunk(c) for c in chunks]
-    signal = np.concatenate([p[0] for p in parts])
-    sds = np.concatenate([p[1] for p in parts])
-    pgs = np.concatenate([p[2] for p in parts])
-    return signal, sds, pgs
+    def _csd(self, phis, mu):
+        m = self.ops.m
+        c = self._csd_row(mu) * self._v0(mu)
+        # a(theta) = sum_k c_k e^{-i m_k theta}; reversed, the frequencies
+        # -m_k run upward from m_0
+        amp = _fourier_sum(m[0], np.stack([c, -1j * m * c], axis=1)[::-1], self.rate * phis)
+        p = np.abs(amp[:, 0]) ** 2
+        pgs = 2.0 * self.rate * np.real(amp[:, 0].conj() * amp[:, 1])
+        # projector: Q^2 = Q, so the variance is p (1 - p)
+        return p, np.sqrt(np.maximum(p * (1.0 - p), 0.0)), pgs
+
+    def _cd(self, phis, mu):
+        dim = self.dims.dim
+        v0 = self._v0(mu)
+        middle = self._middle_matrix(mu)
+        diag, upper = self._observable(mu)
+        weighted = middle * v0
+        # The 4N+1 (or more) samples come in `blocks` interleaved sub-grids
+        # of `width` points, each one FFT of the dim x dim matrix, so no
+        # dim x 4N sample matrix is ever held.
+        width = _fft_length(dim)
+        blocks = -(-(4 * self.dims.n_atoms + 1) // width)
+        total = blocks * width
+        k = np.arange(dim)
+        mean, var = np.empty(total), np.empty(total)
+        for r in range(blocks):
+            # column q is w(theta) at theta = 2 pi (r + blocks q) / total, up
+            # to a phase per column that <T> and the variance do not see
+            w = np.fft.fft(weighted * np.exp((-2j * np.pi * r / total) * k), n=width, axis=1)
+            mean[r::blocks], var[r::blocks] = _moments(w, diag, upper)
+
+        def direct(points):
+            x = v0[:, None] * np.exp(-1j * self.rate * np.outer(self.ops.m, points))
+            return _moments(middle @ x, diag, upper)[1]
+
+        return self._interpolate(mean, var, self.dims.n_atoms, self.rate, phis, direct)
+
+    def _sampled_kernel(self, phis, mu):
+        """Fallback for specs with several dark zones after folding."""
+        kernel = compile_protocol(self.spec, self.dims, self.ops, mu)
+        fractions = [f for (f, _), _ in kernel.segments]
+        denominators = []
+        for f in fractions:
+            q = next((q for q in range(1, 65) if abs(f * q - round(f * q)) <= 1e-12), None)
+            if q is None:
+                raise ValueError(f"dark-zone fraction {f} is not a multiple of 1/q, q <= 64")
+            denominators.append(q)
+        # every fraction is a multiple of 1/steps, so the fringe is a
+        # trigonometric polynomial in phi / steps
+        steps = math.lcm(*denominators)
+        degree = self.dims.n_atoms * sum(round(f * steps) for f in fractions)
+        total = 4 * degree + 1
+        grid = (2 * np.pi * steps) * np.arange(total) / total
+        index = None
+        if self.spec.detection.kind == "csd":
+            index = _resolve_csd_index(self.spec.detection, self.dims)
+        m = self.ops.m
+
+        def moments(points):
+            pops = np.abs(kernel.evaluate(points)) ** 2
+            if index is not None:
+                p = pops[index]
+                return p, p * (1.0 - p)
+            mean = m @ pops
+            return mean, np.einsum("ij,ij->j", (m[:, None] - mean) ** 2, pops)
+
+        mean, var = np.empty(total), np.empty(total)
+        step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
+        for i in range(0, total, step):
+            mean[i : i + step], var[i : i + step] = moments(grid[i : i + step])
+        return self._interpolate(
+            mean, var, degree, 1.0 / steps, phis, lambda points: moments(points)[1]
+        )
+
+    def _interpolate(self, mean, var, degree, rate, phis, direct):
+        """Evaluate the fitted polynomials at phis; SDS values in the
+        rounding band are replaced by direct(phis) variances."""
+        freqs = np.arange(2 * degree + 1)
+        coefs = np.zeros((2 * degree + 1, 3), dtype=complex)
+        coefs[: degree + 1, 0] = _trig_coefficients(mean, degree)
+        coefs[:, 1] = 1j * freqs * coefs[:, 0]
+        coefs[:, 2] = _trig_coefficients(var, 2 * degree)
+        values = _fourier_sum(0.0, coefs, rate * phis).real
+        sds = np.sqrt(np.maximum(values[:, 2], 0.0))
+        low = np.flatnonzero(sds < _ROUNDING_BAND * self.dims.n_atoms)
+        step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
+        for i in range(0, len(low), step):
+            part = low[i : i + step]
+            sds[part] = np.sqrt(np.maximum(direct(phis[part]), 0.0))
+        return values[:, 0], sds, rate * values[:, 1]
 
 
 def fringe_scan(
@@ -157,16 +381,12 @@ def fringe_scan(
     ops: OperatorSet,
     phi_grid,
     mu_override: float | None = None,
-    richardson: bool = True,
-    threads: int | None = None,
 ) -> list[FringePoint]:
     """Signal/SDS/PGS at every point of a sorted phi grid."""
     phis = np.asarray(phi_grid, dtype=float)
     if phis.size and not (np.all(np.isfinite(phis)) and np.all(np.diff(phis) >= 0)):
         raise ValueError("phi grid must be finite and sorted")
-    signal, sds, pgs = _scan_arrays(
-        spec, dims, ops, phis, mu_override, richardson, threads
-    )
+    signal, sds, pgs = _Scanner(spec, dims, ops).arrays(phis, mu_override)
     return [
         FringePoint(phi=float(p), signal=float(s), sds=float(d), pgs=float(g))
         for p, s, d, g in zip(phis, signal, sds, pgs)
@@ -204,12 +424,9 @@ def sensitivity_at(
     ops: OperatorSet,
     phi: float,
     mu_override: float | None = None,
-    richardson: bool = True,
 ) -> SensitivityResult:
     """Lambda = |dS/dphi| / DeltaS at a single phi."""
-    signal, sds, pgs = _scan_arrays(
-        spec, dims, ops, np.array([phi]), mu_override, richardson
-    )
+    _, sds, pgs = _Scanner(spec, dims, ops).arrays(np.array([phi]), mu_override)
     mu = _spec_mu(spec, mu_override)
     if sds[0] < noise_floor(dims.n_atoms):
         return SensitivityResult(lam=None, phi_star=float(phi), mu=mu)
@@ -239,13 +456,15 @@ def sensitivity_scan_mu(
     mu_grid,
     phi_window: np.ndarray | None = None,
     normalize_hl: bool = False,
-    threads: int | None = None,
 ) -> list[SensitivityResult]:
     """Best Lambda over the phi window for each mu.
 
     Degenerate phi points are skipped; a mu where every point is degenerate
-    yields an undefined entry.  With normalize_hl the values are divided by
-    N, i.e. reported as a fraction of the Heisenberg limit.
+    yields an undefined entry.  phi_star is the first window point whose
+    Lambda lies within 1e-9 (relative) of the best, so flat maxima (even N
+    at mu = pi/2 reaches Lambda = N everywhere) resolve deterministically.
+    With normalize_hl the values are divided by N, i.e. reported as a
+    fraction of the Heisenberg limit.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if np.any(mu_grid < 0) or np.any(mu_grid > math.pi / 2 + 1e-12):
@@ -255,11 +474,10 @@ def sensitivity_scan_mu(
     note = GAMMA_NOTE + ("; divided by N (HL fraction)" if normalize_hl else "")
     scale = dims.n_atoms if normalize_hl else 1.0
 
+    scanner = _Scanner(spec, dims, ops)
     results = []
     for mu in mu_grid:
-        signal, sds, pgs = _scan_arrays(
-            spec, dims, ops, phi_window, float(mu), threads=threads
-        )
+        _, sds, pgs = scanner.arrays(phi_window, float(mu))
         valid = sds >= noise_floor(dims.n_atoms)
         if not valid.any():
             results.append(
@@ -267,11 +485,12 @@ def sensitivity_scan_mu(
             )
             continue
         lam = np.where(valid, np.abs(pgs) / np.where(valid, sds, 1.0), -np.inf)
-        best = int(np.argmax(lam))
+        best = lam.max()
+        first = int(np.argmax(lam >= best * (1.0 - 1e-9)))
         results.append(
             SensitivityResult(
-                lam=float(lam[best] / scale),
-                phi_star=float(phi_window[best]),
+                lam=float(best / scale),
+                phi_star=float(phi_window[first]),
                 mu=float(mu),
                 normalization=note,
             )
@@ -303,7 +522,7 @@ def central_fringe_fwhm(
     crossings nearest phi = 0 on each side are interpolated linearly.
     """
     phis = np.linspace(-half_window, half_window, n_points)
-    signal, _, _ = _scan_arrays(spec, dims, ops, phis, mu_override)
+    signal, _, _ = _Scanner(spec, dims, ops).arrays(phis, mu_override)
     center = n_points // 2
     s0 = signal[center]
     span_max, span_min = signal.max(), signal.min()

@@ -270,14 +270,44 @@ def run(
 # --- batched scan kernel ----------------------------------------------------
 
 
+def _flips_jz(pulse: Pulse) -> bool:
+    """A pi rotation about x or y maps J_z to -J_z."""
+    return pulse.kind == "rotate" and pulse.axis in ("x", "y") and abs(pulse.angle) == np.pi
+
+
+def fold_echoes(pulses: tuple[Pulse, ...]) -> tuple[Pulse, ...]:
+    """Rewrite every spin echo as a single dark zone.
+
+    For a pi rotation R about x or y, R^dagger J_z R = -J_z, so the echo
+    D(f1, s1), R, D(f2, s2) (temporal order) equals D with phase coefficient
+    s1 f1 - s2 f2 followed by R.  CRAIN and SCAIN fold to one dark zone of
+    coefficient 1; a zero coefficient drops the dark zone altogether.
+    """
+    out = list(pulses)
+    i = 0
+    while i + 2 < len(out):
+        first, mirror, second = out[i : i + 3]
+        if first.kind == second.kind == "dark_phase" and _flips_jz(mirror):
+            rate = first.sign * first.fraction - second.sign * second.fraction
+            folded = [mirror]
+            if rate != 0.0:
+                folded.insert(
+                    0, Pulse(kind="dark_phase", fraction=abs(rate), sign=1 if rate > 0 else -1)
+                )
+            out[i : i + 3] = folded
+        else:
+            i += 1
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class CompiledProtocol:
     """Fixed pulses folded into dense segment matrices for phi scans.
 
     The final state is  M_k D_k(phi) ... M_1 D_1(phi) v0  where the D_i are
-    the dark-zone diagonals and v0 already includes every pulse before the
-    first dark zone.  Evaluating a phi grid is then a handful of
-    (dim x dim) @ (dim x n_phi) products.
+    the dark-zone diagonals (spin echoes already folded by fold_echoes) and
+    v0 includes every pulse before the first dark zone.  Evaluating a phi
+    grid is then a handful of (dim x dim) @ (dim x n_phi) products.
     """
 
     dims: EnsembleDims
@@ -297,17 +327,45 @@ class CompiledProtocol:
         return block
 
 
-def _pulse_unitary(ops: OperatorSet, pulse: Pulse, mu_override) -> np.ndarray:
+def pulse_unitary(ops: OperatorSet, pulse: Pulse, mu_override) -> np.ndarray:
     """Dense unitary for a fixed pulse; diagonals returned as 1-d arrays."""
     if pulse.kind == "rotate":
         if pulse.axis == "z":
             return np.exp(-1j * pulse.angle * ops.m)
         eig = ops.jx_eigensystem if pulse.axis == "x" else ops.jy_eigensystem
-        return (eig.vectors * np.exp(-1j * pulse.angle * eig.values)) @ eig.vectors.conj().T
+        phase = np.exp(-1j * pulse.angle * eig.values)
+        vecs = eig.vectors
+        if pulse.axis == "x":  # real eigenvectors: two real products
+            return (vecs * phase.real) @ vecs.T + 1j * ((vecs * phase.imag) @ vecs.T)
+        return (vecs * phase) @ vecs.conj().T
     if pulse.kind == "squeeze":
         mu = pulse.mu if mu_override is None else float(mu_override)
         return np.exp(1j * pulse.sign * mu * ops.jz_sq)
     raise ValueError(f"not a fixed pulse: {pulse.kind}")
+
+
+def pulse_product(
+    ops: OperatorSet, pulses: tuple[Pulse, ...], mu_override: float | None = None
+) -> np.ndarray:
+    """Dense unitary of a run of fixed pulses, pulses[0] acting first.
+
+    Adjacent rotations about one axis merge into a single rotation.
+    """
+    merged: list[Pulse] = []
+    for pulse in pulses:
+        last = merged[-1] if merged else None
+        if last is not None and pulse.kind == last.kind == "rotate" and pulse.axis == last.axis:
+            merged[-1] = rotate_pulse(pulse.axis, last.angle + pulse.angle)
+        else:
+            merged.append(pulse)
+    acc = np.eye(ops.dims.dim, dtype=complex)
+    for i, pulse in enumerate(merged):
+        u = pulse_unitary(ops, pulse, mu_override)
+        if u.ndim == 1:
+            acc = u[:, None] * acc
+        else:
+            acc = u if i == 0 else u @ acc
+    return acc
 
 
 def compile_protocol(
@@ -319,35 +377,18 @@ def compile_protocol(
     """Fold every fixed pulse of the sequence into dense segment matrices."""
     if dims != ops.dims:
         raise DimensionError("dims and operator set disagree")
-
-    acc = np.eye(dims.dim, dtype=complex)
-    v0 = None
-    segments = []
-    pending_dark = None
-
-    def close_segment():
-        nonlocal acc, v0, pending_dark
-        if pending_dark is None:
-            v0 = acc[:, 0].copy()  # acc applied to |E_0>
-        else:
-            segments.append((pending_dark, acc))
-        acc = np.eye(dims.dim, dtype=complex)
-
-    for pulse in spec.pulses:
-        if pulse.kind == "dark_phase":
-            close_segment()
-            pending_dark = (pulse.fraction, pulse.sign)
-            continue
-        u = _pulse_unitary(ops, pulse, mu_override)
-        if u.ndim == 1:
-            acc = u[:, None] * acc
-        else:
-            acc = u @ acc
-    close_segment()
-
-    return CompiledProtocol(
-        dims=dims, v0=v0, segments=tuple(segments), m=ops.m
+    pulses = fold_echoes(spec.pulses)
+    darks = [i for i, p in enumerate(pulses) if p.kind == "dark_phase"]
+    bounds = [-1, *darks, len(pulses)]
+    runs = [pulses[a + 1 : b] for a, b in zip(bounds[:-1], bounds[1:])]
+    v0 = initial_state(dims)
+    for pulse in runs[0]:
+        v0 = apply_pulse(v0, ops, pulse, 0.0, mu_override)
+    segments = tuple(
+        ((pulses[i].fraction, pulses[i].sign), pulse_product(ops, segment, mu_override))
+        for i, segment in zip(darks, runs[1:])
     )
+    return CompiledProtocol(dims=dims, v0=v0.amps, segments=segments, m=ops.m)
 
 
 # --- product-space oracle ---------------------------------------------------
@@ -371,9 +412,11 @@ def oracle_run(
     dims = EnsembleDims(n_atoms)
     size = 2**n_atoms
 
+    # index 0 = spin down, so sigma_y is the transpose of the textbook
+    # (up, down) matrix; this keeps [s_x, s_y] = i s_z
     sx = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = 0.5 * np.array([[-1, 0], [0, 1]], dtype=complex)  # index 0 = spin down
+    sy = 0.5 * np.array([[0, 1j], [-1j, 0]], dtype=complex)
+    sz = 0.5 * np.array([[-1, 0], [0, 1]], dtype=complex)
     singles = {"x": sx, "y": sy, "z": sz}
 
     def collective(axis):

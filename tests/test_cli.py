@@ -165,6 +165,25 @@ class TestFringeCommand:
         assert all(row[4] == "" for row in rows[1:])
 
 
+class TestScanBoundary:
+    @pytest.mark.parametrize("extra", [
+        ["--detection", "csd", "--csd-index", "5", "--phi-range", "0:1:5"],
+        ["--detection", "csd", "--csd-index", "-6", "--phi-range", "0:1:5"],
+        ["--phi-range", "1:-1:5"],
+    ])
+    def test_usage_error_without_traceback_or_artifact(self, tmp_path, capsys, extra):
+        out = tmp_path / "f.csv"
+        assert main(["fringe", "--n", "4", *extra, "--out", str(out)]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_csd_index_extremes_accepted(self, tmp_path):
+        for index in ("4", "-5"):
+            out = tmp_path / f"f{index}.csv"
+            assert main(["fringe", "--n", "4", "--detection", "csd", "--csd-index", index,
+                         "--phi-range", "0:1:5", "--out", str(out)]) == 0
+
+
 class TestSensitivityCommand:
     def test_scan_output(self, tmp_path):
         out = tmp_path / "s.csv"

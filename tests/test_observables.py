@@ -27,7 +27,15 @@ from catspin.observables import (
     sensitivity_scan_mu,
     variance_jz,
 )
-from catspin.protocols import Detection, ProtocolParams, builtin, run
+from catspin.dicke import dark_pulse, rotate_pulse
+from catspin.protocols import (
+    Detection,
+    ProtocolParams,
+    ProtocolSpec,
+    builtin,
+    oracle_run,
+    run,
+)
 
 from conftest import cached_ops
 
@@ -140,12 +148,13 @@ class TestFringeScan:
             fringe_scan(scain(), dims40, ops40, np.array([0.2, 0.1]))
 
     def test_thread_count_does_not_change_values(self, dims40, ops40):
+        # the scan has no worker pool; repeated calls are bit-identical
         phis = np.linspace(-0.1, 0.1, 600)
-        one = fringe_scan(scain(), dims40, ops40, phis, threads=1)
-        four = fringe_scan(scain(), dims40, ops40, phis, threads=4)
+        one = fringe_scan(scain(), dims40, ops40, phis)
+        two = fringe_scan(scain(), dims40, ops40, phis)
         assert all(
             (a.signal, a.sds, a.pgs) == (b.signal, b.sds, b.pgs)
-            for a, b in zip(one, four)
+            for a, b in zip(one, two)
         )
 
 
@@ -207,6 +216,106 @@ class TestSensitivity:
             )
             signals = [p.signal for p in points]
             assert max(signals) - min(signals) < 1e-9
+
+
+class TestSpectralEngine:
+    @staticmethod
+    def _oracle_moments(spec, n, phi, mu):
+        pops = oracle_run(spec, n, phi, mu).populations()
+        if spec.detection.kind == "csd":
+            p = pops[spec.detection.index % (n + 1)]
+            return p, p * (1 - p)
+        m = np.arange(n + 1) - n / 2
+        mean = m @ pops
+        shift = n / 2 if spec.detection.add_j else 0.0
+        return mean + shift, ((m - mean) ** 2) @ pops
+
+    @staticmethod
+    def _specs():
+        for pid in ("crain", "scain", "cac", "cosac", "scac"):
+            squeezed = pid in ("scain", "scac")
+            for ara in ("x", "y") if squeezed else ("x",):
+                for xi in (1, -1) if squeezed else (-1,):
+                    for det in ("cd", "csd"):
+                        yield builtin(pid, ProtocolParams(mu=0.3, ara=ara, xi=xi,
+                                                          detection=Detection(det)))
+        for det in (Detection("cd"), Detection("csd", index=1)):
+            # one dark zone of phase coefficient -1/2
+            yield ProtocolSpec(
+                "half-rate",
+                (rotate_pulse("x", HALF), dark_pulse(0.5, -1), rotate_pulse("y", 1.0)),
+                det,
+            )
+            # two dark zones that no echo folds: the CompiledProtocol samples path
+            yield ProtocolSpec(
+                "unfolded",
+                (rotate_pulse("x", HALF), dark_pulse(0.5, 1), rotate_pulse("y", 1.0),
+                 dark_pulse(0.25, -1), rotate_pulse("x", HALF)),
+                det,
+            )
+
+    def test_matches_product_space_oracle(self):
+        h = 1e-3
+        phis = np.array([-0.7, 1.3])
+        for n in (3, 4):
+            ops = cached_ops(n)
+            for spec in self._specs():
+                for mu in (None, 0.41) if spec.scan_mu_indices else (None,):
+                    points = fringe_scan(spec, ops.dims, ops, phis, mu_override=mu)
+                    for pt in points:
+                        signal, var = self._oracle_moments(spec, n, pt.phi, mu)
+                        assert pt.signal == pytest.approx(signal, abs=1e-10)
+                        assert pt.sds == pytest.approx(math.sqrt(max(var, 0.0)), abs=1e-10)
+                        f = [self._oracle_moments(spec, n, pt.phi + k * h, mu)[0]
+                             for k in (-2, -1, 1, 2)]
+                        stencil = (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
+                        assert pt.pgs == pytest.approx(stencil, abs=1e-8)
+
+    def test_sds_matches_centered_variance_of_run(self):
+        rng = np.random.default_rng(7)
+        for n in (40, 41):
+            ops = cached_ops(n)
+            m = ops.dims.m_values()
+            for pid in ("crain", "scain", "cac", "scac"):
+                for _ in range(4):
+                    mu = rng.uniform(0.0, HALF)
+                    phis = np.sort(rng.uniform(-np.pi, np.pi, 5))
+                    spec = builtin(pid, ProtocolParams(mu=mu, ara=str(rng.choice(["x", "y"]))))
+                    points = fringe_scan(spec, ops.dims, ops, phis)
+                    for pt in points:
+                        p = run(spec, ops.dims, ops, pt.phi).populations()
+                        centered = np.sum(p * (m - m @ p) ** 2)
+                        assert pt.sds == pytest.approx(math.sqrt(centered), abs=1e-9 * n)
+
+    def test_dicke_state_points_have_no_spurious_lambda(self, dims40, ops40):
+        # at mu = 0 the final state is a Dicke state at every phi, and at
+        # mu = pi/2 wherever sin(N phi) = 0; the variance is zero there and
+        # rounding must not make Lambda defined
+        (res,) = sensitivity_scan_mu(scain(xi=1), dims40, ops40, [0.0], normalize_hl=True)
+        assert res.lam is None and math.isnan(res.phi_star)
+        for pt in fringe_scan(scain(), dims40, ops40, [-np.pi, 0.0, np.pi]):
+            assert point_sensitivity(pt, dims40) is None
+
+    def test_phi_star_is_first_point_of_flat_maximum(self, dims40, ops40):
+        # even N at mu = pi/2: Lambda = N at every non-degenerate point
+        window = default_phi_window()
+        (res,) = sensitivity_scan_mu(scain(xi=1), dims40, ops40, [HALF], normalize_hl=True)
+        assert res.lam == pytest.approx(1.0, rel=1e-9)
+        assert res.phi_star == window[0]
+
+    @pytest.mark.slow
+    def test_scain_laws_at_n2000(self):
+        n = 2000
+        ops = cached_ops(n)
+        phis = np.linspace(-0.1 * np.pi, 0.1 * np.pi, 401)
+        points = fringe_scan(scain(), ops.dims, ops, phis)
+        signal = np.array([p.signal for p in points])
+        pgs = np.array([p.pgs for p in points])
+        assert np.max(np.abs(signal + n / 2 * np.cos(n * phis))) < 1e-9
+        assert np.max(np.abs(pgs - n**2 / 2 * np.sin(n * phis))) < 1e-9 * n**2
+        csd = fringe_scan(scain(detection=Detection("csd", index=0)), ops.dims, ops, phis)
+        population = np.array([p.signal for p in csd])
+        assert np.max(np.abs(population - np.cos(n * phis / 2) ** 2)) < 1e-9
 
 
 class TestParityAverage:

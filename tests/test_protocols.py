@@ -5,11 +5,13 @@ from catspin.dicke import DimensionError
 from catspin.observables import expect_jz
 from catspin.dicke import dark_pulse
 from catspin.protocols import (
+    PROTOCOL_IDS,
     Detection,
     ProtocolParams,
     ProtocolSpec,
     builtin,
     compile_protocol,
+    fold_echoes,
     oracle_run,
     run,
 )
@@ -239,6 +241,17 @@ class TestOracle:
             b = oracle_run(spec, 1, 0.8).amps
             assert np.max(np.abs(a - b)) < 1e-12
 
+    def test_y_rotations_match_dicke_run(self):
+        # the oracle's single-spin operators obey [s_x, s_y] = i s_z like the
+        # Dicke-basis J's, so every axis rotates the same way in both
+        for n in (1, 3, 4):
+            ops = cached_ops(n)
+            for pid in ("scain", "scac"):
+                spec = builtin(pid, ProtocolParams(mu=0.3, ara="y", xi=1))
+                a = run(spec, ops.dims, ops, 0.8).amps
+                b = oracle_run(spec, n, 0.8).amps
+                assert np.max(np.abs(a - b)) < 1e-10
+
     def test_rejects_large_n(self):
         with pytest.raises(DimensionError):
             oracle_run(builtin("crain"), 5, 0.1)
@@ -270,6 +283,13 @@ class TestSerialization:
 
 
 class TestCompiledKernel:
+    def test_echo_folds_to_one_dark_zone(self, dims40, ops40):
+        for pid in PROTOCOL_IDS:
+            spec = builtin(pid)
+            darks = [p for p in fold_echoes(spec.pulses) if p.kind == "dark_phase"]
+            assert [(d.fraction, d.sign) for d in darks] == [(1.0, 1)]
+            assert len(compile_protocol(spec, dims40, ops40).segments) == 1
+
     def test_matches_pulsewise_run(self, dims40, ops40):
         for pid, mu in (("scain", HALF), ("crain", None), ("scac", 0.31), ("cac", None)):
             spec = builtin(pid, ProtocolParams(mu=HALF, ara="x", xi=-1))
