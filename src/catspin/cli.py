@@ -121,6 +121,23 @@ def _atomic_write_bytes(path: str, data: bytes):
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_csv(path: str, header: list[str], rows) -> list[str]:
+    """Write a header and an iterable of formatted rows atomically."""
+
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    _atomic_write(path, write)
+    return [path]
+
+
+def _write_json(path: str, doc: dict) -> list[str]:
+    _atomic_write(path, lambda fh: (json.dump(doc, fh, indent=2, default=str), fh.write("\n")))
+    return [path]
+
+
 def write_manifest(path: str, command: str, options: dict, wall_time: float):
     manifest = {
         "command": command,
@@ -133,10 +150,7 @@ def write_manifest(path: str, command: str, options: dict, wall_time: float):
         "wall_time_s": wall_time,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    _atomic_write(
-        path + ".manifest.json",
-        lambda fh: (json.dump(manifest, fh, indent=2, default=str), fh.write("\n")),
-    )
+    _write_json(path + ".manifest.json", manifest)
 
 
 # --- configuration ------------------------------------------------------------
@@ -160,6 +174,29 @@ _COMMON_DEFAULTS = {
     "threads": None,
     "gamma": 1.0,
 }
+
+
+# what a config file may give each option, as JSON types; true/false is
+# not taken for a number
+_FILE_OPTION_TYPES = (
+    ("a string", (str,), "protocol ara detection phi_range mu_range phi_window stage grid "
+                         "fmt coop_range params en_range out"),
+    ("a number or an angle string", (int, float, str), "mu phi"),
+    ("an integer", (int,), "xi csd_index threads"),
+    ("a number", (int, float), "n gamma delta_tilde power mode_side mirror_t even odd"),
+    ("true or false", (bool,), "normalize_hl log"),
+)
+
+# design-mode knobs of `cavity`; unset ones take the reference cavity's value
+_DESIGN_KNOBS = ("delta_tilde", "power", "mode_side", "mirror_t")
+
+
+def _check_file_types(file_options: dict):
+    for kind, types, keys in _FILE_OPTION_TYPES:
+        for key in (k for k in keys.split() if k in file_options):
+            value = file_options[key]
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise UsageError(f"config option {key!r} must be {kind}, got {value!r}")
 
 
 def _add_protocol_flags(sub):
@@ -238,6 +275,7 @@ def _build_parser() -> _Parser:
 _DASH_VALUE_FLAGS = {
     "--mu", "--phi", "--phi-range", "--mu-range", "--phi-window",
     "--en-range", "--coop-range", "--even", "--odd", "--delta-tilde",
+    "--mode-side", "--mirror-t",
 }
 
 
@@ -273,6 +311,7 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(file_options, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
+        _check_file_types(file_options)
     options.update(file_options)
     for key, value in vars(args).items():
         if key in ("command", "config"):
@@ -333,15 +372,18 @@ def _validate(config: RunConfig):
         if not (0.0 <= lo <= hi <= math.pi / 2 + 1e-12):
             raise UsageError("--mu-range must lie within [0, 0.5pi]")
     if config.command == "cavity":
-        modes = [opts.get("coop_range"), opts.get("params"),
-                 opts.get("power") or opts.get("mode_side") or opts.get("mirror_t")]
-        if sum(1 for m in modes if m) != 1:
+        design = any(opts.get(key) is not None for key in _DESIGN_KNOBS[1:])
+        modes = [opts.get("coop_range") is not None, opts.get("params") is not None, design]
+        if sum(modes) != 1:
             raise UsageError(
                 "cavity needs exactly one of --coop-range (sweep), --params "
                 "(report) or design knobs (--power/--mode-side/--mirror-t)"
             )
-        if opts.get("coop_range") and not opts.get("n"):
+        if opts.get("coop_range") is not None and opts.get("n") is None:
             raise UsageError("cavity sweep needs --n")
+        for key in ("mode_side", "mirror_t"):
+            if opts.get(key) is not None and not opts[key] > 0:
+                raise UsageError(f"--{key.replace('_', '-')} must be positive, got {opts[key]}")
 
 
 # --- command implementations ----------------------------------------------------
@@ -370,19 +412,10 @@ def _cmd_fringe(opts) -> list[str]:
     phis = np.linspace(start, stop, count)
     points = fringe_scan(spec, dims, ops, phis)
     gamma = float(opts.get("gamma", 1.0))
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["phi", "signal", "sds", "pgs", "lambda"])
-        for pt in points:
-            lam = point_sensitivity(pt, dims)
-            writer.writerow(
-                [fmt(pt.phi), fmt(pt.signal), fmt(pt.sds), fmt(pt.pgs),
-                 "" if lam is None else fmt(lam / gamma)]
-            )
-
-    _atomic_write(opts["out"], write)
-    return [opts["out"]]
+    return _write_csv(opts["out"], ["phi", "signal", "sds", "pgs", "lambda"], (
+        [fmt(pt.phi), fmt(pt.signal), fmt(pt.sds), fmt(pt.pgs),
+         "" if (lam := point_sensitivity(pt, dims)) is None else fmt(lam / gamma)]
+        for pt in points))
 
 
 def _cmd_sensitivity(opts) -> list[str]:
@@ -399,19 +432,9 @@ def _cmd_sensitivity(opts) -> list[str]:
         normalize_hl=bool(opts.get("normalize_hl")),
     )
     gamma = float(opts.get("gamma", 1.0))
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["mu", "lambda", "phi_star"])
-        for res in results:
-            writer.writerow(
-                [fmt(res.mu),
-                 "" if res.lam is None else fmt(res.lam / gamma),
-                 "" if math.isnan(res.phi_star) else fmt(res.phi_star)]
-            )
-
-    _atomic_write(opts["out"], write)
-    return [opts["out"]]
+    return _write_csv(opts["out"], ["mu", "lambda", "phi_star"], (
+        [fmt(res.mu), "" if res.lam is None else fmt(res.lam / gamma),
+         "" if math.isnan(res.phi_star) else fmt(res.phi_star)] for res in results))
 
 
 def _stage_pulse_count(stage: str, n_pulses: int) -> int:
@@ -450,19 +473,9 @@ def _cmd_qpd(opts) -> list[str]:
             "n_atoms": dims.n_atoms,
             "stage_label": stage,
         }
-        _atomic_write(
-            out + ".json", lambda fh: (json.dump(meta, fh, indent=2), fh.write("\n"))
-        )
-        return [out, out + ".json"]
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "phi", "q"])
-        for theta, phi, q in field_to_csv_rows(field):
-            writer.writerow([fmt(theta), fmt(phi), fmt(q)])
-
-    _atomic_write(out, write)
-    return [out]
+        return [out, *_write_json(out + ".json", meta)]
+    return _write_csv(out, ["theta", "phi", "q"], (
+        [fmt(theta), fmt(phi), fmt(q)] for theta, phi, q in field_to_csv_rows(field)))
 
 
 def _cmd_collective(opts) -> list[str]:
@@ -470,51 +483,37 @@ def _cmd_collective(opts) -> list[str]:
     n_pulses = _stage_pulse_count(opts["stage"], len(spec.pulses))
     state = run(spec, dims, ops, float(opts.get("phi") or 0.0), n_pulses=n_pulses)
     dist = collective_distribution(state)
-    m = dims.m_values()
+    return _write_csv(opts["out"], ["index", "m", "population"], (
+        [str(i), fmt(mm), fmt(p)] for i, (mm, p) in enumerate(zip(dims.m_values(), dist))))
 
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["index", "m", "population"])
-        for i, (mm, p) in enumerate(zip(m, dist)):
-            writer.writerow([str(i), fmt(mm), fmt(p)])
 
-    _atomic_write(opts["out"], write)
-    return [opts["out"]]
+def _sweep(text: str, log) -> np.ndarray:
+    """A linear start:stop:count grid, or a geometric one with --log."""
+    start, stop, count = parse_range(text, angle=False)
+    if not log:
+        return np.linspace(start, stop, count)
+    if start <= 0 or stop <= 0:
+        raise UsageError("--log sweep needs positive bounds")
+    return np.geomspace(start, stop, count)
 
 
 def _cmd_cavity(opts) -> list[str]:
     out = opts["out"]
-    if opts.get("coop_range"):
+    if opts.get("coop_range") is not None:
         n = float(opts["n"])
-        start, stop, count = parse_range(opts["coop_range"], angle=False)
-        if opts.get("log"):
-            if start <= 0 or stop <= 0:
-                raise UsageError("--log sweep needs positive bounds")
-            coops = np.geomspace(start, stop, count)
-        else:
-            coops = np.linspace(start, stop, count)
         rows = []
-        for coop in coops:
-            delta = opts.get("delta_tilde") or optimal_detuning(n, float(coop))
-            budget = improvement_factor(n, float(coop), float(delta))
-            rows.append((coop, budget))
+        for coop in _sweep(opts["coop_range"], opts.get("log")):
+            delta = opts.get("delta_tilde")
+            if delta is None:
+                delta = optimal_detuning(n, float(coop))
+            rows.append((coop, improvement_factor(n, float(coop), float(delta))))
+        ideal_db = fmt(10.0 * math.log10(n))
+        return _write_csv(
+            out, ["cooperativity", "theta", "f_exact_db", "f_approx_db", "f_ideal_db"],
+            ([fmt(coop), fmt(b.theta_frac), fmt(b.f_db), fmt(b.f_approx_db), ideal_db]
+             for coop, b in rows))
 
-        def write(fh):
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["cooperativity", "theta", "f_exact_db", "f_approx_db", "f_ideal_db"]
-            )
-            ideal_db = 10.0 * math.log10(n)
-            for coop, budget in rows:
-                writer.writerow(
-                    [fmt(coop), fmt(budget.theta_frac), fmt(budget.f_db),
-                     fmt(budget.f_approx_db), fmt(ideal_db)]
-                )
-
-        _atomic_write(out, write)
-        return [out]
-
-    if opts.get("params"):
+    if opts.get("params") is not None:
         try:
             with open(opts["params"]) as fh:
                 params = CavityParams.from_json(fh.read())
@@ -530,53 +529,29 @@ def _cmd_cavity(opts) -> list[str]:
             "scattering_rate": scattering_rate(params, abs(chi)),
             "cooperativity_consistency": params.cooperativity_consistency(),
         }
-        _atomic_write(out, lambda fh: (json.dump(report, fh, indent=2), fh.write("\n")))
-        return [out]
+        return _write_json(out, report)
 
     # design mode: engineering knobs around the reference cavity
     chi = chi_cavity_design(
-        delta_tilde=float(opts.get("delta_tilde") or 100.0),
-        power=float(opts.get("power") or 1e-3),
-        mode_side=float(opts.get("mode_side") or 20e-6),
-        mirror_t=float(opts.get("mirror_t") or 1e-5),
+        **{key: float(opts[key]) for key in _DESIGN_KNOBS if opts.get(key) is not None}
     )
-    report = {"chi": chi, "t_sc": squeezing_time(abs(chi))}
-    _atomic_write(out, lambda fh: (json.dump(report, fh, indent=2), fh.write("\n")))
-    return [out]
+    return _write_json(out, {"chi": chi, "t_sc": squeezing_time(abs(chi))})
 
 
 def _cmd_excess_noise(opts) -> list[str]:
     n = int(opts["n"])
-    start, stop, count = parse_range(opts["en_range"], angle=False)
-    if opts.get("log"):
-        if start <= 0 or stop <= 0:
-            raise UsageError("--log sweep needs positive bounds")
-        en = np.geomspace(start, stop, count)
-    else:
-        en = np.linspace(start, stop, count)
+    en = _sweep(opts["en_range"], opts.get("log"))
     table = noise_model_table(n)
-    curves = {name: excess_noise_curve(table[name], n, en) for name in NOISE_PROTOCOL_ORDER}
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["delta_s_en"] + [p.replace("-", "_") for p in NOISE_PROTOCOL_ORDER])
-        for i, e in enumerate(en):
-            writer.writerow([fmt(e)] + [fmt(curves[p][i]) for p in NOISE_PROTOCOL_ORDER])
-
-    _atomic_write(opts["out"], write)
-    return [opts["out"]]
+    curves = [excess_noise_curve(table[name], n, en) for name in NOISE_PROTOCOL_ORDER]
+    header = ["delta_s_en"] + [p.replace("-", "_") for p in NOISE_PROTOCOL_ORDER]
+    return _write_csv(opts["out"], header, (
+        [fmt(e)] + [fmt(curve[i]) for curve in curves] for i, e in enumerate(en)))
 
 
 def _cmd_parity_average(opts) -> list[str]:
     value = parity_average(float(opts["even"]), float(opts["odd"]))
     print(fmt(value))
-    if opts.get("out"):
-        _atomic_write(
-            opts["out"],
-            lambda fh: (json.dump({"parity_average": value}, fh, indent=2), fh.write("\n")),
-        )
-        return [opts["out"]]
-    return []
+    return _write_json(opts["out"], {"parity_average": value}) if opts.get("out") else []
 
 
 _COMMANDS = {

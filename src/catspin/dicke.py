@@ -5,9 +5,10 @@ subspace is described by a total spin J = N/2.  States live in the
 (N+1)-dimensional Dicke basis {|E_0>, ..., |E_N>}, where |E_k> is the
 J_z eigenstate with eigenvalue m = k - J (|E_0> = all spins down).
 
-Everything here is exact dense linear algebra: z-axis generators are
-diagonal, x/y rotations go through a cached spectral factorization of the
-real symmetric tridiagonal J_x.
+Everything here is exact: z-axis generators are diagonal, J_x and J_y are
+kept as the bands of one real tridiagonal, and x/y rotations go through
+the real eigenvectors of J_x (y by a diagonal phase similarity), the only
+dense matrix.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 # Largest ensemble the dense (N+1) x (N+1) machinery is sized for.  The
-# one-time tridiagonal eigendecomposition and the cached dense rotation
-# matrices stay well under a GB up to this point.
+# one real eigenvector matrix of J_x is 128 MB here, and a command's peak
+# memory stays well under a GB.
 N_ATOMS_CAP = 4000
 
 
@@ -101,82 +102,82 @@ def _ladder_coefficients(dims: EnsembleDims) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Eigensystem:
-    """Spectral factorization A = vectors @ diag(values) @ vectors^dagger."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruction_error(self, matrix: np.ndarray) -> float:
-        rebuilt = (self.vectors * self.values) @ self.vectors.conj().T
-        return float(np.max(np.abs(rebuilt - matrix)))
-
-
-@dataclass(frozen=True)
 class OperatorSet:
-    """Cached dense spin operators and spectral factorizations for one N.
+    """The spin operators of one N, kept as what the pulses need.
 
-    Immutable after construction; safe to share across scan workers.
+    J_z is the diagonal m (and J_z^2 the diagonal jz_sq); J_x is the real
+    symmetric tridiagonal with superdiagonal off, and J_y = P J_x P^dagger
+    with P = diag(e^{-i pi m/2}).  J_x = V diag(eigenvalues) V^T with real
+    orthogonal V, the only dense array.  Immutable after construction.
     """
 
     dims: EnsembleDims
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    jz_sq: np.ndarray
-    jx_eigensystem: Eigensystem
-    jy_eigensystem: Eigensystem
     m: np.ndarray = field(repr=False)
+    jz_sq: np.ndarray = field(repr=False)
+    off: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
 
-    def check_commutator(self) -> float:
-        """Max-abs error of [jx, jy] - i*jz; exact structure check on demand."""
-        comm = self.jx @ self.jy - self.jy @ self.jx
-        return float(np.max(np.abs(comm - 1j * self.jz)))
+    def apply_generator(self, axis: str, amps: np.ndarray) -> np.ndarray:
+        """J_axis applied to a vector or a (dim, k) block, in O(dim k)."""
+        amps = np.asarray(amps)
+        col = (slice(None),) + (None,) * (amps.ndim - 1)
+        if axis == "z":
+            return self.m[col] * amps
+        upper = {"x": self.off, "y": 1j * self.off}[axis][col]  # J[k, k+1]
+        out = np.zeros(amps.shape, dtype=np.result_type(upper, amps))
+        out[:-1] += upper * amps[1:]
+        out[1:] += upper.conj() * amps[:-1]
+        return out
+
+
+def _jx_eigensystem(dims: EnsembleDims, off: np.ndarray):
+    """Ascending eigenvalues and real eigenvectors of J_x from two
+    half-size tridiagonal solves.
+
+    J_x commutes with the basis reversal k -> N - k (off is a palindrome),
+    so it splits into blocks on the pairs (e_k +- e_{N-k}) / sqrt(2).  At
+    the centre, even N couples the middle state e_c with sqrt(2) off[c-1];
+    odd N puts +-off[c] on the last diagonal entry.  The eigenvector of
+    eigenvalue m has reversal parity (-1)^(j-m), so the two spectra
+    interleave and each column is written straight to its sorted place.
+    """
+    half, odd = divmod(dims.n_atoms, 2)
+    pairs = half + odd
+    vecs, vals = np.zeros((dims.dim, dims.dim)), np.empty(dims.dim)
+    for sign, first in ((1.0, odd), (-1.0, 1 - odd)):
+        size = half + 1 if sign > 0 else pairs
+        diag, sub = np.zeros(size), off[: size - 1].copy()
+        if odd:
+            diag[-1] = sign * off[half]
+        elif sign > 0:
+            sub[-1] *= np.sqrt(2.0)
+        vals[first::2], block = eigh_tridiagonal(diag, sub)
+        np.multiply(block[:pairs], np.sqrt(0.5), out=vecs[:pairs, first::2])
+        np.multiply(block[:pairs], sign * np.sqrt(0.5), out=vecs[::-1][:pairs, first::2])
+        if size > pairs:  # the middle state of even N
+            vecs[half, first::2] = block[half]
+        del block  # free before the next solve
+    return vals, vecs
 
 
 def build_operator_set(dims: EnsembleDims) -> OperatorSet:
-    """Build J_x, J_y, J_z for the Dicke basis of an N-atom ensemble.
+    """Build the operator set for the Dicke basis of an N-atom ensemble.
 
     J_z is diagonal with entries m = -j .. j.  J_x and J_y are tridiagonal
     with off-diagonal elements A(j,m)/2 = sqrt((j-m)(j+m+1))/2.  The J_x
-    eigensystem comes from a one-time real symmetric tridiagonal
-    factorization; the J_y eigensystem reuses it through the exact diagonal
-    similarity J_y = e^{-i(pi/2)J_z} J_x e^{+i(pi/2)J_z}.
+    eigenvectors come from a one-time real symmetric tridiagonal
+    factorization (see _jx_eigensystem); J_y rotations reuse them through
+    the exact diagonal similarity J_y = e^{-i(pi/2)J_z} J_x e^{+i(pi/2)J_z}.
     """
     m = dims.m_values()
     off = _ladder_coefficients(dims) / 2.0
-
-    jx = np.zeros((dims.dim, dims.dim))
-    idx = np.arange(dims.dim - 1)
-    jx[idx + 1, idx] = off
-    jx[idx, idx + 1] = off
-
-    jy = np.zeros((dims.dim, dims.dim), dtype=complex)
-    jy[idx + 1, idx] = -1j * off
-    jy[idx, idx + 1] = 1j * off
-
-    jz = np.diag(m)
-
-    vals, vecs = eigh_tridiagonal(np.zeros(dims.dim), off)
+    vals, vecs = _jx_eigensystem(dims, off)
     # The spectrum of J_x is exactly m = -j .. j; snapping removes the
     # O(eps*N) solver error so multiples of 2*pi rotate back exactly.
     vals = np.round(vals - m[0]) + m[0]
-    jx_eig = Eigensystem(values=vals, vectors=vecs)
-
-    phase = np.exp(-0.5j * np.pi * m)
-    jy_eig = Eigensystem(values=vals, vectors=phase[:, None] * vecs)
-
-    ops = OperatorSet(
-        dims=dims,
-        jx=jx,
-        jy=jy,
-        jz=jz,
-        jz_sq=m**2,
-        jx_eigensystem=jx_eig,
-        jy_eigensystem=jy_eig,
-        m=m,
-    )
-    for arr in (ops.jx, ops.jy, ops.jz, ops.jz_sq, vals, vecs, jy_eig.vectors, ops.m):
+    ops = OperatorSet(dims=dims, m=m, jz_sq=m**2, off=off, eigenvalues=vals, eigenvectors=vecs)
+    for arr in (ops.m, ops.jz_sq, off, vals, vecs):
         arr.setflags(write=False)
     return ops
 
@@ -188,29 +189,32 @@ def _check_dims(state: SpinState, ops: OperatorSet):
         )
 
 
+def css_log_magnitudes(n_atoms: int, c, s) -> np.ndarray:
+    """log(sqrt(C(N,k)) |c|^(N-k) |s|^k), k = 0 .. N, broadcast over the
+    half-angle cosines c and sines s; -inf where a zero c or s carries a
+    nonzero exponent.  Log-gamma binomials keep it stable up to the cap."""
+    k = np.arange(n_atoms + 1)
+    log_binom = gammaln(n_atoms + 1) - gammaln(k + 1) - gammaln(n_atoms - k + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_c = np.where(n_atoms - k > 0, (n_atoms - k) * np.log(np.abs(c)), 0.0)
+        log_s = np.where(k > 0, k * np.log(np.abs(s)), 0.0)
+    log_mag = 0.5 * log_binom + log_c + log_s
+    # the where() above still produces nan there from 0 * -inf
+    dead = ((c == 0.0) & (n_atoms - k > 0)) | ((s == 0.0) & (k > 0))
+    return np.where(dead, -np.inf, log_mag)
+
+
 def css_state(dims: EnsembleDims, theta: float, phi: float) -> SpinState:
     """Coherent spin state with every atom pointing along (theta, phi).
 
     Amplitude on |E_{N-k}> is sqrt(C(N,k)) e^{ik phi} cos^{N-k}(theta/2)
-    sin^k(theta/2).  Binomials are taken in the log domain (via log-gamma)
-    and exponentiated after subtracting the running maximum, which keeps the
-    construction stable for N up to the cap.
+    sin^k(theta/2); the magnitudes come from css_log_magnitudes and are
+    exponentiated after subtracting their maximum.
     """
     n = dims.n_atoms
     k = np.arange(n + 1)
-
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_c = np.where(n - k > 0, (n - k) * np.log(np.abs(c)), 0.0)
-        log_s = np.where(k > 0, k * np.log(np.abs(s)), 0.0)
-    log_mag = 0.5 * log_binom + log_c + log_s
-
-    # Zero magnitude wherever cos or sin vanishes with a nonzero exponent
-    # (the where() above still produces nan there from 0 * -inf).
-    dead = ((c == 0.0) & (n - k > 0)) | ((s == 0.0) & (k > 0))
-    log_mag = np.where(dead, -np.inf, log_mag)
-
+    log_mag = css_log_magnitudes(n, c, s)
     mag = np.exp(log_mag - np.max(log_mag))
     # Half-angle signs (theta outside [0, pi] folds in here) and azimuth.
     signs = np.sign(c) ** (n - k) * np.sign(s) ** k
@@ -221,28 +225,48 @@ def css_state(dims: EnsembleDims, theta: float, phi: float) -> SpinState:
     return SpinState(dims, amps)
 
 
+def rotate(ops: OperatorSet, axis: str, angle: float, amps=None) -> np.ndarray:
+    """e^{-i angle J_axis} for axis x or y, applied to a complex vector or a
+    (dim, k) block; amps=None gives the dense unitary itself.
+
+    x: V (e^{-i angle lambda} * (V^T a)), as two real products on the
+    (dim, 2k) float view of a.  y: the exact diagonal similarity
+    R_y = P R_x P^dagger with P = diag(e^{-i pi m/2}), applied on the fly.
+    """
+    dim, vecs = ops.dims.dim, ops.eigenvectors
+    twist = np.exp(-0.5j * np.pi * ops.m)[:, None] if axis == "y" else None
+    if amps is None:  # V^T times the identity
+        coeffs = vecs.T.astype(complex, order="C")
+        if twist is not None:
+            coeffs *= twist.T.conj()
+    else:
+        coeffs = np.array(np.reshape(amps, (dim, -1)), dtype=complex, order="C")
+        if twist is not None:
+            coeffs *= twist.conj()
+        coeffs = (vecs.T @ coeffs.view(float)).view(complex)
+    coeffs *= np.exp(-1j * angle * ops.eigenvalues)[:, None]
+    out = (vecs @ coeffs.view(float)).view(complex)
+    if twist is not None:
+        out *= twist
+    return out if amps is None else out.reshape(np.shape(amps))
+
+
 def apply_rotation(
     state: SpinState, ops: OperatorSet, axis: str, angle: float
 ) -> SpinState:
     """Apply e^{-i angle J_axis}.
 
     z rotations are elementwise diagonal phases; x/y rotations go through
-    the cached eigensystem as U e^{-i angle lambda} U^dagger.
+    the J_x eigenvectors (see rotate).
     """
     _check_dims(state, ops)
     if not np.isfinite(angle):
         raise ValueError(f"rotation angle must be finite, got {angle}")
     if axis == "z":
         return SpinState(state.dims, np.exp(-1j * angle * ops.m) * state.amps)
-    if axis == "x":
-        eig = ops.jx_eigensystem
-    elif axis == "y":
-        eig = ops.jy_eigensystem
-    else:
+    if axis not in ("x", "y"):
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    coeffs = eig.vectors.conj().T @ state.amps
-    coeffs *= np.exp(-1j * angle * eig.values)
-    return SpinState(state.dims, eig.vectors @ coeffs)
+    return SpinState(state.dims, rotate(ops, axis, angle, state.amps))
 
 
 def apply_oats(state: SpinState, ops: OperatorSet, mu: float, sign: int) -> SpinState:
@@ -271,13 +295,8 @@ def apply_dark_phase(
 def total_spin_expectation(state: SpinState, ops: OperatorSet) -> float:
     """<J_x^2 + J_y^2 + J_z^2>; equals j(j+1) on the symmetric subspace."""
     _check_dims(state, ops)
-    jx_psi = ops.jx @ state.amps
-    jy_psi = ops.jy @ state.amps
-    jz_psi = ops.m * state.amps
     return float(
-        np.vdot(jx_psi, jx_psi).real
-        + np.vdot(jy_psi, jy_psi).real
-        + np.vdot(jz_psi, jz_psi).real
+        sum(np.linalg.norm(ops.apply_generator(axis, state.amps)) ** 2 for axis in "xyz")
     )
 
 

@@ -2,21 +2,22 @@
 
 Q(theta, phi) is the squared overlap of the state with the coherent spin
 state pointing along (theta, phi).  With the coherent-state resolution of
-identity, (N+1)/(4 pi) times the integral of Q over the sphere is 1, which
-the quadrature here reproduces essentially exactly: the phi sum is a full-
-period rectangle rule and the theta integrand vanishes at both poles.
+identity, (N+1)/(4 pi) times the integral of Q over the sphere is 1.
+quadrature() takes it with a rectangle rule.  The phi sum is exact (a
+full period of a trigonometric polynomial), the theta sum is not: on the
+default 181 x 361 grid the Dicke states give 0.99948 .. 1.0000002 at N = 40
+but 0.9475 .. 1.0018 at N = 4000, where Q near a pole is narrower than the
+theta step.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from catspin.dicke import SpinState
+from catspin.dicke import SpinState, css_log_magnitudes
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,9 @@ class QpdField:
 def _css_row_factors(n_atoms: int, thetas: np.ndarray) -> np.ndarray:
     """Coherent-state magnitudes c_k(theta) = sqrt(C(N,k)) cos^(N-k) sin^k
     of the half angle, one row per theta; log-domain for stability."""
-    k = np.arange(n_atoms + 1)
-    log_binom = gammaln(n_atoms + 1) - gammaln(k + 1) - gammaln(n_atoms - k + 1)
     c = np.cos(thetas / 2.0)[:, None]
     s = np.sin(thetas / 2.0)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_c = np.where(n_atoms - k > 0, (n_atoms - k) * np.log(c), 0.0)
-        log_s = np.where(k > 0, k * np.log(s), 0.0)
-    log_mag = 0.5 * log_binom + log_c + log_s
-    dead = ((c == 0.0) & (n_atoms - k > 0)) | ((s == 0.0) & (k > 0))
-    return np.where(dead, 0.0, np.exp(log_mag))
+    return np.exp(css_log_magnitudes(n_atoms, c, s))
 
 
 def evaluate_qpd_point(state: SpinState, theta: float, phi: float) -> float:
@@ -98,7 +92,8 @@ def qpd_field(state: SpinState, grid: SphereGrid) -> QpdField:
     k = np.arange(n + 1)
     factors = _css_row_factors(n, grid.thetas)  # (n_theta, dim)
     weighted = factors * np.conj(state.amps[::-1])[None, :]
-    phase = np.exp(1j * np.outer(k, grid.phis))  # (dim, n_phi)
+    phase = np.outer(1j * k, grid.phis)  # (dim, n_phi)
+    np.exp(phase, out=phase)
     overlap = weighted @ phase
     return QpdField(grid=grid, values=np.abs(overlap) ** 2)
 
@@ -153,8 +148,5 @@ def read_field_raw(path) -> tuple[np.ndarray, dict]:
         meta = json.load(fh)
     with open(path, "rb") as fh:
         data = fh.read()
-    count = meta["n_theta"] * meta["n_phi"]
-    values = np.array(struct.unpack(f"<{count}d", data)).reshape(
-        meta["n_theta"], meta["n_phi"]
-    )
+    values = np.frombuffer(data, dtype="<f8").reshape(meta["n_theta"], meta["n_phi"])
     return values, meta

@@ -38,6 +38,7 @@ from catspin.dicke import (
     OperatorSet,
     SpinState,
     apply_pulse,
+    rotate,
 )
 from catspin.protocols import (
     Detection,
@@ -246,7 +247,7 @@ class _Scanner:
                 n = _rotation_matrix(pulse.axis, pulse.angle).T @ n
             else:
                 twists.append(pulse)
-        upper = (n[0] + 1j * n[1]) * np.diag(self.ops.jx, 1)
+        upper = (n[0] + 1j * n[1]) * self.ops.off
         for pulse in twists:
             u = pulse_unitary(self.ops, pulse, mu)
             upper = upper * u[:-1].conj() * u[1:]
@@ -258,9 +259,9 @@ class _Scanner:
         row[_resolve_csd_index(self.spec.detection, self.dims)] = 1.0
         for pulse in reversed(self.middle_pulses + self.tail):
             if pulse.kind == "rotate" and pulse.axis != "z":
-                eig = self.ops.jx_eigensystem if pulse.axis == "x" else self.ops.jy_eigensystem
-                row = (row @ eig.vectors) * np.exp(-1j * pulse.angle * eig.values)
-                row = row @ eig.vectors.conj().T
+                # row @ R = R^T row: R_x is symmetric, R_y^T = R_y(-angle)
+                angle = -pulse.angle if pulse.axis == "y" else pulse.angle
+                row = rotate(self.ops, pulse.axis, angle, row)
             else:
                 row = row * pulse_unitary(self.ops, pulse, mu)
         return row

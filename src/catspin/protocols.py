@@ -23,6 +23,7 @@ from catspin.dicke import (
     apply_pulse,
     basis_state,
     dark_pulse,
+    rotate,
     rotate_pulse,
     squeeze_pulse,
 )
@@ -328,20 +329,13 @@ class CompiledProtocol:
 
 
 def pulse_unitary(ops: OperatorSet, pulse: Pulse, mu_override) -> np.ndarray:
-    """Dense unitary for a fixed pulse; diagonals returned as 1-d arrays."""
-    if pulse.kind == "rotate":
-        if pulse.axis == "z":
-            return np.exp(-1j * pulse.angle * ops.m)
-        eig = ops.jx_eigensystem if pulse.axis == "x" else ops.jy_eigensystem
-        phase = np.exp(-1j * pulse.angle * eig.values)
-        vecs = eig.vectors
-        if pulse.axis == "x":  # real eigenvectors: two real products
-            return (vecs * phase.real) @ vecs.T + 1j * ((vecs * phase.imag) @ vecs.T)
-        return (vecs * phase) @ vecs.conj().T
+    """Diagonal of a z rotation or a squeeze pulse, as a 1-d array."""
+    if pulse.kind == "rotate" and pulse.axis == "z":
+        return np.exp(-1j * pulse.angle * ops.m)
     if pulse.kind == "squeeze":
         mu = pulse.mu if mu_override is None else float(mu_override)
         return np.exp(1j * pulse.sign * mu * ops.jz_sq)
-    raise ValueError(f"not a fixed pulse: {pulse.kind}")
+    raise ValueError(f"not a diagonal pulse: {pulse.kind} {pulse.axis}")
 
 
 def pulse_product(
@@ -349,7 +343,8 @@ def pulse_product(
 ) -> np.ndarray:
     """Dense unitary of a run of fixed pulses, pulses[0] acting first.
 
-    Adjacent rotations about one axis merge into a single rotation.
+    Adjacent rotations about one axis merge into a single rotation; x/y
+    rotations act on the running product through rotate.
     """
     merged: list[Pulse] = []
     for pulse in pulses:
@@ -358,14 +353,14 @@ def pulse_product(
             merged[-1] = rotate_pulse(pulse.axis, last.angle + pulse.angle)
         else:
             merged.append(pulse)
-    acc = np.eye(ops.dims.dim, dtype=complex)
-    for i, pulse in enumerate(merged):
-        u = pulse_unitary(ops, pulse, mu_override)
-        if u.ndim == 1:
-            acc = u[:, None] * acc
+    acc = None  # the identity
+    for pulse in merged:
+        if pulse.kind == "rotate" and pulse.axis != "z":
+            acc = rotate(ops, pulse.axis, pulse.angle, acc)
         else:
-            acc = u if i == 0 else u @ acc
-    return acc
+            u = pulse_unitary(ops, pulse, mu_override)
+            acc = np.diag(u) if acc is None else u[:, None] * acc
+    return np.eye(ops.dims.dim, dtype=complex) if acc is None else acc
 
 
 def compile_protocol(

@@ -297,6 +297,54 @@ class TestCavityCommand:
         assert rc == EXIT_USAGE
 
 
+class TestExplicitZeroAndFileTypes:
+    """An explicit 0 is honoured (and rejected where it has no meaning), and
+    config-file values of the wrong type are usage errors."""
+
+    @staticmethod
+    def assert_clean_failure(tmp_path, capsys, argv, codes):
+        assert main(argv) in codes
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert [p for p in os.listdir(tmp_path) if p != "cfg.json"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "1e4", "--coop-range", "1:10:3", "--delta-tilde", "0"],
+        ["--power", "1e-3", "--delta-tilde", "0"],
+        ["--power", "0"],
+        ["--mode-side", "0"],
+        ["--mirror-t", "0"],
+        ["--mode-side", "-2e-5"],
+        ["--mirror-t", "-1e-5"],
+    ])
+    def test_cavity_zero_flags(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "cav.out")
+        self.assert_clean_failure(
+            tmp_path, capsys, ["cavity", *argv, "--out", out], (EXIT_USAGE, EXIT_RUNTIME))
+
+    @pytest.mark.parametrize("argv", [["--mode-side", "0"], ["--mirror-t", "0"]])
+    def test_nonpositive_geometry_is_usage_error(self, tmp_path, argv):
+        assert main(["cavity", *argv, "--out", str(tmp_path / "d.json")]) == EXIT_USAGE
+
+    def test_zero_detuning_reaches_the_budget(self, capsys, tmp_path):
+        main(["cavity", "--n", "1e4", "--coop-range", "1:10:3", "--delta-tilde", "0",
+              "--out", str(tmp_path / "cav.csv")])
+        assert "detuning" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options", [
+        {"grid": 5},
+        {"phi": [1]},
+        {"mu": None},
+        {"csd_index": "a", "detection": "csd"},
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, options):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(options))
+        argv = ["--config", str(cfg), "qpd", "--n", "4", "--stage", "A",
+                "--out", str(tmp_path / "q.csv")]
+        self.assert_clean_failure(tmp_path, capsys, argv, (EXIT_USAGE,))
+
+
 class TestExcessNoiseCommand:
     def test_curve_columns(self, tmp_path):
         out = tmp_path / "en.csv"

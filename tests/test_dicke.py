@@ -35,38 +35,74 @@ class TestEnsembleDims:
             EnsembleDims(2.5)
 
 
+def random_amps(dim, seed=0, cols=None):
+    rng = np.random.default_rng(seed)
+    shape = (dim,) if cols is None else (dim, cols)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def spectral_apply(ops, axis, amps):
+    """J_axis amps rebuilt from the eigenvectors: V diag(lambda) V^T for x,
+    conjugated by P = diag(e^{-i pi m/2}) for y."""
+    vecs, vals = ops.eigenvectors, ops.eigenvalues
+    twist = np.exp(-0.5j * np.pi * ops.m) if axis == "y" else np.ones(ops.dims.dim)
+    return twist * (vecs @ (vals * (vecs.T @ (twist.conj() * amps))))
+
+
 class TestOperatorSet:
     def test_single_spin_matrices(self):
         ops = cached_ops(1)
-        assert np.allclose(np.diag(ops.jz), [-0.5, 0.5])
-        assert ops.jx[1, 0] == pytest.approx(0.5, abs=0)
+        assert np.allclose(ops.m, [-0.5, 0.5])
+        assert ops.off[0] == pytest.approx(0.5, abs=0)
+        # J_x |E_0> = 0.5 |E_1>
+        assert np.array_equal(ops.apply_generator("x", np.array([1.0, 0.0])), [0.0, 0.5])
 
     def test_two_spin_raising_coefficient(self):
         # A(1,-1) = sqrt((1+1)(1-1+1)) = sqrt(2), halved on the off-diagonal
         ops = cached_ops(2)
-        assert ops.jx[1, 0] == pytest.approx(np.sqrt(2) / 2, abs=1e-15)
+        assert ops.off[0] == pytest.approx(np.sqrt(2) / 2, abs=1e-15)
+        assert ops.apply_generator("x", np.array([1.0, 0.0, 0.0]))[1] == ops.off[0]
 
     def test_jz_eigenvalues_exact_integers(self, ops40):
-        assert np.array_equal(np.diag(ops40.jz), np.arange(41) - 20)
+        assert np.array_equal(ops40.m, np.arange(41) - 20)
+        assert np.array_equal(ops40.eigenvalues, ops40.m)
 
     def test_hermiticity(self, ops41):
-        assert np.max(np.abs(ops41.jx - ops41.jx.conj().T)) < 1e-12
-        assert np.max(np.abs(ops41.jy - ops41.jy.conj().T)) < 1e-12
+        # <y|J x> = <J y|x> for random x, y and every generator
+        x, y = random_amps(42, seed=1), random_amps(42, seed=2)
+        for axis in "xyz":
+            lhs = np.vdot(y, ops41.apply_generator(axis, x))
+            rhs = np.vdot(ops41.apply_generator(axis, y), x)
+            assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
     def test_commutator(self, ops40):
-        assert ops40.check_commutator() < 1e-10
+        # [J_x, J_y] = i J_z through tridiagonal matvecs, on every basis
+        # vector and on a random state
+        j = ops40.apply_generator
+        for x in (np.eye(41), random_amps(41, seed=3)):
+            comm = j("x", j("y", x)) - j("y", j("x", x))
+            assert np.max(np.abs(comm - 1j * j("z", x))) < 1e-10
 
     def test_eigensystem_reconstruction(self, ops40, ops41):
         for ops in (ops40, ops41):
-            assert ops.jx_eigensystem.reconstruction_error(ops.jx) < 1e-10
-            assert ops.jy_eigensystem.reconstruction_error(ops.jy) < 1e-10
+            x = random_amps(ops.dims.dim, seed=4)
+            for axis in "xy":
+                rebuilt = spectral_apply(ops, axis, x)
+                assert np.max(np.abs(rebuilt - ops.apply_generator(axis, x))) < 1e-10
 
     def test_jz_sq_diagonal(self, ops40):
         assert np.allclose(ops40.jz_sq, (np.arange(41) - 20.0) ** 2)
 
     def test_immutable_arrays(self, ops40):
-        with pytest.raises(ValueError):
-            ops40.jx[0, 0] = 1.0
+        for arr in (ops40.eigenvectors, ops40.eigenvalues, ops40.off, ops40.m, ops40.jz_sq):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_only_dense_array_is_the_real_eigenvector_matrix(self, ops40):
+        dense = [name for name, value in vars(ops40).items()
+                 if isinstance(value, np.ndarray) and value.ndim == 2]
+        assert dense == ["eigenvectors"]
+        assert ops40.eigenvectors.dtype == np.float64
 
 
 class TestCssState:
@@ -81,7 +117,7 @@ class TestCssState:
 
     def test_css_along_y_expectation(self, dims40, ops40):
         state = css_state(dims40, np.pi / 2, np.pi / 2)
-        jy = np.vdot(state.amps, ops40.jy @ state.amps).real
+        jy = np.vdot(state.amps, ops40.apply_generator("y", state.amps)).real
         assert jy == pytest.approx(20.0, abs=1e-9)
 
     def test_normalized_at_large_n(self):
@@ -237,4 +273,18 @@ class TestLargeEnsemble:
         state = css_state(ops.dims, np.pi / 2, np.pi / 2)
         out = apply_rotation(state, ops, "x", 0.7)
         assert abs(out.norm() - 1.0) < 1e-11
-        assert ops.jx_eigensystem.reconstruction_error(ops.jx) < 1e-10
+        x = random_amps(ops.dims.dim, seed=5)
+        assert np.max(np.abs(spectral_apply(ops, "x", x) - ops.apply_generator("x", x))) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 3999, 4000])
+    def test_split_eigensolve_is_exact(self, n):
+        # both parities of the reversal split, up to the cap
+        ops = build_operator_set(EnsembleDims(n))
+        vecs = ops.eigenvectors
+        gram = vecs.T @ vecs
+        gram[np.diag_indices_from(gram)] -= 1.0
+        assert np.max(np.abs(gram)) <= 1e-13
+        del gram
+        x = np.random.default_rng(n).standard_normal(ops.dims.dim)
+        jx_x = vecs @ (ops.m * (vecs.T @ x))
+        assert np.max(np.abs(jx_x - ops.apply_generator("x", x))) <= 1e-10 * n

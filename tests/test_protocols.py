@@ -165,6 +165,29 @@ class TestRun:
             run(builtin("crain"), dims40, ops41, 0.0)
 
 
+@pytest.mark.slow
+class TestLargeEnsembleRun:
+    """The exact SCAIN laws and unitarity of run() at the largest N."""
+
+    def test_scain_final_state_laws_at_n4000(self):
+        n = 4000
+        ops = cached_ops(n)
+        spec = builtin("scain", ProtocolParams(mu=HALF, ara="x", xi=-1))
+        for phi in (0.0125 * np.pi, 0.0125 * np.pi + 1.0 / (3 * n)):
+            state = run(spec, ops.dims, ops, phi)
+            assert expect_jz(state) == pytest.approx(-(n / 2) * np.cos(n * phi), abs=1e-9)
+            assert state.populations()[0] == pytest.approx(np.cos(n * phi / 2) ** 2, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_norm_drift_over_the_nine_pulses(self, n):
+        ops = cached_ops(n)
+        for ara in ("x", "y"):
+            spec = builtin("scain", ProtocolParams(mu=HALF, ara=ara, xi=-1))
+            drift = [abs(run(spec, ops.dims, ops, 0.0125 * np.pi, n_pulses=k).norm() - 1.0)
+                     for k in range(1, len(spec.pulses) + 1)]
+            assert max(drift) <= 1e-13
+
+
 class TestInvariants:
     def test_mu_zero_signal_is_constant(self, dims40, ops40):
         # with the auxiliary rotations still present, mu=0 collapses the
