@@ -35,7 +35,7 @@ from catspin.cavity import (
     steady_state_amplitude,
 )
 from catspin.dicke import DimensionError, EnsembleDims, build_operator_set
-from catspin.husimi import default_grid, field_to_csv_rows, qpd_field
+from catspin.husimi import default_grid, field_to_csv_rows, qpd_field, raw_layout
 from catspin.observables import (
     collective_distribution,
     excess_noise_curve,
@@ -70,15 +70,23 @@ def fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def finite(text: str) -> float:
+    """float(text), refusing nan and infinities; the type of every real flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def parse_angle(text: str) -> float:
-    """Parse '0.5pi' as 0.5*pi, otherwise plain radians."""
+    """Parse '0.5pi' as 0.5*pi, otherwise plain radians; both finite."""
     text = text.strip().lower()
     try:
         if text.endswith("pi"):
             head = text[:-2]
-            factor = 1.0 if head in ("", "+") else (-1.0 if head == "-" else float(head))
+            factor = 1.0 if head in ("", "+") else (-1.0 if head == "-" else finite(head))
             return factor * math.pi
-        return float(text)
+        return finite(text)
     except ValueError:
         raise UsageError(f"cannot parse angle {text!r}") from None
 
@@ -87,7 +95,7 @@ def parse_range(text: str, angle: bool = True) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"range {text!r} must be start:stop:count")
-    convert = parse_angle if angle else float
+    convert = parse_angle if angle else finite
     try:
         start, stop, count = convert(parts[0]), convert(parts[1]), int(parts[2])
     except ValueError:
@@ -97,28 +105,27 @@ def parse_range(text: str, angle: bool = True) -> tuple[float, float, int]:
     return start, stop, count
 
 
-def _atomic_write(path: str, writer_func):
+def _write_via_temp(path: str, binary: bool, writer_func):
+    """writer_func(fh) into a temp file renamed over path; the temp file is
+    removed whatever exception interrupts it."""
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "wb" if binary else "w", newline=None if binary else "") as fh:
             writer_func(fh)
         os.replace(tmp, path)
     except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+
+
+def _atomic_write(path: str, writer_func):
+    _write_via_temp(path, False, writer_func)
 
 
 def _atomic_write_bytes(path: str, data: bytes):
-    tmp = f"{path}.tmp-{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except OSError as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    _write_via_temp(path, True, lambda fh: fh.write(data))
 
 
 def _write_csv(path: str, header: list[str], rows) -> list[str]:
@@ -134,7 +141,9 @@ def _write_csv(path: str, header: list[str], rows) -> list[str]:
 
 
 def _write_json(path: str, doc: dict) -> list[str]:
-    _atomic_write(path, lambda fh: (json.dump(doc, fh, indent=2, default=str), fh.write("\n")))
+    """Strict JSON: a non-finite number is an error, not NaN or Infinity."""
+    text = json.dumps(doc, indent=2, default=str, allow_nan=False) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text))
     return [path]
 
 
@@ -191,12 +200,21 @@ _FILE_OPTION_TYPES = (
 _DESIGN_KNOBS = ("delta_tilde", "power", "mode_side", "mirror_t")
 
 
-def _check_file_types(file_options: dict):
+def _check_file_options(parser: _Parser, command: str, file_options: dict):
+    """File values must have the JSON type of their option (numbers finite)
+    and, where the command's flag has choices, be one of them."""
     for kind, types, keys in _FILE_OPTION_TYPES:
         for key in (k for k in keys.split() if k in file_options):
             value = file_options[key]
-            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            if (not isinstance(value, types) or (isinstance(value, bool) and bool not in types)
+                    or (isinstance(value, float) and not math.isfinite(value))):
                 raise UsageError(f"config option {key!r} must be {kind}, got {value!r}")
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for action in commands.choices[command]._actions:
+        value = file_options.get(action.dest)
+        if action.choices is not None and value is not None and value not in action.choices:
+            raise UsageError(f"config option {action.dest!r} must be one of "
+                             f"{list(action.choices)}, got {value!r}")
 
 
 def _add_protocol_flags(sub):
@@ -219,7 +237,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--phi-range", dest="phi_range", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int)
-    p.add_argument("--gamma", type=float, help="divide lambda by this linewidth factor")
+    p.add_argument("--gamma", type=finite, help="divide lambda by this linewidth factor")
 
     p = subs.add_parser("sensitivity", help="best Lambda per mu over the fringe window")
     _add_protocol_flags(p)
@@ -228,7 +246,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--normalize-hl", dest="normalize_hl", action="store_true", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--gamma", type=finite)
 
     p = subs.add_parser("qpd", help="Husimi field of a protocol stage")
     _add_protocol_flags(p)
@@ -245,15 +263,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = subs.add_parser("cavity", help="squeezing-cavity rates and budgets")
-    p.add_argument("--n", type=float, help="number of atoms")
+    p.add_argument("--n", type=finite, help="number of atoms")
     p.add_argument("--coop-range", dest="coop_range", help="cooperativity sweep a:b:count")
     p.add_argument("--log", action="store_true", default=None, help="geometric sweep spacing")
-    p.add_argument("--delta-tilde", dest="delta_tilde", type=float,
+    p.add_argument("--delta-tilde", dest="delta_tilde", type=finite,
                    help="probe detuning / cavity half width (default: optimal)")
     p.add_argument("--params", help="JSON file of cavity parameters (report mode)")
-    p.add_argument("--power", type=float, help="design-mode probe power (W)")
-    p.add_argument("--mode-side", dest="mode_side", type=float)
-    p.add_argument("--mirror-t", dest="mirror_t", type=float)
+    p.add_argument("--power", type=finite, help="design-mode probe power (W)")
+    p.add_argument("--mode-side", dest="mode_side", type=finite)
+    p.add_argument("--mirror-t", dest="mirror_t", type=finite)
     p.add_argument("--out", required=True)
 
     p = subs.add_parser("excess-noise", help="Lambda vs excess noise per protocol")
@@ -263,8 +281,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = subs.add_parser("parity-average", help="RMS-average even/odd sensitivities")
-    p.add_argument("--even", type=float, required=True)
-    p.add_argument("--odd", type=float, required=True)
+    p.add_argument("--even", type=finite, required=True)
+    p.add_argument("--odd", type=finite, required=True)
     p.add_argument("--out")
 
     return parser
@@ -311,7 +329,7 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(file_options, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
-        _check_file_types(file_options)
+        _check_file_options(parser, args.command, file_options)
     options.update(file_options)
     for key, value in vars(args).items():
         if key in ("command", "config"):
@@ -363,10 +381,12 @@ def _validate(config: RunConfig):
                 )
     if config.command in ("fringe", "sensitivity"):
         _check_threads(opts)
-    if config.command == "fringe":
-        lo, hi, _ = parse_range(opts["phi_range"])
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise UsageError("--phi-range must be finite and ascending")
+        if not opts["gamma"] > 0:
+            raise UsageError(f"--gamma must be > 0, got {opts['gamma']}")
+        key = "phi_range" if config.command == "fringe" else "phi_window"
+        lo, hi, _ = parse_range(opts[key]) if opts.get(key) else (0.0, 0.0, 0)
+        if lo > hi:
+            raise UsageError(f"--{key.replace('_', '-')} must be ascending")
     if config.command == "sensitivity":
         lo, hi, _ = parse_range(opts["mu_range"])
         if not (0.0 <= lo <= hi <= math.pi / 2 + 1e-12):
@@ -451,28 +471,21 @@ def _stage_pulse_count(stage: str, n_pulses: int) -> int:
 def _cmd_qpd(opts) -> list[str]:
     dims, ops, spec = _protocol_setup(opts)
     n_pulses = _stage_pulse_count(opts["stage"], len(spec.pulses))
-    state = run(spec, dims, ops, float(opts.get("phi") or 0.0), n_pulses=n_pulses)
+    grid = default_grid()
     if opts.get("grid"):
         try:
             n_theta, n_phi = (int(x) for x in opts["grid"].lower().split("x"))
+            grid = default_grid(n_theta, n_phi)
         except ValueError:
-            raise UsageError(f"--grid must be THETAxPHI, got {opts['grid']!r}") from None
-        grid = default_grid(n_theta, n_phi)
-    else:
-        grid = default_grid()
+            raise UsageError(f"--grid must be THETAxPHI, each >= 2, got {opts['grid']!r}") from None
+    state = run(spec, dims, ops, float(opts.get("phi") or 0.0), n_pulses=n_pulses)
     field = qpd_field(state, grid)
     out = opts["out"]
     stage = opts["stage"].strip().upper()
 
     if opts.get("fmt") == "raw":
-        flat = np.ascontiguousarray(field.values, dtype="<f8")
-        _atomic_write_bytes(out, flat.tobytes())
-        meta = {
-            "n_theta": int(grid.thetas.size),
-            "n_phi": int(grid.phis.size),
-            "n_atoms": dims.n_atoms,
-            "stage_label": stage,
-        }
+        data, meta = raw_layout(field, dims.n_atoms, stage)
+        _atomic_write_bytes(out, data)
         return [out, *_write_json(out + ".json", meta)]
     return _write_csv(out, ["theta", "phi", "q"], (
         [fmt(theta), fmt(phi), fmt(q)] for theta, phi, q in field_to_csv_rows(field)))
@@ -583,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetError, DimensionError, RuntimeError, ValueError) as exc:
+    except (ArithmeticError, BudgetError, DimensionError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -251,47 +251,6 @@ def rotate(ops: OperatorSet, axis: str, angle: float, amps=None) -> np.ndarray:
     return out if amps is None else out.reshape(np.shape(amps))
 
 
-def apply_rotation(
-    state: SpinState, ops: OperatorSet, axis: str, angle: float
-) -> SpinState:
-    """Apply e^{-i angle J_axis}.
-
-    z rotations are elementwise diagonal phases; x/y rotations go through
-    the J_x eigenvectors (see rotate).
-    """
-    _check_dims(state, ops)
-    if not np.isfinite(angle):
-        raise ValueError(f"rotation angle must be finite, got {angle}")
-    if axis == "z":
-        return SpinState(state.dims, np.exp(-1j * angle * ops.m) * state.amps)
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    return SpinState(state.dims, rotate(ops, axis, angle, state.amps))
-
-
-def apply_oats(state: SpinState, ops: OperatorSet, mu: float, sign: int) -> SpinState:
-    """Apply the one-axis-twist unitary e^{+i sign mu J_z^2}.
-
-    sign=-1 is the squeezing factor e^{-i mu J_z^2}; sign=+1 undoes it.
-    """
-    _check_dims(state, ops)
-    if not np.isfinite(mu):
-        raise ValueError(f"squeezing strength must be finite, got {mu}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return SpinState(state.dims, np.exp(1j * sign * mu * ops.jz_sq) * state.amps)
-
-
-def apply_dark_phase(
-    state: SpinState, ops: OperatorSet, phase: float, sign: int
-) -> SpinState:
-    """Apply the dark-zone phase e^{-i sign phase J_z} (elementwise in m)."""
-    _check_dims(state, ops)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return SpinState(state.dims, np.exp(-1j * sign * phase * ops.m) * state.amps)
-
-
 def total_spin_expectation(state: SpinState, ops: OperatorSet) -> float:
     """<J_x^2 + J_y^2 + J_z^2>; equals j(j+1) on the symmetric subspace."""
     _check_dims(state, ops)
@@ -344,15 +303,61 @@ def dark_pulse(fraction: float, sign: int) -> Pulse:
     return Pulse(kind="dark_phase", fraction=float(fraction), sign=int(sign))
 
 
+def pulse_diagonal(ops: OperatorSet, pulse: Pulse, phi: float, mu=None) -> np.ndarray:
+    """Diagonal of a z rotation, a squeeze or a dark-zone pulse, as a 1-d
+    array; phi binds the dark-zone phase, mu (if given) the squeeze strength."""
+    if pulse.kind == "rotate" and pulse.axis == "z":
+        return np.exp(-1j * pulse.angle * ops.m)
+    if pulse.kind == "squeeze":
+        strength = pulse.mu if mu is None else float(mu)
+        return np.exp(1j * pulse.sign * strength * ops.jz_sq)
+    if pulse.kind == "dark_phase":
+        return np.exp(-1j * pulse.sign * (pulse.fraction * phi) * ops.m)
+    raise ValueError(f"not a diagonal pulse: {pulse.kind} {pulse.axis}")
+
+
+def apply_pulses(ops: OperatorSet, pulses, amps=None, phi: float = 0.0, mu=None) -> np.ndarray:
+    """The pulses applied in order, pulses[0] first, to a complex vector or
+    a (dim, k) block; amps=None gives the dense unitary of the sequence.
+
+    Adjacent rotations about one axis merge into a single rotation.  x/y
+    rotations go through rotate, every other pulse multiplies by its
+    pulse_diagonal from the left.
+    """
+    merged: list[Pulse] = []
+    for pulse in pulses:
+        if merged and pulse.kind == merged[-1].kind == "rotate" and pulse.axis == merged[-1].axis:
+            merged[-1] = rotate_pulse(pulse.axis, merged[-1].angle + pulse.angle)
+        else:
+            merged.append(pulse)
+    out = amps
+    for pulse in merged:
+        if pulse.kind == "rotate" and pulse.axis in ("x", "y"):
+            out = rotate(ops, pulse.axis, pulse.angle, out)
+        else:
+            u = pulse_diagonal(ops, pulse, phi, mu)
+            out = np.diag(u) if out is None else u.reshape((-1,) + (1,) * (np.ndim(out) - 1)) * out
+    return np.eye(ops.dims.dim, dtype=complex) if out is None else out
+
+
 def apply_pulse(
     state: SpinState, ops: OperatorSet, pulse: Pulse, phi: float, mu_override=None
 ) -> SpinState:
     """Apply one pulse, binding the scan phase phi and optional mu override."""
-    if pulse.kind == "rotate":
-        return apply_rotation(state, ops, pulse.axis, pulse.angle)
-    if pulse.kind == "squeeze":
-        mu = pulse.mu if mu_override is None else float(mu_override)
-        return apply_oats(state, ops, mu, pulse.sign)
-    if pulse.kind == "dark_phase":
-        return apply_dark_phase(state, ops, pulse.fraction * phi, pulse.sign)
-    raise ValueError(f"unknown pulse kind {pulse.kind!r}")
+    _check_dims(state, ops)
+    return SpinState(state.dims, apply_pulses(ops, (pulse,), state.amps, phi, mu_override))
+
+
+def apply_rotation(state: SpinState, ops: OperatorSet, axis: str, angle: float) -> SpinState:
+    """Apply e^{-i angle J_axis}."""
+    return apply_pulse(state, ops, rotate_pulse(axis, angle), 0.0)
+
+
+def apply_oats(state: SpinState, ops: OperatorSet, mu: float, sign: int) -> SpinState:
+    """Apply the one-axis twist e^{+i sign mu J_z^2}: sign=-1 squeezes, +1 undoes it."""
+    return apply_pulse(state, ops, squeeze_pulse(mu, sign), 0.0)
+
+
+def apply_dark_phase(state: SpinState, ops: OperatorSet, phase: float, sign: int) -> SpinState:
+    """Apply the dark-zone phase e^{-i sign phase J_z}."""
+    return apply_pulse(state, ops, dark_pulse(1.0, sign), phase)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -119,26 +120,24 @@ def field_to_csv_rows(field: QpdField):
             yield theta, phi, field.values[i, j]
 
 
-def write_field_raw(
-    field: QpdField, path, n_atoms: int, stage_label: str
-) -> str:
-    """Write the field as little-endian float64 plus a JSON sidecar.
-
-    Returns the sidecar path.
-    """
-    flat = np.ascontiguousarray(field.values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(flat.tobytes())
-    sidecar = str(path) + ".json"
+def raw_layout(field: QpdField, n_atoms: int, stage_label: str) -> tuple[bytes, dict]:
+    """The raw export: row-major little-endian float64 values and the
+    sidecar {n_theta, n_phi, n_atoms, stage_label}."""
     meta = {
         "n_theta": int(field.grid.thetas.size),
         "n_phi": int(field.grid.phis.size),
         "n_atoms": int(n_atoms),
         "stage_label": stage_label,
     }
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    return np.ascontiguousarray(field.values, dtype="<f8").tobytes(), meta
+
+
+def write_field_raw(field: QpdField, path, n_atoms: int, stage_label: str) -> str:
+    """Write the raw layout of the field and its JSON sidecar; returns the sidecar path."""
+    data, meta = raw_layout(field, n_atoms, stage_label)
+    Path(path).write_bytes(data)
+    sidecar = str(path) + ".json"
+    Path(sidecar).write_text(json.dumps(meta, indent=2) + "\n")
     return sidecar
 
 

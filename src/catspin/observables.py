@@ -13,11 +13,13 @@ of the matrix B diag(v0), with J_z pushed back through Tail as a
 tridiagonal T; one FFT of the samples gives the exact coefficients, and
 signal, variance and the exact dS/dphi follow at every requested phi.
 Collective-state detection evaluates the degree-N amplitude polynomial of
-its single row directly.  Variance samples are centered, sum |(T - S) w|^2,
-and requested points whose interpolated SDS falls in the rounding band
-below 1e-6 N are recomputed directly from the state.  Specs that do not
-fold to one dark zone feed the same interpolation from
-CompiledProtocol.evaluate samples on a grid sized to their bandwidth.
+its single row directly; its variance is p (1 - p), with 1 - p summed from
+the other populations of the state where it falls below 1e-4.  Variance
+samples are centered, sum |(T - S) w|^2, and requested points whose
+interpolated SDS falls in the rounding band below 1e-6 N are recomputed
+directly from the state.  Specs that do not fold to one dark zone feed
+the same interpolation from CompiledProtocol.evaluate samples on a grid
+sized to their bandwidth.
 
 Measured accuracy: the SDS matches the centered variance of run()'s state
 to 1e-15 N at N = 40/41; at N = 2000 (SCAIN, mu = pi/2) the signal matches
@@ -28,7 +30,7 @@ and the CSD population cos^2(N phi/2) to 6e-15.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,8 +39,8 @@ from catspin.dicke import (
     EnsembleDims,
     OperatorSet,
     SpinState,
-    apply_pulse,
-    rotate,
+    apply_pulses,
+    pulse_diagonal,
 )
 from catspin.protocols import (
     Detection,
@@ -46,8 +48,6 @@ from catspin.protocols import (
     compile_protocol,
     fold_echoes,
     initial_state,
-    pulse_product,
-    pulse_unitary,
 )
 
 GAMMA_NOTE = "Gamma = 1 (dimensionless phase sensitivity)"
@@ -115,6 +115,10 @@ def _resolve_csd_index(detection: Detection, dims: EnsembleDims) -> int:
 # Interpolated SDS below this times N is dominated by the rounding of the
 # variance polynomial and is recomputed directly from the state.
 _ROUNDING_BAND = 1e-6
+
+# Below this, 1 - p is summed from the other populations: the rounding of p
+# would cost it (and Lambda) relative digits, 3.4e-10 at 1 - p = 2.5e-6.
+_CSD_SUM_BAND = 1e-4
 
 # Elements per block of a (points x frequencies) exponential or a sample
 # matrix: bounds the scratch memory of a scan independently of its size.
@@ -226,17 +230,16 @@ class _Scanner:
     # --- per-mu pieces ----------------------------------------------------
 
     def _v0(self, mu) -> np.ndarray:
-        state = initial_state(self.dims)
-        for pulse in self.pre:
-            state = apply_pulse(state, self.ops, pulse, 0.0, mu)
-        return state.amps
+        return apply_pulses(self.ops, self.pre, initial_state(self.dims).amps, mu=mu)
 
     def _middle_matrix(self, mu) -> np.ndarray:
-        if any(p.kind == "squeeze" for p in self.middle_pulses):
-            return pulse_product(self.ops, self.middle_pulses, mu)
-        if self._middle is None:
-            self._middle = pulse_product(self.ops, self.middle_pulses)
-        return self._middle
+        """Dense middle; kept for the next mu unless it holds a squeeze."""
+        if self._middle is not None:
+            return self._middle
+        middle = apply_pulses(self.ops, self.middle_pulses, mu=mu)
+        if not any(p.kind == "squeeze" for p in self.middle_pulses):
+            self._middle = middle
+        return middle
 
     def _observable(self, mu):
         """T = tail^dagger J_z tail as (diagonal, superdiagonal)."""
@@ -249,22 +252,33 @@ class _Scanner:
                 twists.append(pulse)
         upper = (n[0] + 1j * n[1]) * self.ops.off
         for pulse in twists:
-            u = pulse_unitary(self.ops, pulse, mu)
+            u = pulse_diagonal(self.ops, pulse, 0.0, mu)
             upper = upper * u[:-1].conj() * u[1:]
         return n[2] * self.ops.m, upper
 
     def _csd_row(self, mu) -> np.ndarray:
-        """Row e_idx^dagger (tail . middle), pushed back pulse by pulse."""
+        """Row e_idx^dagger U of U = tail . middle, as U^T e_idx: the
+        transposed pulses in reverse order (the diagonals and R_x are
+        symmetric, R_y^T = R_y(-angle))."""
         row = np.zeros(self.dims.dim, dtype=complex)
         row[_resolve_csd_index(self.spec.detection, self.dims)] = 1.0
-        for pulse in reversed(self.middle_pulses + self.tail):
-            if pulse.kind == "rotate" and pulse.axis != "z":
-                # row @ R = R^T row: R_x is symmetric, R_y^T = R_y(-angle)
-                angle = -pulse.angle if pulse.axis == "y" else pulse.angle
-                row = rotate(self.ops, pulse.axis, angle, row)
-            else:
-                row = row * pulse_unitary(self.ops, pulse, mu)
-        return row
+        transposed = [
+            replace(p, angle=-p.angle) if p.kind == "rotate" and p.axis == "y" else p
+            for p in reversed(self.middle_pulses + self.tail)
+        ]
+        return apply_pulses(self.ops, transposed, row, mu=mu)
+
+    def _darkened(self, v0, points) -> np.ndarray:
+        """v0 after the dark zone at each of points, one column per point."""
+        return v0[:, None] * np.exp(-1j * self.rate * np.outer(self.ops.m, points))
+
+    def _blockwise(self, out, where, values_at, phis):
+        """out[where] = values_at(phis[where]), in blocks of points small
+        enough that a (dim, block) state matrix stays in _BLOCK_ELEMENTS."""
+        step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
+        for i in range(0, len(where), step):
+            part = where[i : i + step]
+            out[part] = values_at(phis[part])
 
     # --- evaluation -------------------------------------------------------
 
@@ -286,14 +300,25 @@ class _Scanner:
 
     def _csd(self, phis, mu):
         m = self.ops.m
-        c = self._csd_row(mu) * self._v0(mu)
+        v0 = self._v0(mu)
+        index = _resolve_csd_index(self.spec.detection, self.dims)
+        c = self._csd_row(mu) * v0
         # a(theta) = sum_k c_k e^{-i m_k theta}; reversed, the frequencies
         # -m_k run upward from m_0
         amp = _fourier_sum(m[0], np.stack([c, -1j * m * c], axis=1)[::-1], self.rate * phis)
         p = np.abs(amp[:, 0]) ** 2
         pgs = 2.0 * self.rate * np.real(amp[:, 0].conj() * amp[:, 1])
-        # projector: Q^2 = Q, so the variance is p (1 - p)
-        return p, np.sqrt(np.maximum(p * (1.0 - p), 0.0)), pgs
+
+        def others(points):
+            post = self.middle_pulses + self.tail
+            pops = np.abs(apply_pulses(self.ops, post, self._darkened(v0, points), mu=mu)) ** 2
+            return np.delete(pops, index, axis=0).sum(axis=0)
+
+        # projector: Q^2 = Q, so the variance is p (1 - p); where 1 - p has
+        # cancelled it is the summed population of the other Dicke states
+        rest = 1.0 - p
+        self._blockwise(rest, np.flatnonzero(rest < _CSD_SUM_BAND), others, phis)
+        return p, np.sqrt(np.maximum(p * rest, 0.0)), pgs
 
     def _cd(self, phis, mu):
         dim = self.dims.dim
@@ -316,8 +341,7 @@ class _Scanner:
             mean[r::blocks], var[r::blocks] = _moments(w, diag, upper)
 
         def direct(points):
-            x = v0[:, None] * np.exp(-1j * self.rate * np.outer(self.ops.m, points))
-            return _moments(middle @ x, diag, upper)[1]
+            return _moments(middle @ self._darkened(v0, points), diag, upper)[1]
 
         return self._interpolate(mean, var, self.dims.n_atoms, self.rate, phis, direct)
 
@@ -344,9 +368,8 @@ class _Scanner:
 
         def moments(points):
             pops = np.abs(kernel.evaluate(points)) ** 2
-            if index is not None:
-                p = pops[index]
-                return p, p * (1.0 - p)
+            if index is not None:  # 1 - p as the sum of the other rows
+                return pops[index], pops[index] * np.delete(pops, index, axis=0).sum(axis=0)
             mean = m @ pops
             return mean, np.einsum("ij,ij->j", (m[:, None] - mean) ** 2, pops)
 
@@ -369,10 +392,7 @@ class _Scanner:
         values = _fourier_sum(0.0, coefs, rate * phis).real
         sds = np.sqrt(np.maximum(values[:, 2], 0.0))
         low = np.flatnonzero(sds < _ROUNDING_BAND * self.dims.n_atoms)
-        step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
-        for i in range(0, len(low), step):
-            part = low[i : i + step]
-            sds[part] = np.sqrt(np.maximum(direct(phis[part]), 0.0))
+        self._blockwise(sds, low, lambda points: np.sqrt(np.maximum(direct(points), 0.0)), phis)
         return values[:, 0], sds, rate * values[:, 1]
 
 

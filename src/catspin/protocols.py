@@ -20,10 +20,9 @@ from catspin.dicke import (
     OperatorSet,
     Pulse,
     SpinState,
-    apply_pulse,
+    apply_pulses,
     basis_state,
     dark_pulse,
-    rotate,
     rotate_pulse,
     squeeze_pulse,
 )
@@ -261,11 +260,8 @@ def run(
     """
     if dims != ops.dims:
         raise DimensionError("dims and operator set disagree")
-    state = initial_state(dims)
     pulses = spec.pulses if n_pulses is None else spec.pulses[:n_pulses]
-    for pulse in pulses:
-        state = apply_pulse(state, ops, pulse, phi, mu_override)
-    return state
+    return SpinState(dims, apply_pulses(ops, pulses, initial_state(dims).amps, phi, mu_override))
 
 
 # --- batched scan kernel ----------------------------------------------------
@@ -328,41 +324,6 @@ class CompiledProtocol:
         return block
 
 
-def pulse_unitary(ops: OperatorSet, pulse: Pulse, mu_override) -> np.ndarray:
-    """Diagonal of a z rotation or a squeeze pulse, as a 1-d array."""
-    if pulse.kind == "rotate" and pulse.axis == "z":
-        return np.exp(-1j * pulse.angle * ops.m)
-    if pulse.kind == "squeeze":
-        mu = pulse.mu if mu_override is None else float(mu_override)
-        return np.exp(1j * pulse.sign * mu * ops.jz_sq)
-    raise ValueError(f"not a diagonal pulse: {pulse.kind} {pulse.axis}")
-
-
-def pulse_product(
-    ops: OperatorSet, pulses: tuple[Pulse, ...], mu_override: float | None = None
-) -> np.ndarray:
-    """Dense unitary of a run of fixed pulses, pulses[0] acting first.
-
-    Adjacent rotations about one axis merge into a single rotation; x/y
-    rotations act on the running product through rotate.
-    """
-    merged: list[Pulse] = []
-    for pulse in pulses:
-        last = merged[-1] if merged else None
-        if last is not None and pulse.kind == last.kind == "rotate" and pulse.axis == last.axis:
-            merged[-1] = rotate_pulse(pulse.axis, last.angle + pulse.angle)
-        else:
-            merged.append(pulse)
-    acc = None  # the identity
-    for pulse in merged:
-        if pulse.kind == "rotate" and pulse.axis != "z":
-            acc = rotate(ops, pulse.axis, pulse.angle, acc)
-        else:
-            u = pulse_unitary(ops, pulse, mu_override)
-            acc = np.diag(u) if acc is None else u[:, None] * acc
-    return np.eye(ops.dims.dim, dtype=complex) if acc is None else acc
-
-
 def compile_protocol(
     spec: ProtocolSpec,
     dims: EnsembleDims,
@@ -376,14 +337,15 @@ def compile_protocol(
     darks = [i for i, p in enumerate(pulses) if p.kind == "dark_phase"]
     bounds = [-1, *darks, len(pulses)]
     runs = [pulses[a + 1 : b] for a, b in zip(bounds[:-1], bounds[1:])]
-    v0 = initial_state(dims)
-    for pulse in runs[0]:
-        v0 = apply_pulse(v0, ops, pulse, 0.0, mu_override)
-    segments = tuple(
-        ((pulses[i].fraction, pulses[i].sign), pulse_product(ops, segment, mu_override))
-        for i, segment in zip(darks, runs[1:])
+    # the first run acts on |E_0>, every later one is a dense segment matrix
+    starts = [initial_state(dims).amps] + [None] * len(darks)
+    v0, *matrices = (
+        apply_pulses(ops, segment, start, mu=mu_override) for segment, start in zip(runs, starts)
     )
-    return CompiledProtocol(dims=dims, v0=v0.amps, segments=segments, m=ops.m)
+    segments = tuple(
+        ((pulses[i].fraction, pulses[i].sign), matrix) for i, matrix in zip(darks, matrices)
+    )
+    return CompiledProtocol(dims=dims, v0=v0, segments=segments, m=ops.m)
 
 
 # --- product-space oracle ---------------------------------------------------

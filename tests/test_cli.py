@@ -1,21 +1,29 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catspin.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     UsageError,
+    _atomic_write,
+    _atomic_write_bytes,
     fmt,
     main,
     parse_angle,
     parse_config,
     parse_range,
 )
+from catspin.husimi import QpdField, default_grid, read_field_raw, write_field_raw
 
 
 def read_csv(path):
@@ -137,6 +145,18 @@ class TestFringeCommand:
         leftovers = [p for p in os.listdir(tmp_path) if ".tmp-" in p]
         assert leftovers == []
 
+    def test_temp_removed_on_any_exception(self, tmp_path):
+        def fail(fh):
+            fh.write("partial")
+            raise ZeroDivisionError("mid-write")
+
+        path = str(tmp_path / "f.out")
+        with pytest.raises(ZeroDivisionError):
+            _atomic_write(path, fail)
+        with pytest.raises(TypeError):
+            _atomic_write_bytes(path, "text, not bytes")
+        assert os.listdir(tmp_path) == []
+
     def test_env_thread_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CATSPIN_THREADS", "2")
         out = tmp_path / "f.csv"
@@ -243,6 +263,16 @@ class TestQpdCommand:
         assert data.size == 9 * 12
         assert data.max() <= 1.0 + 1e-12
 
+    def test_raw_bytes_match_write_field_raw(self, tmp_path):
+        out = tmp_path / "q.bin"
+        argv = ["qpd", "--protocol", "scac", "--n", "5", "--stage", "c", "--grid", "7x10"]
+        assert main([*argv, "--format", "raw", "--out", str(out)]) == 0
+        values, meta = read_field_raw(out)
+        field = QpdField(default_grid(7, 10), values)
+        write_field_raw(field, tmp_path / "lib.bin", 5, "C")
+        assert (tmp_path / "lib.bin").read_bytes() == out.read_bytes()
+        assert (tmp_path / "lib.bin.json").read_bytes() == (tmp_path / "q.bin.json").read_bytes()
+
     def test_stage_beyond_protocol(self, tmp_path):
         rc = main(["qpd", "--protocol", "crain", "--n", "4", "--stage", "Z",
                    "--out", str(tmp_path / "q.csv")])
@@ -298,8 +328,10 @@ class TestCavityCommand:
 
 
 class TestExplicitZeroAndFileTypes:
-    """An explicit 0 is honoured (and rejected where it has no meaning), and
-    config-file values of the wrong type are usage errors."""
+    """An explicit 0 is honoured (and rejected where it has no meaning),
+    non-finite or non-positive values are rejected where they have none, and
+    config-file values of the wrong type or outside a flag's choices are
+    usage errors."""
 
     @staticmethod
     def assert_clean_failure(tmp_path, capsys, argv, codes):
@@ -316,11 +348,29 @@ class TestExplicitZeroAndFileTypes:
         ["--mirror-t", "0"],
         ["--mode-side", "-2e-5"],
         ["--mirror-t", "-1e-5"],
+        ["--n", "1e300", "--coop-range", "1:10:3"],
+        ["--power", "1e308"],
     ])
     def test_cavity_zero_flags(self, tmp_path, capsys, argv):
         out = str(tmp_path / "cav.out")
         self.assert_clean_failure(
             tmp_path, capsys, ["cavity", *argv, "--out", out], (EXIT_USAGE, EXIT_RUNTIME))
+
+    @pytest.mark.parametrize("argv", [
+        ["fringe", "--n", "4", "--phi-range", "0:1:5", "--gamma", "0"],
+        ["fringe", "--n", "4", "--phi-range", "0:1:5", "--gamma", "-1"],
+        ["fringe", "--n", "4", "--phi-range", "0:1:5", "--gamma", "nan"],
+        ["sensitivity", "--n", "4", "--mu-range", "0:0.5pi:3", "--gamma", "inf"],
+        ["collective", "--n", "4", "--stage", "J", "--phi", "nan"],
+        ["qpd", "--n", "4", "--stage", "A", "--grid", "3x4", "--phi", "inf"],
+        ["sensitivity", "--n", "4", "--mu-range", "0:0.5pi:3", "--phi-window", "nan:1:5"],
+        ["sensitivity", "--n", "4", "--mu-range", "0:0.5pi:3", "--phi-window", "1:0:5"],
+        ["cavity", "--n", "nan", "--coop-range", "1:10:3"],
+        ["qpd", "--n", "4", "--stage", "A", "--grid", "1x1"],
+    ])
+    def test_out_of_domain_values(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "x.out")
+        self.assert_clean_failure(tmp_path, capsys, [*argv, "--out", out], (EXIT_USAGE,))
 
     @pytest.mark.parametrize("argv", [["--mode-side", "0"], ["--mirror-t", "0"]])
     def test_nonpositive_geometry_is_usage_error(self, tmp_path, argv):
@@ -336,6 +386,11 @@ class TestExplicitZeroAndFileTypes:
         {"phi": [1]},
         {"mu": None},
         {"csd_index": "a", "detection": "csd"},
+        {"fmt": "xml", "detection": "foo"},
+        {"fmt": "xml"},
+        {"protocol": "scian"},
+        {"ara": "z"},
+        {"xi": 2},
     ])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, options):
         cfg = tmp_path / "cfg.json"
@@ -360,6 +415,11 @@ class TestExcessNoiseCommand:
 
 
 class TestParityAverageCommand:
+    def test_overflow_is_runtime_error(self, capsys):
+        assert main(["parity-average", "--even", "1e308", "--odd", "1e308"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_prints_value(self, capsys):
         rc = main(["parity-average", "--even", "40", "--odd", "6.4031"])
         assert rc == 0
@@ -379,3 +439,96 @@ class TestFormatting:
     def test_seventeen_significant_digits(self):
         assert fmt(math.pi) == "3.1415926535897931"
         assert float(fmt(1 / 3)) == 1 / 3  # round trip
+
+
+# --- argv gate ------------------------------------------------------------------
+
+# Small value pools, (valid, invalid) per flag: N <= 8 and counts <= 50 keep
+# every example cheap, and the invalid side holds 0, -1, nan, inf, bad
+# letters and bad ranges.
+_BAD_NUMBERS = ["0", "-1", "1e308", "nan", "inf", "-inf", "x", ""]
+_BAD_ANGLES = ["0.9pi", "nan", "inf", "xpi", ""]
+_BAD_RANGES = ["1:0:5", "nan:1:5", "0:inf:5", "0:1:1", "0:1:0", "0:1:-3", "0:1:x", "0:1",
+               "a:b:c"]
+_ANGLE_RANGES = ["0:1:5", "-pi:pi:50", "0:0.5pi:3", "0:0:3", "-0.1pi:0.1pi:7"]
+_POSITIVE_RANGES = ["1e-4:10:7", "0.01:1e7:50", "1:2:2"]
+_FLAG_VALUES = {
+    "--protocol": (["crain", "scain", "cac", "cosac", "scac"], ["bogus"]),
+    "--n": (["1", "2", "5", "8"], ["0", "-1", "1e308", "nan", "1.5", "x"]),
+    "--mu": (["0", "0.5pi", "0.3", "0.25pi"], ["-1", *_BAD_ANGLES]),
+    "--ara": (["x", "y"], ["z"]),
+    "--xi": (["1", "-1"], ["0", "x"]),
+    "--detection": (["cd", "csd"], ["foo"]),
+    "--csd-index": (["0", "-1", "1"], ["8", "-10", "x"]),
+    "--phi-range": (_ANGLE_RANGES, _BAD_RANGES),
+    "--mu-range": (["0:0.5pi:3", "0.1:0.2:2", "0.5pi:0.5pi:2"], _BAD_RANGES),
+    "--phi-window": (_ANGLE_RANGES, _BAD_RANGES),
+    "--threads": (["1", "2"], ["x"]),
+    "--gamma": (["1", "2.5", "1e-3"], _BAD_NUMBERS),
+    "--phi": (["0", "-1", "0.5pi", "-pi", "0.3"], _BAD_ANGLES),
+    "--stage": (["A", "c", "J"], ["Z", "", "AB", "1"]),
+    "--grid": (["3x4", "2x50", "5x5"], ["1x1", "0x0", "-1x3", "3x", "axb", "nan"]),
+    "--format": (["csv", "raw"], ["xml"]),
+    "--coop-range": (_POSITIVE_RANGES, _BAD_RANGES),
+    "--en-range": (_POSITIVE_RANGES, _BAD_RANGES),
+    "--delta-tilde": (["1", "2.5", "1e-3"], _BAD_NUMBERS),
+    "--power": (["1e-3", "2e-3"], _BAD_NUMBERS),
+    "--mode-side": (["2e-5"], _BAD_NUMBERS),
+    "--mirror-t": (["1e-5"], _BAD_NUMBERS),
+    "--params": ([], ["missing.json"]),
+    "--even": (["40", "0", "1.5"], _BAD_NUMBERS),
+    "--odd": (["6.4", "0"], _BAD_NUMBERS),
+}
+_PROTOCOL_FLAGS = ["--protocol", "--n", "--mu", "--ara", "--xi", "--detection", "--csd-index"]
+_COMMAND_FLAGS = {
+    "fringe": _PROTOCOL_FLAGS + ["--phi-range", "--threads", "--gamma"],
+    "sensitivity": _PROTOCOL_FLAGS + ["--mu-range", "--phi-window", "--normalize-hl",
+                                      "--threads", "--gamma"],
+    "qpd": _PROTOCOL_FLAGS + ["--phi", "--stage", "--grid", "--format"],
+    "collective": _PROTOCOL_FLAGS + ["--phi", "--stage"],
+    "cavity": ["--n", "--coop-range", "--log", "--delta-tilde", "--params", "--power",
+               "--mode-side", "--mirror-t"],
+    "excess-noise": ["--n", "--en-range", "--log"],
+    "parity-average": ["--even", "--odd"],
+    "nope": ["--n"],
+}
+
+
+_REQUIRED = {"--n", "--phi-range", "--mu-range", "--stage", "--en-range", "--even", "--odd"}
+
+
+@st.composite
+def _argv(draw):
+    """A command with a random subset of its flags (required ones usually
+    present), all values valid except at most one."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    # hypothesis favours small integers, so 0 means present
+    flags = [f for f in _COMMAND_FLAGS[command]
+             if draw(st.integers(0, 5 if f in _REQUIRED else 1)) < (5 if f in _REQUIRED else 1)]
+    bad = draw(st.sampled_from([None, None, *flags]))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag in _FLAG_VALUES:
+            valid, invalid = _FLAG_VALUES[flag]
+            argv.append(draw(st.sampled_from(invalid if flag == bad or not valid else valid)))
+    if draw(st.integers(0, 5)) < 5:
+        argv += ["--out", "out.dat"]
+    return argv
+
+
+class TestArgvGate:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_argv())
+    def test_every_argv_exits_cleanly(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [os.path.join(tmp, a) if a in ("out.dat", "missing.json") else a
+                    for a in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # e.g. the low-cooperativity note
+                code = main(argv)  # an escaping exception fails the example
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            assert [p for p in os.listdir(tmp) if ".tmp-" in p] == []

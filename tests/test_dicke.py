@@ -8,10 +8,15 @@ from catspin.dicke import (
     SpinState,
     apply_dark_phase,
     apply_oats,
+    apply_pulse,
+    apply_pulses,
     apply_rotation,
     basis_state,
     build_operator_set,
     css_state,
+    dark_pulse,
+    rotate_pulse,
+    squeeze_pulse,
     total_spin_expectation,
 )
 
@@ -221,6 +226,57 @@ class TestDarkPhase:
         state = apply_dark_phase(state, ops40, phi / 2, -1)
         ratio = state.amps[n] / state.amps[0]
         assert ratio * eta == pytest.approx(np.exp(1j * n * phi), abs=1e-10)
+
+
+class TestApplyPulses:
+    @staticmethod
+    def _random_sequence(rng, length):
+        """Random pulses; after a rotation the next pulse is another rotation
+        about the same axis with probability 0.35, so merges are common."""
+        pulses = []
+        for _ in range(length):
+            kind = rng.integers(4)
+            if pulses and pulses[-1].kind == "rotate" and rng.random() < 0.35:
+                pulses.append(rotate_pulse(pulses[-1].axis, rng.uniform(-7, 7)))
+            elif kind < 2:
+                pulses.append(rotate_pulse("xyz"[rng.integers(3)], rng.uniform(-7, 7)))
+            elif kind == 2:
+                pulses.append(squeeze_pulse(rng.uniform(0, 2), int(rng.choice([1, -1]))))
+            else:
+                pulses.append(dark_pulse(rng.uniform(0.1, 1), int(rng.choice([1, -1]))))
+        return pulses
+
+    @pytest.mark.parametrize("n", [1, 4, 40, 41])
+    def test_vector_block_and_unitary_match_pulse_by_pulse(self, n):
+        ops = cached_ops(n)
+        rng = np.random.default_rng(n)
+        for trial in range(6):
+            pulses = self._random_sequence(rng, 8)
+            phi, mu = rng.uniform(-4, 4), (None, 0.37)[trial % 2]
+            block = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+            block /= np.linalg.norm(block, axis=0)
+            stepped = []
+            for col in block.T:
+                state = SpinState(ops.dims, col)
+                for pulse in pulses:
+                    state = apply_pulse(state, ops, pulse, phi, mu)
+                stepped.append(state.amps)
+            stepped = np.array(stepped).T
+            vector = apply_pulses(ops, pulses, block[:, 0], phi, mu)
+            assert vector.shape == (n + 1,)
+            assert np.max(np.abs(vector - stepped[:, 0])) < 1e-12
+            assert np.max(np.abs(apply_pulses(ops, pulses, block, phi, mu) - stepped)) < 1e-12
+            unitary = apply_pulses(ops, pulses, phi=phi, mu=mu)
+            assert np.max(np.abs(unitary @ block - stepped)) < 1e-12
+
+    def test_adjacent_rotations_merge_exactly(self, ops40):
+        state = css_state(ops40.dims, 0.9, 0.4).amps
+        pair = [rotate_pulse("y", 0.3), rotate_pulse("y", 0.8)]
+        merged = apply_pulses(ops40, pair, state)
+        assert np.array_equal(merged, apply_pulses(ops40, [rotate_pulse("y", 0.3 + 0.8)], state))
+
+    def test_empty_sequence_is_identity(self):
+        assert np.array_equal(apply_pulses(cached_ops(4), []), np.eye(5, dtype=complex))
 
 
 class TestInvariants:

@@ -303,6 +303,22 @@ class TestSpectralEngine:
         assert res.lam == pytest.approx(1.0, rel=1e-9)
         assert res.phi_star == window[0]
 
+    def test_csd_variance_where_population_nears_one(self, dims41, ops41):
+        # the mu = pi/2 row of `sensitivity --protocol scac --n 41 --ara y
+        # --detection csd --xi 1 --normalize-hl`: p (1 - p) with 1 - p taken
+        # as 1 - p read 1.000000005, above the Heisenberg limit
+        spec = builtin("scac", ProtocolParams(mu=HALF, ara="y", xi=1, detection=Detection("csd")))
+        (res,) = sensitivity_scan_mu(spec, dims41, ops41, [HALF], normalize_hl=True)
+        (pt,) = fringe_scan(spec, dims41, ops41, [res.phi_star])
+        pops = run(spec, dims41, ops41, res.phi_star).populations()
+        full = abs(pt.pgs) / math.sqrt(pops[-1] * pops[:-1].sum()) / 41
+        assert res.lam <= 1.0 + 1e-10  # rounding only
+        assert res.lam == pytest.approx(full, rel=1e-9)
+        # and no point of the full fringe exceeds Lambda = N
+        points = fringe_scan(spec, dims41, ops41, np.linspace(-np.pi, np.pi, 4001))
+        lam = [point_sensitivity(p, dims41) or 0.0 for p in points]
+        assert max(lam) <= 41 * (1.0 + 1e-10)
+
     @pytest.mark.slow
     def test_scain_laws_at_n2000(self):
         n = 2000
