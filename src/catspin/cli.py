@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ from catspin.observables import (
     noise_model_table,
     parity_average,
     point_sensitivity,
+    scan_workers,
     sensitivity_scan_mu,
 )
 from catspin.protocols import Detection, ProtocolParams, builtin, run
@@ -147,10 +149,12 @@ def _write_json(path: str, doc: dict) -> list[str]:
     return [path]
 
 
-def write_manifest(path: str, command: str, options: dict, wall_time: float):
+def write_manifest(path: str, command: str, options: dict, wall_time: float,
+                   record: dict | None = None):
     manifest = {
         "command": command,
         "options": {k: v for k, v in sorted(options.items())},
+        **(record or {}),
         "versions": {
             "catspin": catspin.__version__,
             "numpy": np.__version__,
@@ -346,17 +350,18 @@ def parse_config(argv: list[str]) -> RunConfig:
     return config
 
 
-def _check_threads(opts):
-    """--threads (else CATSPIN_THREADS) must be an integer.  It is accepted
-    for compatibility only: the scan engine runs no worker pool."""
-    value = opts.get("threads") or os.environ.get(THREADS_ENV)
-    if value:
-        try:
-            int(value)
-        except (TypeError, ValueError):
-            raise UsageError(
-                f"--threads / {THREADS_ENV} must be an integer, got {value!r}"
-            ) from None
+def _threads(opts) -> int | None:
+    """--threads, else a non-empty CATSPIN_THREADS, as a positive integer, or
+    None for neither; the scan caps it at its sub-grids (pool_size)."""
+    value = opts.get("threads")
+    if value is None:
+        value = os.environ.get(THREADS_ENV) or None
+    try:
+        if value is None or int(value) >= 1:
+            return None if value is None else int(value)
+    except (TypeError, ValueError):
+        pass
+    raise UsageError(f"--threads / {THREADS_ENV} must be a positive integer, got {value!r}")
 
 
 def _validate(config: RunConfig):
@@ -380,7 +385,7 @@ def _validate(config: RunConfig):
                     f"--csd-index must lie in [{-(n + 1)}, {n}] for N={n}"
                 )
     if config.command in ("fringe", "sensitivity"):
-        _check_threads(opts)
+        _threads(opts)
         if not opts["gamma"] > 0:
             raise UsageError(f"--gamma must be > 0, got {opts['gamma']}")
         key = "phi_range" if config.command == "fringe" else "phi_window"
@@ -426,23 +431,24 @@ def _protocol_setup(opts):
     return dims, ops, spec
 
 
-def _cmd_fringe(opts) -> list[str]:
+def _cmd_fringe(opts) -> tuple[list[str], dict]:
     dims, ops, spec = _protocol_setup(opts)
     start, stop, count = parse_range(opts["phi_range"])
     phis = np.linspace(start, stop, count)
-    points = fringe_scan(spec, dims, ops, phis)
+    threads = _threads(opts)
+    points = fringe_scan(spec, dims, ops, phis, threads=threads)
     gamma = float(opts.get("gamma", 1.0))
     return _write_csv(opts["out"], ["phi", "signal", "sds", "pgs", "lambda"], (
         [fmt(pt.phi), fmt(pt.signal), fmt(pt.sds), fmt(pt.pgs),
          "" if (lam := point_sensitivity(pt, dims)) is None else fmt(lam / gamma)]
-        for pt in points))
+        for pt in points)), {"pool_workers": scan_workers(spec, dims, threads)}
 
 
-def _cmd_sensitivity(opts) -> list[str]:
+def _cmd_sensitivity(opts) -> tuple[list[str], dict]:
     dims, ops, spec = _protocol_setup(opts)
     start, stop, count = parse_range(opts["mu_range"])
     mus = np.linspace(start, stop, count)
-    window = None
+    threads, window = _threads(opts), None
     if opts.get("phi_window"):
         a, b, c = parse_range(opts["phi_window"])
         window = np.linspace(a, b, c)
@@ -450,11 +456,13 @@ def _cmd_sensitivity(opts) -> list[str]:
         spec, dims, ops, mus,
         phi_window=window,
         normalize_hl=bool(opts.get("normalize_hl")),
+        threads=threads,
     )
     gamma = float(opts.get("gamma", 1.0))
     return _write_csv(opts["out"], ["mu", "lambda", "phi_star"], (
         [fmt(res.mu), "" if res.lam is None else fmt(res.lam / gamma),
-         "" if math.isnan(res.phi_star) else fmt(res.phi_star)] for res in results))
+         "" if math.isnan(res.phi_star) else fmt(res.phi_star)] for res in results)), \
+        {"pool_workers": scan_workers(spec, dims, threads)}
 
 
 def _stage_pulse_count(stage: str, n_pulses: int) -> int:
@@ -579,26 +587,30 @@ _COMMANDS = {
 
 
 def execute(config: RunConfig) -> int:
-    """Run one validated command; writes artifacts and their manifests."""
+    """Run one validated command; writes artifacts and their manifests, with
+    the extra manifest keys a scan command returns beside its artifacts."""
     t0 = time.perf_counter()
     artifacts = _COMMANDS[config.command](config.options)
+    artifacts, record = artifacts if isinstance(artifacts, tuple) else (artifacts, {})
     wall = time.perf_counter() - t0
     for path in artifacts:
-        write_manifest(path, config.command, config.options, wall)
+        write_manifest(path, config.command, config.options, wall, record)
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        config = parse_config(argv)
-        return execute(config)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ArithmeticError, BudgetError, DimensionError, RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    with warnings.catch_warnings():  # a library warning is one stderr line, without a path
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config = parse_config(argv)
+            return execute(config)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (ArithmeticError, BudgetError, DimensionError, RuntimeError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ psi(phi) = Tail B e^{-i c phi J_z} v0, so <J_z> and its variance are
 trigonometric polynomials of degree N and 2N in theta = c phi.  Their
 samples on an equispaced theta grid of at least 4N+1 points come from FFTs
 of the matrix B diag(v0), with J_z pushed back through Tail as a
-tridiagonal T; one FFT of the samples gives the exact coefficients, and
+tridiagonal T: a few interleaved sub-grids, each one in-place FFT of a
+zero-padded buffer whose moments are read in cache-sized column chunks, run
+on a pool of up to `threads` threads from dim 512 on, bitwise the serial
+result.  One FFT of the samples gives the exact coefficients, and
 signal, variance and the exact dS/dphi follow at every requested phi.
 Collective-state detection evaluates the degree-N amplitude polynomial of
 its single row directly; its variance is p (1 - p), with 1 - p summed from
@@ -30,6 +33,8 @@ and the CSD population cos^2(N phi/2) to 6e-15.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,6 +129,32 @@ _CSD_SUM_BAND = 1e-4
 # matrix: bounds the scratch memory of a scan independently of its size.
 _BLOCK_ELEMENTS = 1 << 20
 
+# Columns per _moments call on a CD sub-grid: the chunk stays in cache and
+# the result is bitwise that of one call.  Below _POOL_MIN_DIM the sub-grids
+# run serially: on 2 vCPUs a pool of 2 cost 15-35 % per mu at N = 256-400,
+# broke even at N = 500-900 and saved 10-15 % at N = 1000, 35-40 % at 2000.
+# Each worker holds its own dim x width buffer (65 MB at N = 2000), so by
+# default the pool stops at _POOL_DEFAULT, the measured size.
+_MOMENTS_CHUNK, _POOL_MIN_DIM, _POOL_DEFAULT = 64, 512, 2
+
+
+def pool_size(threads: int | None, blocks: int) -> int:
+    """Worker threads for `blocks` sub-grids: threads (>= 1; by default the
+    CPUs this process may run on, at most _POOL_DEFAULT), capped at blocks."""
+    if threads is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        threads = min(_POOL_DEFAULT, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return min(threads, blocks)
+
+
+def _sub_grids(dims: EnsembleDims) -> tuple[int, int]:
+    """(width, blocks): CD takes its 4N+1 (or more) samples in `blocks`
+    interleaved sub-grids of `width` points."""
+    width = _fft_length(dims.dim)
+    return width, -(-(4 * dims.n_atoms + 1) // width)
+
 
 def _fourier_sum(first: float, coefs: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """sum_k coefs[k, :] e^{i (first + k) theta} at every theta.
@@ -203,7 +234,8 @@ class _Scanner:
     dark zone after folding go through CompiledProtocol samples instead.
     """
 
-    def __init__(self, spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet):
+    def __init__(self, spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet,
+                 threads: int | None = None):
         if dims != ops.dims:
             raise DimensionError("dims and operator set disagree")
         self.spec, self.dims, self.ops = spec, dims, ops
@@ -211,6 +243,7 @@ class _Scanner:
         pulses = fold_echoes(spec.pulses)
         darks = [i for i, p in enumerate(pulses) if p.kind == "dark_phase"]
         self.folded = len(darks) <= 1
+        self.workers = scan_workers(spec, dims, threads)
         if not self.folded:
             return
         split = darks[0] if darks else len(pulses)
@@ -326,19 +359,28 @@ class _Scanner:
         middle = self._middle_matrix(mu)
         diag, upper = self._observable(mu)
         weighted = middle * v0
-        # The 4N+1 (or more) samples come in `blocks` interleaved sub-grids
-        # of `width` points, each one FFT of the dim x dim matrix, so no
-        # dim x 4N sample matrix is ever held.
-        width = _fft_length(dim)
-        blocks = -(-(4 * self.dims.n_atoms + 1) // width)
+        width, blocks = _sub_grids(self.dims)
         total = blocks * width
         k = np.arange(dim)
         mean, var = np.empty(total), np.empty(total)
-        for r in range(blocks):
-            # column q is w(theta) at theta = 2 pi (r + blocks q) / total, up
-            # to a phase per column that <T> and the variance do not see
-            w = np.fft.fft(weighted * np.exp((-2j * np.pi * r / total) * k), n=width, axis=1)
-            mean[r::blocks], var[r::blocks] = _moments(w, diag, upper)
+
+        def sub_grid(r):
+            # Each sub-grid is one in-place FFT of the zero-padded dim x dim
+            # matrix, so no dim x 4N sample matrix is ever held.  Column q is
+            # w(theta) at theta = 2 pi (r + blocks q) / total, up to a phase
+            # per column that <T> and the variance do not see.
+            w = np.zeros((dim, width), dtype=complex)
+            np.multiply(weighted, np.exp((-2j * np.pi * r / total) * k), out=w[:, :dim])
+            np.fft.fft(w, axis=1, out=w)
+            for c in range(0, width, _MOMENTS_CHUNK):
+                cols = slice(c, c + _MOMENTS_CHUNK)
+                mean[r::blocks][cols], var[r::blocks][cols] = _moments(w[:, cols], diag, upper)
+
+        if self.workers == 1:
+            list(map(sub_grid, range(blocks)))
+        else:
+            with ThreadPoolExecutor(self.workers) as pool:
+                list(pool.map(sub_grid, range(blocks)))
 
         def direct(points):
             return _moments(middle @ self._darkened(v0, points), diag, upper)[1]
@@ -402,16 +444,26 @@ def fringe_scan(
     ops: OperatorSet,
     phi_grid,
     mu_override: float | None = None,
+    threads: int | None = None,
 ) -> list[FringePoint]:
-    """Signal/SDS/PGS at every point of a sorted phi grid."""
+    """Signal/SDS/PGS at every point of a sorted phi grid (scan_workers)."""
     phis = np.asarray(phi_grid, dtype=float)
     if phis.size and not (np.all(np.isfinite(phis)) and np.all(np.diff(phis) >= 0)):
         raise ValueError("phi grid must be finite and sorted")
-    signal, sds, pgs = _Scanner(spec, dims, ops).arrays(phis, mu_override)
+    signal, sds, pgs = _Scanner(spec, dims, ops, threads).arrays(phis, mu_override)
     return [
         FringePoint(phi=float(p), signal=float(s), sds=float(d), pgs=float(g))
         for p, s, d, g in zip(phis, signal, sds, pgs)
     ]
+
+
+def scan_workers(spec: ProtocolSpec, dims: EnsembleDims, threads: int | None = None) -> int:
+    """Threads the CD sub-grids of a scan of spec run on: pool_size(threads,
+    sub-grids) at dim >= _POOL_MIN_DIM, 1 there below and on other paths."""
+    darks = sum(p.kind == "dark_phase" for p in fold_echoes(spec.pulses))
+    if darks > 1 or spec.detection.kind != "cd" or dims.dim < _POOL_MIN_DIM:
+        return 1
+    return pool_size(threads, _sub_grids(dims)[1])
 
 
 def point_sensitivity(point: FringePoint, dims: EnsembleDims) -> float | None:
@@ -477,6 +529,7 @@ def sensitivity_scan_mu(
     mu_grid,
     phi_window: np.ndarray | None = None,
     normalize_hl: bool = False,
+    threads: int | None = None,
 ) -> list[SensitivityResult]:
     """Best Lambda over the phi window for each mu.
 
@@ -485,7 +538,7 @@ def sensitivity_scan_mu(
     Lambda lies within 1e-9 (relative) of the best, so flat maxima (even N
     at mu = pi/2 reaches Lambda = N everywhere) resolve deterministically.
     With normalize_hl the values are divided by N, i.e. reported as a
-    fraction of the Heisenberg limit.
+    fraction of the Heisenberg limit.  threads: see scan_workers.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if np.any(mu_grid < 0) or np.any(mu_grid > math.pi / 2 + 1e-12):
@@ -495,7 +548,7 @@ def sensitivity_scan_mu(
     note = GAMMA_NOTE + ("; divided by N (HL fraction)" if normalize_hl else "")
     scale = dims.n_atoms if normalize_hl else 1.0
 
-    scanner = _Scanner(spec, dims, ops)
+    scanner = _Scanner(spec, dims, ops, threads)
     results = []
     for mu in mu_grid:
         _, sds, pgs = scanner.arrays(phi_window, float(mu))

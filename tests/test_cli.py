@@ -5,7 +5,6 @@ import json
 import math
 import os
 import tempfile
-import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from catspin.cli import (
     parse_config,
     parse_range,
 )
+import catspin.observables as observables
 from catspin.husimi import QpdField, default_grid, read_field_raw, write_field_raw
 
 
@@ -129,6 +129,34 @@ class TestFringeCommand:
         assert main(args + ["--out", str(b), "--threads", "1"]) == 0
         assert main(args + ["--out", str(c), "--threads", "4"]) == 0
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    def test_pool_above_threshold_is_byte_identical(self, tmp_path):
+        # dim = _POOL_MIN_DIM + 1 runs its 4 sub-grids on the pool
+        n = str(observables._POOL_MIN_DIM)
+        commands = {
+            "f": ["fringe", "--n", n, "--mu", "0.5pi", "--xi", "-1",
+                  "--phi-range", "-0.1pi:0.1pi:201"],
+            "s": ["sensitivity", "--n", n, "--mu-range", "0.45pi:0.5pi:2", "--xi", "1",
+                  "--normalize-hl"],
+        }
+        for name, args in commands.items():
+            outs = []
+            for threads in ("1", "2", "4"):
+                out = tmp_path / f"{name}{threads}.csv"
+                assert main(args + ["--threads", threads, "--out", str(out)]) == 0
+                manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+                assert manifest["pool_workers"] == int(threads)
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1] == outs[2]
+
+    def test_manifest_records_pool_workers(self, tmp_path, monkeypatch):
+        out = tmp_path / "f.csv"
+        args = ["fringe", "--n", "6", "--phi-range", "0:1:5", "--out", str(out)]
+        assert main(args + ["--threads", str(10**6)]) == 0  # serial below the threshold
+        assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 1
+        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
+        assert main(args + ["--threads", "3"]) == 0
+        assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 3
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -367,10 +395,36 @@ class TestExplicitZeroAndFileTypes:
         ["sensitivity", "--n", "4", "--mu-range", "0:0.5pi:3", "--phi-window", "1:0:5"],
         ["cavity", "--n", "nan", "--coop-range", "1:10:3"],
         ["qpd", "--n", "4", "--stage", "A", "--grid", "1x1"],
+        ["fringe", "--n", "4", "--phi-range", "0:1:5", "--threads", "0"],
+        ["fringe", "--n", "4", "--phi-range", "0:1:5", "--threads", "-1"],
+        ["sensitivity", "--n", "4", "--mu-range", "0:0.5pi:3", "--threads", "0"],
     ])
     def test_out_of_domain_values(self, tmp_path, capsys, argv):
         out = str(tmp_path / "x.out")
         self.assert_clean_failure(tmp_path, capsys, [*argv, "--out", out], (EXIT_USAGE,))
+
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_bad_thread_env_is_usage_error(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("CATSPIN_THREADS", value)
+        argv = ["fringe", "--n", "4", "--phi-range", "0:1:5", "--out", str(tmp_path / "f.csv")]
+        self.assert_clean_failure(tmp_path, capsys, argv, (EXIT_USAGE,))
+
+    def test_zero_threads_in_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 0}))
+        argv = ["--config", str(cfg), "fringe", "--n", "4", "--phi-range", "0:1:5",
+                "--out", str(tmp_path / "f.csv")]
+        self.assert_clean_failure(tmp_path, capsys, argv, (EXIT_USAGE,))
+
+    def test_cavity_warning_is_one_stderr_line(self, tmp_path, capsys):
+        rc = main(["cavity", "--n", "8", "--coop-range", "1e-4:10:7",
+                   "--out", str(tmp_path / "cav.csv")])
+        assert rc == EXIT_RUNTIME
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("warning: collective cooperativity")
+        assert all(line.startswith(("warning: ", "error: ")) for line in lines)
+        assert lines[-1].startswith("error: ")
+        assert not any(".py" in line or "UserWarning" in line for line in lines)
 
     @pytest.mark.parametrize("argv", [["--mode-side", "0"], ["--mirror-t", "0"]])
     def test_nonpositive_geometry_is_usage_error(self, tmp_path, argv):
@@ -463,7 +517,7 @@ _FLAG_VALUES = {
     "--phi-range": (_ANGLE_RANGES, _BAD_RANGES),
     "--mu-range": (["0:0.5pi:3", "0.1:0.2:2", "0.5pi:0.5pi:2"], _BAD_RANGES),
     "--phi-window": (_ANGLE_RANGES, _BAD_RANGES),
-    "--threads": (["1", "2"], ["x"]),
+    "--threads": (["1", "2"], ["x", "0", "-1"]),
     "--gamma": (["1", "2.5", "1e-3"], _BAD_NUMBERS),
     "--phi": (["0", "-1", "0.5pi", "-pi", "0.3"], _BAD_ANGLES),
     "--stage": (["A", "c", "J"], ["Z", "", "AB", "1"]),
@@ -525,10 +579,11 @@ class TestArgvGate:
             argv = [os.path.join(tmp, a) if a in ("out.dat", "missing.json") else a
                     for a in argv]
             err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                    warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # e.g. the low-cooperativity note
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)  # an escaping exception fails the example
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
+            # library warnings too reach stderr as single prefixed lines
+            assert all(line.startswith(("usage error: ", "error: ", "warning: "))
+                       for line in err.getvalue().splitlines())
             assert [p for p in os.listdir(tmp) if ".tmp-" in p] == []

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -23,10 +25,13 @@ from catspin.observables import (
     noise_model_table,
     parity_average,
     point_sensitivity,
+    pool_size,
+    scan_workers,
     sensitivity_at,
     sensitivity_scan_mu,
     variance_jz,
 )
+from catspin.observables import _MOMENTS_CHUNK, _moments
 from catspin.dicke import dark_pulse, rotate_pulse
 from catspin.protocols import (
     Detection,
@@ -37,6 +42,7 @@ from catspin.protocols import (
     run,
 )
 
+import catspin.observables as observables
 from conftest import cached_ops
 
 HALF = np.pi / 2
@@ -462,3 +468,91 @@ class TestHelpers:
     def test_point_sensitivity_floor(self, dims40):
         pt = FringePoint(phi=0.0, signal=1.0, sds=1e-12, pgs=5.0)
         assert point_sensitivity(pt, dims40) is None
+
+
+class TestSubGridPool:
+    """The CD samples come in interleaved sub-grids, each an FFT read in
+    column chunks, and run on up to pool_size threads: none of that may move
+    a bit of the result."""
+
+    @pytest.mark.parametrize("dim, width", [(45, 45), (1001, 1024), (2001, 2025)])
+    def test_chunked_moments_are_bitwise_the_unchunked(self, dim, width):
+        rng = np.random.default_rng(width)
+        w = rng.standard_normal((dim, width)) + 1j * rng.standard_normal((dim, width))
+        diag = rng.standard_normal(dim)
+        upper = rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1)
+        mean, var = np.empty(width), np.empty(width)
+        for c in range(0, width, _MOMENTS_CHUNK):
+            cols = slice(c, c + _MOMENTS_CHUNK)
+            mean[cols], var[cols] = _moments(w[:, cols], diag, upper)
+        whole_mean, whole_var = _moments(w, diag, upper)
+        assert np.array_equal(mean, whole_mean) and np.array_equal(var, whole_var)
+
+    def test_in_place_fft_is_bitwise_the_padded_one(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((45, 41)) + 1j * rng.standard_normal((45, 41))
+        w = np.zeros((45, 45), dtype=complex)
+        w[:, :41] = a
+        assert np.array_equal(np.fft.fft(w, axis=1, out=w), np.fft.fft(a, n=45, axis=1))
+
+    @pytest.mark.parametrize("xi", [1, -1])
+    def test_pooled_scan_is_bitwise_the_serial_one(self, monkeypatch, xi):
+        # the pool is forced at N = 40, below its dimension threshold, with
+        # up to 4 workers and a short switch interval to interleave their
+        # writes into the shared sample arrays
+        ops = cached_ops(40)
+        spec, window = scain(xi=xi), default_phi_window(301)
+
+        def scan(threads):
+            return [fringe_scan(spec, ops.dims, ops, window, mu, threads) for mu in (0.3, HALF)]
+
+        serial = scan(1)
+        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (2, 3, 4):
+                assert scan_workers(spec, ops.dims, threads) == threads
+                assert scan(threads) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pool_size_caps_at_the_sub_grids(self):
+        assert pool_size(1, 4) == 1
+        assert pool_size(3, 4) == 3
+        assert pool_size(10**6, 4) == 4  # sized, never started
+        assert pool_size(None, 1) == 1
+        with pytest.raises(ValueError):
+            pool_size(0, 4)
+
+    @pytest.mark.parametrize("cpus, expected", [(1, 1), (2, 2), (64, 2)])
+    def test_pool_size_default_stops_at_two(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert pool_size(None, 5) == expected
+        assert pool_size(cpus, 5) == min(cpus, 5)  # an explicit request is kept
+
+    def test_pool_size_default_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert pool_size(None, 5) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert pool_size(None, 5) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pool_size(None, 5) == 1
+
+    def test_scan_workers_only_on_the_large_cd_path(self, monkeypatch):
+        ops = cached_ops(40)
+        csd = scain(detection=Detection("csd", index=0))
+        assert scan_workers(scain(), ops.dims, 4) == 1  # dim 41 < _POOL_MIN_DIM
+        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
+        assert scan_workers(scain(), ops.dims, 4) == 4
+        assert scan_workers(scain(), ops.dims, 10**6) == 4  # 4 sub-grids at N = 40
+        assert scan_workers(csd, ops.dims, 4) == 1
+        unfolded = ProtocolSpec(  # two dark zones: the CompiledProtocol samples path
+            "unfolded",
+            (rotate_pulse("x", HALF), dark_pulse(0.5, 1), rotate_pulse("y", 1.0),
+             dark_pulse(0.25, -1), rotate_pulse("x", HALF)),
+            Detection("cd"),
+        )
+        assert scan_workers(unfolded, ops.dims, 4) == 1
