@@ -7,8 +7,8 @@ J_z eigenstate with eigenvalue m = k - J (|E_0> = all spins down).
 
 Everything here is exact: z-axis generators are diagonal, J_x and J_y are
 kept as the bands of one real tridiagonal, and x/y rotations go through
-the real eigenvectors of J_x (y by a diagonal phase similarity), the only
-dense matrix.
+the real eigenvectors of J_x, the only dense arrays, kept as two half-size
+blocks, one per reversal parity (y by a diagonal phase similarity).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 # Largest ensemble the dense (N+1) x (N+1) machinery is sized for.  The
-# one real eigenvector matrix of J_x is 128 MB here, and a command's peak
-# memory stays well under a GB.
+# two half-size J_x eigenvector blocks take 64 MB here, and a qpd or
+# collective command peaks at about 180 MB RSS.
 N_ATOMS_CAP = 4000
 
 
@@ -81,9 +81,6 @@ class SpinState:
     def populations(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
-    def copy(self) -> "SpinState":
-        return SpinState(self.dims, self.amps.copy())
-
 
 def basis_state(dims: EnsembleDims, index: int) -> SpinState:
     """The Dicke state |E_index>."""
@@ -107,16 +104,18 @@ class OperatorSet:
 
     J_z is the diagonal m (and J_z^2 the diagonal jz_sq); J_x is the real
     symmetric tridiagonal with superdiagonal off, and J_y = P J_x P^dagger
-    with P = diag(e^{-i pi m/2}).  J_x = V diag(eigenvalues) V^T with real
-    orthogonal V, the only dense array.  Immutable after construction.
+    with P = diag(e^{-i pi m/2}).  J_x commutes with the reversal k -> N - k:
+    sym_vectors and anti_vectors, the only dense arrays, are its orthogonal
+    eigenvectors on the pairs (e_k +- e_{N-k})/sqrt(2) (and e_{N/2} of even
+    N), with eigenvalues m[N % 2::2] and m[1 - N % 2::2].  Immutable.
     """
 
     dims: EnsembleDims
     m: np.ndarray = field(repr=False)
     jz_sq: np.ndarray = field(repr=False)
     off: np.ndarray = field(repr=False)
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    sym_vectors: np.ndarray = field(repr=False)
+    anti_vectors: np.ndarray = field(repr=False)
 
     def apply_generator(self, axis: str, amps: np.ndarray) -> np.ndarray:
         """J_axis applied to a vector or a (dim, k) block, in O(dim k)."""
@@ -131,53 +130,30 @@ class OperatorSet:
         return out
 
 
-def _jx_eigensystem(dims: EnsembleDims, off: np.ndarray):
-    """Ascending eigenvalues and real eigenvectors of J_x from two
-    half-size tridiagonal solves.
-
-    J_x commutes with the basis reversal k -> N - k (off is a palindrome),
-    so it splits into blocks on the pairs (e_k +- e_{N-k}) / sqrt(2).  At
-    the centre, even N couples the middle state e_c with sqrt(2) off[c-1];
-    odd N puts +-off[c] on the last diagonal entry.  The eigenvector of
-    eigenvalue m has reversal parity (-1)^(j-m), so the two spectra
-    interleave and each column is written straight to its sorted place.
-    """
-    half, odd = divmod(dims.n_atoms, 2)
-    pairs = half + odd
-    vecs, vals = np.zeros((dims.dim, dims.dim)), np.empty(dims.dim)
-    for sign, first in ((1.0, odd), (-1.0, 1 - odd)):
-        size = half + 1 if sign > 0 else pairs
-        diag, sub = np.zeros(size), off[: size - 1].copy()
-        if odd:
-            diag[-1] = sign * off[half]
-        elif sign > 0:
-            sub[-1] *= np.sqrt(2.0)
-        vals[first::2], block = eigh_tridiagonal(diag, sub)
-        np.multiply(block[:pairs], np.sqrt(0.5), out=vecs[:pairs, first::2])
-        np.multiply(block[:pairs], sign * np.sqrt(0.5), out=vecs[::-1][:pairs, first::2])
-        if size > pairs:  # the middle state of even N
-            vecs[half, first::2] = block[half]
-        del block  # free before the next solve
-    return vals, vecs
-
-
 def build_operator_set(dims: EnsembleDims) -> OperatorSet:
     """Build the operator set for the Dicke basis of an N-atom ensemble.
 
     J_z is diagonal with entries m = -j .. j.  J_x and J_y are tridiagonal
-    with off-diagonal elements A(j,m)/2 = sqrt((j-m)(j+m+1))/2.  The J_x
-    eigenvectors come from a one-time real symmetric tridiagonal
-    factorization (see _jx_eigensystem); J_y rotations reuse them through
-    the exact diagonal similarity J_y = e^{-i(pi/2)J_z} J_x e^{+i(pi/2)J_z}.
+    with off-diagonal elements A(j,m)/2 = sqrt((j-m)(j+m+1))/2.  J_x is
+    solved once per reversal parity as a half-size real tridiagonal: the
+    pairs keep off; at the centre even N couples the middle state with
+    sqrt(2) off[c-1] and odd N puts +-off[c] on the last diagonal entry.
     """
-    m = dims.m_values()
-    off = _ladder_coefficients(dims) / 2.0
-    vals, vecs = _jx_eigensystem(dims, off)
-    # The spectrum of J_x is exactly m = -j .. j; snapping removes the
-    # O(eps*N) solver error so multiples of 2*pi rotate back exactly.
-    vals = np.round(vals - m[0]) + m[0]
-    ops = OperatorSet(dims=dims, m=m, jz_sq=m**2, off=off, eigenvalues=vals, eigenvectors=vecs)
-    for arr in (ops.m, ops.jz_sq, off, vals, vecs):
+    m, off = dims.m_values(), _ladder_coefficients(dims) / 2.0
+    half, odd = divmod(dims.n_atoms, 2)
+    blocks = []
+    for sign, size, first in ((1.0, half + 1, odd), (-1.0, half + odd, 1 - odd)):
+        diag, sub = np.zeros(size), off[: size - 1].copy()
+        diag[-1] = odd * sign * off[half]
+        if sign > 0 and not odd:
+            sub[-1] *= np.sqrt(2.0)
+        vals, vecs = eigh_tridiagonal(diag, sub)
+        # rotate uses the exact m of this parity, so 2 pi turns are exact
+        if not np.array_equal(np.round(vals - m[0]) + m[0], m[first::2]):
+            raise np.linalg.LinAlgError(f"J_x spectrum at N={dims.n_atoms} misses m")
+        blocks.append(vecs)
+    ops = OperatorSet(dims, m, m**2, off, *blocks)
+    for arr in (ops.m, ops.jz_sq, off, *blocks):
         arr.setflags(write=False)
     return ops
 
@@ -225,27 +201,52 @@ def css_state(dims: EnsembleDims, theta: float, phi: float) -> SpinState:
     return SpinState(dims, amps)
 
 
+def _unfold(y: np.ndarray, pairs: int, out: np.ndarray) -> np.ndarray:
+    """G^T y into out for the rows of y, with G the parity fold of rotate."""
+    np.add(y[:pairs], y[-pairs:], out=out[:pairs])
+    np.subtract(y[:pairs], y[-pairs:], out=out[::-1][:pairs])
+    np.multiply(y[pairs:-pairs], np.sqrt(2.0), out=out[pairs:-pairs])
+    return out
+
+
 def rotate(ops: OperatorSet, axis: str, angle: float, amps=None) -> np.ndarray:
     """e^{-i angle J_axis} for axis x or y, applied to a complex vector or a
     (dim, k) block; amps=None gives the dense unitary itself.
 
-    x: V (e^{-i angle lambda} * (V^T a)), as two real products on the
-    (dim, 2k) float view of a.  y: the exact diagonal similarity
-    R_y = P R_x P^dagger with P = diag(e^{-i pi m/2}), applied on the fly.
+    x: R_x = G^T diag(B e^{-i angle lambda} B^T / 2) G per parity block B,
+    where the fold G takes a to a_k + a_{N-k} (k < pairs) and sqrt(2)
+    a_{N/2} (even N), then to a_k - a_{N-k}; G G^T = 2.  The products are
+    real, on float views; the dense unitary unfolds the block diagonal on
+    both sides.  y: R_y = P R_x P^dagger with P = diag(e^{-i pi m/2}).
     """
-    dim, vecs = ops.dims.dim, ops.eigenvectors
+    dim, pairs, odd = ops.dims.dim, len(ops.anti_vectors), ops.dims.n_atoms % 2
+    # per parity: rows of the fold, its eigenvalues' place in m, eigenvectors
+    blocks = ((slice(-pairs), slice(odd, None, 2), ops.sym_vectors),
+              (slice(-pairs, None), slice(1 - odd, None, 2), ops.anti_vectors))
+    phase = 0.5 * np.exp(-1j * angle * ops.m)[:, None]
     twist = np.exp(-0.5j * np.pi * ops.m)[:, None] if axis == "y" else None
-    if amps is None:  # V^T times the identity
-        coeffs = vecs.T.astype(complex, order="C")
+    if amps is None:
+        coeffs = np.zeros((dim, dim), dtype=complex)
+        for rows, lam, vecs in blocks:
+            np.matmul(vecs, (phase[lam] * vecs.T).view(float), out=coeffs[rows, rows].view(float))
+        # G^T C G = (G^T (G^T C)^T)^T, written back over C
+        out = _unfold(_unfold(coeffs, pairs, np.empty_like(coeffs)).T, pairs, coeffs.T).T
         if twist is not None:
-            coeffs *= twist.T.conj()
+            out *= twist.T.conj()
     else:
-        coeffs = np.array(np.reshape(amps, (dim, -1)), dtype=complex, order="C")
-        if twist is not None:
-            coeffs *= twist.conj()
-        coeffs = (vecs.T @ coeffs.view(float)).view(complex)
-    coeffs *= np.exp(-1j * angle * ops.eigenvalues)[:, None]
-    out = (vecs @ coeffs.view(float)).view(complex)
+        a = np.reshape(amps, (dim, -1))
+        a = (np.ascontiguousarray(a, complex) if twist is None else a * twist.conj()).view(float)
+        folded, coeffs = np.empty_like(a), np.empty_like(a)
+        np.add(a[:-pairs], a[::-1][:-pairs], out=folded[:-pairs])
+        np.subtract(a[:pairs], a[::-1][:pairs], out=folded[-pairs:])
+        folded[pairs:-pairs] *= np.sqrt(0.5)  # the middle row came out doubled
+        del a
+        for rows, lam, vecs in blocks:
+            np.matmul(vecs.T, folded[rows], out=coeffs[lam])
+        np.multiply(coeffs.view(complex), phase, out=coeffs.view(complex))
+        for rows, lam, vecs in blocks:
+            np.matmul(vecs, coeffs[lam], out=folded[rows])
+        out = _unfold(folded, pairs, coeffs).view(complex)
     if twist is not None:
         out *= twist
     return out if amps is None else out.reshape(np.shape(amps))

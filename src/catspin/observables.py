@@ -133,20 +133,19 @@ _BLOCK_ELEMENTS = 1 << 20
 # the result is bitwise that of one call.  Below _POOL_MIN_DIM the sub-grids
 # run serially: on 2 vCPUs a pool of 2 cost 15-35 % per mu at N = 256-400,
 # broke even at N = 500-900 and saved 10-15 % at N = 1000, 35-40 % at 2000.
-# Each worker holds its own dim x width buffer (65 MB at N = 2000), so by
-# default the pool stops at _POOL_DEFAULT, the measured size.
+# Each worker holds its own dim x width buffer (65 MB at N = 2000), so the
+# pool stops at the CPUs, and by default at _POOL_DEFAULT, the measured size.
 _MOMENTS_CHUNK, _POOL_MIN_DIM, _POOL_DEFAULT = 64, 512, 2
 
 
 def pool_size(threads: int | None, blocks: int) -> int:
-    """Worker threads for `blocks` sub-grids: threads (>= 1; by default the
-    CPUs this process may run on, at most _POOL_DEFAULT), capped at blocks."""
-    if threads is None:
-        affinity = getattr(os, "sched_getaffinity", None)
-        threads = min(_POOL_DEFAULT, len(affinity(0)) if affinity else os.cpu_count() or 1)
-    if threads < 1:
+    """Worker threads for `blocks` sub-grids: threads (>= 1; by default
+    _POOL_DEFAULT), capped at the CPUs this process may run on and at blocks."""
+    if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    return min(threads, blocks)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(_POOL_DEFAULT if threads is None else threads, cpus, blocks)
 
 
 def _sub_grids(dims: EnsembleDims) -> tuple[int, int]:
@@ -256,14 +255,14 @@ class _Scanner:
                 break
             twisted = twisted or diagonal
             n_tail += 1
-        self.pre = pulses[:split]
+        # pre up to its first squeeze holds no mu, so it runs once
+        lead = next((i for i, p in enumerate(pulses[:split]) if p.kind == "squeeze"), split)
+        self.v_lead = apply_pulses(ops, pulses[:lead], initial_state(dims).amps)
+        self.pre = pulses[lead:split]
         self.middle_pulses = post[: len(post) - n_tail]
         self.tail = post[len(post) - n_tail :]
 
     # --- per-mu pieces ----------------------------------------------------
-
-    def _v0(self, mu) -> np.ndarray:
-        return apply_pulses(self.ops, self.pre, initial_state(self.dims).amps, mu=mu)
 
     def _middle_matrix(self, mu) -> np.ndarray:
         """Dense middle; kept for the next mu unless it holds a squeeze."""
@@ -333,7 +332,7 @@ class _Scanner:
 
     def _csd(self, phis, mu):
         m = self.ops.m
-        v0 = self._v0(mu)
+        v0 = apply_pulses(self.ops, self.pre, self.v_lead, mu=mu)
         index = _resolve_csd_index(self.spec.detection, self.dims)
         c = self._csd_row(mu) * v0
         # a(theta) = sum_k c_k e^{-i m_k theta}; reversed, the frequencies
@@ -355,7 +354,7 @@ class _Scanner:
 
     def _cd(self, phis, mu):
         dim = self.dims.dim
-        v0 = self._v0(mu)
+        v0 = apply_pulses(self.ops, self.pre, self.v_lead, mu=mu)
         middle = self._middle_matrix(mu)
         diag, upper = self._observable(mu)
         weighted = middle * v0

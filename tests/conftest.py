@@ -1,4 +1,5 @@
 import functools
+import os
 
 import pytest
 
@@ -28,3 +29,10 @@ def dims40(ops40):
 @pytest.fixture(scope="session")
 def dims41(ops41):
     return ops41.dims
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """64 CPUs in the affinity mask, so that explicit pools of 3 and 4
+    workers run on any machine (pool_size caps a request at the CPUs)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)

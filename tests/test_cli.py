@@ -130,7 +130,7 @@ class TestFringeCommand:
         assert main(args + ["--out", str(c), "--threads", "4"]) == 0
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
-    def test_pool_above_threshold_is_byte_identical(self, tmp_path):
+    def test_pool_above_threshold_is_byte_identical(self, tmp_path, many_cpus):
         # dim = _POOL_MIN_DIM + 1 runs its 4 sub-grids on the pool
         n = str(observables._POOL_MIN_DIM)
         commands = {
@@ -149,7 +149,7 @@ class TestFringeCommand:
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1] == outs[2]
 
-    def test_manifest_records_pool_workers(self, tmp_path, monkeypatch):
+    def test_manifest_records_pool_workers(self, tmp_path, monkeypatch, many_cpus):
         out = tmp_path / "f.csv"
         args = ["fringe", "--n", "6", "--phi-range", "0:1:5", "--out", str(out)]
         assert main(args + ["--threads", str(10**6)]) == 0  # serial below the threshold
@@ -157,6 +157,14 @@ class TestFringeCommand:
         monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
         assert main(args + ["--threads", "3"]) == 0
         assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 3
+
+    def test_explicit_threads_capped_at_the_cpus(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
+        out = tmp_path / "f.csv"
+        args = ["fringe", "--n", "6", "--phi-range", "0:1:5", "--out", str(out)]
+        assert main(args + ["--threads", "4"]) == 0
+        assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 2
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "f.csv"

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import catspin.dicke as dicke
 from catspin.dicke import (
     DimensionError,
     EnsembleDims,
@@ -15,6 +19,7 @@ from catspin.dicke import (
     build_operator_set,
     css_state,
     dark_pulse,
+    rotate,
     rotate_pulse,
     squeeze_pulse,
     total_spin_expectation,
@@ -46,10 +51,28 @@ def random_amps(dim, seed=0, cols=None):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def eigensystem(ops):
+    """J_x eigenvalues and the full orthogonal V rebuilt from the two parity
+    blocks: column b of a block is sum_k b_k (e_k +- e_{N-k})/sqrt(2) over
+    k < ceil(N/2), plus b_{N/2} e_{N/2} in the symmetric block of even N;
+    the eigenvalues of a block are the m of its reversal parity."""
+    n, pairs = ops.dims.n_atoms, len(ops.anti_vectors)
+    vecs = np.zeros((n + 1, n + 1))
+    sym = len(ops.sym_vectors)
+    for sign, block, cols in ((1.0, ops.sym_vectors, slice(sym)),
+                              (-1.0, ops.anti_vectors, slice(sym, None))):
+        vecs[:pairs, cols] = block[:pairs] / np.sqrt(2.0)
+        vecs[::-1][:pairs, cols] = sign * block[:pairs] / np.sqrt(2.0)
+        if sign > 0:  # the middle state of even N
+            vecs[pairs : n + 1 - pairs, cols] = block[pairs:]
+    vals = np.concatenate((ops.m[n % 2 :: 2], ops.m[1 - n % 2 :: 2]))
+    return vals, vecs
+
+
 def spectral_apply(ops, axis, amps):
     """J_axis amps rebuilt from the eigenvectors: V diag(lambda) V^T for x,
     conjugated by P = diag(e^{-i pi m/2}) for y."""
-    vecs, vals = ops.eigenvectors, ops.eigenvalues
+    vals, vecs = eigensystem(ops)
     twist = np.exp(-0.5j * np.pi * ops.m) if axis == "y" else np.ones(ops.dims.dim)
     return twist * (vecs @ (vals * (vecs.T @ (twist.conj() * amps))))
 
@@ -68,9 +91,19 @@ class TestOperatorSet:
         assert ops.off[0] == pytest.approx(np.sqrt(2) / 2, abs=1e-15)
         assert ops.apply_generator("x", np.array([1.0, 0.0, 0.0]))[1] == ops.off[0]
 
-    def test_jz_eigenvalues_exact_integers(self, ops40):
+    def test_jz_eigenvalues_exact_integers(self, ops40, monkeypatch):
         assert np.array_equal(ops40.m, np.arange(41) - 20)
-        assert np.array_equal(ops40.eigenvalues, ops40.m)
+        # rotate uses the exact m of each parity as the J_x spectrum, so the
+        # build refuses a solver spectrum that does not round onto them
+        solve = dicke.eigh_tridiagonal
+
+        def shifted(diag, sub):
+            vals, vecs = solve(diag, sub)
+            return vals + 0.6, vecs
+
+        monkeypatch.setattr(dicke, "eigh_tridiagonal", shifted)
+        with pytest.raises(np.linalg.LinAlgError):
+            build_operator_set(EnsembleDims(40))
 
     def test_hermiticity(self, ops41):
         # <y|J x> = <J y|x> for random x, y and every generator
@@ -99,15 +132,16 @@ class TestOperatorSet:
         assert np.allclose(ops40.jz_sq, (np.arange(41) - 20.0) ** 2)
 
     def test_immutable_arrays(self, ops40):
-        for arr in (ops40.eigenvectors, ops40.eigenvalues, ops40.off, ops40.m, ops40.jz_sq):
+        for arr in (ops40.sym_vectors, ops40.anti_vectors, ops40.off, ops40.m, ops40.jz_sq):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
     def test_only_dense_array_is_the_real_eigenvector_matrix(self, ops40):
         dense = [name for name, value in vars(ops40).items()
                  if isinstance(value, np.ndarray) and value.ndim == 2]
-        assert dense == ["eigenvectors"]
-        assert ops40.eigenvectors.dtype == np.float64
+        assert dense == ["sym_vectors", "anti_vectors"]  # no dense V beside them
+        assert ops40.sym_vectors.shape == (21, 21) and ops40.anti_vectors.shape == (20, 20)
+        assert ops40.sym_vectors.dtype == ops40.anti_vectors.dtype == np.float64
 
 
 class TestCssState:
@@ -336,11 +370,64 @@ class TestLargeEnsemble:
     def test_split_eigensolve_is_exact(self, n):
         # both parities of the reversal split, up to the cap
         ops = build_operator_set(EnsembleDims(n))
-        vecs = ops.eigenvectors
-        gram = vecs.T @ vecs
-        gram[np.diag_indices_from(gram)] -= 1.0
-        assert np.max(np.abs(gram)) <= 1e-13
+        assert ops.sym_vectors.shape == (n // 2 + 1,) * 2
+        assert ops.anti_vectors.shape == ((n + 1) // 2,) * 2
+        for block in (ops.sym_vectors, ops.anti_vectors):
+            gram = block.T @ block
+            gram[np.diag_indices_from(gram)] -= 1.0
+            assert np.max(np.abs(gram)) <= 1e-13
         del gram
+        vals, vecs = eigensystem(ops)
         x = np.random.default_rng(n).standard_normal(ops.dims.dim)
-        jx_x = vecs @ (ops.m * (vecs.T @ x))
+        jx_x = vecs @ (vals * (vecs.T @ x))
         assert np.max(np.abs(jx_x - ops.apply_generator("x", x))) <= 1e-10 * n
+
+    def test_build_holds_no_dense_v(self):
+        # two half-size blocks and one LAPACK workspace at a time; a dense
+        # (N+1)^2 V alone would be 122 MiB
+        tracemalloc.start()
+        try:
+            build_operator_set(EnsembleDims(4000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2**20
+
+
+def dense_generators(n):
+    """J_x and J_y as dense matrices from J_+ |j, m> = sqrt((j-m)(j+m+1)) |j, m+1>."""
+    j, m = n / 2, np.arange(n) - n / 2
+    raising = np.diag(np.sqrt((j - m) * (j + m + 1)), -1)
+    return (raising + raising.T) / 2, (raising - raising.T) / 2j
+
+
+@pytest.mark.slow
+class TestRotationOracles:
+    """Closed forms that share no code with rotate's parity fold."""
+
+    @pytest.mark.parametrize("n", [40, 41, 3999, 4000])
+    def test_rotations_take_the_bottom_state_to_coherent_states(self, n):
+        # Arecchi et al., PRA 6, 2211 (1972): a rotation of the coherent
+        # state |E_0> along -z is the coherent state along the rotated axis
+        ops = cached_ops(n)
+        bottom = basis_state(ops.dims, 0).amps
+        for theta in (0.3, 1.1, np.pi / 2, 2.0, 2.9):
+            c, s = np.cos(theta), np.sin(theta)
+            target = css_state(ops.dims, np.pi - theta, np.pi / 2).amps
+            overlap = abs(np.vdot(target, rotate(ops, "x", theta, bottom)))
+            assert 1.0 - overlap <= 1e-12
+            # the active rotation about y by theta takes -z to this direction
+            x, y, z = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]) @ [0.0, 0.0, -1.0]
+            target = css_state(ops.dims, np.arccos(z), np.arctan2(y, x)).amps
+            overlap = abs(np.vdot(target, rotate(ops, "y", theta, bottom)))
+            assert 1.0 - overlap <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 40, 41])
+    def test_unitary_and_block_match_expm(self, n):
+        ops = cached_ops(n)
+        block = random_amps(n + 1, seed=n, cols=3)
+        for axis, generator in zip("xy", dense_generators(n)):
+            for theta in (0.3, -1.1, 2.9, 7.5):
+                exact = expm(-1j * theta * generator)
+                assert np.max(np.abs(rotate(ops, axis, theta) - exact)) <= 1e-13
+                assert np.max(np.abs(rotate(ops, axis, theta, block) - exact @ block)) <= 1e-13

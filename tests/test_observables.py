@@ -496,7 +496,7 @@ class TestSubGridPool:
         assert np.array_equal(np.fft.fft(w, axis=1, out=w), np.fft.fft(a, n=45, axis=1))
 
     @pytest.mark.parametrize("xi", [1, -1])
-    def test_pooled_scan_is_bitwise_the_serial_one(self, monkeypatch, xi):
+    def test_pooled_scan_is_bitwise_the_serial_one(self, monkeypatch, many_cpus, xi):
         # the pool is forced at N = 40, below its dimension threshold, with
         # up to 4 workers and a short switch interval to interleave their
         # writes into the shared sample arrays
@@ -517,7 +517,7 @@ class TestSubGridPool:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_pool_size_caps_at_the_sub_grids(self):
+    def test_pool_size_caps_at_the_sub_grids(self, many_cpus):
         assert pool_size(1, 4) == 1
         assert pool_size(3, 4) == 3
         assert pool_size(10**6, 4) == 4  # sized, never started
@@ -532,6 +532,16 @@ class TestSubGridPool:
         assert pool_size(None, 5) == expected
         assert pool_size(cpus, 5) == min(cpus, 5)  # an explicit request is kept
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_pool_size_caps_an_explicit_request_at_the_cpus(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        for threads in (1, 2, 4, 10**6):
+            assert pool_size(threads, 5) == min(threads, cpus)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert pool_size(4, 5) == cpus
+
     def test_pool_size_default_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -541,7 +551,7 @@ class TestSubGridPool:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert pool_size(None, 5) == 1
 
-    def test_scan_workers_only_on_the_large_cd_path(self, monkeypatch):
+    def test_scan_workers_only_on_the_large_cd_path(self, monkeypatch, many_cpus):
         ops = cached_ops(40)
         csd = scain(detection=Detection("csd", index=0))
         assert scan_workers(scain(), ops.dims, 4) == 1  # dim 41 < _POOL_MIN_DIM
