@@ -4,9 +4,9 @@ Sensitivity is the dimensionless Lambda = |dS/dphi| / DeltaS with the
 linewidth conversion factor set to 1; the CLI applies an optional physical
 scale.
 
-Every scan goes through one spectral engine.  Once fold_echoes has turned
-the CRAIN/SCAIN spin echo into a single dark zone, each built-in reads
-psi(phi) = Tail B e^{-i c phi J_z} v0, so <J_z> and its variance are
+Every scan goes through one spectral engine.  Once compile_protocol has
+folded the CRAIN/SCAIN spin echo into a single dark zone, each built-in
+reads psi(phi) = Tail B e^{-i c phi J_z} v0, so <J_z> and its variance are
 trigonometric polynomials of degree N and 2N in theta = c phi.  Their
 samples on an equispaced theta grid of at least 4N+1 points come from FFTs
 of the matrix B diag(v0), with J_z pushed back through Tail as a
@@ -40,7 +40,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from catspin.dicke import (
-    DimensionError,
     EnsembleDims,
     OperatorSet,
     SpinState,
@@ -52,7 +51,7 @@ from catspin.protocols import (
     ProtocolSpec,
     compile_protocol,
     fold_echoes,
-    initial_state,
+    split_at_squeeze,
 )
 
 GAMMA_NOTE = "Gamma = 1 (dimensionless phase sensitivity)"
@@ -224,43 +223,51 @@ def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
 class _Scanner:
     """Spectral evaluation of one protocol over phi, at any mu.
 
-    The folded sequence is the operator product tail middle D(rate phi) pre,
-    pre acting first.  tail is the longest trailing run that J_z can be
-    pushed back through as a tridiagonal T: diagonal pulses followed in
-    time by x/y rotations.  Through the rotations T stays a spin component
-    n.J; the diagonal pulses only twist its off-diagonal.  middle is a dense
-    matrix, built once when it holds no squeeze.  Specs with more than one
-    dark zone after folding go through CompiledProtocol samples instead.
+    compile_protocol folds and cuts the protocol once per scan.  With one
+    dark zone it reads tail middle D(rate phi) pre v_lead, pre acting first
+    on v_lead.  tail is the longest trailing run that J_z can be pushed back
+    through as a tridiagonal T: diagonal pulses followed in time by x/y
+    rotations.  Through the rotations T stays a spin component n.J; the
+    diagonal pulses only twist its off-diagonal.  middle is a dense matrix,
+    built once when it holds no squeeze.  Specs with more than one dark zone
+    go through CompiledProtocol.evaluate samples instead.
     """
 
     def __init__(self, spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet,
                  threads: int | None = None):
-        if dims != ops.dims:
-            raise DimensionError("dims and operator set disagree")
         self.spec, self.dims, self.ops = spec, dims, ops
+        self.kernel = compile_protocol(spec, dims, ops)
         self._middle = None
-        pulses = fold_echoes(spec.pulses)
-        darks = [i for i, p in enumerate(pulses) if p.kind == "dark_phase"]
-        self.folded = len(darks) <= 1
+        self.folded = len(self.kernel.segments) <= 1
         self.workers = scan_workers(spec, dims, threads)
+        csd = spec.detection.kind == "csd"
+        self.index = _resolve_csd_index(spec.detection, dims) if csd else None
         if not self.folded:
             return
-        split = darks[0] if darks else len(pulses)
-        self.rate = pulses[split].sign * pulses[split].fraction if darks else 0.0
-        post = pulses[split + 1 :]
+        # a spec that folds to no dark zone has rate 0 and all its pulses in pre
+        (fraction, sign), self.post = (self.kernel.segments or (((0.0, 1), ()),))[0]
+        self.rate = sign * fraction
         n_tail, twisted = 0, False
-        for pulse in reversed(post):
+        for pulse in reversed(self.post):
             diagonal = pulse.kind == "squeeze" or pulse.axis == "z"
             if twisted and not diagonal:
                 break
             twisted = twisted or diagonal
             n_tail += 1
-        # pre up to its first squeeze holds no mu, so it runs once
-        lead = next((i for i, p in enumerate(pulses[:split]) if p.kind == "squeeze"), split)
-        self.v_lead = apply_pulses(ops, pulses[:lead], initial_state(dims).amps)
-        self.pre = pulses[lead:split]
-        self.middle_pulses = post[: len(post) - n_tail]
-        self.tail = post[len(post) - n_tail :]
+        self.middle_pulses = self.post[: len(self.post) - n_tail]
+        self.tail = self.post[len(self.post) - n_tail :]
+        if csd:
+            # U^T e_idx for U = tail . middle: the transposed pulses in
+            # reverse order (the diagonals and R_x are symmetric, R_y^T =
+            # R_y(-angle)); those before the first squeeze run once
+            transposed = [
+                replace(p, angle=-p.angle) if p.kind == "rotate" and p.axis == "y" else p
+                for p in reversed(self.post)
+            ]
+            lead, self.row_pulses = split_at_squeeze(transposed)
+            row = np.zeros(dims.dim, dtype=complex)
+            row[self.index] = 1.0
+            self.row_lead = apply_pulses(ops, lead, row)
 
     # --- per-mu pieces ----------------------------------------------------
 
@@ -287,18 +294,6 @@ class _Scanner:
             u = pulse_diagonal(self.ops, pulse, 0.0, mu)
             upper = upper * u[:-1].conj() * u[1:]
         return n[2] * self.ops.m, upper
-
-    def _csd_row(self, mu) -> np.ndarray:
-        """Row e_idx^dagger U of U = tail . middle, as U^T e_idx: the
-        transposed pulses in reverse order (the diagonals and R_x are
-        symmetric, R_y^T = R_y(-angle))."""
-        row = np.zeros(self.dims.dim, dtype=complex)
-        row[_resolve_csd_index(self.spec.detection, self.dims)] = 1.0
-        transposed = [
-            replace(p, angle=-p.angle) if p.kind == "rotate" and p.axis == "y" else p
-            for p in reversed(self.middle_pulses + self.tail)
-        ]
-        return apply_pulses(self.ops, transposed, row, mu=mu)
 
     def _darkened(self, v0, points) -> np.ndarray:
         """v0 after the dark zone at each of points, one column per point."""
@@ -331,10 +326,9 @@ class _Scanner:
         return signal, sds, pgs
 
     def _csd(self, phis, mu):
-        m = self.ops.m
-        v0 = apply_pulses(self.ops, self.pre, self.v_lead, mu=mu)
-        index = _resolve_csd_index(self.spec.detection, self.dims)
-        c = self._csd_row(mu) * v0
+        m, index = self.ops.m, self.index
+        v0 = self.kernel.v0(mu)
+        c = apply_pulses(self.ops, self.row_pulses, self.row_lead, mu=mu) * v0
         # a(theta) = sum_k c_k e^{-i m_k theta}; reversed, the frequencies
         # -m_k run upward from m_0
         amp = _fourier_sum(m[0], np.stack([c, -1j * m * c], axis=1)[::-1], self.rate * phis)
@@ -342,8 +336,7 @@ class _Scanner:
         pgs = 2.0 * self.rate * np.real(amp[:, 0].conj() * amp[:, 1])
 
         def others(points):
-            post = self.middle_pulses + self.tail
-            pops = np.abs(apply_pulses(self.ops, post, self._darkened(v0, points), mu=mu)) ** 2
+            pops = np.abs(apply_pulses(self.ops, self.post, self._darkened(v0, points), mu=mu)) ** 2
             return np.delete(pops, index, axis=0).sum(axis=0)
 
         # projector: Q^2 = Q, so the variance is p (1 - p); where 1 - p has
@@ -354,7 +347,7 @@ class _Scanner:
 
     def _cd(self, phis, mu):
         dim = self.dims.dim
-        v0 = apply_pulses(self.ops, self.pre, self.v_lead, mu=mu)
+        v0 = self.kernel.v0(mu)
         middle = self._middle_matrix(mu)
         diag, upper = self._observable(mu)
         weighted = middle * v0
@@ -388,8 +381,7 @@ class _Scanner:
 
     def _sampled_kernel(self, phis, mu):
         """Fallback for specs with several dark zones after folding."""
-        kernel = compile_protocol(self.spec, self.dims, self.ops, mu)
-        fractions = [f for (f, _), _ in kernel.segments]
+        fractions = [f for (f, _), _ in self.kernel.segments]
         denominators = []
         for f in fractions:
             q = next((q for q in range(1, 65) if abs(f * q - round(f * q)) <= 1e-12), None)
@@ -402,13 +394,10 @@ class _Scanner:
         degree = self.dims.n_atoms * sum(round(f * steps) for f in fractions)
         total = 4 * degree + 1
         grid = (2 * np.pi * steps) * np.arange(total) / total
-        index = None
-        if self.spec.detection.kind == "csd":
-            index = _resolve_csd_index(self.spec.detection, self.dims)
-        m = self.ops.m
+        index, m = self.index, self.ops.m
 
         def moments(points):
-            pops = np.abs(kernel.evaluate(points)) ** 2
+            pops = np.abs(self.kernel.evaluate(points, mu)) ** 2
             if index is not None:  # 1 - p as the sum of the other rows
                 return pops[index], pops[index] * np.delete(pops, index, axis=0).sum(axis=0)
             mean = m @ pops

@@ -95,16 +95,6 @@ class ProtocolSpec:
     pulses: tuple[Pulse, ...]
     detection: Detection
 
-    @property
-    def scan_phi_indices(self) -> tuple[int, ...]:
-        """Pulse positions that bind the scan phase phi."""
-        return tuple(i for i, p in enumerate(self.pulses) if p.kind == "dark_phase")
-
-    @property
-    def scan_mu_indices(self) -> tuple[int, ...]:
-        """Pulse positions that bind the squeezing strength mu."""
-        return tuple(i for i, p in enumerate(self.pulses) if p.kind == "squeeze")
-
     def validate(self):
         """Check the structural conventions of the built-in families."""
         darks = [p for p in self.pulses if p.kind == "dark_phase"]
@@ -297,55 +287,61 @@ def fold_echoes(pulses: tuple[Pulse, ...]) -> tuple[Pulse, ...]:
     return tuple(out)
 
 
+def split_at_squeeze(pulses):
+    """(the pulses before the first squeeze, the rest): the first part holds
+    no mu, so a scan applies it once."""
+    lead = next((i for i, p in enumerate(pulses) if p.kind == "squeeze"), len(pulses))
+    return pulses[:lead], pulses[lead:]
+
+
 @dataclass(frozen=True)
 class CompiledProtocol:
-    """Fixed pulses folded into dense segment matrices for phi scans.
+    """A protocol folded and cut at its dark zones into mu-free pulse runs.
 
-    The final state is  M_k D_k(phi) ... M_1 D_1(phi) v0  where the D_i are
-    the dark-zone diagonals (spin echoes already folded by fold_echoes) and
-    v0 includes every pulse before the first dark zone.  Evaluating a phi
-    grid is then a handful of (dim x dim) @ (dim x n_phi) products.
+    The final state is  S_k D_k(phi) ... S_1 D_1(phi) pre v_lead, where
+    v_lead is |E_0> after the pulses before the first squeeze, pre the rest
+    before the first dark zone, D_i the dark-zone diagonals (spin echoes
+    already folded by fold_echoes) and S_i the pulse run after D_i, kept in
+    segments as ((fraction, sign), S_i).  mu binds at evaluation; no dense
+    matrix is held.
     """
 
-    dims: EnsembleDims
-    v0: np.ndarray
-    segments: tuple[tuple[tuple[float, int], np.ndarray], ...]
-    m: np.ndarray
+    ops: OperatorSet
+    v_lead: np.ndarray
+    pre: tuple[Pulse, ...]
+    segments: tuple[tuple[tuple[float, int], tuple[Pulse, ...]], ...]
 
-    def evaluate(self, phis: np.ndarray) -> np.ndarray:
+    @property
+    def dims(self) -> EnsembleDims:
+        return self.ops.dims
+
+    def v0(self, mu: float | None = None) -> np.ndarray:
+        """The state entering the first dark zone."""
+        return apply_pulses(self.ops, self.pre, self.v_lead, mu=mu)
+
+    def evaluate(self, phis: np.ndarray, mu: float | None = None) -> np.ndarray:
         """Final amplitudes for each phi, as a (dim, n_phi) array."""
         phis = np.atleast_1d(np.asarray(phis, dtype=float))
-        block = np.repeat(self.v0[:, None], len(phis), axis=1)
-        for (fraction, sign), matrix in self.segments:
-            block = block * np.exp(
-                (-1j * sign * fraction) * np.outer(self.m, phis)
-            )
-            block = matrix @ block
+        block = np.repeat(self.v0(mu)[:, None], len(phis), axis=1)
+        for (fraction, sign), pulses in self.segments:
+            block = block * np.exp((-1j * sign * fraction) * np.outer(self.ops.m, phis))
+            block = apply_pulses(self.ops, pulses, block, mu=mu)
         return block
 
 
-def compile_protocol(
-    spec: ProtocolSpec,
-    dims: EnsembleDims,
-    ops: OperatorSet,
-    mu_override: float | None = None,
-) -> CompiledProtocol:
-    """Fold every fixed pulse of the sequence into dense segment matrices."""
+def compile_protocol(spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet) -> CompiledProtocol:
+    """Fold the spin echoes of spec and cut it at its dark zones."""
     if dims != ops.dims:
         raise DimensionError("dims and operator set disagree")
     pulses = fold_echoes(spec.pulses)
-    darks = [i for i, p in enumerate(pulses) if p.kind == "dark_phase"]
-    bounds = [-1, *darks, len(pulses)]
-    runs = [pulses[a + 1 : b] for a, b in zip(bounds[:-1], bounds[1:])]
-    # the first run acts on |E_0>, every later one is a dense segment matrix
-    starts = [initial_state(dims).amps] + [None] * len(darks)
-    v0, *matrices = (
-        apply_pulses(ops, segment, start, mu=mu_override) for segment, start in zip(runs, starts)
-    )
+    bounds = [i for i, p in enumerate(pulses) if p.kind == "dark_phase"] + [len(pulses)]
+    lead, pre = split_at_squeeze(pulses[: bounds[0]])
     segments = tuple(
-        ((pulses[i].fraction, pulses[i].sign), matrix) for i, matrix in zip(darks, matrices)
+        ((pulses[a].fraction, pulses[a].sign), pulses[a + 1 : b])
+        for a, b in zip(bounds[:-1], bounds[1:])
     )
-    return CompiledProtocol(dims=dims, v0=v0, segments=segments, m=ops.m)
+    v_lead = apply_pulses(ops, lead, initial_state(dims).amps)
+    return CompiledProtocol(ops=ops, v_lead=v_lead, pre=pre, segments=segments)
 
 
 # --- product-space oracle ---------------------------------------------------

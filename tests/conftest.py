@@ -1,14 +1,26 @@
 import functools
 import os
 
+import numpy as np
 import pytest
 
-from catspin.dicke import EnsembleDims, build_operator_set
+from catspin.dicke import EnsembleDims, build_operator_set, dark_pulse, rotate_pulse
+from catspin.protocols import Detection, ProtocolSpec
 
 
 @functools.lru_cache(maxsize=16)
 def cached_ops(n_atoms: int):
     return build_operator_set(EnsembleDims(n_atoms))
+
+
+def unfolded(detection=Detection("cd")):
+    """Two dark zones that no echo folds: the CompiledProtocol samples path."""
+    return ProtocolSpec(
+        "unfolded",
+        (rotate_pulse("x", np.pi / 2), dark_pulse(0.5, 1), rotate_pulse("y", 1.0),
+         dark_pulse(0.25, -1), rotate_pulse("x", np.pi / 2)),
+        detection,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catspin.dicke import SpinState, apply_rotation, basis_state, css_state
+from catspin.dicke import EnsembleDims, SpinState, apply_rotation, basis_state, css_state
 from catspin.husimi import (
     QpdField,
     SphereGrid,
@@ -21,6 +21,29 @@ from conftest import cached_ops
 def scain_state(ops, phi=np.pi / 80, n_pulses=None):
     spec = builtin("scain", ProtocolParams(mu=np.pi / 2, ara="x", xi=-1))
     return run(spec, ops.dims, ops, phi, n_pulses=n_pulses)
+
+
+def unit_vector(theta, phi):
+    return np.stack(np.broadcast_arrays(
+        np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)), axis=-1)
+
+
+def gauss_legendre_quadrature(state, rows=1001, cols=512):
+    """(N+1)/(4 pi) times the integral of Q over the sphere.  Q is a
+    polynomial of degree N in cos(theta) and a trigonometric one of degree N
+    in phi, so ceil((N+1)/2) Gauss-Legendre nodes in cos(theta) and N+1
+    equispaced phi points give it exactly.  The field is taken in blocks of
+    rows thetas by cols phis to bound its memory."""
+    n = state.dims.n_atoms
+    nodes, weights = np.polynomial.legendre.leggauss(-(-(n + 1) // 2))
+    thetas, weights = np.arccos(nodes[::-1]), weights[::-1]
+    phis = 2 * np.pi * np.arange(n + 1) / (n + 1)
+    total = 0.0
+    for i in range(0, len(thetas), rows):
+        for j in range(0, len(phis), cols):
+            grid = SphereGrid(thetas[i : i + rows], phis[j : j + cols])
+            total += weights[i : i + rows] @ qpd_field(state, grid).values.sum(axis=1)
+    return (n + 1) / (4 * np.pi) * total * 2 * np.pi / len(phis)
 
 
 class TestSphereGrid:
@@ -137,6 +160,34 @@ class TestQuadrature:
         field = qpd_field(css_state(dims40, 1.0, 1.0), grid)
         with pytest.raises(ValueError):
             quadrature(field, 40)
+
+
+class TestOracles:
+    @pytest.mark.parametrize("n", [40, 41, pytest.param(3999, marks=pytest.mark.slow),
+                                   pytest.param(4000, marks=pytest.mark.slow)])
+    def test_coherent_state_field_is_the_closed_form(self, n):
+        # Q of the coherent state along n0 is ((1 + n.n0) / 2)^N
+        grid = default_grid(91, 181)
+        directions = unit_vector(grid.thetas[:, None], grid.phis[None, :])
+        for theta0, phi0 in ((0.0, 0.0), (1.2, 0.5), (np.pi / 2, 3 * np.pi / 2),
+                             (2.9, 5.9), (np.pi, 1.0)):
+            field = qpd_field(css_state(EnsembleDims(n), theta0, phi0), grid)
+            exact = ((1 + directions @ unit_vector(theta0, phi0)) / 2) ** n
+            assert np.max(np.abs(field.values - exact)) <= 1e-11
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_gauss_legendre_quadrature_is_one(self, n):
+        ops = cached_ops(n)
+        for state in (css_state(ops.dims, 1.2, 0.5), basis_state(ops.dims, n // 3),
+                      scain_state(ops, n_pulses=2), scain_state(ops)):
+            assert gauss_legendre_quadrature(state) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.slow
+    def test_gauss_legendre_quadrature_is_one_at_n4000(self):
+        # one state: its 2001 x 4001 field takes about 15 s on 2 vCPUs
+        ops = cached_ops(4000)
+        assert gauss_legendre_quadrature(scain_state(ops, n_pulses=2)) == pytest.approx(
+            1.0, abs=1e-11)
 
 
 class TestExport:

@@ -38,12 +38,14 @@ from catspin.protocols import (
     ProtocolParams,
     ProtocolSpec,
     builtin,
+    compile_protocol,
     oracle_run,
     run,
 )
 
+import catspin.dicke as dicke
 import catspin.observables as observables
-from conftest import cached_ops
+from conftest import cached_ops, unfolded
 
 HALF = np.pi / 2
 
@@ -252,11 +254,12 @@ class TestSpectralEngine:
                 (rotate_pulse("x", HALF), dark_pulse(0.5, -1), rotate_pulse("y", 1.0)),
                 det,
             )
-            # two dark zones that no echo folds: the CompiledProtocol samples path
+            yield unfolded(det)
+            # an echo of zero phase coefficient: folds to no dark zone
             yield ProtocolSpec(
-                "unfolded",
-                (rotate_pulse("x", HALF), dark_pulse(0.5, 1), rotate_pulse("y", 1.0),
-                 dark_pulse(0.25, -1), rotate_pulse("x", HALF)),
+                "echo-only",
+                (rotate_pulse("x", HALF), dark_pulse(0.5, 1), rotate_pulse("x", np.pi),
+                 dark_pulse(0.5, 1), rotate_pulse("y", 1.0)),
                 det,
             )
 
@@ -266,7 +269,8 @@ class TestSpectralEngine:
         for n in (3, 4):
             ops = cached_ops(n)
             for spec in self._specs():
-                for mu in (None, 0.41) if spec.scan_mu_indices else (None,):
+                squeezed = any(p.kind == "squeeze" for p in spec.pulses)
+                for mu in (None, 0.41) if squeezed else (None,):
                     points = fringe_scan(spec, ops.dims, ops, phis, mu_override=mu)
                     for pt in points:
                         signal, var = self._oracle_moments(spec, n, pt.phi, mu)
@@ -282,11 +286,13 @@ class TestSpectralEngine:
         for n in (40, 41):
             ops = cached_ops(n)
             m = ops.dims.m_values()
-            for pid in ("crain", "scain", "cac", "scac"):
+            for pid in ("crain", "scain", "cac", "scac", "unfolded"):
                 for _ in range(4):
                     mu = rng.uniform(0.0, HALF)
                     phis = np.sort(rng.uniform(-np.pi, np.pi, 5))
-                    spec = builtin(pid, ProtocolParams(mu=mu, ara=str(rng.choice(["x", "y"]))))
+                    ara = str(rng.choice(["x", "y"]))
+                    spec = (unfolded() if pid == "unfolded"
+                            else builtin(pid, ProtocolParams(mu=mu, ara=ara)))
                     points = fringe_scan(spec, ops.dims, ops, phis)
                     for pt in points:
                         p = run(spec, ops.dims, ops, pt.phi).populations()
@@ -338,6 +344,37 @@ class TestSpectralEngine:
         csd = fringe_scan(scain(detection=Detection("csd", index=0)), ops.dims, ops, phis)
         population = np.array([p.signal for p in csd])
         assert np.max(np.abs(population - np.cos(n * phis / 2) ** 2)) < 1e-9
+
+
+class TestCompiledOncePerScan:
+    def test_sweep_compiles_once(self, monkeypatch, dims40, ops40):
+        names = []
+
+        def spy(spec, dims, ops):
+            names.append(spec.name)
+            return compile_protocol(spec, dims, ops)
+
+        monkeypatch.setattr(observables, "compile_protocol", spy)
+        for spec in (unfolded(), scain()):
+            results = sensitivity_scan_mu(spec, dims40, ops40, [0.1, 0.7, 1.3])
+            assert len(results) == 3
+        assert names == ["unfolded", "SCAIN"]
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_csd_sweep_rotates_twice_per_mu(self, monkeypatch, dims40, ops40, k):
+        # the state's R_x(pi/2) and the readout row's R_x(pi/2)^T hold no mu
+        # and run once per scan; each mu rotates the state and the row once
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return rotate(*args, **kwargs)
+
+        rotate = dicke.rotate
+        monkeypatch.setattr(dicke, "rotate", spy)
+        spec = scain(xi=1, detection=Detection("csd"))
+        sensitivity_scan_mu(spec, dims40, ops40, np.linspace(0.2, 1.2, k))
+        assert len(calls) == 2 + 2 * k
 
 
 class TestParityAverage:
@@ -559,10 +596,4 @@ class TestSubGridPool:
         assert scan_workers(scain(), ops.dims, 4) == 4
         assert scan_workers(scain(), ops.dims, 10**6) == 4  # 4 sub-grids at N = 40
         assert scan_workers(csd, ops.dims, 4) == 1
-        unfolded = ProtocolSpec(  # two dark zones: the CompiledProtocol samples path
-            "unfolded",
-            (rotate_pulse("x", HALF), dark_pulse(0.5, 1), rotate_pulse("y", 1.0),
-             dark_pulse(0.25, -1), rotate_pulse("x", HALF)),
-            Detection("cd"),
-        )
-        assert scan_workers(unfolded, ops.dims, 4) == 1
+        assert scan_workers(unfolded(), ops.dims, 4) == 1

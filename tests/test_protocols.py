@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from catspin.dicke import DimensionError
+from catspin.dicke import DimensionError, css_state
 from catspin.observables import expect_jz
 from catspin.dicke import dark_pulse
 from catspin.protocols import (
@@ -16,7 +18,7 @@ from catspin.protocols import (
     run,
 )
 
-from conftest import cached_ops
+from conftest import cached_ops, unfolded
 
 HALF = np.pi / 2
 
@@ -178,6 +180,21 @@ class TestLargeEnsembleRun:
             assert expect_jz(state) == pytest.approx(-(n / 2) * np.cos(n * phi), abs=1e-9)
             assert state.populations()[0] == pytest.approx(np.cos(n * phi / 2) ** 2, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [40, 41, 3999, 4000])
+    def test_one_axis_twist_makes_a_cat(self, n):
+        # Kitagawa & Ueda, PRA 47, 5138 (1993): the twist e^{-i (pi/2) J_z^2}
+        # of stage C takes the coherent state along +y to an equal
+        # superposition of two opposite equatorial coherent states, along
+        # +-y for even N and +-x for odd N
+        ops = cached_ops(n)
+        spec = builtin("scain", ProtocolParams(mu=HALF, ara="x", xi=-1))
+        state = run(spec, ops.dims, ops, 0.0, n_pulses=2)
+        pair = (HALF, 3 * HALF) if n % 2 == 0 else (0.0, np.pi)
+        pops = [abs(np.vdot(css_state(ops.dims, HALF, phi).amps, state.amps)) ** 2
+                for phi in pair]
+        assert pops == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert sum(pops) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("n", [2000, 4000])
     def test_norm_drift_over_the_nine_pulses(self, n):
         ops = cached_ops(n)
@@ -299,11 +316,6 @@ class TestSerialization:
                     Detection("csd", index=-1)):
             assert Detection.from_dict(det.to_dict()) == det
 
-    def test_scan_symbol_indices(self):
-        spec = builtin("scain", ProtocolParams(mu=HALF, ara="x", xi=-1))
-        assert spec.scan_phi_indices == (3, 5)
-        assert spec.scan_mu_indices == (1, 7)
-
 
 class TestCompiledKernel:
     def test_echo_folds_to_one_dark_zone(self, dims40, ops40):
@@ -313,12 +325,32 @@ class TestCompiledKernel:
             assert [(d.fraction, d.sign) for d in darks] == [(1.0, 1)]
             assert len(compile_protocol(spec, dims40, ops40).segments) == 1
 
+    def test_holds_no_dense_matrix(self, dims40, ops40):
+        # every array of a compiled protocol is a vector; the dense J_x
+        # eigenvector blocks stay in the operator set it shares
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, tuple):
+                for item in value:
+                    yield from arrays(item)
+            elif dataclasses.is_dataclass(value):
+                for f in dataclasses.fields(value):
+                    yield from arrays(getattr(value, f.name))
+
+        for spec in [builtin(pid) for pid in PROTOCOL_IDS] + [unfolded()]:
+            kernel = compile_protocol(spec, dims40, ops40)
+            assert kernel.ops is ops40
+            held = [getattr(kernel, f.name) for f in dataclasses.fields(kernel) if f.name != "ops"]
+            found = list(arrays(tuple(held)))
+            assert found and all(a.ndim <= 1 for a in found)
+
     def test_matches_pulsewise_run(self, dims40, ops40):
         for pid, mu in (("scain", HALF), ("crain", None), ("scac", 0.31), ("cac", None)):
             spec = builtin(pid, ProtocolParams(mu=HALF, ara="x", xi=-1))
-            kernel = compile_protocol(spec, dims40, ops40, mu)
+            kernel = compile_protocol(spec, dims40, ops40)
             phis = np.array([-0.2, 0.0, 0.017, 1.1])
-            block = kernel.evaluate(phis)
+            block = kernel.evaluate(phis, mu)
             for i, phi in enumerate(phis):
                 direct = run(spec, dims40, ops40, phi, mu_override=mu).amps
                 assert np.max(np.abs(block[:, i] - direct)) < 1e-12
