@@ -44,7 +44,6 @@ from catspin.observables import (
     noise_model_table,
     parity_average,
     point_sensitivity,
-    scan_workers,
     sensitivity_scan_mu,
 )
 from catspin.protocols import Detection, ProtocolParams, builtin, run
@@ -436,19 +435,20 @@ def _cmd_fringe(opts) -> tuple[list[str], dict]:
     start, stop, count = parse_range(opts["phi_range"])
     phis = np.linspace(start, stop, count)
     threads = _threads(opts)
-    points = fringe_scan(spec, dims, ops, phis, threads=threads)
+    report = {}
+    points = fringe_scan(spec, dims, ops, phis, threads=threads, report=report)
     gamma = float(opts.get("gamma", 1.0))
     return _write_csv(opts["out"], ["phi", "signal", "sds", "pgs", "lambda"], (
         [fmt(pt.phi), fmt(pt.signal), fmt(pt.sds), fmt(pt.pgs),
          "" if (lam := point_sensitivity(pt, dims)) is None else fmt(lam / gamma)]
-        for pt in points)), {"pool_workers": scan_workers(spec, dims, threads)}
+        for pt in points)), report
 
 
 def _cmd_sensitivity(opts) -> tuple[list[str], dict]:
     dims, ops, spec = _protocol_setup(opts)
     start, stop, count = parse_range(opts["mu_range"])
     mus = np.linspace(start, stop, count)
-    threads, window = _threads(opts), None
+    threads, window, report = _threads(opts), None, {}
     if opts.get("phi_window"):
         a, b, c = parse_range(opts["phi_window"])
         window = np.linspace(a, b, c)
@@ -457,12 +457,12 @@ def _cmd_sensitivity(opts) -> tuple[list[str], dict]:
         phi_window=window,
         normalize_hl=bool(opts.get("normalize_hl")),
         threads=threads,
+        report=report,
     )
     gamma = float(opts.get("gamma", 1.0))
     return _write_csv(opts["out"], ["mu", "lambda", "phi_star"], (
         [fmt(res.mu), "" if res.lam is None else fmt(res.lam / gamma),
-         "" if math.isnan(res.phi_star) else fmt(res.phi_star)] for res in results)), \
-        {"pool_workers": scan_workers(spec, dims, threads)}
+         "" if math.isnan(res.phi_star) else fmt(res.phi_star)] for res in results)), report
 
 
 def _stage_pulse_count(stage: str, n_pulses: int) -> int:

@@ -14,7 +14,9 @@ tridiagonal T: a few interleaved sub-grids, each one in-place FFT of a
 zero-padded buffer whose moments are read in cache-sized column chunks, run
 on a pool of up to `threads` threads from dim 512 on, bitwise the serial
 result.  One FFT of the samples gives the exact coefficients, and
-signal, variance and the exact dS/dphi follow at every requested phi.
+signal, variance and the exact dS/dphi follow at every requested phi from
+baby-step giant-step exponential tables over those phis, which a scan
+builds at its first mu and reads at every later one while they fit 1 MB.
 Collective-state detection evaluates the degree-N amplitude polynomial of
 its single row directly; its variance is p (1 - p), with 1 - p summed from
 the other populations of the state where it falls below 1e-4.  Variance
@@ -47,10 +49,10 @@ from catspin.dicke import (
     pulse_diagonal,
 )
 from catspin.protocols import (
+    CompiledProtocol,
     Detection,
     ProtocolSpec,
     compile_protocol,
-    fold_echoes,
     split_at_squeeze,
 )
 
@@ -128,6 +130,13 @@ _CSD_SUM_BAND = 1e-4
 # matrix: bounds the scratch memory of a scan independently of its size.
 _BLOCK_ELEMENTS = 1 << 20
 
+# A scan keeps the exponential tables of _fourier_sum for its later mu while
+# they hold at most this many elements (1 MB).  Over the default window they
+# take 36k elements at N = 40, where rebuilding them took half of a 101-mu
+# sweep; at N = 1000 they take 180k (2.9 MB) for a few % of each mu, and are
+# rebuilt so that large-N scans hold no more memory than before.
+_KEPT_TABLE_ELEMENTS = 1 << 16
+
 # Columns per _moments call on a CD sub-grid: the chunk stays in cache and
 # the result is bitwise that of one call.  Below _POOL_MIN_DIM the sub-grids
 # run serially: on 2 vCPUs a pool of 2 cost 15-35 % per mu at N = 256-400,
@@ -154,12 +163,21 @@ def _sub_grids(dims: EnsembleDims) -> tuple[int, int]:
     return width, -(-(4 * dims.n_atoms + 1) // width)
 
 
-def _fourier_sum(first: float, coefs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _exp_tables(first: float, baby: int, giant: int, t: np.ndarray):
+    """e^{i l t} for l < baby and e^{i (first + baby h) t} for h < giant."""
+    return (np.exp(1j * np.outer(t, np.arange(baby))),
+            np.exp(1j * np.outer(t, first + baby * np.arange(giant))))
+
+
+def _fourier_sum(first: float, coefs: np.ndarray, theta: np.ndarray,
+                 kept: list | None = None) -> np.ndarray:
     """sum_k coefs[k, :] e^{i (first + k) theta} at every theta.
 
     Baby-step giant-step: with k = B h + l each theta needs about 2 sqrt(K)
     exponentials, e^{i (first + B h) theta} and e^{i l theta}, instead of K;
-    theta is taken in blocks.
+    theta is taken in blocks.  kept, a list owned by one scan whose calls all
+    share first, the shape of coefs and theta, keeps each block's tables for
+    the next call while they hold at most _KEPT_TABLE_ELEMENTS.
     """
     count, cols = coefs.shape
     baby = math.isqrt(count - 1) + 1
@@ -167,13 +185,19 @@ def _fourier_sum(first: float, coefs: np.ndarray, theta: np.ndarray) -> np.ndarr
     table = np.zeros((giant * baby, cols), dtype=complex)
     table[:count] = coefs
     table = table.reshape(giant, baby, cols).transpose(1, 0, 2).reshape(baby, giant * cols)
+    keep = kept is not None and len(theta) * (baby + giant) <= _KEPT_TABLE_ELEMENTS
     out = np.empty((len(theta), cols), dtype=complex)
     step = max(1, _BLOCK_ELEMENTS // (giant * cols))
-    for i in range(0, len(theta), step):
+    for block, i in enumerate(range(0, len(theta), step)):
         t = theta[i : i + step]
-        inner = (np.exp(1j * np.outer(t, np.arange(baby))) @ table).reshape(len(t), giant, cols)
-        outer = np.exp(1j * np.outer(t, first + baby * np.arange(giant)))
-        out[i : i + step] = np.einsum("th,thc->tc", outer, inner)
+        if keep and block < len(kept):
+            baby_exp, giant_exp = kept[block]
+        else:
+            baby_exp, giant_exp = _exp_tables(first, baby, giant, t)
+            if keep:
+                kept.append((baby_exp, giant_exp))
+        inner = (baby_exp @ table).reshape(len(t), giant, cols)
+        out[i : i + step] = np.einsum("th,thc->tc", giant_exp, inner)
     return out
 
 
@@ -221,11 +245,12 @@ def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
 
 
 class _Scanner:
-    """Spectral evaluation of one protocol over phi, at any mu.
+    """Spectral evaluation of one protocol over one phi grid, at any mu.
 
-    compile_protocol folds and cuts the protocol once per scan.  With one
-    dark zone it reads tail middle D(rate phi) pre v_lead, pre acting first
-    on v_lead.  tail is the longest trailing run that J_z can be pushed back
+    compile_protocol folds and cuts the protocol once per scan, and the
+    exponential tables of _fourier_sum over the grid are kept while small.
+    With one dark zone it reads tail middle D(rate phi) pre v_lead, pre
+    acting first on v_lead.  tail is the longest trailing run that J_z can be pushed back
     through as a tridiagonal T: diagonal pulses followed in time by x/y
     rotations.  Through the rotations T stays a spin component n.J; the
     diagonal pulses only twist its off-diagonal.  middle is a dense matrix,
@@ -234,12 +259,16 @@ class _Scanner:
     """
 
     def __init__(self, spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet,
-                 threads: int | None = None):
+                 phis, threads: int | None = None):
+        self.phis = np.asarray(phis, dtype=float)
+        if not np.all(np.isfinite(self.phis)):
+            raise ValueError("phi points must be finite")
         self.spec, self.dims, self.ops = spec, dims, ops
         self.kernel = compile_protocol(spec, dims, ops)
         self._middle = None
+        self._tables = []  # _fourier_sum's kept tables over self.phis
         self.folded = len(self.kernel.segments) <= 1
-        self.workers = scan_workers(spec, dims, threads)
+        self.workers = scan_workers(self.kernel, spec.detection, threads)
         csd = spec.detection.kind == "csd"
         self.index = _resolve_csd_index(spec.detection, dims) if csd else None
         if not self.folded:
@@ -299,39 +328,39 @@ class _Scanner:
         """v0 after the dark zone at each of points, one column per point."""
         return v0[:, None] * np.exp(-1j * self.rate * np.outer(self.ops.m, points))
 
-    def _blockwise(self, out, where, values_at, phis):
+    def _blockwise(self, out, where, values_at):
         """out[where] = values_at(phis[where]), in blocks of points small
         enough that a (dim, block) state matrix stays in _BLOCK_ELEMENTS."""
         step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
         for i in range(0, len(where), step):
             part = where[i : i + step]
-            out[part] = values_at(phis[part])
+            out[part] = values_at(self.phis[part])
 
     # --- evaluation -------------------------------------------------------
 
-    def arrays(self, phis: np.ndarray, mu: float | None):
-        """signal, SDS and exact dS/dphi at every phi."""
-        phis = np.asarray(phis, dtype=float)
-        if phis.size == 0:
+    def arrays(self, mu: float | None):
+        """signal, SDS and exact dS/dphi at every phi of the grid."""
+        if self.phis.size == 0:
             return np.empty(0), np.empty(0), np.empty(0)
         detection = self.spec.detection
         if not self.folded:
-            signal, sds, pgs = self._sampled_kernel(phis, mu)
+            signal, sds, pgs = self._sampled_kernel(mu)
         elif detection.kind == "csd":
-            signal, sds, pgs = self._csd(phis, mu)
+            signal, sds, pgs = self._csd(mu)
         else:
-            signal, sds, pgs = self._cd(phis, mu)
+            signal, sds, pgs = self._cd(mu)
         if detection.kind == "cd" and detection.add_j:
             signal = signal + self.dims.j
         return signal, sds, pgs
 
-    def _csd(self, phis, mu):
+    def _csd(self, mu):
         m, index = self.ops.m, self.index
         v0 = self.kernel.v0(mu)
         c = apply_pulses(self.ops, self.row_pulses, self.row_lead, mu=mu) * v0
         # a(theta) = sum_k c_k e^{-i m_k theta}; reversed, the frequencies
         # -m_k run upward from m_0
-        amp = _fourier_sum(m[0], np.stack([c, -1j * m * c], axis=1)[::-1], self.rate * phis)
+        amp = _fourier_sum(m[0], np.stack([c, -1j * m * c], axis=1)[::-1],
+                           self.rate * self.phis, self._tables)
         p = np.abs(amp[:, 0]) ** 2
         pgs = 2.0 * self.rate * np.real(amp[:, 0].conj() * amp[:, 1])
 
@@ -342,10 +371,10 @@ class _Scanner:
         # projector: Q^2 = Q, so the variance is p (1 - p); where 1 - p has
         # cancelled it is the summed population of the other Dicke states
         rest = 1.0 - p
-        self._blockwise(rest, np.flatnonzero(rest < _CSD_SUM_BAND), others, phis)
+        self._blockwise(rest, np.flatnonzero(rest < _CSD_SUM_BAND), others)
         return p, np.sqrt(np.maximum(p * rest, 0.0)), pgs
 
-    def _cd(self, phis, mu):
+    def _cd(self, mu):
         dim = self.dims.dim
         v0 = self.kernel.v0(mu)
         middle = self._middle_matrix(mu)
@@ -377,9 +406,9 @@ class _Scanner:
         def direct(points):
             return _moments(middle @ self._darkened(v0, points), diag, upper)[1]
 
-        return self._interpolate(mean, var, self.dims.n_atoms, self.rate, phis, direct)
+        return self._interpolate(mean, var, self.dims.n_atoms, self.rate, direct)
 
-    def _sampled_kernel(self, phis, mu):
+    def _sampled_kernel(self, mu):
         """Fallback for specs with several dark zones after folding."""
         fractions = [f for (f, _), _ in self.kernel.segments]
         denominators = []
@@ -408,21 +437,21 @@ class _Scanner:
         for i in range(0, total, step):
             mean[i : i + step], var[i : i + step] = moments(grid[i : i + step])
         return self._interpolate(
-            mean, var, degree, 1.0 / steps, phis, lambda points: moments(points)[1]
+            mean, var, degree, 1.0 / steps, lambda points: moments(points)[1]
         )
 
-    def _interpolate(self, mean, var, degree, rate, phis, direct):
-        """Evaluate the fitted polynomials at phis; SDS values in the
+    def _interpolate(self, mean, var, degree, rate, direct):
+        """Evaluate the fitted polynomials at the phis; SDS values in the
         rounding band are replaced by direct(phis) variances."""
         freqs = np.arange(2 * degree + 1)
         coefs = np.zeros((2 * degree + 1, 3), dtype=complex)
         coefs[: degree + 1, 0] = _trig_coefficients(mean, degree)
         coefs[:, 1] = 1j * freqs * coefs[:, 0]
         coefs[:, 2] = _trig_coefficients(var, 2 * degree)
-        values = _fourier_sum(0.0, coefs, rate * phis).real
+        values = _fourier_sum(0.0, coefs, rate * self.phis, self._tables).real
         sds = np.sqrt(np.maximum(values[:, 2], 0.0))
         low = np.flatnonzero(sds < _ROUNDING_BAND * self.dims.n_atoms)
-        self._blockwise(sds, low, lambda points: np.sqrt(np.maximum(direct(points), 0.0)), phis)
+        self._blockwise(sds, low, lambda points: np.sqrt(np.maximum(direct(points), 0.0)))
         return values[:, 0], sds, rate * values[:, 1]
 
 
@@ -433,23 +462,33 @@ def fringe_scan(
     phi_grid,
     mu_override: float | None = None,
     threads: int | None = None,
+    report: dict | None = None,
 ) -> list[FringePoint]:
-    """Signal/SDS/PGS at every point of a sorted phi grid (scan_workers)."""
+    """Signal/SDS/PGS at every point of a sorted phi grid.
+
+    threads: see scan_workers; report, if given, receives pool_workers, the
+    threads the scan ran on.
+    """
     phis = np.asarray(phi_grid, dtype=float)
     if phis.size and not (np.all(np.isfinite(phis)) and np.all(np.diff(phis) >= 0)):
         raise ValueError("phi grid must be finite and sorted")
-    signal, sds, pgs = _Scanner(spec, dims, ops, threads).arrays(phis, mu_override)
+    scanner = _Scanner(spec, dims, ops, phis, threads)
+    signal, sds, pgs = scanner.arrays(mu_override)
+    if report is not None:
+        report["pool_workers"] = scanner.workers
     return [
         FringePoint(phi=float(p), signal=float(s), sds=float(d), pgs=float(g))
         for p, s, d, g in zip(phis, signal, sds, pgs)
     ]
 
 
-def scan_workers(spec: ProtocolSpec, dims: EnsembleDims, threads: int | None = None) -> int:
-    """Threads the CD sub-grids of a scan of spec run on: pool_size(threads,
-    sub-grids) at dim >= _POOL_MIN_DIM, 1 there below and on other paths."""
-    darks = sum(p.kind == "dark_phase" for p in fold_echoes(spec.pulses))
-    if darks > 1 or spec.detection.kind != "cd" or dims.dim < _POOL_MIN_DIM:
+def scan_workers(kernel: CompiledProtocol, detection: Detection,
+                 threads: int | None = None) -> int:
+    """Threads the CD sub-grids of a scan of the compiled protocol run on:
+    pool_size(threads, sub-grids) at dim >= _POOL_MIN_DIM with at most one
+    dark zone, 1 there below and on other paths."""
+    dims = kernel.dims
+    if len(kernel.segments) > 1 or detection.kind != "cd" or dims.dim < _POOL_MIN_DIM:
         return 1
     return pool_size(threads, _sub_grids(dims)[1])
 
@@ -486,8 +525,8 @@ def sensitivity_at(
     phi: float,
     mu_override: float | None = None,
 ) -> SensitivityResult:
-    """Lambda = |dS/dphi| / DeltaS at a single phi."""
-    _, sds, pgs = _Scanner(spec, dims, ops).arrays(np.array([phi]), mu_override)
+    """Lambda = |dS/dphi| / DeltaS at a single finite phi."""
+    _, sds, pgs = _Scanner(spec, dims, ops, [phi]).arrays(mu_override)
     mu = _spec_mu(spec, mu_override)
     if sds[0] < noise_floor(dims.n_atoms):
         return SensitivityResult(lam=None, phi_star=float(phi), mu=mu)
@@ -518,6 +557,7 @@ def sensitivity_scan_mu(
     phi_window: np.ndarray | None = None,
     normalize_hl: bool = False,
     threads: int | None = None,
+    report: dict | None = None,
 ) -> list[SensitivityResult]:
     """Best Lambda over the phi window for each mu.
 
@@ -526,20 +566,22 @@ def sensitivity_scan_mu(
     Lambda lies within 1e-9 (relative) of the best, so flat maxima (even N
     at mu = pi/2 reaches Lambda = N everywhere) resolve deterministically.
     With normalize_hl the values are divided by N, i.e. reported as a
-    fraction of the Heisenberg limit.  threads: see scan_workers.
+    fraction of the Heisenberg limit.  threads and report: see fringe_scan.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
-    if np.any(mu_grid < 0) or np.any(mu_grid > math.pi / 2 + 1e-12):
+    if not np.all((mu_grid >= 0) & (mu_grid <= math.pi / 2 + 1e-12)):
         raise ValueError("mu grid must lie within [0, pi/2]")
     if phi_window is None:
         phi_window = default_phi_window()
     note = GAMMA_NOTE + ("; divided by N (HL fraction)" if normalize_hl else "")
     scale = dims.n_atoms if normalize_hl else 1.0
 
-    scanner = _Scanner(spec, dims, ops, threads)
+    scanner = _Scanner(spec, dims, ops, phi_window, threads)
+    if report is not None:
+        report["pool_workers"] = scanner.workers
     results = []
     for mu in mu_grid:
-        _, sds, pgs = scanner.arrays(phi_window, float(mu))
+        _, sds, pgs = scanner.arrays(float(mu))
         valid = sds >= noise_floor(dims.n_atoms)
         if not valid.any():
             results.append(
@@ -584,7 +626,7 @@ def central_fringe_fwhm(
     crossings nearest phi = 0 on each side are interpolated linearly.
     """
     phis = np.linspace(-half_window, half_window, n_points)
-    signal, _, _ = _Scanner(spec, dims, ops).arrays(phis, mu_override)
+    signal, _, _ = _Scanner(spec, dims, ops, phis).arrays(mu_override)
     center = n_points // 2
     s0 = signal[center]
     span_max, span_min = signal.max(), signal.min()

@@ -201,6 +201,20 @@ class TestSensitivity:
         with pytest.raises(ValueError):
             sensitivity_scan_mu(scain(), dims40, ops40, [2.0])
 
+    def test_scan_rejects_nan_mu(self, dims40, ops40):
+        with pytest.raises(ValueError):
+            sensitivity_scan_mu(scain(), dims40, ops40, [0.3, math.nan])
+
+    def test_scan_rejects_nan_in_phi_window(self, dims40, ops40):
+        window = default_phi_window(11)
+        window[4] = math.nan
+        with pytest.raises(ValueError):
+            sensitivity_scan_mu(scain(), dims40, ops40, [0.3], phi_window=window)
+
+    def test_sensitivity_at_rejects_nan_phi(self, dims40, ops40):
+        with pytest.raises(ValueError):
+            sensitivity_at(scain(), dims40, ops40, math.nan)
+
     def test_hl_bound_on_scan(self, dims40, ops40):
         phis = np.linspace(-0.08, 0.08, 801)
         points = fringe_scan(scain(), dims40, ops40, phis)
@@ -376,6 +390,50 @@ class TestCompiledOncePerScan:
         sensitivity_scan_mu(spec, dims40, ops40, np.linspace(0.2, 1.2, k))
         assert len(calls) == 2 + 2 * k
 
+    @pytest.mark.parametrize("n, spec", [
+        (40, scain()), (41, scain()), (40, scain(xi=1, detection=Detection("csd"))),
+        (40, unfolded()),
+    ], ids=["cd-40", "cd-41", "csd-40", "unfolded-40"])
+    def test_sweep_is_bitwise_its_single_mu_sweeps(self, n, spec):
+        # the later mu of a sweep read the exponential tables of the first
+        ops = cached_ops(n)
+        mus = [0.3, 0.9, 1.2, HALF]
+        sweep = sensitivity_scan_mu(spec, ops.dims, ops, mus)
+        assert sweep == [sensitivity_scan_mu(spec, ops.dims, ops, [mu])[0] for mu in mus]
+
+    @pytest.fixture
+    def table_builds(self, monkeypatch):
+        """A sweep that returns how many times it built exponential tables."""
+        builds = []
+
+        def spy(*args):
+            builds.append(args)
+            return exp_tables(*args)
+
+        def sweep(spec, ops, window, mus):
+            builds.clear()
+            sensitivity_scan_mu(spec, ops.dims, ops, mus, phi_window=window)
+            return len(builds)
+
+        exp_tables = observables._exp_tables
+        monkeypatch.setattr(observables, "_exp_tables", spy)
+        return sweep
+
+    @pytest.mark.parametrize("spec", [scain(), scain(xi=1, detection=Detection("csd")),
+                                      unfolded()], ids=["cd", "csd", "unfolded"])
+    def test_sweep_builds_exponential_tables_once(self, table_builds, ops40, spec):
+        window = default_phi_window()
+        one = table_builds(spec, ops40, window, [0.2])
+        five = table_builds(spec, ops40, window, np.linspace(0.2, 1.2, 5))
+        assert five == one >= 1
+
+    @pytest.mark.parametrize("n, points", [(40, 10**5), (1000, 2001)])
+    def test_tables_past_the_cap_are_rebuilt_at_every_mu(self, table_builds, n, points):
+        ops, window = cached_ops(n), default_phi_window(points)
+        one = table_builds(scain(), ops, window, [0.2])
+        two = table_builds(scain(), ops, window, [0.2, 0.7])
+        assert two == 2 * one >= 2
+
 
 class TestParityAverage:
     def test_one_sided(self):
@@ -549,7 +607,8 @@ class TestSubGridPool:
         sys.setswitchinterval(1e-6)
         try:
             for threads in (2, 3, 4):
-                assert scan_workers(spec, ops.dims, threads) == threads
+                assert scan_workers(compile_protocol(spec, ops.dims, ops), spec.detection,
+                                    threads) == threads
                 assert scan(threads) == serial
         finally:
             sys.setswitchinterval(interval)
@@ -591,9 +650,13 @@ class TestSubGridPool:
     def test_scan_workers_only_on_the_large_cd_path(self, monkeypatch, many_cpus):
         ops = cached_ops(40)
         csd = scain(detection=Detection("csd", index=0))
-        assert scan_workers(scain(), ops.dims, 4) == 1  # dim 41 < _POOL_MIN_DIM
+
+        def workers(spec, threads):
+            return scan_workers(compile_protocol(spec, ops.dims, ops), spec.detection, threads)
+
+        assert workers(scain(), 4) == 1  # dim 41 < _POOL_MIN_DIM
         monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
-        assert scan_workers(scain(), ops.dims, 4) == 4
-        assert scan_workers(scain(), ops.dims, 10**6) == 4  # 4 sub-grids at N = 40
-        assert scan_workers(csd, ops.dims, 4) == 1
-        assert scan_workers(unfolded(), ops.dims, 4) == 1
+        assert workers(scain(), 4) == 4
+        assert workers(scain(), 10**6) == 4  # 4 sub-grids at N = 40
+        assert workers(csd, 4) == 1
+        assert workers(unfolded(), 4) == 1
