@@ -6,9 +6,9 @@ subspace is described by a total spin J = N/2.  States live in the
 J_z eigenstate with eigenvalue m = k - J (|E_0> = all spins down).
 
 Everything here is exact: z-axis generators are diagonal, J_x and J_y are
-kept as the bands of one real tridiagonal, and x/y rotations go through
-the real eigenvectors of J_x, the only dense arrays, kept as two half-size
-blocks, one per reversal parity (y by a diagonal phase similarity).
+the bands of one real tridiagonal, and x/y rotations (y by a diagonal phase
+similarity) use J_x's real eigenvectors, the only dense arrays: two half-size
+parity blocks from J_x's three-term recurrence at its known spectrum m.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-# Largest ensemble the dense (N+1) x (N+1) machinery is sized for.  The
-# two half-size J_x eigenvector blocks take 64 MB here, and a qpd or
-# collective command peaks at about 180 MB RSS.
+# Largest ensemble the dense machinery is sized for.  The two half-size J_x
+# eigenvector blocks take 64 MB here and their O(N^2) recurrence 0.1 s; a
+# qpd or collective command peaks at about 180 MB RSS.
 N_ATOMS_CAP = 4000
 
 
@@ -134,24 +133,32 @@ def build_operator_set(dims: EnsembleDims) -> OperatorSet:
     """Build the operator set for the Dicke basis of an N-atom ensemble.
 
     J_z is diagonal with entries m = -j .. j.  J_x and J_y are tridiagonal
-    with off-diagonal elements A(j,m)/2 = sqrt((j-m)(j+m+1))/2.  J_x is
-    solved once per reversal parity as a half-size real tridiagonal: the
-    pairs keep off; at the centre even N couples the middle state with
-    sqrt(2) off[c-1] and odd N puts +-off[c] on the last diagonal entry.
+    with off-diagonal elements A(j,m)/2 = sqrt((j-m)(j+m+1))/2.  Each J_x
+    eigenvector, of lambda = m and reversal parity (-1)^(j-m), follows from
+    off[k] v_{k+1} = lambda v_k - off[k-1] v_{k-1} run from the edge to the
+    centre, the stable direction (Gautschi, SIAM Rev. 9, 24 (1967)), in O(N^2).
     """
     m, off = dims.m_values(), _ladder_coefficients(dims) / 2.0
-    half, odd = divmod(dims.n_atoms, 2)
-    blocks = []
-    for sign, size, first in ((1.0, half + 1, odd), (-1.0, half + odd, 1 - odd)):
-        diag, sub = np.zeros(size), off[: size - 1].copy()
-        diag[-1] = odd * sign * off[half]
-        if sign > 0 and not odd:
-            sub[-1] *= np.sqrt(2.0)
-        vals, vecs = eigh_tridiagonal(diag, sub)
-        # rotate uses the exact m of this parity, so 2 pi turns are exact
-        if not np.array_equal(np.round(vals - m[0]) + m[0], m[first::2]):
-            raise np.linalg.LinAlgError(f"J_x spectrum at N={dims.n_atoms} misses m")
-        blocks.append(vecs)
+    n, (half, odd) = dims.n_atoms, divmod(dims.n_atoms, 2)
+    # columns: the symmetric parity's m, then the antisymmetric parity's
+    lam, sign = np.concatenate((m[odd::2], m[1 - odd::2])), np.repeat([1.0, -1.0], (half + 1, half + odd))
+    v = np.empty((half + 2, n + 1))
+    v[0], v[1] = 1.0, lam / off[0]
+    for k in range(1, half + 1):
+        np.multiply(lam, v[k], out=v[k + 1])
+        v[k + 1] -= off[k - 1] * v[k - 1]
+        v[k + 1] /= off[k]
+        if k % 32 == 0:  # a column grows by up to sqrt(C(N, N/2)), 1e602 at the cap
+            big = np.abs(v[k + 1]) > 1e100
+            v[: k + 2, big] /= np.abs(v[k + 1, big])
+    # the equation left out: rows half, half + 1 mirror N - half, N - half - 1
+    miss = np.abs(v[half:] - sign * v[half - 1 + odd : half + 1 + odd][::-1])
+    v[: half + odd] *= np.sqrt(2.0)
+    blocks = v[: half + 1, : half + 1], v[: half + odd, half + 1 :]
+    norms = np.concatenate([np.sqrt(np.einsum("ij,ij->j", b, b)) for b in blocks])
+    if not np.max(miss / norms) * off[half] <= 1e-12 * n:
+        raise np.linalg.LinAlgError(f"J_x spectrum at N={n} misses m")
+    v[: half + 1] /= norms
     ops = OperatorSet(dims, m, m**2, off, *blocks)
     for arr in (ops.m, ops.jz_sq, off, *blocks):
         arr.setflags(write=False)
@@ -228,7 +235,8 @@ def rotate(ops: OperatorSet, axis: str, angle: float, amps=None) -> np.ndarray:
     if amps is None:
         coeffs = np.zeros((dim, dim), dtype=complex)
         for rows, lam, vecs in blocks:
-            np.matmul(vecs, (phase[lam] * vecs.T).view(float), out=coeffs[rows, rows].view(float))
+            scaled = np.multiply(phase[lam], vecs.T, order="C")  # rows for the float view
+            np.matmul(vecs, scaled.view(float), out=coeffs[rows, rows].view(float))
         # G^T C G = (G^T (G^T C)^T)^T, written back over C
         out = _unfold(_unfold(coeffs, pairs, np.empty_like(coeffs)).T, pairs, coeffs.T).T
         if twist is not None:

@@ -340,6 +340,8 @@ class _Scanner:
 
     def arrays(self, mu: float | None):
         """signal, SDS and exact dS/dphi at every phi of the grid."""
+        if mu is not None and not np.isfinite(mu):
+            raise ValueError(f"squeezing strength must be finite, got {mu}")
         if self.phis.size == 0:
             return np.empty(0), np.empty(0), np.empty(0)
         detection = self.spec.detection

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from catspin.dicke import (
     DimensionError,
@@ -360,6 +359,7 @@ def oracle_run(
     dense matrix exponential, so this shares nothing with the Dicke-basis
     path.  Limited to N <= 4.
     """
+    from scipy.linalg import expm  # the oracle is the only user, off the CLI import path
     if n_atoms > ORACLE_MAX_ATOMS:
         raise DimensionError(f"oracle supports N <= {ORACLE_MAX_ATOMS}, got {n_atoms}")
     dims = EnsembleDims(n_atoms)

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -22,6 +24,7 @@ from catspin.cli import (
     parse_config,
     parse_range,
 )
+import catspin
 import catspin.observables as observables
 from catspin.husimi import QpdField, default_grid, read_field_raw, write_field_raw
 
@@ -29,6 +32,15 @@ from catspin.husimi import QpdField, default_grid, read_field_raw, write_field_r
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # only the product-space oracle uses scipy.linalg, and it imports it itself
+    code = "import sys, catspin.cli; print('scipy.linalg' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(catspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
 
 
 class TestParsing:

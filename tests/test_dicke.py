@@ -1,8 +1,11 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 import catspin.dicke as dicke
 from catspin.dicke import (
@@ -94,16 +97,17 @@ class TestOperatorSet:
     def test_jz_eigenvalues_exact_integers(self, ops40, monkeypatch):
         assert np.array_equal(ops40.m, np.arange(41) - 20)
         # rotate uses the exact m of each parity as the J_x spectrum, so the
-        # build refuses a solver spectrum that does not round onto them
-        solve = dicke.eigh_tridiagonal
-
-        def shifted(diag, sub):
-            vals, vecs = solve(diag, sub)
-            return vals + 0.6, vecs
-
-        monkeypatch.setattr(dicke, "eigh_tridiagonal", shifted)
-        with pytest.raises(np.linalg.LinAlgError):
-            build_operator_set(EnsembleDims(40))
+        # build refuses a lambda that misses it: the recurrence runs at the
+        # shifted m while J_x keeps its true off-diagonal
+        for n in (1, 2, 40, 41, 4000):
+            dims = EnsembleDims(n)
+            true_m, true_off = dims.m_values(), dicke._ladder_coefficients(dims)
+            for shift in (0.6, 1e-6, 1e-8):
+                with monkeypatch.context() as patch:
+                    patch.setattr(EnsembleDims, "m_values", lambda self: true_m + shift)
+                    patch.setattr(dicke, "_ladder_coefficients", lambda dims: true_off)
+                    with pytest.raises(np.linalg.LinAlgError, match=f"N={n} misses m"):
+                        build_operator_set(dims)
 
     def test_hermiticity(self, ops41):
         # <y|J x> = <J y|x> for random x, y and every generator
@@ -392,6 +396,68 @@ class TestLargeEnsemble:
         finally:
             tracemalloc.stop()
         assert peak <= 100 * 2**20
+
+
+def lapack_blocks(n):
+    """The parity blocks from LAPACK's tridiagonal solver, an oracle that
+    shares no code with the recurrence: the pairs keep off; at the centre
+    even N couples the middle state with sqrt(2) off[c-1] and odd N puts
+    +-off[c] on the last diagonal entry.  Eigenvalues ascend, as the
+    columns of the build's blocks do."""
+    off = dicke._ladder_coefficients(EnsembleDims(n)) / 2.0
+    half, odd = divmod(n, 2)
+    blocks = []
+    for sign, size in ((1.0, half + 1), (-1.0, half + odd)):
+        diag, sub = np.zeros(size), off[: size - 1].copy()
+        diag[-1] = odd * sign * off[half]
+        if sign > 0 and not odd:
+            sub[-1] *= np.sqrt(2.0)
+        blocks.append(eigh_tridiagonal(diag, sub)[1])
+    return blocks
+
+
+class TestRecurrenceBlocks:
+    """The J_x eigenvector blocks come from a three-term recurrence at the
+    known spectrum m; these check them against LAPACK and closed forms."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41,
+                                   pytest.param(3999, marks=pytest.mark.slow),
+                                   pytest.param(4000, marks=pytest.mark.slow)])
+    def test_blocks_match_lapack_up_to_column_sign(self, n):
+        ops = build_operator_set(EnsembleDims(n))
+        for block, oracle in zip((ops.sym_vectors, ops.anti_vectors), lapack_blocks(n)):
+            signs = np.where(np.sum(block * oracle, axis=0) < 0, -1.0, 1.0)
+            assert np.max(np.abs(block - signs * oracle)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [40, 41,
+                                   pytest.param(3999, marks=pytest.mark.slow),
+                                   pytest.param(4000, marks=pytest.mark.slow)])
+    def test_extreme_columns_are_the_x_coherent_states(self, n):
+        # Arecchi et al., PRA 6, 2211 (1972): the J_x eigenstates of
+        # lambda = +-j are the coherent states along +-x
+        vals, vecs = eigensystem(cached_ops(n))
+        for lam, phi in ((n / 2, 0.0), (-n / 2, np.pi)):
+            column = vecs[:, np.flatnonzero(vals == lam)[0]]
+            target = css_state(EnsembleDims(n), np.pi / 2, phi).amps
+            assert min(np.max(np.abs(column - target)), np.max(np.abs(column + target))) <= 1e-12
+
+    @pytest.mark.slow
+    def test_blocks_do_not_depend_on_blas_threads(self):
+        # the build calls no BLAS or LAPACK, so its bits cannot follow the
+        # thread count.  LAPACK's divide and conquer solve runs dgemm: under
+        # OpenBLAS 0.3.31 its blocks differ at N = 2000 (not yet at 1000)
+        code = ("import hashlib; from catspin.dicke import EnsembleDims, build_operator_set; "
+                "ops = build_operator_set(EnsembleDims(2000)); "
+                "print(hashlib.sha256(ops.sym_vectors.tobytes() + ops.anti_vectors.tobytes()).hexdigest())")
+        src = os.path.dirname(os.path.dirname(dicke.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def dense_generators(n):

@@ -155,6 +155,12 @@ class TestFringeScan:
         with pytest.raises(ValueError):
             fringe_scan(scain(), dims40, ops40, np.array([0.2, 0.1]))
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    @pytest.mark.parametrize("phis", [[0.1], []])
+    def test_rejects_non_finite_mu_override(self, dims40, ops40, mu, phis):
+        with pytest.raises(ValueError, match="must be finite"):
+            fringe_scan(scain(), dims40, ops40, np.array(phis), mu_override=mu)
+
     def test_thread_count_does_not_change_values(self, dims40, ops40):
         # the scan has no worker pool; repeated calls are bit-identical
         phis = np.linspace(-0.1, 0.1, 600)
@@ -214,6 +220,11 @@ class TestSensitivity:
     def test_sensitivity_at_rejects_nan_phi(self, dims40, ops40):
         with pytest.raises(ValueError):
             sensitivity_at(scain(), dims40, ops40, math.nan)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_sensitivity_at_rejects_non_finite_mu_override(self, dims40, ops40, mu):
+        with pytest.raises(ValueError, match="must be finite"):
+            sensitivity_at(scain(), dims40, ops40, 0.1, mu_override=mu)
 
     def test_hl_bound_on_scan(self, dims40, ops40):
         phis = np.linspace(-0.08, 0.08, 801)
@@ -511,6 +522,12 @@ class TestFwhm:
             for mu in (np.pi / 8, np.pi / 4, 3 * np.pi / 8)
         ]
         assert widths[0] > widths[1] > widths[2]
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_rejects_non_finite_mu_override(self, dims40, ops40, mu):
+        # a NaN signal used to surface as "no half-level crossing"
+        with pytest.raises(ValueError, match="must be finite"):
+            central_fringe_fwhm(scain(), dims40, ops40, half_window=0.3, mu_override=mu)
 
 
 class TestExcessNoise:
