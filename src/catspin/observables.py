@@ -381,7 +381,6 @@ class _Scanner:
         v0 = self.kernel.v0(mu)
         middle = self._middle_matrix(mu)
         diag, upper = self._observable(mu)
-        weighted = middle * v0
         width, blocks = _sub_grids(self.dims)
         total = blocks * width
         k = np.arange(dim)
@@ -393,7 +392,8 @@ class _Scanner:
             # w(theta) at theta = 2 pi (r + blocks q) / total, up to a phase
             # per column that <T> and the variance do not see.
             w = np.zeros((dim, width), dtype=complex)
-            np.multiply(weighted, np.exp((-2j * np.pi * r / total) * k), out=w[:, :dim])
+            np.multiply(middle, v0, out=w[:, :dim])
+            w[:, :dim] *= np.exp((-2j * np.pi * r / total) * k)
             np.fft.fft(w, axis=1, out=w)
             for c in range(0, width, _MOMENTS_CHUNK):
                 cols = slice(c, c + _MOMENTS_CHUNK)

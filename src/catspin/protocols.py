@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -355,11 +356,12 @@ def oracle_run(
     """Brute-force check: evolve the full 2^N product space, then project
     onto the symmetric subspace.
 
-    Single-spin operators are summed atom by atom and every unitary is a
-    dense matrix exponential, so this shares nothing with the Dicke-basis
-    path.  Limited to N <= 4.
+    A rotation is the Kronecker product of N single-spin rotations
+    cos(angle/2) I - 2i sin(angle/2) s_axis, and J_z is diagonal in the
+    product basis (spins up - N/2), so squeeze and dark-zone pulses are
+    elementwise phases.  This shares nothing with the Dicke-basis path.
+    Limited to N <= 4.
     """
-    from scipy.linalg import expm  # the oracle is the only user, off the CLI import path
     if n_atoms > ORACLE_MAX_ATOMS:
         raise DimensionError(f"oracle supports N <= {ORACLE_MAX_ATOMS}, got {n_atoms}")
     dims = EnsembleDims(n_atoms)
@@ -367,37 +369,29 @@ def oracle_run(
 
     # index 0 = spin down, so sigma_y is the transpose of the textbook
     # (up, down) matrix; this keeps [s_x, s_y] = i s_z
-    sx = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = 0.5 * np.array([[0, 1j], [-1j, 0]], dtype=complex)
-    sz = 0.5 * np.array([[-1, 0], [0, 1]], dtype=complex)
-    singles = {"x": sx, "y": sy, "z": sz}
-
-    def collective(axis):
-        total = np.zeros((size, size), dtype=complex)
-        for atom in range(n_atoms):
-            op = np.eye(1, dtype=complex)
-            for a in range(n_atoms):
-                op = np.kron(singles[axis] if a == atom else np.eye(2), op)
-            total += op
-        return total
-
-    big = {axis: collective(axis) for axis in "xyz"}
-    big_zsq = big["z"] @ big["z"]
+    singles = {
+        "x": 0.5 * np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": 0.5 * np.array([[0, 1j], [-1j, 0]], dtype=complex),
+        "z": 0.5 * np.array([[-1, 0], [0, 1]], dtype=complex),
+    }
+    ups = np.array([bin(b).count("1") for b in range(size)])
+    jz = ups - n_atoms / 2
 
     psi = np.zeros(size, dtype=complex)
     psi[0] = 1.0  # all spins down
     for pulse in spec.pulses:
         if pulse.kind == "rotate":
-            psi = expm(-1j * pulse.angle * big[pulse.axis]) @ psi
+            half = pulse.angle / 2
+            single = np.cos(half) * np.eye(2) - 2j * np.sin(half) * singles[pulse.axis]
+            psi = reduce(np.kron, [single] * n_atoms) @ psi
         elif pulse.kind == "squeeze":
             mu = pulse.mu if mu_override is None else float(mu_override)
-            psi = expm(1j * pulse.sign * mu * big_zsq) @ psi
+            psi = np.exp(1j * pulse.sign * mu * jz**2) * psi
         elif pulse.kind == "dark_phase":
-            psi = expm(-1j * pulse.sign * pulse.fraction * phi * big["z"]) @ psi
+            psi = np.exp(-1j * pulse.sign * pulse.fraction * phi * jz) * psi
 
     # Isometry onto the Dicke basis: |E_n> is the normalized sum of the
     # C(N,n) product states with n spins up.
-    ups = np.array([bin(b).count("1") for b in range(size)])
     proj = np.zeros((dims.dim, size))
     for n in range(dims.dim):
         members = ups == n

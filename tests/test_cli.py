@@ -34,13 +34,59 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def test_cli_import_leaves_scipy_linalg_out():
-    # only the product-space oracle uses scipy.linalg, and it imports it itself
-    code = "import sys, catspin.cli; print('scipy.linalg' in sys.modules)"
+def _run_python(code, *args):
+    """Run code in a fresh interpreter that imports catspin from this tree."""
     src = os.path.dirname(os.path.dirname(catspin.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    code = (
+        "import sys\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import catspin\n"
+        "print(loaded())\n"
+        "import catspin.cli\n"
+        "print(loaded())\n"
+    )
+    assert _run_python(code).stdout.split() == ["[]", "[]"]
+
+
+_NO_SCIPY_COMMANDS = {
+    "fringe.csv": ["fringe", "--protocol", "scain", "--n", "40", "--phi-range", "-0.1pi:0.1pi:21"],
+    "sensitivity.csv": ["sensitivity", "--protocol", "scain", "--n", "41",
+                        "--mu-range", "0:0.5pi:3", "--normalize-hl"],
+    "collective.csv": ["collective", "--protocol", "scain", "--n", "40", "--phi", "0.0125pi",
+                       "--stage", "J"],
+    "qpd.bin": ["qpd", "--protocol", "scain", "--n", "41", "--phi", "0.25pi", "--stage", "D",
+                "--format", "raw"],
+    "cavity.csv": ["cavity", "--n", "1e7", "--coop-range", "1e-4:1:5", "--log"],
+    "excess.csv": ["excess-noise", "--n", "40", "--en-range", "0.01:1e3:5", "--log"],
+    "parity.json": ["parity-average", "--even", "40", "--odd", "6.4031"],
+}
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a finder that refuses scipy proves the dependency gone, not just unimported
+    code = (
+        "import json, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from catspin.cli import main\n"
+        "commands = json.loads(sys.argv[1])\n"
+        "print(json.dumps({out: main(argv + ['--out', sys.argv[2] + '/' + out])\n"
+        "                  for out, argv in commands.items()}))\n"
+    )
+    run = _run_python(code, json.dumps(_NO_SCIPY_COMMANDS), str(tmp_path))
+    assert json.loads(run.stdout.splitlines()[-1]) == dict.fromkeys(_NO_SCIPY_COMMANDS, 0)
+    for out in _NO_SCIPY_COMMANDS:
+        assert (tmp_path / out).stat().st_size > 0, out
 
 
 class TestParsing:

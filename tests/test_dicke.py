@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -167,6 +168,18 @@ class TestCssState:
         dims = EnsembleDims(2000)
         for theta in (0.3, np.pi / 2, 2.9):
             assert css_state(dims, theta, 1.0).norm() == pytest.approx(1.0, abs=1e-12)
+
+    # Measured against math.comb: 3.6e-15 at N = 40, 41 and 4.5e-13 (one ulp
+    # of log C(N, N/2) ~ 2770) at N = 3999, 4000; log-gamma gives 2.8e-14 and
+    # 1.1e-11.  The bounds leave a margin of about 2x over the measured error.
+    @pytest.mark.parametrize("n, bound", [(40, 1e-14), (41, 1e-14),
+                                          pytest.param(3999, 1e-12, marks=pytest.mark.slow),
+                                          pytest.param(4000, 1e-12, marks=pytest.mark.slow)])
+    def test_log_binomials_exact(self, n, bound):
+        log_binom = 2.0 * dicke.css_log_magnitudes(n, 1.0, 1.0)
+        exact = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
+        assert np.max(np.abs(log_binom - exact)) <= bound
+        assert np.max(np.abs(log_binom - log_binom[::-1])) <= bound
 
 
 class TestRotation:

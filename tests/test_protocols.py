@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from catspin.dicke import DimensionError, css_state
 from catspin.observables import expect_jz
@@ -295,6 +297,45 @@ class TestOracle:
     def test_rejects_large_n(self):
         with pytest.raises(DimensionError):
             oracle_run(builtin("crain"), 5, 0.1)
+
+    @staticmethod
+    def expm_oracle(spec, n, phi, mu_override):
+        """The product-space state from dense matrix exponentials of the
+        atom-by-atom summed collective generators."""
+        singles = {
+            "x": 0.5 * np.array([[0, 1], [1, 0]], dtype=complex),
+            "y": 0.5 * np.array([[0, 1j], [-1j, 0]], dtype=complex),
+            "z": 0.5 * np.array([[-1, 0], [0, 1]], dtype=complex),
+        }
+        big = {}
+        for axis, single in singles.items():
+            big[axis] = np.zeros((2**n, 2**n), dtype=complex)
+            for atom in range(n):
+                op = np.eye(1)
+                for a in range(n):
+                    op = np.kron(single if a == atom else np.eye(2), op)
+                big[axis] += op
+        psi = np.zeros(2**n, dtype=complex)
+        psi[0] = 1.0
+        for pulse in spec.pulses:
+            if pulse.kind == "rotate":
+                generator = -1j * pulse.angle * big[pulse.axis]
+            elif pulse.kind == "squeeze":
+                mu = pulse.mu if mu_override is None else mu_override
+                generator = 1j * pulse.sign * mu * big["z"] @ big["z"]
+            else:
+                generator = -1j * pulse.sign * pulse.fraction * phi * big["z"]
+            psi = expm(generator) @ psi
+        ups = np.array([bin(b).count("1") for b in range(2**n)])
+        return np.array([psi[ups == k].sum() / np.sqrt(np.sum(ups == k)) for k in range(n + 1)])
+
+    def test_matches_expm_oracle(self):
+        # the Kronecker-product oracle against the dense-exponential one it replaced
+        for pid, ara, xi, n in itertools.product(PROTOCOL_IDS, "xy", (1, -1), range(1, 5)):
+            spec = builtin(pid, ProtocolParams(mu=0.6, ara=ara, xi=xi))
+            for phi, mu in itertools.product((-0.4, 0.37, 1.3), (None, 0.9)):
+                a = oracle_run(spec, n, phi, mu).amps
+                assert np.max(np.abs(a - self.expm_oracle(spec, n, phi, mu))) <= 1e-14
 
 
 class TestSerialization:
