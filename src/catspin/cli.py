@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -57,13 +58,27 @@ THREADS_ENV = "CATSPIN_THREADS"
 NOISE_PROTOCOL_ORDER = ("crain", "tact", "esp", "cd-scain", "csd-scain")
 
 
-class UsageError(Exception):
-    """Bad flags or out-of-range values; exits with code 1."""
+class UsageError(argparse.ArgumentTypeError):
+    """Bad flags or out-of-range values; exits with code 1.  Raised by a
+    flag's type, argparse reports it under the flag's name."""
 
 
 class _Parser(argparse.ArgumentParser):
+    """Keeps the action of each flag by its dest, so that a config file can
+    be read as the command's flags."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags = {}
+        super().__init__(*args, **kwargs)
+
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.dest != argparse.SUPPRESS:  # not --help
+            self.flags[action.dest] = action
+        return action
 
 
 def fmt(value: float) -> str:
@@ -104,6 +119,26 @@ def parse_range(text: str, angle: bool = True) -> tuple[float, float, int]:
     if count < 2:
         raise UsageError(f"range {text!r} needs at least 2 points")
     return start, stop, count
+
+
+def _checked(convert, ok, rule: str):
+    """A flag's type: convert(text), refused unless ok(value)."""
+
+    def check(text):
+        value = convert(text)
+        if not ok(value):
+            raise UsageError(f"{rule}, got {text!r}")
+        return value
+
+    check.__name__ = convert.__name__  # argparse's 'invalid <name> value'
+    return check
+
+
+_MU_MAX = math.pi / 2 + 1e-12  # squeezing strengths lie in [0, 0.5pi]
+_count = _checked(int, lambda value: value >= 1, "must be >= 1")
+_positive = _checked(finite, lambda value: value > 0, "must be > 0")
+_mu = _checked(parse_angle, lambda mu: 0.0 <= mu <= _MU_MAX, "must lie in [0, 0.5pi]")
+_ascending = _checked(parse_range, lambda r: r[0] <= r[1], "must be ascending")
 
 
 def _write_via_temp(path: str, binary: bool, writer_func):
@@ -176,111 +211,83 @@ class RunConfig:
     options: dict
 
 
-_COMMON_DEFAULTS = {
-    "protocol": "scain",
-    "mu": math.pi / 2,
-    "ara": "x",
-    "xi": -1,
-    "detection": "cd",
-    "csd_index": None,
-    "threads": None,
-    "gamma": 1.0,
-}
-
-
-# what a config file may give each option, as JSON types; true/false is
-# not taken for a number
-_FILE_OPTION_TYPES = (
-    ("a string", (str,), "protocol ara detection phi_range mu_range phi_window stage grid "
-                         "fmt coop_range params en_range out"),
-    ("a number or an angle string", (int, float, str), "mu phi"),
-    ("an integer", (int,), "xi csd_index threads"),
-    ("a number", (int, float), "n gamma delta_tilde power mode_side mirror_t even odd"),
-    ("true or false", (bool,), "normalize_hl log"),
-)
-
 # design-mode knobs of `cavity`; unset ones take the reference cavity's value
 _DESIGN_KNOBS = ("delta_tilde", "power", "mode_side", "mirror_t")
 
 
-def _check_file_options(parser: _Parser, command: str, file_options: dict):
-    """File values must have the JSON type of their option (numbers finite)
-    and, where the command's flag has choices, be one of them."""
-    for kind, types, keys in _FILE_OPTION_TYPES:
-        for key in (k for k in keys.split() if k in file_options):
-            value = file_options[key]
-            if (not isinstance(value, types) or (isinstance(value, bool) and bool not in types)
-                    or (isinstance(value, float) and not math.isfinite(value))):
-                raise UsageError(f"config option {key!r} must be {kind}, got {value!r}")
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for action in commands.choices[command]._actions:
-        value = file_options.get(action.dest)
-        if action.choices is not None and value is not None and value not in action.choices:
-            raise UsageError(f"config option {action.dest!r} must be one of "
-                             f"{list(action.choices)}, got {value!r}")
-
-
 def _add_protocol_flags(sub):
-    sub.add_argument("--protocol", choices=["crain", "scain", "cac", "cosac", "scac"])
-    sub.add_argument("--n", type=int, required=True, help="number of atoms")
-    sub.add_argument("--mu", type=str, help="squeezing strength, e.g. 0.5pi")
-    sub.add_argument("--ara", choices=["x", "y"], help="auxiliary rotation axis")
-    sub.add_argument("--xi", type=int, choices=[1, -1], help="corrective rotation sign")
-    sub.add_argument("--detection", choices=["cd", "csd"])
+    sub.add_argument("--protocol", choices=["crain", "scain", "cac", "cosac", "scac"],
+                     default="scain")
+    sub.add_argument("--n", type=_count, required=True, help="number of atoms")
+    sub.add_argument("--mu", type=_mu, default="0.5pi", help="squeezing strength, e.g. 0.5pi")
+    sub.add_argument("--ara", choices=["x", "y"], default="x", help="auxiliary rotation axis")
+    sub.add_argument("--xi", type=int, choices=[1, -1], default=-1,
+                     help="corrective rotation sign")
+    sub.add_argument("--detection", choices=["cd", "csd"], default="cd")
     sub.add_argument("--csd-index", type=int, dest="csd_index")
 
 
-def _build_parser() -> _Parser:
+def _add_scan_flags(sub):
+    sub.add_argument("--threads", type=_count, default=os.environ.get(THREADS_ENV) or None,
+                     help=f"thread pool cap (default: ${THREADS_ENV}, else 2)")
+    sub.add_argument("--gamma", type=_positive, default=1.0,
+                     help="divide lambda by this linewidth factor")
+
+
+def _build_parser() -> tuple[_Parser, dict]:
+    """The parser and its command parsers by name."""
     parser = _Parser(prog="catspin", description=__doc__)
-    parser.add_argument("--config", help="JSON file with default options")
+    parser.add_argument("--config", help="JSON file of options, read as flags")
     subs = parser.add_subparsers(dest="command")
 
     p = subs.add_parser("fringe", help="signal/SDS/PGS over a phi grid")
     _add_protocol_flags(p)
-    p.add_argument("--phi-range", dest="phi_range", required=True)
+    p.add_argument("--phi-range", dest="phi_range", type=_ascending, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--gamma", type=finite, help="divide lambda by this linewidth factor")
+    _add_scan_flags(p)
 
     p = subs.add_parser("sensitivity", help="best Lambda per mu over the fringe window")
     _add_protocol_flags(p)
-    p.add_argument("--mu-range", dest="mu_range", required=True)
-    p.add_argument("--phi-window", dest="phi_window")
-    p.add_argument("--normalize-hl", dest="normalize_hl", action="store_true", default=None)
+    p.add_argument("--mu-range", dest="mu_range", required=True, type=_checked(
+        parse_range, lambda r: 0.0 <= r[0] <= r[1] <= _MU_MAX, "must lie within [0, 0.5pi]"))
+    p.add_argument("--phi-window", dest="phi_window", type=_ascending)
+    p.add_argument("--normalize-hl", dest="normalize_hl", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--gamma", type=finite)
+    _add_scan_flags(p)
 
     p = subs.add_parser("qpd", help="Husimi field of a protocol stage")
     _add_protocol_flags(p)
-    p.add_argument("--phi", type=str, help="dark-zone scan phase")
+    p.add_argument("--phi", type=parse_angle, default=0.0, help="dark-zone scan phase")
     p.add_argument("--stage", required=True, help="stage letter A..")
     p.add_argument("--grid", help="THETAxPHI point counts, e.g. 181x361")
-    p.add_argument("--format", choices=["csv", "raw"], dest="fmt")
+    p.add_argument("--format", choices=["csv", "raw"], dest="fmt", default="csv")
     p.add_argument("--out", required=True)
 
     p = subs.add_parser("collective", help="Dicke-state populations of a stage")
     _add_protocol_flags(p)
-    p.add_argument("--phi", type=str)
+    p.add_argument("--phi", type=parse_angle, default=0.0)
     p.add_argument("--stage", required=True)
     p.add_argument("--out", required=True)
 
+    sweep_range = functools.partial(parse_range, angle=False)
     p = subs.add_parser("cavity", help="squeezing-cavity rates and budgets")
-    p.add_argument("--n", type=finite, help="number of atoms")
-    p.add_argument("--coop-range", dest="coop_range", help="cooperativity sweep a:b:count")
-    p.add_argument("--log", action="store_true", default=None, help="geometric sweep spacing")
+    p.add_argument("--n", type=_checked(finite, lambda n: n >= 1, "must be >= 1"),
+                   help="number of atoms")
+    p.add_argument("--coop-range", dest="coop_range", type=sweep_range,
+                   help="cooperativity sweep a:b:count")
+    p.add_argument("--log", action="store_true", help="geometric sweep spacing")
     p.add_argument("--delta-tilde", dest="delta_tilde", type=finite,
                    help="probe detuning / cavity half width (default: optimal)")
     p.add_argument("--params", help="JSON file of cavity parameters (report mode)")
     p.add_argument("--power", type=finite, help="design-mode probe power (W)")
-    p.add_argument("--mode-side", dest="mode_side", type=finite)
-    p.add_argument("--mirror-t", dest="mirror_t", type=finite)
+    p.add_argument("--mode-side", dest="mode_side", type=_positive)
+    p.add_argument("--mirror-t", dest="mirror_t", type=_positive)
     p.add_argument("--out", required=True)
 
     p = subs.add_parser("excess-noise", help="Lambda vs excess noise per protocol")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--en-range", dest="en_range", required=True)
-    p.add_argument("--log", action="store_true", default=None)
+    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--en-range", dest="en_range", type=sweep_range, required=True)
+    p.add_argument("--log", action="store_true")
     p.add_argument("--out", required=True)
 
     p = subs.add_parser("parity-average", help="RMS-average even/odd sensitivities")
@@ -288,156 +295,105 @@ def _build_parser() -> _Parser:
     p.add_argument("--odd", type=finite, required=True)
     p.add_argument("--out")
 
-    return parser
-
-
-# flags whose values may legitimately start with '-' (angles, ranges);
-# argparse would otherwise read them as options
-_DASH_VALUE_FLAGS = {
-    "--mu", "--phi", "--phi-range", "--mu-range", "--phi-window",
-    "--en-range", "--coop-range", "--even", "--odd", "--delta-tilde",
-    "--mode-side", "--mirror-t",
-}
+    return parser, subs.choices
 
 
 def _join_dash_values(argv: list[str]) -> list[str]:
+    """A token with a single leading dash after a --flag is that flag's value
+    (an angle, a range, a negative number), not an option."""
     out = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in _DASH_VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{token}={argv[i + 1]}")
-            skip = True
+    for token in argv:
+        if (token.startswith("-") and not token.startswith("--") and out
+                and out[-1].startswith("--") and "=" not in out[-1]):
+            out[-1] += "=" + token
         else:
             out.append(token)
     return out
 
 
+def _file_flags(path: str, flags: dict) -> list[str]:
+    """The JSON object in a config file as --flag=value tokens.  Each value is
+    its flag's text (a string or a number), a switch takes true or false, and
+    a key that names no flag of the command (no dest in flags) is ignored."""
+    try:
+        with open(path) as fh:
+            file_options = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(file_options, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    tokens = []
+    for key, value in file_options.items():
+        if key not in flags:
+            continue
+        flag, switch = flags[key].option_strings[-1], flags[key].nargs == 0
+        if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+            kind = "true or false" if switch else "a string or a number"
+            raise UsageError(f"config option {key!r} must be {kind}, got {value!r}")
+        if value is not False:
+            tokens.append(flag if switch else f"{flag}={value}")
+    return tokens
+
+
 def parse_config(argv: list[str]) -> RunConfig:
-    """Parse flags, merging defaults < config file < explicit flags."""
-    parser = _build_parser()
-    args = parser.parse_args(_join_dash_values(argv))
+    """Parse flags; the options of a --config file are read as flags placed
+    right after the command word, so explicit flags override them."""
+    parser, commands = _build_parser()
+    argv = _join_dash_values(argv)
+    args = parser.parse_args(argv)
     if args.command is None:
         raise UsageError("missing command")
+    if args.config:  # after the command word, which a --config value may spell too
+        at = next(i for i, token in enumerate(argv)
+                  if token == args.command and argv[i - 1:i] != ["--config"]) + 1
+        file_flags = _file_flags(args.config, commands[args.command].flags)
+        args = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
 
-    options = dict(_COMMON_DEFAULTS)
-    file_options = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_options = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(file_options, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
-        _check_file_options(parser, args.command, file_options)
-    options.update(file_options)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            options[key] = value
-
-    for key in ("mu", "phi"):
-        if isinstance(options.get(key), str):
-            options[key] = parse_angle(options[key])
-
-    config = RunConfig(command=args.command, options=options)
-    _validate(config)
-    return config
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    _validate(args.command, options)
+    return RunConfig(command=args.command, options=options)
 
 
-def _threads(opts) -> int | None:
-    """--threads, else a non-empty CATSPIN_THREADS, as a positive integer, or
-    None for neither; the scan caps it at its sub-grids (pool_size)."""
-    value = opts.get("threads")
-    if value is None:
-        value = os.environ.get(THREADS_ENV) or None
-    try:
-        if value is None or int(value) >= 1:
-            return None if value is None else int(value)
-    except (TypeError, ValueError):
-        pass
-    raise UsageError(f"--threads / {THREADS_ENV} must be a positive integer, got {value!r}")
-
-
-def _validate(config: RunConfig):
-    opts = config.options
-    if "n" in opts and opts.get("n") is not None:
+def _validate(command: str, opts: dict):
+    """The rules that join two options; each option's own domain is checked
+    by its flag's type."""
+    if opts.get("csd_index") is not None:
+        if opts["detection"] != "csd":
+            raise UsageError("--csd-index only applies with --detection csd")
         n = opts["n"]
-        if n < 1:
-            raise UsageError(f"--n must be >= 1, got {n}")
-    if config.command in ("fringe", "sensitivity", "qpd", "collective"):
-        if int(opts["n"]) != opts["n"]:
-            raise UsageError("--n must be an integer atom count")
-        mu = opts.get("mu", math.pi / 2)
-        if not 0.0 <= mu <= math.pi / 2 + 1e-12:
-            raise UsageError(f"--mu must lie in [0, 0.5pi], got {mu}")
-        if opts.get("csd_index") is not None:
-            if opts.get("detection") != "csd":
-                raise UsageError("--csd-index only applies with --detection csd")
-            n = int(opts["n"])
-            if not -(n + 1) <= opts["csd_index"] <= n:
-                raise UsageError(
-                    f"--csd-index must lie in [{-(n + 1)}, {n}] for N={n}"
-                )
-    if config.command in ("fringe", "sensitivity"):
-        _threads(opts)
-        if not opts["gamma"] > 0:
-            raise UsageError(f"--gamma must be > 0, got {opts['gamma']}")
-        key = "phi_range" if config.command == "fringe" else "phi_window"
-        lo, hi, _ = parse_range(opts[key]) if opts.get(key) else (0.0, 0.0, 0)
-        if lo > hi:
-            raise UsageError(f"--{key.replace('_', '-')} must be ascending")
-    if config.command == "sensitivity":
-        lo, hi, _ = parse_range(opts["mu_range"])
-        if not (0.0 <= lo <= hi <= math.pi / 2 + 1e-12):
-            raise UsageError("--mu-range must lie within [0, 0.5pi]")
-    if config.command == "cavity":
-        design = any(opts.get(key) is not None for key in _DESIGN_KNOBS[1:])
-        modes = [opts.get("coop_range") is not None, opts.get("params") is not None, design]
-        if sum(modes) != 1:
+        if not -(n + 1) <= opts["csd_index"] <= n:
+            raise UsageError(f"--csd-index must lie in [{-(n + 1)}, {n}] for N={n}")
+    if command == "cavity":
+        design = any(opts[key] is not None for key in _DESIGN_KNOBS[1:])
+        if sum([opts["coop_range"] is not None, opts["params"] is not None, design]) != 1:
             raise UsageError(
                 "cavity needs exactly one of --coop-range (sweep), --params "
                 "(report) or design knobs (--power/--mode-side/--mirror-t)"
             )
-        if opts.get("coop_range") is not None and opts.get("n") is None:
+        if opts["coop_range"] is not None and opts["n"] is None:
             raise UsageError("cavity sweep needs --n")
-        for key in ("mode_side", "mirror_t"):
-            if opts.get(key) is not None and not opts[key] > 0:
-                raise UsageError(f"--{key.replace('_', '-')} must be positive, got {opts[key]}")
 
 
 # --- command implementations ----------------------------------------------------
 
 
 def _protocol_setup(opts):
-    n = int(opts["n"])
-    dims = EnsembleDims(n)
+    dims = EnsembleDims(opts["n"])
     ops = build_operator_set(dims)
     detection = None
-    if opts.get("detection") == "csd":
-        detection = Detection("csd", index=opts.get("csd_index"))
-    params = ProtocolParams(
-        mu=float(opts.get("mu", math.pi / 2)),
-        ara=opts.get("ara", "x"),
-        xi=int(opts.get("xi", -1)),
-        detection=detection,
-    )
-    spec = builtin(opts.get("protocol", "scain"), params)
+    if opts["detection"] == "csd":
+        detection = Detection("csd", index=opts["csd_index"])
+    params = ProtocolParams(mu=opts["mu"], ara=opts["ara"], xi=opts["xi"], detection=detection)
+    spec = builtin(opts["protocol"], params)
     return dims, ops, spec
 
 
 def _cmd_fringe(opts) -> tuple[list[str], dict]:
     dims, ops, spec = _protocol_setup(opts)
-    start, stop, count = parse_range(opts["phi_range"])
-    phis = np.linspace(start, stop, count)
-    threads = _threads(opts)
+    phis = np.linspace(*opts["phi_range"])
     report = {}
-    points = fringe_scan(spec, dims, ops, phis, threads=threads, report=report)
-    gamma = float(opts.get("gamma", 1.0))
+    points = fringe_scan(spec, dims, ops, phis, threads=opts["threads"], report=report)
+    gamma = opts["gamma"]
     return _write_csv(opts["out"], ["phi", "signal", "sds", "pgs", "lambda"], (
         [fmt(pt.phi), fmt(pt.signal), fmt(pt.sds), fmt(pt.pgs),
          "" if (lam := point_sensitivity(pt, dims)) is None else fmt(lam / gamma)]
@@ -446,20 +402,17 @@ def _cmd_fringe(opts) -> tuple[list[str], dict]:
 
 def _cmd_sensitivity(opts) -> tuple[list[str], dict]:
     dims, ops, spec = _protocol_setup(opts)
-    start, stop, count = parse_range(opts["mu_range"])
-    mus = np.linspace(start, stop, count)
-    threads, window, report = _threads(opts), None, {}
-    if opts.get("phi_window"):
-        a, b, c = parse_range(opts["phi_window"])
-        window = np.linspace(a, b, c)
+    mus = np.linspace(*opts["mu_range"])
+    window = None if opts["phi_window"] is None else np.linspace(*opts["phi_window"])
+    report = {}
     results = sensitivity_scan_mu(
         spec, dims, ops, mus,
         phi_window=window,
-        normalize_hl=bool(opts.get("normalize_hl")),
-        threads=threads,
+        normalize_hl=opts["normalize_hl"],
+        threads=opts["threads"],
         report=report,
     )
-    gamma = float(opts.get("gamma", 1.0))
+    gamma = opts["gamma"]
     return _write_csv(opts["out"], ["mu", "lambda", "phi_star"], (
         [fmt(res.mu), "" if res.lam is None else fmt(res.lam / gamma),
          "" if math.isnan(res.phi_star) else fmt(res.phi_star)] for res in results)), report
@@ -476,41 +429,41 @@ def _stage_pulse_count(stage: str, n_pulses: int) -> int:
     return count
 
 
-def _cmd_qpd(opts) -> list[str]:
+def _cmd_qpd(opts) -> tuple[list[str], dict]:
     dims, ops, spec = _protocol_setup(opts)
     n_pulses = _stage_pulse_count(opts["stage"], len(spec.pulses))
     grid = default_grid()
-    if opts.get("grid"):
+    if opts["grid"]:
         try:
             n_theta, n_phi = (int(x) for x in opts["grid"].lower().split("x"))
             grid = default_grid(n_theta, n_phi)
         except ValueError:
             raise UsageError(f"--grid must be THETAxPHI, each >= 2, got {opts['grid']!r}") from None
-    state = run(spec, dims, ops, float(opts.get("phi") or 0.0), n_pulses=n_pulses)
+    state = run(spec, dims, ops, opts["phi"], n_pulses=n_pulses)
     field = qpd_field(state, grid)
     out = opts["out"]
     stage = opts["stage"].strip().upper()
 
-    if opts.get("fmt") == "raw":
+    if opts["fmt"] == "raw":
         data, meta = raw_layout(field, dims.n_atoms, stage)
         _atomic_write_bytes(out, data)
-        return [out, *_write_json(out + ".json", meta)]
+        return [out, *_write_json(out + ".json", meta)], {}
     return _write_csv(out, ["theta", "phi", "q"], (
-        [fmt(theta), fmt(phi), fmt(q)] for theta, phi, q in field_to_csv_rows(field)))
+        [fmt(theta), fmt(phi), fmt(q)] for theta, phi, q in field_to_csv_rows(field))), {}
 
 
-def _cmd_collective(opts) -> list[str]:
+def _cmd_collective(opts) -> tuple[list[str], dict]:
     dims, ops, spec = _protocol_setup(opts)
     n_pulses = _stage_pulse_count(opts["stage"], len(spec.pulses))
-    state = run(spec, dims, ops, float(opts.get("phi") or 0.0), n_pulses=n_pulses)
+    state = run(spec, dims, ops, opts["phi"], n_pulses=n_pulses)
     dist = collective_distribution(state)
     return _write_csv(opts["out"], ["index", "m", "population"], (
-        [str(i), fmt(mm), fmt(p)] for i, (mm, p) in enumerate(zip(dims.m_values(), dist))))
+        [str(i), fmt(mm), fmt(p)] for i, (mm, p) in enumerate(zip(dims.m_values(), dist)))), {}
 
 
-def _sweep(text: str, log) -> np.ndarray:
+def _sweep(bounds: tuple[float, float, int], log: bool) -> np.ndarray:
     """A linear start:stop:count grid, or a geometric one with --log."""
-    start, stop, count = parse_range(text, angle=False)
+    start, stop, count = bounds
     if not log:
         return np.linspace(start, stop, count)
     if start <= 0 or stop <= 0:
@@ -518,23 +471,30 @@ def _sweep(text: str, log) -> np.ndarray:
     return np.geomspace(start, stop, count)
 
 
-def _cmd_cavity(opts) -> list[str]:
+def _cmd_cavity(opts) -> tuple[list[str], dict]:
     out = opts["out"]
-    if opts.get("coop_range") is not None:
-        n = float(opts["n"])
-        rows = []
-        for coop in _sweep(opts["coop_range"], opts.get("log")):
-            delta = opts.get("delta_tilde")
+    if opts["coop_range"] is not None:
+        n, rows, errors = opts["n"], [], []
+        for coop in _sweep(opts["coop_range"], opts["log"]):
+            delta = opts["delta_tilde"]
             if delta is None:
                 delta = optimal_detuning(n, float(coop))
-            rows.append((coop, improvement_factor(n, float(coop), float(delta))))
+            try:  # a row past the budget's validity keeps empty theta and f cells
+                b = improvement_factor(n, float(coop), float(delta))
+                rows.append([fmt(coop), fmt(b.theta_frac), fmt(b.f_db), fmt(b.f_approx_db)])
+            except BudgetError as exc:
+                errors.append(exc)
+                rows.append([fmt(coop), "", "", ""])
+        if len(errors) == len(rows):
+            raise errors[0]
+        if errors:
+            warnings.warn(f"{len(errors)} of {len(rows)} rows left empty, first: {errors[0]}")
         ideal_db = fmt(10.0 * math.log10(n))
         return _write_csv(
             out, ["cooperativity", "theta", "f_exact_db", "f_approx_db", "f_ideal_db"],
-            ([fmt(coop), fmt(b.theta_frac), fmt(b.f_db), fmt(b.f_approx_db), ideal_db]
-             for coop, b in rows))
+            (row + [ideal_db] for row in rows)), {"invalid_rows": len(errors)}
 
-    if opts.get("params") is not None:
+    if opts["params"] is not None:
         try:
             with open(opts["params"]) as fh:
                 params = CavityParams.from_json(fh.read())
@@ -550,29 +510,27 @@ def _cmd_cavity(opts) -> list[str]:
             "scattering_rate": scattering_rate(params, abs(chi)),
             "cooperativity_consistency": params.cooperativity_consistency(),
         }
-        return _write_json(out, report)
+        return _write_json(out, report), {}
 
     # design mode: engineering knobs around the reference cavity
-    chi = chi_cavity_design(
-        **{key: float(opts[key]) for key in _DESIGN_KNOBS if opts.get(key) is not None}
-    )
-    return _write_json(out, {"chi": chi, "t_sc": squeezing_time(abs(chi))})
+    chi = chi_cavity_design(**{key: opts[key] for key in _DESIGN_KNOBS if opts[key] is not None})
+    return _write_json(out, {"chi": chi, "t_sc": squeezing_time(abs(chi))}), {}
 
 
-def _cmd_excess_noise(opts) -> list[str]:
-    n = int(opts["n"])
-    en = _sweep(opts["en_range"], opts.get("log"))
+def _cmd_excess_noise(opts) -> tuple[list[str], dict]:
+    n = opts["n"]
+    en = _sweep(opts["en_range"], opts["log"])
     table = noise_model_table(n)
     curves = [excess_noise_curve(table[name], n, en) for name in NOISE_PROTOCOL_ORDER]
     header = ["delta_s_en"] + [p.replace("-", "_") for p in NOISE_PROTOCOL_ORDER]
     return _write_csv(opts["out"], header, (
-        [fmt(e)] + [fmt(curve[i]) for curve in curves] for i, e in enumerate(en)))
+        [fmt(e)] + [fmt(curve[i]) for curve in curves] for i, e in enumerate(en))), {}
 
 
-def _cmd_parity_average(opts) -> list[str]:
-    value = parity_average(float(opts["even"]), float(opts["odd"]))
+def _cmd_parity_average(opts) -> tuple[list[str], dict]:
+    value = parity_average(opts["even"], opts["odd"])
     print(fmt(value))
-    return _write_json(opts["out"], {"parity_average": value}) if opts.get("out") else []
+    return (_write_json(opts["out"], {"parity_average": value}) if opts["out"] else []), {}
 
 
 _COMMANDS = {
@@ -588,10 +546,9 @@ _COMMANDS = {
 
 def execute(config: RunConfig) -> int:
     """Run one validated command; writes artifacts and their manifests, with
-    the extra manifest keys a scan command returns beside its artifacts."""
+    the extra manifest keys the command returns beside its artifacts."""
     t0 = time.perf_counter()
-    artifacts = _COMMANDS[config.command](config.options)
-    artifacts, record = artifacts if isinstance(artifacts, tuple) else (artifacts, {})
+    artifacts, record = _COMMANDS[config.command](config.options)
     wall = time.perf_counter() - t0
     for path in artifacts:
         write_manifest(path, config.command, config.options, wall, record)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -130,15 +129,6 @@ def raw_layout(field: QpdField, n_atoms: int, stage_label: str) -> tuple[bytes, 
         "stage_label": stage_label,
     }
     return np.ascontiguousarray(field.values, dtype="<f8").tobytes(), meta
-
-
-def write_field_raw(field: QpdField, path, n_atoms: int, stage_label: str) -> str:
-    """Write the raw layout of the field and its JSON sidecar; returns the sidecar path."""
-    data, meta = raw_layout(field, n_atoms, stage_label)
-    Path(path).write_bytes(data)
-    sidecar = str(path) + ".json"
-    Path(sidecar).write_text(json.dumps(meta, indent=2) + "\n")
-    return sidecar
 
 
 def read_field_raw(path) -> tuple[np.ndarray, dict]:

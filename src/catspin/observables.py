@@ -68,11 +68,11 @@ def expect_jz(state: SpinState) -> float:
 
 
 def variance_jz(state: SpinState) -> float:
-    """<J_z^2> - <J_z>^2 (clipped at zero against rounding)."""
+    """<(J_z - <J_z>)^2>, summed centered: <J_z^2> - <J_z>^2 cancels when the
+    spread is small against the mean."""
     m = state.dims.m_values()
     p = state.populations()
-    mean = np.sum(m * p)
-    return float(max(np.sum(m * m * p) - mean * mean, 0.0))
+    return float(np.sum((m - np.sum(m * p)) ** 2 * p))
 
 
 def collective_population(state: SpinState, m_index: int) -> float:

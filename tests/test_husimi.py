@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from catspin.husimi import (
     field_to_csv_rows,
     qpd_field,
     quadrature,
+    raw_layout,
     read_field_raw,
-    write_field_raw,
 )
 from catspin.protocols import ProtocolParams, builtin, run
 
@@ -202,7 +204,9 @@ class TestExport:
     def test_raw_round_trip(self, dims40, tmp_path):
         field = qpd_field(css_state(dims40, 0.9, 2.8), default_grid(11, 13))
         path = tmp_path / "field.bin"
-        write_field_raw(field, path, 40, "D")
+        data, meta = raw_layout(field, 40, "D")
+        path.write_bytes(data)
+        (tmp_path / "field.bin.json").write_text(json.dumps(meta))
         values, meta = read_field_raw(path)
         assert np.array_equal(values, field.values)
         assert meta == {"n_theta": 11, "n_phi": 13, "n_atoms": 40, "stage_label": "D"}

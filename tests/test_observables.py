@@ -74,6 +74,13 @@ class TestExpectations:
     def test_variance_nonnegative_on_eigenstate(self, dims40):
         assert variance_jz(basis_state(dims40, 7)) == 0.0
 
+    @pytest.mark.parametrize("n", [40, 4000])
+    def test_variance_of_a_narrow_css(self, n):
+        # N/4 sin^2(theta) is 1e-6/N of <J_z>^2 here, which an uncentered sum cancels
+        theta = 1e-3
+        state = css_state(EnsembleDims(n), theta, 0.0)
+        assert variance_jz(state) == pytest.approx(n / 4 * math.sin(theta) ** 2, rel=1e-12)
+
 
 class TestCollective:
     def test_distribution_frozen_between_cat_stages(self, dims40, ops40):
