@@ -47,15 +47,13 @@ from catspin.observables import (
     point_sensitivity,
     sensitivity_scan_mu,
 )
-from catspin.protocols import Detection, ProtocolParams, builtin, run
+from catspin.protocols import PROTOCOL_IDS, Detection, ProtocolParams, builtin, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 THREADS_ENV = "CATSPIN_THREADS"
-
-NOISE_PROTOCOL_ORDER = ("crain", "tact", "esp", "cd-scain", "csd-scain")
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -121,16 +119,19 @@ def parse_range(text: str, angle: bool = True) -> tuple[float, float, int]:
     return start, stop, count
 
 
+sweep_range = functools.partial(parse_range, angle=False)
+
+
 def _checked(convert, ok, rule: str):
     """A flag's type: convert(text), refused unless ok(value)."""
 
+    @functools.wraps(convert)  # argparse's 'invalid <name> value'
     def check(text):
         value = convert(text)
         if not ok(value):
             raise UsageError(f"{rule}, got {text!r}")
         return value
 
-    check.__name__ = convert.__name__  # argparse's 'invalid <name> value'
     return check
 
 
@@ -139,6 +140,11 @@ _count = _checked(int, lambda value: value >= 1, "must be >= 1")
 _positive = _checked(finite, lambda value: value > 0, "must be > 0")
 _mu = _checked(parse_angle, lambda mu: 0.0 <= mu <= _MU_MAX, "must lie in [0, 0.5pi]")
 _ascending = _checked(parse_range, lambda r: r[0] <= r[1], "must be ascending")
+
+
+def grid(text: str) -> tuple[int, ...]:
+    """'THETAxPHI' point counts as a tuple of ints."""
+    return tuple(int(count) for count in text.lower().split("x"))
 
 
 def _write_via_temp(path: str, binary: bool, writer_func):
@@ -216,8 +222,7 @@ _DESIGN_KNOBS = ("delta_tilde", "power", "mode_side", "mirror_t")
 
 
 def _add_protocol_flags(sub):
-    sub.add_argument("--protocol", choices=["crain", "scain", "cac", "cosac", "scac"],
-                     default="scain")
+    sub.add_argument("--protocol", choices=PROTOCOL_IDS, default="scain")
     sub.add_argument("--n", type=_count, required=True, help="number of atoms")
     sub.add_argument("--mu", type=_mu, default="0.5pi", help="squeezing strength, e.g. 0.5pi")
     sub.add_argument("--ara", choices=["x", "y"], default="x", help="auxiliary rotation axis")
@@ -227,15 +232,17 @@ def _add_protocol_flags(sub):
     sub.add_argument("--csd-index", type=int, dest="csd_index")
 
 
-def _add_scan_flags(sub):
-    sub.add_argument("--threads", type=_count, default=os.environ.get(THREADS_ENV) or None,
+def _add_scan_flags(sub, threads_env):
+    sub.add_argument("--threads", type=_count, default=threads_env or None,
                      help=f"thread pool cap (default: ${THREADS_ENV}, else 2)")
     sub.add_argument("--gamma", type=_positive, default=1.0,
                      help="divide lambda by this linewidth factor")
 
 
-def _build_parser() -> tuple[_Parser, dict]:
-    """The parser and its command parsers by name."""
+@functools.cache
+def _build_parser(threads_env: str | None) -> tuple[_Parser, dict]:
+    """The parser and its command parsers by name, built once for each text
+    of $CATSPIN_THREADS, the default of --threads."""
     parser = _Parser(prog="catspin", description=__doc__)
     parser.add_argument("--config", help="JSON file of options, read as flags")
     subs = parser.add_subparsers(dest="command")
@@ -244,7 +251,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     _add_protocol_flags(p)
     p.add_argument("--phi-range", dest="phi_range", type=_ascending, required=True)
     p.add_argument("--out", required=True)
-    _add_scan_flags(p)
+    _add_scan_flags(p, threads_env)
 
     p = subs.add_parser("sensitivity", help="best Lambda per mu over the fringe window")
     _add_protocol_flags(p)
@@ -253,13 +260,14 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--phi-window", dest="phi_window", type=_ascending)
     p.add_argument("--normalize-hl", dest="normalize_hl", action="store_true")
     p.add_argument("--out", required=True)
-    _add_scan_flags(p)
+    _add_scan_flags(p, threads_env)
 
     p = subs.add_parser("qpd", help="Husimi field of a protocol stage")
     _add_protocol_flags(p)
     p.add_argument("--phi", type=parse_angle, default=0.0, help="dark-zone scan phase")
     p.add_argument("--stage", required=True, help="stage letter A..")
-    p.add_argument("--grid", help="THETAxPHI point counts, e.g. 181x361")
+    p.add_argument("--grid", help="THETAxPHI point counts, e.g. 181x361", type=_checked(
+        grid, lambda counts: len(counts) == 2 and min(counts) >= 2, "must be THETAxPHI, each >= 2"))
     p.add_argument("--format", choices=["csv", "raw"], dest="fmt", default="csv")
     p.add_argument("--out", required=True)
 
@@ -269,11 +277,11 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--stage", required=True)
     p.add_argument("--out", required=True)
 
-    sweep_range = functools.partial(parse_range, angle=False)
     p = subs.add_parser("cavity", help="squeezing-cavity rates and budgets")
     p.add_argument("--n", type=_checked(finite, lambda n: n >= 1, "must be >= 1"),
                    help="number of atoms")
-    p.add_argument("--coop-range", dest="coop_range", type=sweep_range,
+    p.add_argument("--coop-range", dest="coop_range", type=_checked(
+        sweep_range, lambda r: r[0] > 0 and r[1] > 0, "bounds must be > 0"),
                    help="cooperativity sweep a:b:count")
     p.add_argument("--log", action="store_true", help="geometric sweep spacing")
     p.add_argument("--delta-tilde", dest="delta_tilde", type=finite,
@@ -338,7 +346,7 @@ def _file_flags(path: str, flags: dict) -> list[str]:
 def parse_config(argv: list[str]) -> RunConfig:
     """Parse flags; the options of a --config file are read as flags placed
     right after the command word, so explicit flags override them."""
-    parser, commands = _build_parser()
+    parser, commands = _build_parser(os.environ.get(THREADS_ENV))
     argv = _join_dash_values(argv)
     args = parser.parse_args(argv)
     if args.command is None:
@@ -432,22 +440,16 @@ def _stage_pulse_count(stage: str, n_pulses: int) -> int:
 def _cmd_qpd(opts) -> tuple[list[str], dict]:
     dims, ops, spec = _protocol_setup(opts)
     n_pulses = _stage_pulse_count(opts["stage"], len(spec.pulses))
-    grid = default_grid()
-    if opts["grid"]:
-        try:
-            n_theta, n_phi = (int(x) for x in opts["grid"].lower().split("x"))
-            grid = default_grid(n_theta, n_phi)
-        except ValueError:
-            raise UsageError(f"--grid must be THETAxPHI, each >= 2, got {opts['grid']!r}") from None
     state = run(spec, dims, ops, opts["phi"], n_pulses=n_pulses)
-    field = qpd_field(state, grid)
+    field = qpd_field(state, default_grid(*(opts["grid"] or ())))
     out = opts["out"]
     stage = opts["stage"].strip().upper()
 
     if opts["fmt"] == "raw":
         data, meta = raw_layout(field, dims.n_atoms, stage)
         _atomic_write_bytes(out, data)
-        return [out, *_write_json(out + ".json", meta)], {}
+        _write_json(out + ".json", meta)  # the sidecar shares the .bin's manifest
+        return [out], {}
     return _write_csv(out, ["theta", "phi", "q"], (
         [fmt(theta), fmt(phi), fmt(q)] for theta, phi, q in field_to_csv_rows(field))), {}
 
@@ -521,8 +523,8 @@ def _cmd_excess_noise(opts) -> tuple[list[str], dict]:
     n = opts["n"]
     en = _sweep(opts["en_range"], opts["log"])
     table = noise_model_table(n)
-    curves = [excess_noise_curve(table[name], n, en) for name in NOISE_PROTOCOL_ORDER]
-    header = ["delta_s_en"] + [p.replace("-", "_") for p in NOISE_PROTOCOL_ORDER]
+    curves = [excess_noise_curve(row, n, en) for row in table.values()]
+    header = ["delta_s_en"] + [name.replace("-", "_") for name in table]
     return _write_csv(opts["out"], header, (
         [fmt(e)] + [fmt(curve[i]) for curve in curves] for i, e in enumerate(en))), {}
 

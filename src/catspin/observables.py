@@ -324,10 +324,6 @@ class _Scanner:
             upper = upper * u[:-1].conj() * u[1:]
         return n[2] * self.ops.m, upper
 
-    def _darkened(self, v0, points) -> np.ndarray:
-        """v0 after the dark zone at each of points, one column per point."""
-        return v0[:, None] * np.exp(-1j * self.rate * np.outer(self.ops.m, points))
-
     def _blockwise(self, out, where, values_at):
         """out[where] = values_at(phis[where]), in blocks of points small
         enough that a (dim, block) state matrix stays in _BLOCK_ELEMENTS."""
@@ -367,7 +363,7 @@ class _Scanner:
         pgs = 2.0 * self.rate * np.real(amp[:, 0].conj() * amp[:, 1])
 
         def others(points):
-            pops = np.abs(apply_pulses(self.ops, self.post, self._darkened(v0, points), mu=mu)) ** 2
+            pops = np.abs(self.kernel.evaluate(points, mu)) ** 2
             return np.delete(pops, index, axis=0).sum(axis=0)
 
         # projector: Q^2 = Q, so the variance is p (1 - p); where 1 - p has
@@ -405,8 +401,9 @@ class _Scanner:
             with ThreadPoolExecutor(self.workers) as pool:
                 list(pool.map(sub_grid, range(blocks)))
 
-        def direct(points):
-            return _moments(middle @ self._darkened(v0, points), diag, upper)[1]
+        def direct(points):  # v0 after the dark zone, one column per point
+            darkened = v0[:, None] * np.exp(-1j * self.rate * np.outer(self.ops.m, points))
+            return _moments(middle @ darkened, diag, upper)[1]
 
         return self._interpolate(mean, var, self.dims.n_atoms, self.rate, direct)
 
@@ -528,13 +525,9 @@ def sensitivity_at(
     mu_override: float | None = None,
 ) -> SensitivityResult:
     """Lambda = |dS/dphi| / DeltaS at a single finite phi."""
-    _, sds, pgs = _Scanner(spec, dims, ops, [phi]).arrays(mu_override)
-    mu = _spec_mu(spec, mu_override)
-    if sds[0] < noise_floor(dims.n_atoms):
-        return SensitivityResult(lam=None, phi_star=float(phi), mu=mu)
-    return SensitivityResult(
-        lam=float(abs(pgs[0]) / sds[0]), phi_star=float(phi), mu=mu
-    )
+    point = fringe_scan(spec, dims, ops, [phi], mu_override)[0]
+    return SensitivityResult(lam=point_sensitivity(point, dims), phi_star=point.phi,
+                             mu=_spec_mu(spec, mu_override))
 
 
 def _spec_mu(spec: ProtocolSpec, mu_override) -> float:

@@ -9,7 +9,7 @@ pulses bind mu; everything else is fixed at construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -26,8 +26,6 @@ from catspin.dicke import (
     rotate_pulse,
     squeeze_pulse,
 )
-
-PROTOCOL_IDS = ("crain", "scain", "cac", "cosac", "scac")
 
 ORACLE_MAX_ATOMS = 4
 
@@ -145,86 +143,43 @@ class ProtocolSpec:
         )
 
 
+# id: (dark-zone core, cat wrapper or not, default detection, CSD index of a
+# detection left unset: interferometers read the bottom state, clocks the top)
+_ECHO = (dark_pulse(0.5, +1), rotate_pulse("x", np.pi), dark_pulse(0.5, -1))
+_CLOCK = (dark_pulse(1.0, +1),)
+_BUILTINS = {
+    "crain": (_ECHO, False, Detection("cd"), 0),
+    "scain": (_ECHO, True, Detection("cd"), 0),
+    "cac": (_CLOCK, False, Detection("cd", add_j=True), -1),
+    "cosac": (_CLOCK, False, Detection("csd", index=-1), -1),
+    "scac": (_CLOCK, True, Detection("cd"), -1),
+}
+PROTOCOL_IDS = tuple(_BUILTINS)
+
+
 def builtin(protocol_id: str, params: ProtocolParams | None = None) -> ProtocolSpec:
-    """Build one of the five built-in protocols.
+    """Build one of the five built-in protocols: x pi/2, core, x pi/2.
 
-    CRAIN   pi/2 - dark(phi/2) - pi - dark(phi/2) - pi/2, all about x.
-    SCAIN   CRAIN with squeeze + auxiliary rotation inserted after the first
-            pi/2 and their correction (sign xi) + unsqueeze before the last.
-    CAC     pi/2 - dark(phi) - pi/2 Ramsey clock; signal is j + <J_z>.
-    COSAC   CAC pulses, detecting the population of |E_N>.
-    SCAC    CAC with squeeze/rotation and correction/unsqueeze around the
-            dark zone.
+    The core of the interferometer CRAIN is the spin echo dark(phi/2), x pi,
+    dark(phi/2); that of the clock CAC (signal j + <J_z>) is one dark(phi),
+    and COSAC is CAC detecting |E_N>.  SCAIN and SCAC are CRAIN and CAC plus
+    the cat wrapper: squeeze(mu, -1) and a pi/2 rotation about ara before the
+    core, the correction (angle xi pi/2) and unsqueeze(mu, +1) after it.
     """
-    if params is None:
-        params = ProtocolParams()
+    params = ProtocolParams() if params is None else params
     pid = protocol_id.lower()
-    mu, ara, xi = params.mu, params.ara, params.xi
-    half = np.pi / 2
-
-    if pid == "crain":
-        pulses = (
-            rotate_pulse("x", half),
-            dark_pulse(0.5, +1),
-            rotate_pulse("x", np.pi),
-            dark_pulse(0.5, -1),
-            rotate_pulse("x", half),
-        )
-        detection = params.detection or Detection("cd")
-        name = "CRAIN"
-    elif pid == "scain":
-        pulses = (
-            rotate_pulse("x", half),
-            squeeze_pulse(mu, -1),
-            rotate_pulse(ara, half),
-            dark_pulse(0.5, +1),
-            rotate_pulse("x", np.pi),
-            dark_pulse(0.5, -1),
-            rotate_pulse(ara, xi * half),
-            squeeze_pulse(mu, +1),
-            rotate_pulse("x", half),
-        )
-        detection = params.detection or Detection("cd")
-        name = "SCAIN"
-    elif pid == "cac":
-        pulses = (
-            rotate_pulse("x", half),
-            dark_pulse(1.0, +1),
-            rotate_pulse("x", half),
-        )
-        detection = params.detection or Detection("cd", add_j=True)
-        name = "CAC"
-    elif pid == "cosac":
-        pulses = (
-            rotate_pulse("x", half),
-            dark_pulse(1.0, +1),
-            rotate_pulse("x", half),
-        )
-        # index -1 marks "topmost collective state"; resolved against dims at
-        # measurement time by observables.
-        detection = params.detection or Detection("csd", index=-1)
-        name = "COSAC"
-    elif pid == "scac":
-        pulses = (
-            rotate_pulse("x", half),
-            squeeze_pulse(mu, -1),
-            rotate_pulse(ara, half),
-            dark_pulse(1.0, +1),
-            rotate_pulse(ara, xi * half),
-            squeeze_pulse(mu, +1),
-            rotate_pulse("x", half),
-        )
-        detection = params.detection or Detection("cd")
-        name = "SCAC"
-    else:
+    if pid not in _BUILTINS:
         raise ValueError(f"unknown protocol {protocol_id!r}; choose from {PROTOCOL_IDS}")
-
+    core, cat, detection, csd_index = _BUILTINS[pid]
+    if cat:
+        half = np.pi / 2
+        core = (squeeze_pulse(params.mu, -1), rotate_pulse(params.ara, half), *core,
+                rotate_pulse(params.ara, params.xi * half), squeeze_pulse(params.mu, +1))
+    detection = params.detection or detection
     if detection.kind == "csd" and detection.index is None:
-        # interferometers read out the bottom state, clocks the top one
-        default_index = 0 if pid in ("crain", "scain") else -1
-        detection = Detection("csd", index=default_index, add_j=detection.add_j)
-
-    spec = ProtocolSpec(name=name, pulses=pulses, detection=detection)
+        detection = replace(detection, index=csd_index)
+    outer = rotate_pulse("x", np.pi / 2)
+    spec = ProtocolSpec(name=pid.upper(), pulses=(outer, *core, outer), detection=detection)
     spec.validate()
     return spec
 

@@ -369,6 +369,15 @@ class TestQpdCommand:
         assert data.size == 9 * 12
         assert data.max() <= 1.0 + 1e-12
 
+    def test_raw_format_writes_one_manifest(self, tmp_path):
+        # the .bin.json sidecar shares the .bin's manifest
+        out = tmp_path / "q.bin"
+        assert main(["qpd", "--n", "4", "--stage", "B", "--grid", "3x4", "--format", "raw",
+                     "--out", str(out)]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["q.bin", "q.bin.json", "q.bin.manifest.json"]
+        manifest = json.loads((tmp_path / "q.bin.manifest.json").read_text())
+        assert manifest["options"]["grid"] == [3, 4]
+
     def test_raw_bytes_match_write_field_raw(self, tmp_path):
         out = tmp_path / "q.bin"
         argv = ["qpd", "--protocol", "scac", "--n", "5", "--stage", "c", "--grid", "7x10"]
@@ -488,6 +497,8 @@ class TestExplicitZeroAndFileTypes:
         ["fringe", "--n", "4", "--phi-range", "0:1:5", "--threads", "0"],
         ["fringe", "--n", "4", "--phi-range", "0:1:5", "--threads", "-1"],
         ["sensitivity", "--n", "4", "--mu-range", "0:0.5pi:3", "--threads", "0"],
+        ["cavity", "--n", "1e4", "--coop-range", "0:1:3"],
+        ["cavity", "--n", "1e4", "--coop-range", "-1:1:3"],
     ])
     def test_out_of_domain_values(self, tmp_path, capsys, argv):
         out = str(tmp_path / "x.out")
@@ -612,7 +623,7 @@ _FLAG_VALUES = {
     "--stage": (["A", "c", "J"], ["Z", "", "AB", "1"]),
     "--grid": (["3x4", "2x50", "5x5"], ["1x1", "0x0", "-1x3", "3x", "axb", "nan"]),
     "--format": (["csv", "raw"], ["xml"]),
-    "--coop-range": (_POSITIVE_RANGES, _BAD_RANGES),
+    "--coop-range": (_POSITIVE_RANGES, [*_BAD_RANGES, "0:1:3", "-1:1:3"]),
     "--en-range": (_POSITIVE_RANGES, _BAD_RANGES),
     "--delta-tilde": (["1", "2.5", "1e-3"], _BAD_NUMBERS),
     "--power": (["1e-3", "2e-3"], _BAD_NUMBERS),

@@ -90,6 +90,26 @@ class TestBuiltins:
             ("rotate", "x", HALF),
         ]
 
+    @pytest.mark.parametrize("xi", [1, -1])
+    @pytest.mark.parametrize("ara", ["x", "y"])
+    def test_exact_pulse_sequences(self, ara, xi):
+        mu = 0.3
+        x90, x180 = ("rotate", "x", HALF), ("rotate", "x", np.pi)
+        cat_in, cat_out = [("squeeze", mu, -1), ("rotate", ara, HALF)], [
+            ("rotate", ara, xi * HALF), ("squeeze", mu, 1)]
+        echo, clock = [("dark", 0.5, 1), x180, ("dark", 0.5, -1)], [("dark", 1.0, 1)]
+        expected = {
+            "crain": [x90, *echo, x90],
+            "scain": [x90, *cat_in, *echo, *cat_out, x90],
+            "cac": [x90, *clock, x90],
+            "cosac": [x90, *clock, x90],
+            "scac": [x90, *cat_in, *clock, *cat_out, x90],
+        }
+        for pid, pulses in expected.items():
+            spec = builtin(pid, ProtocolParams(mu=mu, ara=ara, xi=xi))
+            assert spec.name == pid.upper()
+            assert [pulse_signature(p) for p in spec.pulses] == pulses, pid
+
     def test_ara_y_moves_auxiliary_rotations_only(self):
         spec = builtin("scain", ProtocolParams(mu=HALF, ara="y", xi=1))
         axes = [p.axis for p in spec.pulses if p.kind == "rotate"]
