@@ -37,7 +37,8 @@ from catspin.cavity import (
     steady_state_amplitude,
 )
 from catspin.dicke import DimensionError, EnsembleDims, build_operator_set
-from catspin.husimi import default_grid, field_to_csv_rows, qpd_field, raw_layout
+from catspin.husimi import (
+    default_grid, field_to_csv_rows, qpd_field, quadrature_residual, raw_layout)
 from catspin.observables import (
     collective_distribution,
     excess_noise_curve,
@@ -443,15 +444,14 @@ def _cmd_qpd(opts) -> tuple[list[str], dict]:
     state = run(spec, dims, ops, opts["phi"], n_pulses=n_pulses)
     field = qpd_field(state, default_grid(*(opts["grid"] or ())))
     out = opts["out"]
-    stage = opts["stage"].strip().upper()
-
+    record = {"health": {"husimi_residual": quadrature_residual(field, dims.n_atoms)}}
     if opts["fmt"] == "raw":
-        data, meta = raw_layout(field, dims.n_atoms, stage)
+        data, meta = raw_layout(field, dims.n_atoms, opts["stage"].strip().upper())
         _atomic_write_bytes(out, data)
         _write_json(out + ".json", meta)  # the sidecar shares the .bin's manifest
-        return [out], {}
-    return _write_csv(out, ["theta", "phi", "q"], (
-        [fmt(theta), fmt(phi), fmt(q)] for theta, phi, q in field_to_csv_rows(field))), {}
+        return [out], record
+    rows = ([fmt(theta), fmt(phi), fmt(q)] for theta, phi, q in field_to_csv_rows(field))
+    return _write_csv(out, ["theta", "phi", "q"], rows), record
 
 
 def _cmd_collective(opts) -> tuple[list[str], dict]:

@@ -3,11 +3,11 @@
 Q(theta, phi) is the squared overlap of the state with the coherent spin
 state pointing along (theta, phi).  With the coherent-state resolution of
 identity, (N+1)/(4 pi) times the integral of Q over the sphere is 1.
-quadrature() takes it with a rectangle rule.  The phi sum is exact (a
-full period of a trigonometric polynomial), the theta sum is not: on the
-default 181 x 361 grid the Dicke states give 0.99948 .. 1.0000002 at N = 40
-but 0.9475 .. 1.0018 at N = 4000, where Q near a pole is narrower than the
-theta step.
+quadrature() takes it with a rectangle rule over the whole sphere.  The
+theta sum is not exact: on the default 181 x 361 grid the Dicke states give
+0.99948 .. 1.0000002 at N = 40 but 0.9475 .. 1.0018 at N = 4000, where Q
+near a pole is narrower than the theta step.  The phi sum is exact while
+n_phi > N; past that, quadrature_residual() reads the aliasing.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ class QpdField:
 
     grid: SphereGrid
     values: np.ndarray
+    phi_means: np.ndarray | None = None  # exact phi average of Q per theta row
 
     def __post_init__(self):
         expected = (self.grid.thetas.size, self.grid.phis.size)
@@ -73,11 +74,17 @@ def _css_row_factors(n_atoms: int, thetas: np.ndarray) -> np.ndarray:
     return np.exp(css_log_magnitudes(n_atoms, c, s))
 
 
+def _is_lattice(axis: np.ndarray, stop: float, endpoint: bool) -> bool:
+    """Whether axis is the uniform lattice from 0 to stop, within 1e-12."""
+    return np.allclose(axis, np.linspace(0, stop, len(axis), endpoint=endpoint), rtol=0, atol=1e-12)
+
+
 def evaluate_qpd_point(state: SpinState, theta: float, phi: float) -> float:
-    """Q at a single direction."""
-    n = state.dims.n_atoms
-    k = np.arange(n + 1)
-    factors = _css_row_factors(n, np.array([theta]))[0]
+    """Q at a single direction, theta in [0, pi] as on a SphereGrid."""
+    if not (-1e-12 <= theta <= np.pi + 1e-12 and np.isfinite(phi)):
+        raise ValueError(f"need theta in [0, pi] and a finite phi, got ({theta}, {phi})")
+    factors = _css_row_factors(state.dims.n_atoms, np.array([theta]))[0]
+    k = np.arange(factors.size)
     overlap = np.sum(np.conj(state.amps[::-1]) * factors * np.exp(1j * k * phi))
     return float(abs(overlap) ** 2)
 
@@ -85,28 +92,36 @@ def evaluate_qpd_point(state: SpinState, theta: float, phi: float) -> float:
 def qpd_field(state: SpinState, grid: SphereGrid) -> QpdField:
     """Pointwise Q over the grid.
 
-    The overlap factorizes as sum_k conj(psi_{N-k}) c_k(theta) e^{i k phi},
-    so the whole field is one (n_theta x dim) @ (dim x n_phi) product.
+    The overlap is sum_k conj(psi_{N-k}) c_k(theta) e^{i k phi}.  On the lattice phi_j =
+    2 pi j / n_phi, e^{i k phi_j} has period n_phi in k, so the weighted coefficients are summed
+    modulo n_phi and the field is one (n_theta x p) @ (p x n_phi) product, p = min(dim, n_phi):
+    O(n_theta (dim + n_phi^2)).  Other grids keep p = dim.  At N = 4000 on 181 x 361, SCAIN cat
+    stages are within 2.5e-14 of exact phases (k j mod n_phi, long double); 1.1e-13 unfolded.
     """
     n = state.dims.n_atoms
-    k = np.arange(n + 1)
     factors = _css_row_factors(n, grid.thetas)  # (n_theta, dim)
     weighted = factors * np.conj(state.amps[::-1])[None, :]
-    phase = np.outer(1j * k, grid.phis)  # (dim, n_phi)
-    np.exp(phase, out=phase)
-    overlap = weighted @ phase
-    return QpdField(grid=grid, values=np.abs(overlap) ** 2)
+    phi_means = np.square(factors) @ np.abs(state.amps[::-1]) ** 2
+    period = min(n + 1, grid.phis.size) if _is_lattice(grid.phis, 2 * np.pi, False) else n + 1
+    folded = weighted[:, :period]
+    for start in range(period, n + 1, period):  # slice-adds, the last one may be short
+        folded[:, : min(period, n + 1 - start)] += weighted[:, start : start + period]
+    phase = np.exp(np.outer(1j * np.arange(period), grid.phis))  # (p, n_phi)
+    return QpdField(grid=grid, values=np.abs(folded @ phase) ** 2, phi_means=phi_means)
 
 
 def quadrature(field: QpdField, n_atoms: int) -> float:
-    """(N+1)/(4 pi) * sum Q sin(theta) dtheta dphi on a uniform grid."""
+    """(N+1)/(4 pi) * sum Q sin(theta) dtheta dphi over the whole sphere."""
     thetas, phis = field.grid.thetas, field.grid.phis
-    dtheta = np.diff(thetas)
-    dphi = np.diff(phis)
-    if not (np.allclose(dtheta, dtheta[0]) and np.allclose(dphi, dphi[0])):
-        raise ValueError("quadrature needs uniform grid spacing")
+    if not (_is_lattice(thetas, np.pi, True) and _is_lattice(phis, 2 * np.pi, False)):
+        raise ValueError("quadrature needs thetas uniform on [0, pi] and phis 2 pi j / n_phi")
     total = float(np.sum(field.values * np.sin(thetas)[:, None]))
-    return (n_atoms + 1) / (4 * np.pi) * total * dtheta[0] * dphi[0]
+    return (n_atoms + 1) / (4 * np.pi) * total * np.pi / (thetas.size - 1) * 2 * np.pi / phis.size
+
+
+def quadrature_residual(field: QpdField, n_atoms: int) -> float:
+    """quadrature() less sum_j |psi_j|^2 quadrature(|E_j>): phi aliasing plus rounding."""
+    return quadrature(QpdField(field.grid, field.values - field.phi_means[:, None]), n_atoms)
 
 
 # --- export -----------------------------------------------------------------

@@ -378,6 +378,16 @@ class TestQpdCommand:
         manifest = json.loads((tmp_path / "q.bin.manifest.json").read_text())
         assert manifest["options"]["grid"] == [3, 4]
 
+    @pytest.mark.parametrize("fmt, name", [("csv", "q.csv"), ("raw", "q.bin")])
+    def test_manifest_records_husimi_residual(self, tmp_path, fmt, name):
+        # the quadrature less the rule's value on the stage's Dicke populations
+        out = tmp_path / name
+        assert main(["qpd", "--n", "40", "--stage", "H", "--grid", "91x60", "--format", fmt,
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert set(manifest["health"]) == {"husimi_residual"}
+        assert abs(manifest["health"]["husimi_residual"]) <= 1e-14
+
     def test_raw_bytes_match_write_field_raw(self, tmp_path):
         out = tmp_path / "q.bin"
         argv = ["qpd", "--protocol", "scac", "--n", "5", "--stage", "c", "--grid", "7x10"]
