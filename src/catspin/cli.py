@@ -3,6 +3,9 @@
 Every command writes its outputs atomically (temp file + rename) and drops a
 JSON run manifest beside each artifact.  Data files carry no timestamps, so
 repeated runs are byte-identical; the manifest holds the wall-clock record.
+A CSV cell is a float in '%.17g' (17 significant digits, '.' decimal,
+locale-free), an integer index in '%d', or empty where a value is
+undefined; every line, the header's too, ends in CRLF.
 
 Angles accept `0.5pi`-style literals (multiples of pi) as well as plain
 radians; ranges are `start:stop:count`.  Exit codes: 0 ok, 1 usage error,
@@ -12,7 +15,6 @@ radians; ranges are `start:stop:count`.  Exit codes: 0 ok, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -37,15 +39,13 @@ from catspin.cavity import (
     steady_state_amplitude,
 )
 from catspin.dicke import DimensionError, EnsembleDims, build_operator_set
-from catspin.husimi import (
-    default_grid, field_to_csv_rows, qpd_field, quadrature_residual, raw_layout)
+from catspin.husimi import default_grid, qpd_field, quadrature_residual, raw_layout
 from catspin.observables import (
     collective_distribution,
     excess_noise_curve,
     fringe_scan,
     noise_model_table,
     parity_average,
-    point_sensitivity,
     sensitivity_scan_mu,
 )
 from catspin.protocols import PROTOCOL_IDS, Detection, ProtocolParams, builtin, run
@@ -78,11 +78,6 @@ class _Parser(argparse.ArgumentParser):
         if action.dest != argparse.SUPPRESS:  # not --help
             self.flags[action.dest] = action
         return action
-
-
-def fmt(value: float) -> str:
-    """17-significant-digit float formatting; '.' decimal, locale-free."""
-    return format(float(value), ".17g")
 
 
 def finite(text: str) -> float:
@@ -171,13 +166,30 @@ def _atomic_write_bytes(path: str, data: bytes):
     _write_via_temp(path, True, lambda fh: fh.write(data))
 
 
-def _write_csv(path: str, header: list[str], rows) -> list[str]:
-    """Write a header and an iterable of formatted rows atomically."""
+# CSV rows formatted per write: bounds the text and cell lists held at once
+_CSV_CHUNK = 1 << 10
+
+
+def _write_csv(path: str, header: list[str], columns, blank=None) -> list[str]:
+    """Write a header and one row per element of the equal-length columns
+    atomically: '%d' cells for an integer column, '%.17g' for the others.
+    blank, a boolean (rows x columns) array, empties the cells it marks."""
+    columns = [np.asarray(c) for c in columns]
+    specs = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in columns]
+    if blank is None:
+        blank = np.zeros((len(columns[0]), len(specs)), dtype=bool)
 
     def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        # one row template per pattern of empty cells, keyed by its bits;
+        # '%.0s' takes its cell's value and prints nothing
+        keys = (blank @ (1 << np.arange(len(specs)))).tolist()
+        templates = {key: ",".join("%.0s" if key >> i & 1 else spec for i, spec in enumerate(specs))
+                     + "\r\n" for key in set(keys)}
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(keys), _CSV_CHUNK):
+            part = slice(start, start + _CSV_CHUNK)
+            rows = zip(*(c[part].tolist() for c in columns))
+            fh.write("".join(map(str.__mod__, map(templates.__getitem__, keys[part]), rows)))
 
     _atomic_write(path, write)
     return [path]
@@ -401,12 +413,13 @@ def _cmd_fringe(opts) -> tuple[list[str], dict]:
     dims, ops, spec = _protocol_setup(opts)
     phis = np.linspace(*opts["phi_range"])
     report = {}
-    points = fringe_scan(spec, dims, ops, phis, threads=opts["threads"], report=report)
-    gamma = opts["gamma"]
-    return _write_csv(opts["out"], ["phi", "signal", "sds", "pgs", "lambda"], (
-        [fmt(pt.phi), fmt(pt.signal), fmt(pt.sds), fmt(pt.pgs),
-         "" if (lam := point_sensitivity(pt, dims)) is None else fmt(lam / gamma)]
-        for pt in points)), report
+    fringe = fringe_scan(spec, dims, ops, phis, threads=opts["threads"], report=report)
+    lam, defined = fringe.sensitivity(dims)
+    report["health"]["undefined_lambda"] = int(np.count_nonzero(~defined))
+    blank = np.zeros((phis.size, 5), dtype=bool)
+    blank[:, 4] = ~defined
+    return _write_csv(opts["out"], ["phi", "signal", "sds", "pgs", "lambda"], [
+        fringe.phi, fringe.signal, fringe.sds, fringe.pgs, lam / opts["gamma"]], blank), report
 
 
 def _cmd_sensitivity(opts) -> tuple[list[str], dict]:
@@ -421,10 +434,13 @@ def _cmd_sensitivity(opts) -> tuple[list[str], dict]:
         threads=opts["threads"],
         report=report,
     )
-    gamma = opts["gamma"]
-    return _write_csv(opts["out"], ["mu", "lambda", "phi_star"], (
-        [fmt(res.mu), "" if res.lam is None else fmt(res.lam / gamma),
-         "" if math.isnan(res.phi_star) else fmt(res.phi_star)] for res in results)), report
+    undefined = np.array([res.lam is None for res in results])  # phi_star is nan there too
+    report["health"]["undefined_lambda"] = int(np.count_nonzero(undefined))
+    lam = np.array([math.nan if res.lam is None else res.lam for res in results])
+    blank = np.column_stack([np.zeros_like(undefined), undefined, undefined])
+    return _write_csv(opts["out"], ["mu", "lambda", "phi_star"], [
+        [res.mu for res in results], lam / opts["gamma"], [res.phi_star for res in results]],
+        blank), report
 
 
 def _stage_pulse_count(stage: str, n_pulses: int) -> int:
@@ -450,17 +466,17 @@ def _cmd_qpd(opts) -> tuple[list[str], dict]:
         _atomic_write_bytes(out, data)
         _write_json(out + ".json", meta)  # the sidecar shares the .bin's manifest
         return [out], record
-    rows = ([fmt(theta), fmt(phi), fmt(q)] for theta, phi, q in field_to_csv_rows(field))
-    return _write_csv(out, ["theta", "phi", "q"], rows), record
+    thetas, phis = field.grid.thetas, field.grid.phis
+    return _write_csv(out, ["theta", "phi", "q"], [  # row-major: theta outer, phi inner
+        np.repeat(thetas, phis.size), np.tile(phis, thetas.size), field.values.ravel()]), record
 
 
 def _cmd_collective(opts) -> tuple[list[str], dict]:
     dims, ops, spec = _protocol_setup(opts)
     n_pulses = _stage_pulse_count(opts["stage"], len(spec.pulses))
     state = run(spec, dims, ops, opts["phi"], n_pulses=n_pulses)
-    dist = collective_distribution(state)
-    return _write_csv(opts["out"], ["index", "m", "population"], (
-        [str(i), fmt(mm), fmt(p)] for i, (mm, p) in enumerate(zip(dims.m_values(), dist)))), {}
+    return _write_csv(opts["out"], ["index", "m", "population"], [
+        np.arange(dims.dim), dims.m_values(), collective_distribution(state)]), {}
 
 
 def _sweep(bounds: tuple[float, float, int], log: bool) -> np.ndarray:
@@ -476,25 +492,27 @@ def _sweep(bounds: tuple[float, float, int], log: bool) -> np.ndarray:
 def _cmd_cavity(opts) -> tuple[list[str], dict]:
     out = opts["out"]
     if opts["coop_range"] is not None:
-        n, rows, errors = opts["n"], [], []
-        for coop in _sweep(opts["coop_range"], opts["log"]):
+        n, coops, errors = opts["n"], _sweep(opts["coop_range"], opts["log"]), []
+        budget = np.zeros((coops.size, 3))  # theta, f_exact_db, f_approx_db
+        blank = np.zeros((coops.size, 5), dtype=bool)
+        for row, coop in enumerate(coops.tolist()):
             delta = opts["delta_tilde"]
             if delta is None:
-                delta = optimal_detuning(n, float(coop))
+                delta = optimal_detuning(n, coop)
             try:  # a row past the budget's validity keeps empty theta and f cells
-                b = improvement_factor(n, float(coop), float(delta))
-                rows.append([fmt(coop), fmt(b.theta_frac), fmt(b.f_db), fmt(b.f_approx_db)])
+                b = improvement_factor(n, coop, float(delta))
+                budget[row] = b.theta_frac, b.f_db, b.f_approx_db
             except BudgetError as exc:
                 errors.append(exc)
-                rows.append([fmt(coop), "", "", ""])
-        if len(errors) == len(rows):
+                blank[row, 1:4] = True
+        if len(errors) == coops.size:
             raise errors[0]
         if errors:
-            warnings.warn(f"{len(errors)} of {len(rows)} rows left empty, first: {errors[0]}")
-        ideal_db = fmt(10.0 * math.log10(n))
+            warnings.warn(f"{len(errors)} of {coops.size} rows left empty, first: {errors[0]}")
         return _write_csv(
             out, ["cooperativity", "theta", "f_exact_db", "f_approx_db", "f_ideal_db"],
-            (row + [ideal_db] for row in rows)), {"invalid_rows": len(errors)}
+            [coops, *budget.T, np.full(coops.size, 10.0 * math.log10(n))],
+            blank), {"invalid_rows": len(errors)}
 
     if opts["params"] is not None:
         try:
@@ -525,13 +543,12 @@ def _cmd_excess_noise(opts) -> tuple[list[str], dict]:
     table = noise_model_table(n)
     curves = [excess_noise_curve(row, n, en) for row in table.values()]
     header = ["delta_s_en"] + [name.replace("-", "_") for name in table]
-    return _write_csv(opts["out"], header, (
-        [fmt(e)] + [fmt(curve[i]) for curve in curves] for i, e in enumerate(en))), {}
+    return _write_csv(opts["out"], header, [en, *curves]), {}
 
 
 def _cmd_parity_average(opts) -> tuple[list[str], dict]:
     value = parity_average(opts["even"], opts["odd"])
-    print(fmt(value))
+    print("%.17g" % value)
     return (_write_json(opts["out"], {"parity_average": value}) if opts["out"] else []), {}
 
 

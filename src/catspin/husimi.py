@@ -127,13 +127,6 @@ def quadrature_residual(field: QpdField, n_atoms: int) -> float:
 # --- export -----------------------------------------------------------------
 
 
-def field_to_csv_rows(field: QpdField):
-    """Yield (theta, phi, q) rows in row-major order."""
-    for i, theta in enumerate(field.grid.thetas):
-        for j, phi in enumerate(field.grid.phis):
-            yield theta, phi, field.values[i, j]
-
-
 def raw_layout(field: QpdField, n_atoms: int, stage_label: str) -> tuple[bytes, dict]:
     """The raw export: row-major little-endian float64 values and the
     sidecar {n_theta, n_phi, n_atoms, stage_label}."""

@@ -92,19 +92,40 @@ def collective_distribution(state: SpinState) -> np.ndarray:
 # --- fringe machinery -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FringePoint:
-    """Signal, its standard deviation and its phase gradient at one phi."""
-
-    phi: float
-    signal: float
-    sds: float
-    pgs: float
-
-
 def noise_floor(n_atoms: int) -> float:
     """SDS below this marks the operating point degenerate (0/0 extremum)."""
     return 1e-9 * n_atoms
+
+
+def _sensitivity(sds: np.ndarray, pgs: np.ndarray, n_atoms: int):
+    """Lambda = |pgs| / sds, nan where the SDS is under the noise floor, and
+    the mask of the points where it is defined."""
+    defined = sds >= noise_floor(n_atoms)
+    lam = np.full(sds.shape, np.nan)
+    np.divide(np.abs(pgs), sds, out=lam, where=defined)
+    return lam, defined
+
+
+@dataclass(frozen=True, eq=False)
+class Fringe:
+    """Signal, its standard deviation and its phase gradient over a phi grid,
+    as read-only arrays of the grid's length."""
+
+    phi: np.ndarray
+    signal: np.ndarray
+    sds: np.ndarray
+    pgs: np.ndarray
+
+    def __post_init__(self):
+        for name in ("phi", "signal", "sds", "pgs"):
+            column = np.array(getattr(self, name), dtype=float)  # a copy: no caller shares it
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def sensitivity(self, dims: EnsembleDims) -> tuple[np.ndarray, np.ndarray]:
+        """Lambda at every phi, nan where the SDS is degenerate, and the mask
+        of the points where it is defined."""
+        return _sensitivity(self.sds, self.pgs, dims.n_atoms)
 
 
 def _resolve_csd_index(detection: Detection, dims: EnsembleDims) -> int:
@@ -267,6 +288,7 @@ class _Scanner:
         self.kernel = compile_protocol(spec, dims, ops)
         self._middle = None
         self._tables = []  # _fourier_sum's kept tables over self.phis
+        self.health = {"rounding_band_points": 0, "csd_sum_points": 0}  # _blockwise points
         self.folded = len(self.kernel.segments) <= 1
         self.workers = scan_workers(self.kernel, spec.detection, threads)
         csd = spec.detection.kind == "csd"
@@ -324,9 +346,11 @@ class _Scanner:
             upper = upper * u[:-1].conj() * u[1:]
         return n[2] * self.ops.m, upper
 
-    def _blockwise(self, out, where, values_at):
+    def _blockwise(self, out, where, values_at, count: str):
         """out[where] = values_at(phis[where]), in blocks of points small
-        enough that a (dim, block) state matrix stays in _BLOCK_ELEMENTS."""
+        enough that a (dim, block) state matrix stays in _BLOCK_ELEMENTS;
+        health[count] adds the points."""
+        self.health[count] += where.size
         step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
         for i in range(0, len(where), step):
             part = where[i : i + step]
@@ -369,7 +393,7 @@ class _Scanner:
         # projector: Q^2 = Q, so the variance is p (1 - p); where 1 - p has
         # cancelled it is the summed population of the other Dicke states
         rest = 1.0 - p
-        self._blockwise(rest, np.flatnonzero(rest < _CSD_SUM_BAND), others)
+        self._blockwise(rest, np.flatnonzero(rest < _CSD_SUM_BAND), others, "csd_sum_points")
         return p, np.sqrt(np.maximum(p * rest, 0.0)), pgs
 
     def _cd(self, mu):
@@ -450,7 +474,8 @@ class _Scanner:
         values = _fourier_sum(0.0, coefs, rate * self.phis, self._tables).real
         sds = np.sqrt(np.maximum(values[:, 2], 0.0))
         low = np.flatnonzero(sds < _ROUNDING_BAND * self.dims.n_atoms)
-        self._blockwise(sds, low, lambda points: np.sqrt(np.maximum(direct(points), 0.0)))
+        self._blockwise(sds, low, lambda points: np.sqrt(np.maximum(direct(points), 0.0)),
+                        "rounding_band_points")
         return values[:, 0], sds, rate * values[:, 1]
 
 
@@ -462,11 +487,13 @@ def fringe_scan(
     mu_override: float | None = None,
     threads: int | None = None,
     report: dict | None = None,
-) -> list[FringePoint]:
+) -> Fringe:
     """Signal/SDS/PGS at every point of a sorted phi grid.
 
     threads: see scan_workers; report, if given, receives pool_workers, the
-    threads the scan ran on.
+    threads the scan ran on, and a health block counting the points
+    recomputed in the rounding band (rounding_band_points) and those whose
+    1 - p was summed (csd_sum_points).
     """
     phis = np.asarray(phi_grid, dtype=float)
     if phis.size and not (np.all(np.isfinite(phis)) and np.all(np.diff(phis) >= 0)):
@@ -474,11 +501,8 @@ def fringe_scan(
     scanner = _Scanner(spec, dims, ops, phis, threads)
     signal, sds, pgs = scanner.arrays(mu_override)
     if report is not None:
-        report["pool_workers"] = scanner.workers
-    return [
-        FringePoint(phi=float(p), signal=float(s), sds=float(d), pgs=float(g))
-        for p, s, d, g in zip(phis, signal, sds, pgs)
-    ]
+        report.update(pool_workers=scanner.workers, health=scanner.health)
+    return Fringe(phi=phis, signal=signal, sds=sds, pgs=pgs)
 
 
 def scan_workers(kernel: CompiledProtocol, detection: Detection,
@@ -490,13 +514,6 @@ def scan_workers(kernel: CompiledProtocol, detection: Detection,
     if len(kernel.segments) > 1 or detection.kind != "cd" or dims.dim < _POOL_MIN_DIM:
         return 1
     return pool_size(threads, _sub_grids(dims)[1])
-
-
-def point_sensitivity(point: FringePoint, dims: EnsembleDims) -> float | None:
-    """Lambda at one fringe point, or None where the SDS is degenerate."""
-    if point.sds < noise_floor(dims.n_atoms):
-        return None
-    return abs(point.pgs) / point.sds
 
 
 # --- sensitivity ------------------------------------------------------------
@@ -525,9 +542,10 @@ def sensitivity_at(
     mu_override: float | None = None,
 ) -> SensitivityResult:
     """Lambda = |dS/dphi| / DeltaS at a single finite phi."""
-    point = fringe_scan(spec, dims, ops, [phi], mu_override)[0]
-    return SensitivityResult(lam=point_sensitivity(point, dims), phi_star=point.phi,
-                             mu=_spec_mu(spec, mu_override))
+    fringe = fringe_scan(spec, dims, ops, [phi], mu_override)
+    lam, defined = fringe.sensitivity(dims)
+    return SensitivityResult(lam=float(lam[0]) if defined[0] else None,
+                             phi_star=float(fringe.phi[0]), mu=_spec_mu(spec, mu_override))
 
 
 def _spec_mu(spec: ProtocolSpec, mu_override) -> float:
@@ -572,18 +590,16 @@ def sensitivity_scan_mu(
     scale = dims.n_atoms if normalize_hl else 1.0
 
     scanner = _Scanner(spec, dims, ops, phi_window, threads)
-    if report is not None:
-        report["pool_workers"] = scanner.workers
     results = []
     for mu in mu_grid:
         _, sds, pgs = scanner.arrays(float(mu))
-        valid = sds >= noise_floor(dims.n_atoms)
+        lam, valid = _sensitivity(sds, pgs, dims.n_atoms)
         if not valid.any():
             results.append(
                 SensitivityResult(lam=None, phi_star=math.nan, mu=float(mu), normalization=note)
             )
             continue
-        lam = np.where(valid, np.abs(pgs) / np.where(valid, sds, 1.0), -np.inf)
+        lam[~valid] = -np.inf
         best = lam.max()
         first = int(np.argmax(lam >= best * (1.0 - 1e-9)))
         results.append(
@@ -594,6 +610,8 @@ def sensitivity_scan_mu(
                 normalization=note,
             )
         )
+    if report is not None:
+        report.update(pool_workers=scanner.workers, health=scanner.health)
     return results
 
 
@@ -619,7 +637,10 @@ def central_fringe_fwhm(
 
     The depth reference is the extreme signal value inside the window; the
     crossings nearest phi = 0 on each side are interpolated linearly.
+    n_points must be odd and at least 3, so that the middle point is phi = 0.
     """
+    if n_points < 3 or n_points % 2 == 0:
+        raise ValueError(f"n_points must be odd and >= 3, got {n_points}")
     phis = np.linspace(-half_window, half_window, n_points)
     signal, _, _ = _Scanner(spec, dims, ops, phis).arrays(mu_override)
     center = n_points // 2

@@ -7,19 +7,20 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catspin.cavity import BudgetError, improvement_factor, optimal_detuning
 from catspin.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     UsageError,
     _atomic_write,
     _atomic_write_bytes,
-    fmt,
     main,
     parse_angle,
     parse_config,
@@ -27,7 +28,17 @@ from catspin.cli import (
 )
 import catspin
 import catspin.observables as observables
-from catspin.husimi import QpdField, default_grid, raw_layout, read_field_raw
+from catspin.husimi import QpdField, default_grid, qpd_field, raw_layout, read_field_raw
+from catspin.observables import (
+    collective_distribution,
+    excess_noise_curve,
+    fringe_scan,
+    noise_floor,
+    noise_model_table,
+    sensitivity_scan_mu,
+)
+from catspin.protocols import Detection, ProtocolParams, builtin, run
+from conftest import cached_ops
 
 
 def read_csv(path):
@@ -358,6 +369,15 @@ class TestQpdCommand:
         assert pops[0] == pytest.approx(0.5, abs=1e-12)
         assert pops[40] == pytest.approx(0.5, abs=1e-12)
 
+    def test_csv_rows_row_major(self, tmp_path):
+        out = tmp_path / "q.csv"
+        assert main(["qpd", "--n", "40", "--stage", "D", "--grid", "3x4", "--out", str(out)]) == 0
+        grid = default_grid(3, 4)
+        rows = np.array(read_csv(out)[1:], dtype=float)
+        assert len(rows) == 12
+        assert rows[0, 0] == grid.thetas[0] and rows[0, 1] == grid.phis[0]
+        assert rows[4, 0] == grid.thetas[1] and rows[4, 1] == grid.phis[0]
+
     def test_raw_format_with_sidecar(self, tmp_path):
         out = tmp_path / "q.bin"
         rc = main(["qpd", "--protocol", "scain", "--n", "6", "--stage", "B",
@@ -599,10 +619,172 @@ class TestParityAverageCommand:
         assert payload["parity_average"] == pytest.approx(10 / math.sqrt(2))
 
 
+def fmt(value: float) -> str:
+    """The cell format of the per-row writer that the columnar one replaced."""
+    return format(float(value), ".17g")
+
+
 class TestFormatting:
-    def test_seventeen_significant_digits(self):
-        assert fmt(math.pi) == "3.1415926535897931"
-        assert float(fmt(1 / 3)) == 1 / 3  # round trip
+    def test_seventeen_significant_digits(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert main(["fringe", "--n", "4", "--phi-range", "0:pi:2", "--out", str(out)]) == 0
+        assert read_csv(out)[2][0] == "3.1415926535897931"
+        assert main(["parity-average", "--even", "1", "--odd", "0"]) == 0
+        assert float(capsys.readouterr().out) == math.sqrt(0.5)  # round trip
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_percent_template_is_format(self, x):
+        # the CSV writer's '%.17g' cells are fmt()'s format(x, '.17g') cells
+        assert "%.17g" % x == format(x, ".17g") == fmt(x)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                                   1e16, 1e17, sys.float_info.max, -sys.float_info.max])
+    def test_percent_template_at_the_edges(self, x):
+        assert "%.17g" % x == format(x, ".17g") == fmt(x)
+
+
+# --- the columnar CSV writer against the parent's per-row path -------------------
+
+
+def _parent_csv(header, rows) -> bytes:
+    """csv.writer over fmt()-formatted rows: how every CSV was written before
+    the columnar writer, kept as its reference."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode()
+
+
+def _spec(protocol="scain", mu="0.5pi", xi=-1, ara="x", detection="cd", csd_index=None):
+    det = Detection("csd", index=csd_index) if detection == "csd" else None
+    params = ProtocolParams(mu=parse_angle(mu), ara=ara, xi=xi, detection=det)
+    return builtin(protocol, params)
+
+
+def _parent_fringe(n, phi_range, gamma=1.0, **spec):
+    ops = cached_ops(n)
+    fringe = fringe_scan(_spec(**spec), ops.dims, ops, np.linspace(*parse_range(phi_range)))
+    rows = []
+    for phi, signal, sds, pgs in zip(fringe.phi, fringe.signal, fringe.sds, fringe.pgs):
+        lam = None if sds < noise_floor(n) else abs(pgs) / sds  # point_sensitivity
+        rows.append([fmt(phi), fmt(signal), fmt(sds), fmt(pgs),
+                     "" if lam is None else fmt(lam / gamma)])
+    return _parent_csv(["phi", "signal", "sds", "pgs", "lambda"], rows)
+
+
+def _parent_sensitivity(n, mu_range, phi_window=None, normalize_hl=False, gamma=1.0, **spec):
+    ops = cached_ops(n)
+    window = None if phi_window is None else np.linspace(*parse_range(phi_window))
+    results = sensitivity_scan_mu(_spec(**spec), ops.dims, ops,
+                                  np.linspace(*parse_range(mu_range)), window, normalize_hl)
+    return _parent_csv(["mu", "lambda", "phi_star"], (
+        [fmt(res.mu), "" if res.lam is None else fmt(res.lam / gamma),
+         "" if math.isnan(res.phi_star) else fmt(res.phi_star)] for res in results))
+
+
+def _stage_state(n, phi, stage, **spec):
+    ops = cached_ops(n)
+    return run(_spec(**spec), ops.dims, ops, parse_angle(phi), n_pulses=ord(stage) - ord("A"))
+
+
+def _parent_qpd(n, phi, stage, **spec):
+    field = qpd_field(_stage_state(n, phi, stage, **spec), default_grid())
+    rows = ([fmt(theta), fmt(phi), fmt(field.values[i, j])]  # field_to_csv_rows
+            for i, theta in enumerate(field.grid.thetas)
+            for j, phi in enumerate(field.grid.phis))
+    return _parent_csv(["theta", "phi", "q"], rows)
+
+
+def _parent_collective(n, phi, stage, **spec):
+    state = _stage_state(n, phi, stage, **spec)
+    dist = collective_distribution(state)
+    return _parent_csv(["index", "m", "population"], (
+        [str(i), fmt(mm), fmt(p)] for i, (mm, p) in enumerate(zip(state.dims.m_values(), dist))))
+
+
+def _parent_cavity(n, coop_range):
+    rows = []
+    for coop in np.geomspace(*parse_range(coop_range, angle=False)):
+        try:
+            b = improvement_factor(n, float(coop), optimal_detuning(n, float(coop)))
+            rows.append([fmt(coop), fmt(b.theta_frac), fmt(b.f_db), fmt(b.f_approx_db)])
+        except BudgetError:
+            rows.append([fmt(coop), "", "", ""])
+    ideal_db = fmt(10.0 * math.log10(n))
+    return _parent_csv(["cooperativity", "theta", "f_exact_db", "f_approx_db", "f_ideal_db"],
+                       (row + [ideal_db] for row in rows))
+
+
+def _parent_excess_noise(n, en_range):
+    en = np.geomspace(*parse_range(en_range, angle=False))
+    table = noise_model_table(n)
+    curves = [excess_noise_curve(row, n, en) for row in table.values()]
+    header = ["delta_s_en"] + [name.replace("-", "_") for name in table]
+    return _parent_csv(header, (
+        [fmt(e)] + [fmt(curve[i]) for curve in curves] for i, e in enumerate(en)))
+
+
+_WRITER_CASES = {
+    # Dicke states at every point: three empty lambda cells
+    "fringe-empty-lambda": (["fringe", "--n", "40", "--phi-range", "-pi:pi:3"],
+                            lambda: _parent_fringe(40, "-pi:pi:3")),
+    "fringe-odd-gamma": (["fringe", "--n", "41", "--mu", "0.25pi", "--ara", "y",
+                          "--phi-range", "-0.1pi:0.1pi:201", "--gamma", "2.5"],
+                         lambda: _parent_fringe(41, "-0.1pi:0.1pi:201", 2.5, mu="0.25pi",
+                                                ara="y")),
+    "fringe-csd": (["fringe", "--protocol", "scac", "--n", "40", "--detection", "csd",
+                    "--csd-index", "-1", "--xi", "1", "--phi-range", "-pi:pi:401"],
+                   lambda: _parent_fringe(40, "-pi:pi:401", protocol="scac", xi=1,
+                                          detection="csd", csd_index=-1)),
+    # a window of phi = 0 alone: every row has empty lambda and phi_star cells
+    "sensitivity-undefined": (["sensitivity", "--n", "40", "--mu-range", "0:0.5pi:3",
+                               "--phi-window", "0:0:2"],
+                              lambda: _parent_sensitivity(40, "0:0.5pi:3", "0:0:2")),
+    "sensitivity-hl": (["sensitivity", "--n", "41", "--xi", "1", "--mu-range", "0:0.5pi:11",
+                        "--normalize-hl", "--gamma", "3"],
+                       lambda: _parent_sensitivity(41, "0:0.5pi:11", normalize_hl=True,
+                                                   gamma=3.0, xi=1)),
+    "qpd-default-grid": (["qpd", "--n", "41", "--phi", "0.25pi", "--stage", "D"],
+                         lambda: _parent_qpd(41, "0.25pi", "D")),
+    "collective-odd": (["collective", "--n", "41", "--phi", "0.25pi", "--stage", "J"],
+                       lambda: _parent_collective(41, "0.25pi", "J")),
+    # 4 of the 61 rows lie past the budget and keep empty theta and f cells
+    "cavity-empty-rows": (["cavity", "--n", "1e4", "--coop-range", "1e-4:10:61", "--log"],
+                          lambda: _parent_cavity(1e4, "1e-4:10:61")),
+    "excess-noise": (["excess-noise", "--n", "10000", "--en-range", "0.01:1e7:241", "--log"],
+                     lambda: _parent_excess_noise(10000, "0.01:1e7:241")),
+}
+
+
+class TestColumnarWriter:
+    @pytest.mark.parametrize("case", sorted(_WRITER_CASES))
+    def test_bytes_match_the_per_row_writer(self, tmp_path, case):
+        argv, parent = _WRITER_CASES[case]
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the cavity sweep's empty-rows warning
+            assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == parent()
+
+    @pytest.mark.parametrize("argv, health", [
+        (["fringe", "--n", "40", "--phi-range", "-pi:pi:3"],
+         {"undefined_lambda": 3, "rounding_band_points": 3, "csd_sum_points": 0}),
+        (["sensitivity", "--n", "40", "--mu-range", "0:0.5pi:3", "--phi-window", "0:0:2"],
+         {"undefined_lambda": 3, "rounding_band_points": 6, "csd_sum_points": 0}),
+        (["fringe", "--n", "40", "--detection", "csd", "--csd-index", "0",
+          "--phi-range", "-0.0008:0.0008:5"],
+         {"undefined_lambda": 1, "rounding_band_points": 0, "csd_sum_points": 3}),
+    ])
+    def test_manifest_health_counts(self, tmp_path, argv, health):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert manifest["health"] == health
+        header, *rows = read_csv(out)
+        empty = sum(row[header.index("lambda")] == "" for row in rows)
+        assert manifest["health"]["undefined_lambda"] == empty
 
 
 # --- argv gate ------------------------------------------------------------------

@@ -10,7 +10,6 @@ from catspin.husimi import (
     _css_row_factors,
     default_grid,
     evaluate_qpd_point,
-    field_to_csv_rows,
     qpd_field,
     quadrature,
     quadrature_residual,
@@ -357,14 +356,6 @@ class TestResidual:
 
 
 class TestExport:
-    def test_csv_rows_row_major(self, dims40):
-        grid = default_grid(3, 4)
-        field = qpd_field(css_state(dims40, 0.5, 0.5), grid)
-        rows = list(field_to_csv_rows(field))
-        assert len(rows) == 12
-        assert rows[0][0] == grid.thetas[0] and rows[0][1] == grid.phis[0]
-        assert rows[4][0] == grid.thetas[1] and rows[4][1] == grid.phis[0]
-
     def test_raw_round_trip(self, dims40, tmp_path):
         field = qpd_field(css_state(dims40, 0.9, 2.8), default_grid(11, 13))
         path = tmp_path / "field.bin"

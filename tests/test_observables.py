@@ -13,7 +13,7 @@ from catspin.dicke import (
     css_state,
 )
 from catspin.observables import (
-    FringePoint,
+    Fringe,
     central_fringe_fwhm,
     collective_distribution,
     collective_population,
@@ -24,7 +24,6 @@ from catspin.observables import (
     fringe_scan,
     noise_model_table,
     parity_average,
-    point_sensitivity,
     pool_size,
     scan_workers,
     sensitivity_at,
@@ -132,31 +131,37 @@ class TestFringeScan:
             ops = cached_ops(n)
             spec = builtin("cosac")
             phis = np.linspace(-np.pi, np.pi, 41)
-            points = fringe_scan(spec, ops.dims, ops, phis)
-            for pt in points:
-                assert pt.signal == pytest.approx(
-                    np.cos(pt.phi / 2) ** (2 * n), abs=1e-9
-                )
+            fringe = fringe_scan(spec, ops.dims, ops, phis)
+            assert fringe.signal == pytest.approx(
+                np.cos(fringe.phi / 2) ** (2 * n), abs=1e-9
+            )
 
     def test_cac_closed_form(self):
         for n in (5, 40, 100):
             ops = cached_ops(n)
             spec = builtin("cac")
-            points = fringe_scan(spec, ops.dims, ops, np.linspace(-2.0, 2.0, 21))
-            for pt in points:
-                assert pt.signal == pytest.approx(
-                    n * np.cos(pt.phi / 2) ** 2, abs=1e-9
-                )
+            fringe = fringe_scan(spec, ops.dims, ops, np.linspace(-2.0, 2.0, 21))
+            assert fringe.signal == pytest.approx(
+                n * np.cos(fringe.phi / 2) ** 2, abs=1e-9
+            )
 
     def test_scain_period_and_zero_crossings(self, dims40, ops40):
         period = 2 * np.pi / 40
         phis = np.linspace(-np.pi / 20, np.pi / 20, 401)
-        points = fringe_scan(scain(), dims40, ops40, phis)
-        signal = np.array([p.signal for p in points])
+        signal = fringe_scan(scain(), dims40, ops40, phis).signal
         shifted = fringe_scan(scain(), dims40, ops40, phis + period)
-        assert np.max(np.abs(signal - [p.signal for p in shifted])) < 1e-9
+        assert np.max(np.abs(signal - shifted.signal)) < 1e-9
         crossings = np.sum(np.diff(np.sign(signal)) != 0)
         assert crossings == 4
+
+    def test_columns_are_read_only_copies(self, dims40, ops40):
+        phis = np.linspace(-0.1, 0.1, 5)
+        fringe = fringe_scan(scain(), dims40, ops40, phis)
+        for column in (fringe.phi, fringe.signal, fringe.sds, fringe.pgs):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        phis[0] = 1.0  # the caller's grid is not the fringe's
+        assert fringe.phi[0] == -0.1
 
     def test_rejects_unsorted_grid(self, dims40, ops40):
         with pytest.raises(ValueError):
@@ -173,10 +178,8 @@ class TestFringeScan:
         phis = np.linspace(-0.1, 0.1, 600)
         one = fringe_scan(scain(), dims40, ops40, phis)
         two = fringe_scan(scain(), dims40, ops40, phis)
-        assert all(
-            (a.signal, a.sds, a.pgs) == (b.signal, b.sds, b.pgs)
-            for a, b in zip(one, two)
-        )
+        assert all(np.array_equal(getattr(one, name), getattr(two, name))
+                   for name in ("signal", "sds", "pgs"))
 
 
 class TestSensitivity:
@@ -235,9 +238,8 @@ class TestSensitivity:
 
     def test_hl_bound_on_scan(self, dims40, ops40):
         phis = np.linspace(-0.08, 0.08, 801)
-        points = fringe_scan(scain(), dims40, ops40, phis)
-        lams = [point_sensitivity(p, dims40) for p in points]
-        assert max(l for l in lams if l is not None) <= 40 * (1 + 1e-6)
+        lam, defined = fringe_scan(scain(), dims40, ops40, phis).sensitivity(dims40)
+        assert max(lam[defined]) <= 40 * (1 + 1e-6)
 
     def test_sensitivity_independent_of_xi(self, dims41, ops41):
         lams = {}
@@ -251,10 +253,9 @@ class TestSensitivity:
         # the redo corrective rotation keeps the readout state empty for odd N
         spec = scain(xi=+1, detection=Detection("csd", index=0))
         for mu in (0.0, 0.1 * np.pi, 0.3 * np.pi, HALF):
-            points = fringe_scan(
+            signals = fringe_scan(
                 spec, dims41, ops41, np.linspace(-0.5, 0.5, 41), mu_override=mu
-            )
-            signals = [p.signal for p in points]
+            ).signal
             assert max(signals) - min(signals) < 1e-9
 
 
@@ -303,15 +304,16 @@ class TestSpectralEngine:
             for spec in self._specs():
                 squeezed = any(p.kind == "squeeze" for p in spec.pulses)
                 for mu in (None, 0.41) if squeezed else (None,):
-                    points = fringe_scan(spec, ops.dims, ops, phis, mu_override=mu)
-                    for pt in points:
-                        signal, var = self._oracle_moments(spec, n, pt.phi, mu)
-                        assert pt.signal == pytest.approx(signal, abs=1e-10)
-                        assert pt.sds == pytest.approx(math.sqrt(max(var, 0.0)), abs=1e-10)
-                        f = [self._oracle_moments(spec, n, pt.phi + k * h, mu)[0]
+                    fringe = fringe_scan(spec, ops.dims, ops, phis, mu_override=mu)
+                    for phi, got_signal, sds, pgs in zip(fringe.phi, fringe.signal,
+                                                         fringe.sds, fringe.pgs):
+                        signal, var = self._oracle_moments(spec, n, phi, mu)
+                        assert got_signal == pytest.approx(signal, abs=1e-10)
+                        assert sds == pytest.approx(math.sqrt(max(var, 0.0)), abs=1e-10)
+                        f = [self._oracle_moments(spec, n, phi + k * h, mu)[0]
                              for k in (-2, -1, 1, 2)]
                         stencil = (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
-                        assert pt.pgs == pytest.approx(stencil, abs=1e-8)
+                        assert pgs == pytest.approx(stencil, abs=1e-8)
 
     def test_sds_matches_centered_variance_of_run(self):
         rng = np.random.default_rng(7)
@@ -325,11 +327,11 @@ class TestSpectralEngine:
                     ara = str(rng.choice(["x", "y"]))
                     spec = (unfolded() if pid == "unfolded"
                             else builtin(pid, ProtocolParams(mu=mu, ara=ara)))
-                    points = fringe_scan(spec, ops.dims, ops, phis)
-                    for pt in points:
-                        p = run(spec, ops.dims, ops, pt.phi).populations()
+                    fringe = fringe_scan(spec, ops.dims, ops, phis)
+                    for phi, sds in zip(fringe.phi, fringe.sds):
+                        p = run(spec, ops.dims, ops, phi).populations()
                         centered = np.sum(p * (m - m @ p) ** 2)
-                        assert pt.sds == pytest.approx(math.sqrt(centered), abs=1e-9 * n)
+                        assert sds == pytest.approx(math.sqrt(centered), abs=1e-9 * n)
 
     def test_dicke_state_points_have_no_spurious_lambda(self, dims40, ops40):
         # at mu = 0 the final state is a Dicke state at every phi, and at
@@ -337,8 +339,9 @@ class TestSpectralEngine:
         # rounding must not make Lambda defined
         (res,) = sensitivity_scan_mu(scain(xi=1), dims40, ops40, [0.0], normalize_hl=True)
         assert res.lam is None and math.isnan(res.phi_star)
-        for pt in fringe_scan(scain(), dims40, ops40, [-np.pi, 0.0, np.pi]):
-            assert point_sensitivity(pt, dims40) is None
+        fringe = fringe_scan(scain(), dims40, ops40, [-np.pi, 0.0, np.pi])
+        lam, defined = fringe.sensitivity(dims40)
+        assert not defined.any() and np.isnan(lam).all()
 
     def test_phi_star_is_first_point_of_flat_maximum(self, dims40, ops40):
         # even N at mu = pi/2: Lambda = N at every non-degenerate point
@@ -353,28 +356,27 @@ class TestSpectralEngine:
         # as 1 - p read 1.000000005, above the Heisenberg limit
         spec = builtin("scac", ProtocolParams(mu=HALF, ara="y", xi=1, detection=Detection("csd")))
         (res,) = sensitivity_scan_mu(spec, dims41, ops41, [HALF], normalize_hl=True)
-        (pt,) = fringe_scan(spec, dims41, ops41, [res.phi_star])
+        (pgs,) = fringe_scan(spec, dims41, ops41, [res.phi_star]).pgs
         pops = run(spec, dims41, ops41, res.phi_star).populations()
-        full = abs(pt.pgs) / math.sqrt(pops[-1] * pops[:-1].sum()) / 41
+        full = abs(pgs) / math.sqrt(pops[-1] * pops[:-1].sum()) / 41
         assert res.lam <= 1.0 + 1e-10  # rounding only
         assert res.lam == pytest.approx(full, rel=1e-9)
         # and no point of the full fringe exceeds Lambda = N
-        points = fringe_scan(spec, dims41, ops41, np.linspace(-np.pi, np.pi, 4001))
-        lam = [point_sensitivity(p, dims41) or 0.0 for p in points]
-        assert max(lam) <= 41 * (1.0 + 1e-10)
+        fringe = fringe_scan(spec, dims41, ops41, np.linspace(-np.pi, np.pi, 4001))
+        lam, defined = fringe.sensitivity(dims41)
+        assert max(lam[defined]) <= 41 * (1.0 + 1e-10)
 
     @pytest.mark.slow
     def test_scain_laws_at_n2000(self):
         n = 2000
         ops = cached_ops(n)
         phis = np.linspace(-0.1 * np.pi, 0.1 * np.pi, 401)
-        points = fringe_scan(scain(), ops.dims, ops, phis)
-        signal = np.array([p.signal for p in points])
-        pgs = np.array([p.pgs for p in points])
+        fringe = fringe_scan(scain(), ops.dims, ops, phis)
+        signal, pgs = fringe.signal, fringe.pgs
         assert np.max(np.abs(signal + n / 2 * np.cos(n * phis))) < 1e-9
         assert np.max(np.abs(pgs - n**2 / 2 * np.sin(n * phis))) < 1e-9 * n**2
         csd = fringe_scan(scain(detection=Detection("csd", index=0)), ops.dims, ops, phis)
-        population = np.array([p.signal for p in csd])
+        population = csd.signal
         assert np.max(np.abs(population - np.cos(n * phis / 2) ** 2)) < 1e-9
 
 
@@ -530,6 +532,18 @@ class TestFwhm:
         ]
         assert widths[0] > widths[1] > widths[2]
 
+    def test_even_scain_width_is_pi_over_n(self, dims40, ops40):
+        for n_points in (401, 4001):
+            width = central_fringe_fwhm(scain(), dims40, ops40, n_points=n_points)
+            assert width == pytest.approx(np.pi / 40, abs=1e-12)
+
+    @pytest.mark.parametrize("n_points", [400, 4000, 2, 1])
+    def test_rejects_grids_without_a_middle_point(self, dims40, ops40, n_points):
+        # an even grid has no point at phi = 0: at 400 points the width
+        # above read 0.07984, at 4000 points 0.0785522
+        with pytest.raises(ValueError, match="odd"):
+            central_fringe_fwhm(scain(), dims40, ops40, n_points=n_points)
+
     @pytest.mark.parametrize("mu", [math.nan, math.inf])
     def test_rejects_non_finite_mu_override(self, dims40, ops40, mu):
         # a NaN signal used to surface as "no half-level crossing"
@@ -585,8 +599,10 @@ class TestHelpers:
         assert window[-1] == pytest.approx(np.pi / 2)
 
     def test_point_sensitivity_floor(self, dims40):
-        pt = FringePoint(phi=0.0, signal=1.0, sds=1e-12, pgs=5.0)
-        assert point_sensitivity(pt, dims40) is None
+        fringe = Fringe(phi=[0.0, 0.1], signal=[1.0, 1.0], sds=[1e-12, 0.5], pgs=[5.0, -5.0])
+        lam, defined = fringe.sensitivity(dims40)
+        assert defined.tolist() == [False, True]
+        assert np.isnan(lam[0]) and lam[1] == 10.0
 
 
 class TestSubGridPool:
@@ -623,7 +639,9 @@ class TestSubGridPool:
         spec, window = scain(xi=xi), default_phi_window(301)
 
         def scan(threads):
-            return [fringe_scan(spec, ops.dims, ops, window, mu, threads) for mu in (0.3, HALF)]
+            return [np.array([f.signal, f.sds, f.pgs])
+                    for f in (fringe_scan(spec, ops.dims, ops, window, mu, threads)
+                              for mu in (0.3, HALF))]
 
         serial = scan(1)
         monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
@@ -633,7 +651,7 @@ class TestSubGridPool:
             for threads in (2, 3, 4):
                 assert scan_workers(compile_protocol(spec, ops.dims, ops), spec.detection,
                                     threads) == threads
-                assert scan(threads) == serial
+                assert all(map(np.array_equal, scan(threads), serial))
         finally:
             sys.setswitchinterval(interval)
 
