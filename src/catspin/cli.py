@@ -138,6 +138,15 @@ _mu = _checked(parse_angle, lambda mu: 0.0 <= mu <= _MU_MAX, "must lie in [0, 0.
 _ascending = _checked(parse_range, lambda r: r[0] <= r[1], "must be ascending")
 
 
+def _out_path(text: str) -> str:
+    """An artifact path whose directory exists, checked before any work; a
+    directory that vanishes mid-run still fails at the write (exit 2)."""
+    folder = os.path.dirname(text) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"directory {folder!r} does not exist")
+    return text
+
+
 def grid(text: str) -> tuple[int, ...]:
     """'THETAxPHI' point counts as a tuple of ints."""
     return tuple(int(count) for count in text.lower().split("x"))
@@ -263,7 +272,7 @@ def _build_parser(threads_env: str | None) -> tuple[_Parser, dict]:
     p = subs.add_parser("fringe", help="signal/SDS/PGS over a phi grid")
     _add_protocol_flags(p)
     p.add_argument("--phi-range", dest="phi_range", type=_ascending, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     _add_scan_flags(p, threads_env)
 
     p = subs.add_parser("sensitivity", help="best Lambda per mu over the fringe window")
@@ -272,7 +281,7 @@ def _build_parser(threads_env: str | None) -> tuple[_Parser, dict]:
         parse_range, lambda r: 0.0 <= r[0] <= r[1] <= _MU_MAX, "must lie within [0, 0.5pi]"))
     p.add_argument("--phi-window", dest="phi_window", type=_ascending)
     p.add_argument("--normalize-hl", dest="normalize_hl", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     _add_scan_flags(p, threads_env)
 
     p = subs.add_parser("qpd", help="Husimi field of a protocol stage")
@@ -282,13 +291,13 @@ def _build_parser(threads_env: str | None) -> tuple[_Parser, dict]:
     p.add_argument("--grid", help="THETAxPHI point counts, e.g. 181x361", type=_checked(
         grid, lambda counts: len(counts) == 2 and min(counts) >= 2, "must be THETAxPHI, each >= 2"))
     p.add_argument("--format", choices=["csv", "raw"], dest="fmt", default="csv")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
 
     p = subs.add_parser("collective", help="Dicke-state populations of a stage")
     _add_protocol_flags(p)
     p.add_argument("--phi", type=parse_angle, default=0.0)
     p.add_argument("--stage", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
 
     p = subs.add_parser("cavity", help="squeezing-cavity rates and budgets")
     p.add_argument("--n", type=_checked(finite, lambda n: n >= 1, "must be >= 1"),
@@ -303,18 +312,18 @@ def _build_parser(threads_env: str | None) -> tuple[_Parser, dict]:
     p.add_argument("--power", type=finite, help="design-mode probe power (W)")
     p.add_argument("--mode-side", dest="mode_side", type=_positive)
     p.add_argument("--mirror-t", dest="mirror_t", type=_positive)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
 
     p = subs.add_parser("excess-noise", help="Lambda vs excess noise per protocol")
     p.add_argument("--n", type=_count, required=True)
     p.add_argument("--en-range", dest="en_range", type=sweep_range, required=True)
     p.add_argument("--log", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
 
     p = subs.add_parser("parity-average", help="RMS-average even/odd sensitivities")
     p.add_argument("--even", type=finite, required=True)
     p.add_argument("--odd", type=finite, required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_path)
 
     return parser, subs.choices
 

@@ -218,6 +218,39 @@ def _unfold(y: np.ndarray, pairs: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# Elements moved per step of the in-place turn and unfold: bounds their copies.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _turn(a: np.ndarray):
+    """a[i, j] <- a[p - 1 - i, p - 1 - j] in place for a square a of size p,
+    in chunks of rows."""
+    p = len(a)
+    step = max(1, _CHUNK_ELEMENTS // p)
+    for i in range(0, (p + 1) // 2, step):
+        j = min(i + step, (p + 1) // 2)
+        top = a[i:j].copy()
+        a[i:j] = a[p - j : p - i][::-1, ::-1]
+        a[p - j : p - i] = top[::-1, ::-1]
+
+
+def _butterfly(c: np.ndarray, pairs: int) -> np.ndarray:
+    """G^T c in place over the rows of c, for the parity fold of rotate with
+    its antisymmetric component k at row N - k: the rows k and N - k become
+    their sum and difference, and the middle row of even N gains sqrt(2);
+    the additions of _unfold, in chunks of rows."""
+    n = len(c) - 1
+    step = max(1, _CHUNK_ELEMENTS // len(c))
+    for k in range(0, pairs, step):
+        j = min(k + step, pairs)
+        top, bottom = c[k:j], c[n - k : n - j : -1]
+        first = top.copy()
+        top += bottom
+        np.subtract(first, bottom, out=bottom)
+    c[pairs : n + 1 - pairs] *= np.sqrt(2.0)
+    return c
+
+
 def rotate(ops: OperatorSet, axis: str, angle: float, amps=None) -> np.ndarray:
     """e^{-i angle J_axis} for axis x or y, applied to a complex vector or a
     (dim, k) block; amps=None gives the dense unitary itself.
@@ -236,11 +269,14 @@ def rotate(ops: OperatorSet, axis: str, angle: float, amps=None) -> np.ndarray:
     twist = np.exp(-0.5j * np.pi * ops.m)[:, None] if axis == "y" else None
     if amps is None:
         coeffs = np.zeros((dim, dim), dtype=complex)
-        for rows, lam, vecs in blocks:
-            scaled = np.multiply(phase[lam], vecs.T, order="C")  # rows for the float view
-            np.matmul(vecs, scaled.view(float), out=coeffs[rows, rows].view(float))
-        # G^T C G = (G^T (G^T C)^T)^T, written back over C
-        out = _unfold(_unfold(coeffs, pairs, np.empty_like(coeffs)).T, pairs, coeffs.T).T
+        for rows, lam, vecs in blocks:  # C-ordered rows for the float view
+            scaled = np.multiply(phase[lam], vecs.T, order="C").view(float)
+            np.matmul(vecs, scaled, out=coeffs[rows, rows].view(float))
+            del scaled  # before the next block's
+        # G^T C G = (G^T (G^T C)^T)^T in place, once the antisymmetric
+        # block is turned end over end: its component k then sits at N - k
+        _turn(coeffs[-pairs:, -pairs:])
+        out = _butterfly(_butterfly(coeffs, pairs).T, pairs).T
         if twist is not None:
             out *= twist.T.conj()
     else:

@@ -10,13 +10,15 @@ reads psi(phi) = Tail B e^{-i c phi J_z} v0, so <J_z> and its variance are
 trigonometric polynomials of degree N and 2N in theta = c phi.  Their
 samples on an equispaced theta grid of at least 4N+1 points come from FFTs
 of the matrix B diag(v0), with J_z pushed back through Tail as a
-tridiagonal T: a few interleaved sub-grids, each one in-place FFT of a
-zero-padded buffer whose moments are read in cache-sized column chunks, run
-on a pool of up to `threads` threads from dim 512 on, bitwise the serial
-result.  One FFT of the samples gives the exact coefficients, and
-signal, variance and the exact dS/dphi follow at every requested phi from
-baby-step giant-step exponential tables over those phis, which a scan
-builds at its first mu and reads at every later one while they fit 1 MB.
+tridiagonal T, in a few interleaved sub-grids.  FFTs run along rows and T
+couples neighbouring rows, so the samples come in row slabs with a halo row
+on each side, whose centred moments merge in order by the pairwise update
+of Chan, Golub & LeVeque (1983); from dim 512 on the slabs run on a pool of
+up to `threads` threads, bitwise the serial result.  One FFT of the samples
+gives the exact coefficients, and signal, variance and the exact dS/dphi
+follow at every requested phi from baby-step giant-step exponential tables
+over those phis, which a scan builds at its first mu and reads at every
+later one while they fit 1 MB.
 Collective-state detection evaluates the degree-N amplitude polynomial of
 its single row directly; its variance is p (1 - p), with 1 - p summed from
 the other populations of the state where it falls below 1e-4.  Variance
@@ -158,13 +160,13 @@ _BLOCK_ELEMENTS = 1 << 20
 # rebuilt so that large-N scans hold no more memory than before.
 _KEPT_TABLE_ELEMENTS = 1 << 16
 
-# Columns per _moments call on a CD sub-grid: the chunk stays in cache and
-# the result is bitwise that of one call.  Below _POOL_MIN_DIM the sub-grids
-# run serially: on 2 vCPUs a pool of 2 cost 15-35 % per mu at N = 256-400,
-# broke even at N = 500-900 and saved 10-15 % at N = 1000, 35-40 % at 2000.
-# Each worker holds its own dim x width buffer (65 MB at N = 2000), so the
-# pool stops at the CPUs, and by default at _POOL_DEFAULT, the measured size.
-_MOMENTS_CHUNK, _POOL_MIN_DIM, _POOL_DEFAULT = 64, 512, 2
+# Complex elements of a CD slab, every sub-grid of its rows (4 MB): 64 rows
+# at N = 1000, 16 at 4000, one slab up to N = 255, whatever the threads.
+# Below _POOL_MIN_DIM the slabs run serially: on 2 vCPUs a pool of 2 cost
+# 12 % per mu at N = 256, broke even at N = 300-450 and saved 13-21 % at
+# N = 511, 0-15 % at 1000 and 38 % at 2000.  The pool stops at the CPUs, the
+# sub-grid count and by default at _POOL_DEFAULT, the measured size.
+_SLAB_ELEMENTS, _POOL_MIN_DIM, _POOL_DEFAULT = 1 << 18, 512, 2
 
 
 def pool_size(threads: int | None, blocks: int) -> int:
@@ -242,16 +244,33 @@ def _trig_coefficients(samples: np.ndarray, degree: int) -> np.ndarray:
     return coefs
 
 
-def _moments(w: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-    """<T> and the centered ||(T - <T>) w||^2 of each column of w for the
-    Hermitian tridiagonal T = (diag, upper)."""
-    tw = diag[:, None] * w
-    tw[:-1] += upper[:, None] * w[1:]
-    tw[1:] += upper.conj()[:, None] * w[:-1]
-    mean = np.einsum("ij,ij->j", w.real, tw.real) + np.einsum("ij,ij->j", w.imag, tw.imag)
-    tw -= mean * w
-    var = np.einsum("ij,ij->j", tw.real, tw.real) + np.einsum("ij,ij->j", tw.imag, tw.imag)
-    return mean, var
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum conj(a) b over the rows (axis -2) of complex arrays."""
+    pairs = np.einsum("...ij,...ij->...j", a.view(float), b.view(float))
+    return pairs[..., ::2] + pairs[..., 1::2]
+
+
+def _moments(w: np.ndarray, diag, below, above):
+    """W = sum |w|^2, M = Re sum conj(w) T w and V = sum |(T - M/W) w|^2 per column over the
+    rows between w's halo rows, (T w)_i = below_i w_{i-1} + diag_i w_i + above_i w_{i+1}."""
+    inner = w[..., 1:-1, :]
+    tw = diag[:, None] * inner
+    tw += above[:, None] * w[..., 2:, :]
+    tw += below[:, None] * w[..., :-2, :]
+    weight, first = _dot(inner, inner), _dot(inner, tw)
+    tw -= (first / np.where(weight > 0, weight, 1.0))[..., None, :] * inner
+    return weight, first, _dot(tw, tw)
+
+
+def _merge(partials):
+    """sum M and the variance of slab partials (W, M, V) merged in order by the pairwise update
+    of Chan, Golub & LeVeque (1983), all terms >= 0: V += V_s + (M_s W - M W_s)^2 / (W W_s (W + W_s))."""
+    weight = first = var = 0.0
+    for w_s, m_s, v_s in partials:
+        gap, spread = m_s * weight - first * w_s, weight * w_s * (weight + w_s)
+        var = var + v_s + gap * gap / np.where(spread > 0, spread, 1.0)
+        weight, first = weight + w_s, first + m_s
+    return first, var
 
 
 def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
@@ -401,35 +420,33 @@ class _Scanner:
         v0 = self.kernel.v0(mu)
         middle = self._middle_matrix(mu)
         diag, upper = self._observable(mu)
+        below, above = np.append(0, upper).conj(), np.append(upper, 0)
         width, blocks = _sub_grids(self.dims)
-        total = blocks * width
-        k = np.arange(dim)
-        mean, var = np.empty(total), np.empty(total)
+        # Column q of sub-grid r is w(theta) at theta = 2 pi (r + blocks q) / (blocks
+        # width), up to a phase per column that <T> and the variance do not see.
+        phases = np.exp(np.outer(-2j * np.pi * np.arange(blocks) / (blocks * width), np.arange(dim)))
+        rows = max(1, _SLAB_ELEMENTS // (blocks * width))
 
-        def sub_grid(r):
-            # Each sub-grid is one in-place FFT of the zero-padded dim x dim
-            # matrix, so no dim x 4N sample matrix is ever held.  Column q is
-            # w(theta) at theta = 2 pi (r + blocks q) / total, up to a phase
-            # per column that <T> and the variance do not see.
-            w = np.zeros((dim, width), dtype=complex)
-            np.multiply(middle, v0, out=w[:, :dim])
-            w[:, :dim] *= np.exp((-2j * np.pi * r / total) * k)
-            np.fft.fft(w, axis=1, out=w)
-            for c in range(0, width, _MOMENTS_CHUNK):
-                cols = slice(c, c + _MOMENTS_CHUNK)
-                mean[r::blocks][cols], var[r::blocks][cols] = _moments(w[:, cols], diag, upper)
+        def slab(a):  # rows a - 1 .. b of every sub-grid, zero past the edges
+            b = min(a + rows, dim)
+            lo, hi = max(a - 1, 0), min(b + 1, dim)
+            w = np.zeros((blocks, b - a + 2, width), dtype=complex)
+            np.multiply(middle[lo:hi] * v0, phases[:, None, :],
+                        out=w[:, lo - a + 1 : hi - a + 1, :dim])
+            np.fft.fft(w, axis=-1, out=w)
+            return _moments(w, diag[a:b], below[a:b], above[a:b])
 
-        if self.workers == 1:
-            list(map(sub_grid, range(blocks)))
-        else:
-            with ThreadPoolExecutor(self.workers) as pool:
-                list(pool.map(sub_grid, range(blocks)))
+        with ThreadPoolExecutor(self.workers) as pool:
+            run = pool.map if self.workers > 1 else map
+            mean, var = _merge(run(slab, range(0, dim, rows)))  # [r, q]: sample r + blocks q
 
         def direct(points):  # v0 after the dark zone, one column per point
             darkened = v0[:, None] * np.exp(-1j * self.rate * np.outer(self.ops.m, points))
-            return _moments(middle @ darkened, diag, upper)[1]
+            w = np.zeros((dim + 2, len(points)), dtype=complex)
+            np.matmul(middle, darkened, out=w[1:-1])
+            return _moments(w, diag, below, above)[2]
 
-        return self._interpolate(mean, var, self.dims.n_atoms, self.rate, direct)
+        return self._interpolate(mean.T.ravel(), var.T.ravel(), self.dims.n_atoms, self.rate, direct)
 
     def _sampled_kernel(self, mu):
         """Fallback for specs with several dark zones after folding."""
@@ -507,7 +524,7 @@ def fringe_scan(
 
 def scan_workers(kernel: CompiledProtocol, detection: Detection,
                  threads: int | None = None) -> int:
-    """Threads the CD sub-grids of a scan of the compiled protocol run on:
+    """Threads the CD slabs of a scan of the compiled protocol run on:
     pool_size(threads, sub-grids) at dim >= _POOL_MIN_DIM with at most one
     dark zone, 1 there below and on other paths."""
     dims = kernel.dims

@@ -1,5 +1,6 @@
 import functools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,3 +49,15 @@ def many_cpus(monkeypatch):
     """64 CPUs in the affinity mask, so that explicit pools of 3 and 4
     workers run on any machine (pool_size caps a request at the CPUs)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+
+
+def traced_peak_mib(fn):
+    """fn()'s result and the peak, in MiB, of the memory it allocated while
+    tracemalloc traced it; what was allocated before does not count."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20

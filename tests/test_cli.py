@@ -598,6 +598,61 @@ class TestExcessNoiseCommand:
         assert float(first[4]) > float(first[3]) > float(first[1])
 
 
+class TestOutDirectory:
+    """An --out whose directory does not exist is a usage error, found before
+    any work; a directory that vanishes mid-run fails at the write."""
+
+    @pytest.mark.parametrize("argv", list(_NO_SCIPY_COMMANDS.values()),
+                             ids=list(_NO_SCIPY_COMMANDS))
+    def test_missing_directory_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x.out"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: argument --out: directory {str(out.parent)!r} does not exist\n"
+        assert captured.out == ""  # parity-average prints nothing either
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_failure_comes_before_the_scan(self, tmp_path, capsys, monkeypatch, from_file):
+        calls = []
+        monkeypatch.setattr("catspin.cli.sensitivity_scan_mu",
+                            lambda *args, **kwargs: calls.append(args))
+        out = str(tmp_path / "missing" / "s.csv")
+        argv = ["sensitivity", "--n", "400", "--mu-range", "0.4pi:0.5pi:3"]
+        if from_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"out": out}))
+            argv = ["--config", str(cfg), *argv]
+        else:
+            argv += ["--out", out]
+        assert main(argv) == EXIT_USAGE
+        assert calls == []
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == (["cfg.json"] if from_file else [])
+
+    def test_directory_removed_mid_run_exits_two(self, tmp_path, capsys, monkeypatch):
+        folder = tmp_path / "gone"
+        folder.mkdir()
+        scan = observables.sensitivity_scan_mu
+
+        def scan_then_remove(*args, **kwargs):
+            result = scan(*args, **kwargs)
+            folder.rmdir()
+            return result
+
+        monkeypatch.setattr("catspin.cli.sensitivity_scan_mu", scan_then_remove)
+        assert main(["sensitivity", "--n", "4", "--mu-range", "0:0.5pi:2",
+                     "--out", str(folder / "s.csv")]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_bare_file_name_is_in_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["parity-average", "--even", "1", "--odd", "2", "--out", "p.json"]) == 0
+        assert (tmp_path / "p.json").exists()
+
+
 class TestParityAverageCommand:
     def test_overflow_is_runtime_error(self, capsys):
         assert main(["parity-average", "--even", "1e308", "--odd", "1e308"]) == EXIT_RUNTIME

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from catspin.dicke import (
     total_spin_expectation,
 )
 
-from conftest import cached_ops
+from conftest import cached_ops, traced_peak_mib
 
 
 class TestEnsembleDims:
@@ -402,13 +401,7 @@ class TestLargeEnsemble:
     def test_build_holds_no_dense_v(self):
         # two half-size blocks and one LAPACK workspace at a time; a dense
         # (N+1)^2 V alone would be 122 MiB
-        tracemalloc.start()
-        try:
-            build_operator_set(EnsembleDims(4000))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 100 * 2**20
+        assert traced_peak_mib(lambda: build_operator_set(EnsembleDims(4000)))[1] <= 100
 
 
 def lapack_blocks(n):
@@ -510,3 +503,29 @@ class TestRotationOracles:
                 exact = expm(-1j * theta * generator)
                 assert np.max(np.abs(rotate(ops, axis, theta) - exact)) <= 1e-13
                 assert np.max(np.abs(rotate(ops, axis, theta, block) - exact @ block)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 300, 301])
+    @pytest.mark.parametrize("chunk", [1, 97, 1 << 16])
+    def test_in_place_unfold_is_bitwise_the_copying_one(self, monkeypatch, n, chunk):
+        # the dense unitary's G^T C G, turned and unfolded in place chunk by
+        # chunk, against the copying unfold it replaced; the same additions
+        ops = cached_ops(n)
+        dim, pairs = n + 1, len(ops.anti_vectors)
+        rng = np.random.default_rng(n)
+        coeffs = np.zeros((dim, dim), dtype=complex)
+        for rows in (slice(-pairs), slice(-pairs, None)):
+            size = len(range(dim)[rows])
+            coeffs[rows, rows] = rng.standard_normal((size, size, 2)) @ [1, 1j]
+        coeffs[0, 0] = -0.0  # signed zeros come through too
+        copied = dicke._unfold(dicke._unfold(coeffs, pairs, np.empty_like(coeffs)).T,
+                               pairs, np.empty_like(coeffs)).T
+        monkeypatch.setattr(dicke, "_CHUNK_ELEMENTS", chunk)
+        dicke._turn(coeffs[-pairs:, -pairs:])
+        in_place = dicke._butterfly(dicke._butterfly(coeffs, pairs).T, pairs).T
+        assert in_place.tobytes() == copied.tobytes()
+
+    def test_dense_rotation_holds_one_dim_squared_array(self):
+        # the unitary (61 MiB at N = 2000) and one scaled parity block beside it
+        ops = cached_ops(2000)
+        unitary, peak = traced_peak_mib(lambda: rotate(ops, "x", 0.7))
+        assert peak <= 1.3 * unitary.nbytes / 2**20

@@ -30,7 +30,7 @@ from catspin.observables import (
     sensitivity_scan_mu,
     variance_jz,
 )
-from catspin.observables import _MOMENTS_CHUNK, _moments
+from catspin.observables import _merge, _moments
 from catspin.dicke import dark_pulse, rotate_pulse
 from catspin.protocols import (
     Detection,
@@ -44,7 +44,7 @@ from catspin.protocols import (
 
 import catspin.dicke as dicke
 import catspin.observables as observables
-from conftest import cached_ops, unfolded
+from conftest import cached_ops, traced_peak_mib, unfolded
 
 HALF = np.pi / 2
 
@@ -606,22 +606,67 @@ class TestHelpers:
 
 
 class TestSubGridPool:
-    """The CD samples come in interleaved sub-grids, each an FFT read in
-    column chunks, and run on up to pool_size threads: none of that may move
-    a bit of the result."""
+    """The CD samples come in interleaved sub-grids, FFT'd and reduced in row
+    slabs whose partials merge in slab order, on up to pool_size threads:
+    the thread count may not move a bit of the result, and the slab height
+    only at rounding level."""
 
-    @pytest.mark.parametrize("dim, width", [(45, 45), (1001, 1024), (2001, 2025)])
-    def test_chunked_moments_are_bitwise_the_unchunked(self, dim, width):
-        rng = np.random.default_rng(width)
-        w = rng.standard_normal((dim, width)) + 1j * rng.standard_normal((dim, width))
+    @staticmethod
+    def _slab_budget(monkeypatch, rows, n):
+        """Slabs of `rows` rows at N = n: the budget is in sub-grid elements."""
+        width, blocks = observables._sub_grids(EnsembleDims(n))
+        monkeypatch.setattr(observables, "_SLAB_ELEMENTS", rows * blocks * width)
+
+    @pytest.mark.parametrize("rows", [1, 2, 5, 16, 40])
+    def test_sweep_is_stable_across_slab_heights(self, monkeypatch, rows):
+        # from one row per slab (every row a halo of two slabs) to two slabs,
+        # the merged moments match the single-slab scan to rounding (measured:
+        # signal 3.6e-16 N, PGS 3.6e-16 N^2, SDS 1.4e-14 N, Lambda 3.8e-12 N)
+        ops = cached_ops(40)
+        mus, window = [0.0, 0.021 * np.pi, 0.3, HALF], default_phi_window(401)
+        specs = [scain(xi=1), scain(ara="y"), builtin("scac"), builtin("crain")]
+
+        def scan():
+            return [fringe_scan(spec, ops.dims, ops, window, mu if squeezed else None)
+                    for spec in specs for squeezed in [spec.name in ("SCAIN", "SCAC")]
+                    for mu in (mus if squeezed else mus[:1])]
+
+        whole = scan()
+        self._slab_budget(monkeypatch, rows, 40)
+        for one, sliced in zip(whole, scan()):
+            assert np.max(np.abs(sliced.signal - one.signal)) <= 1e-15 * 40
+            assert np.max(np.abs(sliced.pgs - one.pgs)) <= 1e-15 * 40**2
+            assert np.max(np.abs(sliced.sds - one.sds)) <= 1e-13 * 40
+            lam, defined = sliced.sensitivity(ops.dims)
+            lam_one, defined_one = one.sensitivity(ops.dims)
+            assert np.array_equal(defined, defined_one)
+            assert np.max(np.abs(lam - lam_one)[defined], initial=0.0) <= 2e-11 * 40
+
+    def test_slab_moments_sum_to_the_whole(self):
+        # W, M and the merged variance of a split column equal those of the
+        # whole column, which has zero rows past its edges
+        rng = np.random.default_rng(3)
+        dim, cols = 45, 7
+        w = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
         diag = rng.standard_normal(dim)
-        upper = rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1)
-        mean, var = np.empty(width), np.empty(width)
-        for c in range(0, width, _MOMENTS_CHUNK):
-            cols = slice(c, c + _MOMENTS_CHUNK)
-            mean[cols], var[cols] = _moments(w[:, cols], diag, upper)
-        whole_mean, whole_var = _moments(w, diag, upper)
-        assert np.array_equal(mean, whole_mean) and np.array_equal(var, whole_var)
+        upper = np.concatenate(([0], rng.standard_normal(dim - 1)
+                                + 1j * rng.standard_normal(dim - 1), [0]))
+        below, above = upper[:-1].conj(), upper[1:]
+        padded = np.zeros((dim + 2, cols), dtype=complex)
+        padded[1:-1] = w
+        t = np.diag(diag) + np.diag(upper[1:-1], 1) + np.diag(upper[1:-1].conj(), -1)
+        weight, first, var = _moments(padded, diag, below, above)
+        tw = t @ w
+        assert np.allclose(weight, np.sum(np.abs(w) ** 2, axis=0), rtol=1e-14)
+        assert np.allclose(first, np.real(np.sum(w.conj() * tw, axis=0)), rtol=1e-13)
+        centre = first / weight
+        assert np.allclose(var, np.sum(np.abs(tw - centre * w) ** 2, axis=0), rtol=1e-13)
+        for cuts in ([0, 20, dim], [0, 1, 2, 30, 44, dim], list(range(dim + 1))):
+            parts = [_moments(padded[a : b + 2], diag[a:b], below[a:b], above[a:b])
+                     for a, b in zip(cuts[:-1], cuts[1:])]
+            merged_first, merged_var = _merge(parts)
+            assert np.allclose(merged_first, first, rtol=1e-13, atol=1e-12)
+            assert np.allclose(merged_var, var, rtol=1e-13)
 
     def test_in_place_fft_is_bitwise_the_padded_one(self):
         rng = np.random.default_rng(7)
@@ -654,6 +699,41 @@ class TestSubGridPool:
                 assert all(map(np.array_equal, scan(threads), serial))
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("rows", [1, 6, 13])
+    def test_pooled_slabs_are_bitwise_the_serial_ones(self, monkeypatch, many_cpus, rows):
+        # several slabs at N = 40, so the pool maps over slabs whose
+        # partials arrive in any order; the merge runs in slab order
+        ops = cached_ops(40)
+        spec, window = scain(ara="y"), default_phi_window(301)
+        self._slab_budget(monkeypatch, rows, 40)
+
+        def scan(threads):
+            return [np.array([f.signal, f.sds, f.pgs])
+                    for f in (fringe_scan(spec, ops.dims, ops, window, mu, threads)
+                              for mu in (0.021 * np.pi, HALF))]
+
+        serial = scan(1)
+        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (2, 3, 4):
+                assert all(map(np.array_equal, scan(threads), serial))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.slow
+    def test_scan_memory_at_the_cap(self):
+        # one CD scan mu at N = 4000 above its held middle (CRAIN's is the
+        # identity, cheap to build) holds a few 4 MB slab buffers per worker:
+        # measured 27.5 MiB, and 511 MiB with a dim x width buffer per worker
+        ops = cached_ops(4000)
+        scanner = observables._Scanner(builtin("crain"), ops.dims, ops, default_phi_window())
+        scanner._middle_matrix(None)
+        (signal, _, _), scan = traced_peak_mib(lambda: scanner.arrays(None))
+        assert scan <= 40
+        assert np.max(np.abs(signal + 2000 * np.cos(scanner.phis))) <= 1e-14 * 4000
 
     def test_pool_size_caps_at_the_sub_grids(self, many_cpus):
         assert pool_size(1, 4) == 1
