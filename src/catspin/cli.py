@@ -4,8 +4,8 @@ Every command writes its outputs atomically (temp file + rename) and drops a
 JSON run manifest beside each artifact.  Data files carry no timestamps, so
 repeated runs are byte-identical; the manifest holds the wall-clock record.
 A CSV cell is a float in '%.17g' (17 significant digits, '.' decimal,
-locale-free), an integer index in '%d', or empty where a value is
-undefined; every line, the header's too, ends in CRLF.
+locale-free), an integer index in '%d', or empty where the value is nan
+(undefined); every line, the header's too, ends in CRLF.
 
 Angles accept `0.5pi`-style literals (multiples of pi) as well as plain
 radians; ranges are `start:stop:count`.  Exit codes: 0 ok, 1 usage error,
@@ -179,18 +179,17 @@ def _atomic_write_bytes(path: str, data: bytes):
 _CSV_CHUNK = 1 << 10
 
 
-def _write_csv(path: str, header: list[str], columns, blank=None) -> list[str]:
+def _write_csv(path: str, header: list[str], columns) -> list[str]:
     """Write a header and one row per element of the equal-length columns
-    atomically: '%d' cells for an integer column, '%.17g' for the others.
-    blank, a boolean (rows x columns) array, empties the cells it marks."""
+    atomically: '%d' cells for an integer column, '%.17g' for the others,
+    and an empty cell for nan."""
     columns = [np.asarray(c) for c in columns]
     specs = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in columns]
-    if blank is None:
-        blank = np.zeros((len(columns[0]), len(specs)), dtype=bool)
 
     def write(fh):
-        # one row template per pattern of empty cells, keyed by its bits;
+        # one row template per pattern of nan cells, keyed by its bits;
         # '%.0s' takes its cell's value and prints nothing
+        blank = np.column_stack([np.isnan(c) for c in columns])
         keys = (blank @ (1 << np.arange(len(specs)))).tolist()
         templates = {key: ",".join("%.0s" if key >> i & 1 else spec for i, spec in enumerate(specs))
                      + "\r\n" for key in set(keys)}
@@ -423,12 +422,10 @@ def _cmd_fringe(opts) -> tuple[list[str], dict]:
     phis = np.linspace(*opts["phi_range"])
     report = {}
     fringe = fringe_scan(spec, dims, ops, phis, threads=opts["threads"], report=report)
-    lam, defined = fringe.sensitivity(dims)
-    report["health"]["undefined_lambda"] = int(np.count_nonzero(~defined))
-    blank = np.zeros((phis.size, 5), dtype=bool)
-    blank[:, 4] = ~defined
+    lam = fringe.sensitivity(dims)
+    report["health"]["undefined_lambda"] = int(np.count_nonzero(np.isnan(lam)))
     return _write_csv(opts["out"], ["phi", "signal", "sds", "pgs", "lambda"], [
-        fringe.phi, fringe.signal, fringe.sds, fringe.pgs, lam / opts["gamma"]], blank), report
+        fringe.phi, fringe.signal, fringe.sds, fringe.pgs, lam / opts["gamma"]]), report
 
 
 def _cmd_sensitivity(opts) -> tuple[list[str], dict]:
@@ -436,20 +433,12 @@ def _cmd_sensitivity(opts) -> tuple[list[str], dict]:
     mus = np.linspace(*opts["mu_range"])
     window = None if opts["phi_window"] is None else np.linspace(*opts["phi_window"])
     report = {}
-    results = sensitivity_scan_mu(
-        spec, dims, ops, mus,
-        phi_window=window,
-        normalize_hl=opts["normalize_hl"],
-        threads=opts["threads"],
-        report=report,
-    )
-    undefined = np.array([res.lam is None for res in results])  # phi_star is nan there too
-    report["health"]["undefined_lambda"] = int(np.count_nonzero(undefined))
-    lam = np.array([math.nan if res.lam is None else res.lam for res in results])
-    blank = np.column_stack([np.zeros_like(undefined), undefined, undefined])
+    sweep = sensitivity_scan_mu(spec, dims, ops, mus, phi_window=window,
+                                normalize_hl=opts["normalize_hl"], threads=opts["threads"],
+                                report=report)
+    report["health"]["undefined_lambda"] = int(np.count_nonzero(np.isnan(sweep.lam)))
     return _write_csv(opts["out"], ["mu", "lambda", "phi_star"], [
-        [res.mu for res in results], lam / opts["gamma"], [res.phi_star for res in results]],
-        blank), report
+        sweep.mu, sweep.lam / opts["gamma"], sweep.phi_star]), report
 
 
 def _stage_pulse_count(stage: str, n_pulses: int) -> int:
@@ -502,26 +491,23 @@ def _cmd_cavity(opts) -> tuple[list[str], dict]:
     out = opts["out"]
     if opts["coop_range"] is not None:
         n, coops, errors = opts["n"], _sweep(opts["coop_range"], opts["log"]), []
-        budget = np.zeros((coops.size, 3))  # theta, f_exact_db, f_approx_db
-        blank = np.zeros((coops.size, 5), dtype=bool)
+        budget = np.full((coops.size, 3), np.nan)  # theta, f_exact_db, f_approx_db
         for row, coop in enumerate(coops.tolist()):
             delta = opts["delta_tilde"]
             if delta is None:
                 delta = optimal_detuning(n, coop)
-            try:  # a row past the budget's validity keeps empty theta and f cells
+            try:  # a row past the budget's validity keeps nan (empty) theta and f cells
                 b = improvement_factor(n, coop, float(delta))
                 budget[row] = b.theta_frac, b.f_db, b.f_approx_db
             except BudgetError as exc:
                 errors.append(exc)
-                blank[row, 1:4] = True
         if len(errors) == coops.size:
             raise errors[0]
         if errors:
             warnings.warn(f"{len(errors)} of {coops.size} rows left empty, first: {errors[0]}")
-        return _write_csv(
-            out, ["cooperativity", "theta", "f_exact_db", "f_approx_db", "f_ideal_db"],
-            [coops, *budget.T, np.full(coops.size, 10.0 * math.log10(n))],
-            blank), {"invalid_rows": len(errors)}
+        columns = [coops, *budget.T, np.full(coops.size, 10.0 * math.log10(n))]
+        return _write_csv(out, ["cooperativity", "theta", "f_exact_db", "f_approx_db",
+                                "f_ideal_db"], columns), {"invalid_rows": len(errors)}
 
     if opts["params"] is not None:
         try:

@@ -19,7 +19,7 @@ import numpy as np
 
 # Largest ensemble the dense machinery is sized for.  The two half-size J_x
 # eigenvector blocks take 64 MB here and their O(N^2) recurrence 0.1 s; a
-# qpd or collective command peaks at about 180 MB RSS.
+# qpd command peaks at about 122 MB RSS and a collective one at 100 MB.
 N_ATOMS_CAP = 4000
 
 

@@ -2,7 +2,8 @@
 
 Sensitivity is the dimensionless Lambda = |dS/dphi| / DeltaS with the
 linewidth conversion factor set to 1; the CLI applies an optional physical
-scale.
+scale.  Lambda is nan wherever it is undefined, and scans return read-only
+float columns: a Fringe over a phi grid, a Sweep over a mu grid.
 
 Every scan goes through one spectral engine.  Once compile_protocol has
 folded the CRAIN/SCAIN spin echo into a single dark zone, each built-in
@@ -26,7 +27,7 @@ samples are centered, sum |(T - S) w|^2, and requested points whose
 interpolated SDS falls in the rounding band below 1e-6 N are recomputed
 directly from the state.  Specs that do not fold to one dark zone feed
 the same interpolation from CompiledProtocol.evaluate samples on a grid
-sized to their bandwidth.
+sized to their bandwidth, and sum 1 - p in the same band.
 
 Measured accuracy: the SDS matches the centered variance of run()'s state
 to 1e-15 N at N = 40/41; at N = 2000 (SCAIN, mu = pi/2) the signal matches
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -57,9 +58,6 @@ from catspin.protocols import (
     compile_protocol,
     split_at_squeeze,
 )
-
-GAMMA_NOTE = "Gamma = 1 (dimensionless phase sensitivity)"
-
 
 # --- single-state expectations ---------------------------------------------
 
@@ -99,13 +97,19 @@ def noise_floor(n_atoms: int) -> float:
     return 1e-9 * n_atoms
 
 
-def _sensitivity(sds: np.ndarray, pgs: np.ndarray, n_atoms: int):
-    """Lambda = |pgs| / sds, nan where the SDS is under the noise floor, and
-    the mask of the points where it is defined."""
-    defined = sds >= noise_floor(n_atoms)
+def _sensitivity(sds: np.ndarray, pgs: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Lambda = |pgs| / sds, nan where the SDS is under the noise floor."""
     lam = np.full(sds.shape, np.nan)
-    np.divide(np.abs(pgs), sds, out=lam, where=defined)
-    return lam, defined
+    np.divide(np.abs(pgs), sds, out=lam, where=sds >= noise_floor(n_atoms))
+    return lam
+
+
+def _read_only_columns(record):
+    """Each field of a frozen record as a read-only float array of its own."""
+    for field in fields(record):
+        column = np.array(getattr(record, field.name), dtype=float)
+        column.flags.writeable = False
+        object.__setattr__(record, field.name, column)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,16 +122,24 @@ class Fringe:
     sds: np.ndarray
     pgs: np.ndarray
 
-    def __post_init__(self):
-        for name in ("phi", "signal", "sds", "pgs"):
-            column = np.array(getattr(self, name), dtype=float)  # a copy: no caller shares it
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+    __post_init__ = _read_only_columns
 
-    def sensitivity(self, dims: EnsembleDims) -> tuple[np.ndarray, np.ndarray]:
-        """Lambda at every phi, nan where the SDS is degenerate, and the mask
-        of the points where it is defined."""
+    def sensitivity(self, dims: EnsembleDims) -> np.ndarray:
+        """Lambda at every phi, nan where the SDS is degenerate."""
         return _sensitivity(self.sds, self.pgs, dims.n_atoms)
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Best Lambda over a phi window and the first phi that reaches it, per
+    mu, as read-only arrays of the mu grid's length; both are nan at a mu
+    where every window point is degenerate."""
+
+    mu: np.ndarray
+    lam: np.ndarray
+    phi_star: np.ndarray
+
+    __post_init__ = _read_only_columns
 
 
 def _resolve_csd_index(detection: Detection, dims: EnsembleDims) -> int:
@@ -476,9 +488,12 @@ class _Scanner:
         step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
         for i in range(0, total, step):
             mean[i : i + step], var[i : i + step] = moments(grid[i : i + step])
-        return self._interpolate(
-            mean, var, degree, 1.0 / steps, lambda points: moments(points)[1]
-        )
+        signal, sds, pgs = self._interpolate(mean, var, degree, 1.0 / steps,
+                                             lambda points: moments(points)[1])
+        if index is not None:  # 1 - p summed where it has cancelled, as in _csd
+            self._blockwise(sds, np.flatnonzero(1.0 - signal < _CSD_SUM_BAND),
+                            lambda points: np.sqrt(moments(points)[1]), "csd_sum_points")
+        return signal, sds, pgs
 
     def _interpolate(self, mean, var, degree, rate, direct):
         """Evaluate the fitted polynomials at the phis; SDS values in the
@@ -536,42 +551,16 @@ def scan_workers(kernel: CompiledProtocol, detection: Detection,
 # --- sensitivity ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SensitivityResult:
-    """Dimensionless sensitivity at an operating point.
-
-    lam is None where the point is degenerate (SDS under the noise floor);
-    the normalization note records the Gamma = 1 convention and whether the
-    value was divided by N.
-    """
-
-    lam: float | None
-    phi_star: float
-    mu: float
-    normalization: str = GAMMA_NOTE
-
-
 def sensitivity_at(
     spec: ProtocolSpec,
     dims: EnsembleDims,
     ops: OperatorSet,
     phi: float,
     mu_override: float | None = None,
-) -> SensitivityResult:
-    """Lambda = |dS/dphi| / DeltaS at a single finite phi."""
-    fringe = fringe_scan(spec, dims, ops, [phi], mu_override)
-    lam, defined = fringe.sensitivity(dims)
-    return SensitivityResult(lam=float(lam[0]) if defined[0] else None,
-                             phi_star=float(fringe.phi[0]), mu=_spec_mu(spec, mu_override))
-
-
-def _spec_mu(spec: ProtocolSpec, mu_override) -> float:
-    if mu_override is not None:
-        return float(mu_override)
-    for pulse in spec.pulses:
-        if pulse.kind == "squeeze":
-            return pulse.mu
-    return 0.0
+) -> float:
+    """Lambda = |dS/dphi| / DeltaS at a single finite phi, nan where the
+    point is degenerate."""
+    return float(fringe_scan(spec, dims, ops, [phi], mu_override).sensitivity(dims)[0])
 
 
 def default_phi_window(n_points: int = 2001) -> np.ndarray:
@@ -588,11 +577,11 @@ def sensitivity_scan_mu(
     normalize_hl: bool = False,
     threads: int | None = None,
     report: dict | None = None,
-) -> list[SensitivityResult]:
+) -> Sweep:
     """Best Lambda over the phi window for each mu.
 
     Degenerate phi points are skipped; a mu where every point is degenerate
-    yields an undefined entry.  phi_star is the first window point whose
+    has nan lam and phi_star.  phi_star is the first window point whose
     Lambda lies within 1e-9 (relative) of the best, so flat maxima (even N
     at mu = pi/2 reaches Lambda = N everywhere) resolve deterministically.
     With normalize_hl the values are divided by N, i.e. reported as a
@@ -603,33 +592,21 @@ def sensitivity_scan_mu(
         raise ValueError("mu grid must lie within [0, pi/2]")
     if phi_window is None:
         phi_window = default_phi_window()
-    note = GAMMA_NOTE + ("; divided by N (HL fraction)" if normalize_hl else "")
     scale = dims.n_atoms if normalize_hl else 1.0
 
     scanner = _Scanner(spec, dims, ops, phi_window, threads)
-    results = []
-    for mu in mu_grid:
-        _, sds, pgs = scanner.arrays(float(mu))
-        lam, valid = _sensitivity(sds, pgs, dims.n_atoms)
-        if not valid.any():
-            results.append(
-                SensitivityResult(lam=None, phi_star=math.nan, mu=float(mu), normalization=note)
-            )
-            continue
-        lam[~valid] = -np.inf
-        best = lam.max()
-        first = int(np.argmax(lam >= best * (1.0 - 1e-9)))
-        results.append(
-            SensitivityResult(
-                lam=float(best / scale),
-                phi_star=float(phi_window[first]),
-                mu=float(mu),
-                normalization=note,
-            )
-        )
+    best, phi_star = np.full(mu_grid.size, np.nan), np.full(mu_grid.size, np.nan)
+    for i, mu in enumerate(mu_grid.tolist()):
+        _, sds, pgs = scanner.arrays(mu)
+        lam = _sensitivity(sds, pgs, dims.n_atoms)
+        # the max over the defined points: -inf, which no point reaches, if none is
+        top = np.fmax.reduce(lam, initial=-np.inf)
+        hits = np.flatnonzero(lam >= top * (1.0 - 1e-9))
+        if hits.size:
+            best[i], phi_star[i] = top / scale, scanner.phis[hits[0]]
     if report is not None:
         report.update(pool_workers=scanner.workers, health=scanner.health)
-    return results
+    return Sweep(mu=mu_grid, lam=best, phi_star=phi_star)
 
 
 def parity_average(lambda_even: float, lambda_odd: float) -> float:

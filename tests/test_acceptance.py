@@ -96,10 +96,9 @@ def test_criterion_02_sensitivity_endpoints():
     t0 = time.perf_counter()
     ops40, ops41 = cached_ops(40), cached_ops(41)
 
-    crain = sensitivity_at(builtin("crain"), ops40.dims, ops40, 0.45).lam
-    even = sensitivity_at(scain_spec(), ops40.dims, ops40, np.pi / 160).lam
-    (odd_res,) = sensitivity_scan_mu(scain_spec(), ops41.dims, ops41, [HALF])
-    odd = odd_res.lam
+    crain = sensitivity_at(builtin("crain"), ops40.dims, ops40, 0.45)
+    even = sensitivity_at(scain_spec(), ops40.dims, ops40, np.pi / 160)
+    (odd,) = sensitivity_scan_mu(scain_spec(), ops41.dims, ops41, [HALF]).lam
 
     elapsed = time.perf_counter() - t0
     ok_crain = abs(crain - math.sqrt(40)) <= 1e-6 * math.sqrt(40)
@@ -119,10 +118,10 @@ def test_criterion_03_plateau():
     means = {}
     for n in (40, 41):
         ops = cached_ops(n)
-        results = sensitivity_scan_mu(
+        sweep = sensitivity_scan_mu(
             scain_spec(), ops.dims, ops, mus, normalize_hl=True
         )
-        means[n] = float(np.mean([r.lam for r in results]))
+        means[n] = float(np.mean(sweep.lam))
     ok = all(0.66 <= means[n] <= 0.76 for n in (40, 41))
     assert report("3", ok, f"mean Lambda/N: N=40 -> {means[40]:.4f}, N=41 -> {means[41]:.4f}")
 

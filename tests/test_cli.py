@@ -21,6 +21,7 @@ from catspin.cli import (
     UsageError,
     _atomic_write,
     _atomic_write_bytes,
+    _write_csv,
     main,
     parse_angle,
     parse_config,
@@ -732,11 +733,12 @@ def _parent_fringe(n, phi_range, gamma=1.0, **spec):
 def _parent_sensitivity(n, mu_range, phi_window=None, normalize_hl=False, gamma=1.0, **spec):
     ops = cached_ops(n)
     window = None if phi_window is None else np.linspace(*parse_range(phi_window))
-    results = sensitivity_scan_mu(_spec(**spec), ops.dims, ops,
-                                  np.linspace(*parse_range(mu_range)), window, normalize_hl)
+    sweep = sensitivity_scan_mu(_spec(**spec), ops.dims, ops,
+                                np.linspace(*parse_range(mu_range)), window, normalize_hl)
     return _parent_csv(["mu", "lambda", "phi_star"], (
-        [fmt(res.mu), "" if res.lam is None else fmt(res.lam / gamma),
-         "" if math.isnan(res.phi_star) else fmt(res.phi_star)] for res in results))
+        [fmt(mu), "" if math.isnan(lam) else fmt(lam / gamma),
+         "" if math.isnan(phi_star) else fmt(phi_star)]
+        for mu, lam, phi_star in zip(sweep.mu, sweep.lam, sweep.phi_star)))
 
 
 def _stage_state(n, phi, stage, **spec):
@@ -814,6 +816,17 @@ _WRITER_CASES = {
 
 
 class TestColumnarWriter:
+    @pytest.mark.parametrize("chunk", [1 << 10, 2])
+    def test_nan_cells_are_empty(self, tmp_path, monkeypatch, chunk):
+        # each row its own pattern of empty cells, across chunk edges too
+        monkeypatch.setattr("catspin.cli._CSV_CHUNK", chunk)
+        out = tmp_path / "w.csv"
+        nan, inf = math.nan, math.inf
+        assert _write_csv(str(out), ["k", "a", "b"], [
+            np.arange(5), [0.1, nan, inf, nan, -0.0], [nan, -inf, 2.5, nan, 1e300]]) == [str(out)]
+        assert out.read_bytes() == (b"k,a,b\r\n0,0.10000000000000001,\r\n1,,-inf\r\n"
+                                    b"2,inf,2.5\r\n3,,\r\n4,-0,1.0000000000000001e+300\r\n")
+
     @pytest.mark.parametrize("case", sorted(_WRITER_CASES))
     def test_bytes_match_the_per_row_writer(self, tmp_path, case):
         argv, parent = _WRITER_CASES[case]
@@ -832,9 +845,10 @@ class TestColumnarWriter:
           "--phi-range", "-0.0008:0.0008:5"],
          {"undefined_lambda": 1, "rounding_band_points": 0, "csd_sum_points": 3}),
     ])
-    def test_manifest_health_counts(self, tmp_path, argv, health):
+    def test_manifest_health_counts(self, tmp_path, capsys, argv, health):
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""  # no warning, from an all-nan reduction say
         manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
         assert manifest["health"] == health
         header, *rows = read_csv(out)

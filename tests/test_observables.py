@@ -163,6 +163,16 @@ class TestFringeScan:
         phis[0] = 1.0  # the caller's grid is not the fringe's
         assert fringe.phi[0] == -0.1
 
+    def test_sweep_columns_are_read_only_copies(self, dims40, ops40):
+        mus = np.array([0.0, 0.3])
+        sweep = sensitivity_scan_mu(scain(), dims40, ops40, mus, default_phi_window(11))
+        for column in (sweep.mu, sweep.lam, sweep.phi_star):
+            assert column.dtype == float and column.shape == (2,)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        mus[0] = 1.0  # the caller's grid is not the sweep's
+        assert sweep.mu[0] == 0.0
+
     def test_rejects_unsorted_grid(self, dims40, ops40):
         with pytest.raises(ValueError):
             fringe_scan(scain(), dims40, ops40, np.array([0.2, 0.1]))
@@ -184,34 +194,34 @@ class TestFringeScan:
 
 class TestSensitivity:
     def test_crain_at_sql(self, dims40, ops40):
-        res = sensitivity_at(builtin("crain"), dims40, ops40, 0.45)
-        assert res.lam == pytest.approx(math.sqrt(40), rel=1e-6)
+        lam = sensitivity_at(builtin("crain"), dims40, ops40, 0.45)
+        assert lam == pytest.approx(math.sqrt(40), rel=1e-6)
 
     def test_cd_scain_at_hl(self, dims40, ops40):
-        res = sensitivity_at(scain(), dims40, ops40, np.pi / 160)
-        assert res.lam == pytest.approx(40.0, rel=1e-6)
+        lam = sensitivity_at(scain(), dims40, ops40, np.pi / 160)
+        assert lam == pytest.approx(40.0, rel=1e-6)
 
     def test_csd_scain_at_hl(self, dims40, ops40):
         spec = scain(detection=Detection("csd", index=0))
-        res = sensitivity_at(spec, dims40, ops40, np.pi / 160)
-        assert res.lam == pytest.approx(40.0, rel=1e-6)
+        lam = sensitivity_at(spec, dims40, ops40, np.pi / 160)
+        assert lam == pytest.approx(40.0, rel=1e-6)
 
     def test_degenerate_point_flagged_not_zero(self, dims41, ops41):
         # odd N with the redo corrective rotation: the monitored state stays
         # empty, so the SDS sits below the noise floor at every phi
         spec = scain(xi=+1, detection=Detection("csd", index=0))
-        res = sensitivity_at(spec, dims41, ops41, 0.02)
-        assert res.lam is None
+        lam = sensitivity_at(spec, dims41, ops41, 0.02)
+        assert isinstance(lam, float) and math.isnan(lam)
 
     def test_scan_endpoint_even(self, dims40, ops40):
-        (res,) = sensitivity_scan_mu(
+        (lam,) = sensitivity_scan_mu(
             scain(), dims40, ops40, [HALF], normalize_hl=True
-        )
-        assert res.lam == pytest.approx(1.0, rel=1e-6)
+        ).lam
+        assert lam == pytest.approx(1.0, rel=1e-6)
 
     def test_scan_endpoint_odd(self, dims41, ops41):
-        (res,) = sensitivity_scan_mu(scain(), dims41, ops41, [HALF])
-        assert res.lam == pytest.approx(math.sqrt(41), rel=0.05)
+        (lam,) = sensitivity_scan_mu(scain(), dims41, ops41, [HALF]).lam
+        assert lam == pytest.approx(math.sqrt(41), rel=0.05)
 
     def test_scan_rejects_mu_outside_range(self, dims40, ops40):
         with pytest.raises(ValueError):
@@ -238,15 +248,14 @@ class TestSensitivity:
 
     def test_hl_bound_on_scan(self, dims40, ops40):
         phis = np.linspace(-0.08, 0.08, 801)
-        lam, defined = fringe_scan(scain(), dims40, ops40, phis).sensitivity(dims40)
-        assert max(lam[defined]) <= 40 * (1 + 1e-6)
+        lam = fringe_scan(scain(), dims40, ops40, phis).sensitivity(dims40)
+        assert np.nanmax(lam) <= 40 * (1 + 1e-6)
 
     def test_sensitivity_independent_of_xi(self, dims41, ops41):
         lams = {}
         for xi in (1, -1):
             spec = scain(xi=xi)
-            (res,) = sensitivity_scan_mu(spec, dims41, ops41, [0.3 * np.pi])
-            lams[xi] = res.lam
+            (lams[xi],) = sensitivity_scan_mu(spec, dims41, ops41, [0.3 * np.pi]).lam
         assert lams[1] == pytest.approx(lams[-1], rel=1e-6)
 
     def test_odd_csd_signal_flat_for_all_mu(self, dims41, ops41):
@@ -337,34 +346,33 @@ class TestSpectralEngine:
         # at mu = 0 the final state is a Dicke state at every phi, and at
         # mu = pi/2 wherever sin(N phi) = 0; the variance is zero there and
         # rounding must not make Lambda defined
-        (res,) = sensitivity_scan_mu(scain(xi=1), dims40, ops40, [0.0], normalize_hl=True)
-        assert res.lam is None and math.isnan(res.phi_star)
+        sweep = sensitivity_scan_mu(scain(xi=1), dims40, ops40, [0.0], normalize_hl=True)
+        assert np.isnan(sweep.lam).all() and np.isnan(sweep.phi_star).all()
         fringe = fringe_scan(scain(), dims40, ops40, [-np.pi, 0.0, np.pi])
-        lam, defined = fringe.sensitivity(dims40)
-        assert not defined.any() and np.isnan(lam).all()
+        assert np.isnan(fringe.sensitivity(dims40)).all()
 
     def test_phi_star_is_first_point_of_flat_maximum(self, dims40, ops40):
         # even N at mu = pi/2: Lambda = N at every non-degenerate point
         window = default_phi_window()
-        (res,) = sensitivity_scan_mu(scain(xi=1), dims40, ops40, [HALF], normalize_hl=True)
-        assert res.lam == pytest.approx(1.0, rel=1e-9)
-        assert res.phi_star == window[0]
+        sweep = sensitivity_scan_mu(scain(xi=1), dims40, ops40, [HALF], normalize_hl=True)
+        assert sweep.lam[0] == pytest.approx(1.0, rel=1e-9)
+        assert sweep.phi_star[0] == window[0]
 
     def test_csd_variance_where_population_nears_one(self, dims41, ops41):
         # the mu = pi/2 row of `sensitivity --protocol scac --n 41 --ara y
         # --detection csd --xi 1 --normalize-hl`: p (1 - p) with 1 - p taken
         # as 1 - p read 1.000000005, above the Heisenberg limit
         spec = builtin("scac", ProtocolParams(mu=HALF, ara="y", xi=1, detection=Detection("csd")))
-        (res,) = sensitivity_scan_mu(spec, dims41, ops41, [HALF], normalize_hl=True)
-        (pgs,) = fringe_scan(spec, dims41, ops41, [res.phi_star]).pgs
-        pops = run(spec, dims41, ops41, res.phi_star).populations()
+        sweep = sensitivity_scan_mu(spec, dims41, ops41, [HALF], normalize_hl=True)
+        (lam,), (phi_star,) = sweep.lam, sweep.phi_star
+        (pgs,) = fringe_scan(spec, dims41, ops41, [phi_star]).pgs
+        pops = run(spec, dims41, ops41, phi_star).populations()
         full = abs(pgs) / math.sqrt(pops[-1] * pops[:-1].sum()) / 41
-        assert res.lam <= 1.0 + 1e-10  # rounding only
-        assert res.lam == pytest.approx(full, rel=1e-9)
+        assert lam <= 1.0 + 1e-10  # rounding only
+        assert lam == pytest.approx(full, rel=1e-9)
         # and no point of the full fringe exceeds Lambda = N
         fringe = fringe_scan(spec, dims41, ops41, np.linspace(-np.pi, np.pi, 4001))
-        lam, defined = fringe.sensitivity(dims41)
-        assert max(lam[defined]) <= 41 * (1.0 + 1e-10)
+        assert np.nanmax(fringe.sensitivity(dims41)) <= 41 * (1.0 + 1e-10)
 
     @pytest.mark.slow
     def test_scain_laws_at_n2000(self):
@@ -390,8 +398,8 @@ class TestCompiledOncePerScan:
 
         monkeypatch.setattr(observables, "compile_protocol", spy)
         for spec in (unfolded(), scain()):
-            results = sensitivity_scan_mu(spec, dims40, ops40, [0.1, 0.7, 1.3])
-            assert len(results) == 3
+            sweep = sensitivity_scan_mu(spec, dims40, ops40, [0.1, 0.7, 1.3])
+            assert len(sweep.lam) == 3
         assert names == ["unfolded", "SCAIN"]
 
     @pytest.mark.parametrize("k", [1, 5])
@@ -419,7 +427,10 @@ class TestCompiledOncePerScan:
         ops = cached_ops(n)
         mus = [0.3, 0.9, 1.2, HALF]
         sweep = sensitivity_scan_mu(spec, ops.dims, ops, mus)
-        assert sweep == [sensitivity_scan_mu(spec, ops.dims, ops, [mu])[0] for mu in mus]
+        singles = [sensitivity_scan_mu(spec, ops.dims, ops, [mu]) for mu in mus]
+        for name in ("mu", "lam", "phi_star"):
+            column = np.concatenate([getattr(single, name) for single in singles])
+            assert getattr(sweep, name).tobytes() == column.tobytes(), name
 
     @pytest.fixture
     def table_builds(self, monkeypatch):
@@ -600,9 +611,9 @@ class TestHelpers:
 
     def test_point_sensitivity_floor(self, dims40):
         fringe = Fringe(phi=[0.0, 0.1], signal=[1.0, 1.0], sds=[1e-12, 0.5], pgs=[5.0, -5.0])
-        lam, defined = fringe.sensitivity(dims40)
-        assert defined.tolist() == [False, True]
-        assert np.isnan(lam[0]) and lam[1] == 10.0
+        lam = fringe.sensitivity(dims40)
+        assert np.isnan(lam).tolist() == [True, False]
+        assert lam[1] == 10.0
 
 
 class TestSubGridPool:
@@ -637,10 +648,9 @@ class TestSubGridPool:
             assert np.max(np.abs(sliced.signal - one.signal)) <= 1e-15 * 40
             assert np.max(np.abs(sliced.pgs - one.pgs)) <= 1e-15 * 40**2
             assert np.max(np.abs(sliced.sds - one.sds)) <= 1e-13 * 40
-            lam, defined = sliced.sensitivity(ops.dims)
-            lam_one, defined_one = one.sensitivity(ops.dims)
-            assert np.array_equal(defined, defined_one)
-            assert np.max(np.abs(lam - lam_one)[defined], initial=0.0) <= 2e-11 * 40
+            lam, lam_one = sliced.sensitivity(ops.dims), one.sensitivity(ops.dims)
+            assert np.array_equal(np.isnan(lam), np.isnan(lam_one))
+            assert np.nanmax(np.abs(lam - lam_one), initial=0.0) <= 2e-11 * 40
 
     def test_slab_moments_sum_to_the_whole(self):
         # W, M and the merged variance of a split column equal those of the
