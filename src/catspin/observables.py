@@ -10,16 +10,15 @@ folded the CRAIN/SCAIN spin echo into a single dark zone, each built-in
 reads psi(phi) = Tail B e^{-i c phi J_z} v0, so <J_z> and its variance are
 trigonometric polynomials of degree N and 2N in theta = c phi.  Their
 samples on an equispaced theta grid of at least 4N+1 points come from FFTs
-of the matrix B diag(v0), with J_z pushed back through Tail as a
-tridiagonal T, in a few interleaved sub-grids.  FFTs run along rows and T
-couples neighbouring rows, so the samples come in row slabs with a halo row
-on each side, whose centred moments merge in order by the pairwise update
-of Chan, Golub & LeVeque (1983); from dim 512 on the slabs run on a pool of
-up to `threads` threads, bitwise the serial result.  One FFT of the samples
-gives the exact coefficients, and signal, variance and the exact dS/dphi
-follow at every requested phi from baby-step giant-step exponential tables
-over those phis, which a scan builds at its first mu and reads at every
-later one while they fit 1 MB.
+of the matrix B diag(v0), one per row, with J_z pushed back through Tail
+as a tridiagonal T.  T couples neighbouring rows, so the samples come in
+row slabs with a halo row on each side, whose centred moments merge in
+order by the pairwise update of Chan, Golub & LeVeque (1983); from dim 512
+on the slabs run on a pool of up to `threads` threads, bitwise the serial
+result.  One FFT of the samples gives the exact coefficients, and signal,
+variance and the exact dS/dphi follow at every requested phi from
+baby-step giant-step exponential tables over those phis, which a scan
+builds at its first mu and reads at every later one while they fit 1 MB.
 Collective-state detection evaluates the degree-N amplitude polynomial of
 its single row directly; its variance is p (1 - p), with 1 - p summed from
 the other populations of the state where it falls below 1e-4.  Variance
@@ -172,30 +171,30 @@ _BLOCK_ELEMENTS = 1 << 20
 # rebuilt so that large-N scans hold no more memory than before.
 _KEPT_TABLE_ELEMENTS = 1 << 16
 
-# Complex elements of a CD slab, every sub-grid of its rows (4 MB): 64 rows
-# at N = 1000, 16 at 4000, one slab up to N = 255, whatever the threads.
+# Complex elements of a CD slab buffer (4 MB): 64 rows at N = 1000, 16 at
+# 4000, one slab up to N = 255, whatever the threads.
 # Below _POOL_MIN_DIM the slabs run serially: on 2 vCPUs a pool of 2 cost
 # 12 % per mu at N = 256, broke even at N = 300-450 and saved 13-21 % at
 # N = 511, 0-15 % at 1000 and 38 % at 2000.  The pool stops at the CPUs, the
-# sub-grid count and by default at _POOL_DEFAULT, the measured size.
+# slab count and by default at _POOL_DEFAULT, the measured size.
 _SLAB_ELEMENTS, _POOL_MIN_DIM, _POOL_DEFAULT = 1 << 18, 512, 2
 
 
-def pool_size(threads: int | None, blocks: int) -> int:
-    """Worker threads for `blocks` sub-grids: threads (>= 1; by default
-    _POOL_DEFAULT), capped at the CPUs this process may run on and at blocks."""
+def pool_size(threads: int | None, slabs: int) -> int:
+    """Worker threads for `slabs` tasks: threads (>= 1; by default
+    _POOL_DEFAULT), capped at the CPUs this process may run on and at slabs."""
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return min(_POOL_DEFAULT if threads is None else threads, cpus, blocks)
+    return min(_POOL_DEFAULT if threads is None else threads, cpus, slabs)
 
 
-def _sub_grids(dims: EnsembleDims) -> tuple[int, int]:
-    """(width, blocks): CD takes its 4N+1 (or more) samples in `blocks`
-    interleaved sub-grids of `width` points."""
-    width = _fft_length(dims.dim)
-    return width, -(-(4 * dims.n_atoms + 1) // width)
+def _slabs(dims: EnsembleDims) -> tuple[int, int]:
+    """(samples, rows): CD takes a fast FFT length of at least 4N+1 samples,
+    in slabs of `rows` rows that hold _SLAB_ELEMENTS."""
+    samples = _fft_length(4 * dims.n_atoms + 1)
+    return samples, max(1, _SLAB_ELEMENTS // samples)
 
 
 def _exp_tables(first: float, baby: int, giant: int, t: np.ndarray):
@@ -433,24 +432,19 @@ class _Scanner:
         middle = self._middle_matrix(mu)
         diag, upper = self._observable(mu)
         below, above = np.append(0, upper).conj(), np.append(upper, 0)
-        width, blocks = _sub_grids(self.dims)
-        # Column q of sub-grid r is w(theta) at theta = 2 pi (r + blocks q) / (blocks
-        # width), up to a phase per column that <T> and the variance do not see.
-        phases = np.exp(np.outer(-2j * np.pi * np.arange(blocks) / (blocks * width), np.arange(dim)))
-        rows = max(1, _SLAB_ELEMENTS // (blocks * width))
+        samples, rows = _slabs(self.dims)
 
-        def slab(a):  # rows a - 1 .. b of every sub-grid, zero past the edges
+        def slab(a):  # rows a - 1 .. b, zero past the edges; sample j at theta = 2 pi j / samples
             b = min(a + rows, dim)
             lo, hi = max(a - 1, 0), min(b + 1, dim)
-            w = np.zeros((blocks, b - a + 2, width), dtype=complex)
-            np.multiply(middle[lo:hi] * v0, phases[:, None, :],
-                        out=w[:, lo - a + 1 : hi - a + 1, :dim])
+            w = np.zeros((b - a + 2, samples), dtype=complex)
+            np.multiply(middle[lo:hi], v0, out=w[lo - a + 1 : hi - a + 1, :dim])
             np.fft.fft(w, axis=-1, out=w)
             return _moments(w, diag[a:b], below[a:b], above[a:b])
 
         with ThreadPoolExecutor(self.workers) as pool:
             run = pool.map if self.workers > 1 else map
-            mean, var = _merge(run(slab, range(0, dim, rows)))  # [r, q]: sample r + blocks q
+            mean, var = _merge(run(slab, range(0, dim, rows)))
 
         def direct(points):  # v0 after the dark zone, one column per point
             darkened = v0[:, None] * np.exp(-1j * self.rate * np.outer(self.ops.m, points))
@@ -458,7 +452,7 @@ class _Scanner:
             np.matmul(middle, darkened, out=w[1:-1])
             return _moments(w, diag, below, above)[2]
 
-        return self._interpolate(mean.T.ravel(), var.T.ravel(), self.dims.n_atoms, self.rate, direct)
+        return self._interpolate(mean, var, self.dims.n_atoms, self.rate, direct)
 
     def _sampled_kernel(self, mu):
         """Fallback for specs with several dark zones after folding."""
@@ -488,16 +482,12 @@ class _Scanner:
         step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
         for i in range(0, total, step):
             mean[i : i + step], var[i : i + step] = moments(grid[i : i + step])
-        signal, sds, pgs = self._interpolate(mean, var, degree, 1.0 / steps,
-                                             lambda points: moments(points)[1])
-        if index is not None:  # 1 - p summed where it has cancelled, as in _csd
-            self._blockwise(sds, np.flatnonzero(1.0 - signal < _CSD_SUM_BAND),
-                            lambda points: np.sqrt(moments(points)[1]), "csd_sum_points")
-        return signal, sds, pgs
+        return self._interpolate(mean, var, degree, 1.0 / steps, lambda points: moments(points)[1])
 
     def _interpolate(self, mean, var, degree, rate, direct):
         """Evaluate the fitted polynomials at the phis; SDS values in the
-        rounding band are replaced by direct(phis) variances."""
+        rounding band, and for CSD where 1 - p < _CSD_SUM_BAND, are replaced
+        by direct(phis) variances, each point once."""
         freqs = np.arange(2 * degree + 1)
         coefs = np.zeros((2 * degree + 1, 3), dtype=complex)
         coefs[: degree + 1, 0] = _trig_coefficients(mean, degree)
@@ -505,9 +495,12 @@ class _Scanner:
         coefs[:, 2] = _trig_coefficients(var, 2 * degree)
         values = _fourier_sum(0.0, coefs, rate * self.phis, self._tables).real
         sds = np.sqrt(np.maximum(values[:, 2], 0.0))
-        low = np.flatnonzero(sds < _ROUNDING_BAND * self.dims.n_atoms)
-        self._blockwise(sds, low, lambda points: np.sqrt(np.maximum(direct(points), 0.0)),
-                        "rounding_band_points")
+        low = sds < _ROUNDING_BAND * self.dims.n_atoms
+        # CSD's direct sums 1 - p from the other populations, as _csd does where it cancels
+        summed = (1.0 - values[:, 0] < _CSD_SUM_BAND) & ~low & (self.index is not None)
+        for where, count in ((low, "rounding_band_points"), (summed, "csd_sum_points")):
+            self._blockwise(sds, np.flatnonzero(where),
+                            lambda points: np.sqrt(np.maximum(direct(points), 0.0)), count)
         return values[:, 0], sds, rate * values[:, 1]
 
 
@@ -540,12 +533,12 @@ def fringe_scan(
 def scan_workers(kernel: CompiledProtocol, detection: Detection,
                  threads: int | None = None) -> int:
     """Threads the CD slabs of a scan of the compiled protocol run on:
-    pool_size(threads, sub-grids) at dim >= _POOL_MIN_DIM with at most one
+    pool_size(threads, slab count) at dim >= _POOL_MIN_DIM with at most one
     dark zone, 1 there below and on other paths."""
     dims = kernel.dims
     if len(kernel.segments) > 1 or detection.kind != "cd" or dims.dim < _POOL_MIN_DIM:
         return 1
-    return pool_size(threads, _sub_grids(dims)[1])
+    return pool_size(threads, -(-dims.dim // _slabs(dims)[1]))
 
 
 # --- sensitivity ------------------------------------------------------------

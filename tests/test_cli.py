@@ -213,7 +213,7 @@ class TestFringeCommand:
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
     def test_pool_above_threshold_is_byte_identical(self, tmp_path, many_cpus):
-        # dim = _POOL_MIN_DIM + 1 runs its 4 sub-grids on the pool
+        # dim = _POOL_MIN_DIM + 1 runs its 5 slabs on the pool
         n = str(observables._POOL_MIN_DIM)
         commands = {
             "f": ["fringe", "--n", n, "--mu", "0.5pi", "--xi", "-1",
@@ -237,12 +237,14 @@ class TestFringeCommand:
         assert main(args + ["--threads", str(10**6)]) == 0  # serial below the threshold
         assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 1
         monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
+        monkeypatch.setattr(observables, "_SLAB_ELEMENTS", 2 * 25)  # 2 rows of 25 samples: 4 slabs
         assert main(args + ["--threads", "3"]) == 0
         assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 3
 
     def test_explicit_threads_capped_at_the_cpus(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
+        monkeypatch.setattr(observables, "_SLAB_ELEMENTS", 2 * 25)  # 2 rows of 25 samples: 4 slabs
         out = tmp_path / "f.csv"
         args = ["fringe", "--n", "6", "--phi-range", "0:1:5", "--out", str(out)]
         assert main(args + ["--threads", "4"]) == 0

@@ -617,16 +617,16 @@ class TestHelpers:
 
 
 class TestSubGridPool:
-    """The CD samples come in interleaved sub-grids, FFT'd and reduced in row
+    """The CD samples come from one FFT per row, taken and reduced in row
     slabs whose partials merge in slab order, on up to pool_size threads:
     the thread count may not move a bit of the result, and the slab height
     only at rounding level."""
 
     @staticmethod
     def _slab_budget(monkeypatch, rows, n):
-        """Slabs of `rows` rows at N = n: the budget is in sub-grid elements."""
-        width, blocks = observables._sub_grids(EnsembleDims(n))
-        monkeypatch.setattr(observables, "_SLAB_ELEMENTS", rows * blocks * width)
+        """Slabs of `rows` rows at N = n: the budget is rows x samples."""
+        samples, _ = observables._slabs(EnsembleDims(n))
+        monkeypatch.setattr(observables, "_SLAB_ELEMENTS", rows * samples)
 
     @pytest.mark.parametrize("rows", [1, 2, 5, 16, 40])
     def test_sweep_is_stable_across_slab_heights(self, monkeypatch, rows):
@@ -687,11 +687,12 @@ class TestSubGridPool:
 
     @pytest.mark.parametrize("xi", [1, -1])
     def test_pooled_scan_is_bitwise_the_serial_one(self, monkeypatch, many_cpus, xi):
-        # the pool is forced at N = 40, below its dimension threshold, with
-        # up to 4 workers and a short switch interval to interleave their
-        # writes into the shared sample arrays
+        # the pool is forced at N = 40, below its dimension threshold, over
+        # 5 slabs of 9 rows with up to 4 workers and a short switch interval
+        # to interleave them
         ops = cached_ops(40)
         spec, window = scain(xi=xi), default_phi_window(301)
+        self._slab_budget(monkeypatch, 9, 40)
 
         def scan(threads):
             return [np.array([f.signal, f.sds, f.pgs])
@@ -746,12 +747,15 @@ class TestSubGridPool:
         assert np.max(np.abs(signal + 2000 * np.cos(scanner.phis))) <= 1e-14 * 4000
 
     def test_pool_size_caps_at_the_sub_grids(self, many_cpus):
-        assert pool_size(1, 4) == 1
-        assert pool_size(3, 4) == 3
-        assert pool_size(10**6, 4) == 4  # sized, never started
+        # the pool's tasks are the slabs: 16 of 64 rows at N = 1000
+        slabs = -(-1001 // observables._slabs(EnsembleDims(1000))[1])
+        assert slabs == 16
+        assert pool_size(1, slabs) == 1
+        assert pool_size(3, slabs) == 3
+        assert pool_size(10**6, slabs) == 16  # sized, never started
         assert pool_size(None, 1) == 1
         with pytest.raises(ValueError):
-            pool_size(0, 4)
+            pool_size(0, slabs)
 
     @pytest.mark.parametrize("cpus, expected", [(1, 1), (2, 2), (64, 2)])
     def test_pool_size_default_stops_at_two(self, monkeypatch, cpus, expected):
@@ -780,15 +784,18 @@ class TestSubGridPool:
         assert pool_size(None, 5) == 1
 
     def test_scan_workers_only_on_the_large_cd_path(self, monkeypatch, many_cpus):
-        ops = cached_ops(40)
         csd = scain(detection=Detection("csd", index=0))
 
-        def workers(spec, threads):
+        def workers(spec, threads, n=1000):
+            ops = cached_ops(n)
             return scan_workers(compile_protocol(spec, ops.dims, ops), spec.detection, threads)
 
-        assert workers(scain(), 4) == 1  # dim 41 < _POOL_MIN_DIM
-        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
+        assert workers(scain(), 4, 40) == 1  # dim 41 < _POOL_MIN_DIM
         assert workers(scain(), 4) == 4
-        assert workers(scain(), 10**6) == 4  # 4 sub-grids at N = 40
+        assert workers(scain(), 10**6) == 16  # 16 slabs at N = 1000; sized, never started
         assert workers(csd, 4) == 1
         assert workers(unfolded(), 4) == 1
+        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
+        assert workers(scain(), 4, 40) == 1  # N = 40 is one slab
+        assert workers(csd, 4, 40) == 1
+        assert workers(unfolded(), 4, 40) == 1

@@ -143,3 +143,31 @@ def test_engine_matches_the_oracle_for_any_spec(n, pid, ara, xi, det, index, mu,
     spec = (unfolded(detection) if pid == "unfolded"
             else builtin(pid, ProtocolParams(ara=ara, xi=xi, detection=detection)))
     assert_matches_oracle(spec, ops, seeded_phis(seed, 3), (mu,))
+
+
+def test_each_sampled_csd_point_is_recomputed_once(monkeypatch):
+    # a point both in the rounding band and where 1 - p < 1e-4 is recomputed
+    # by one pass and counted by one of the two health counts
+    calls = []
+    blockwise = _Scanner._blockwise
+
+    def spy(self, out, where, values_at, count):
+        calls.append((count, where.tolist()))
+        return blockwise(self, out, where, values_at, count)
+
+    monkeypatch.setattr(_Scanner, "_blockwise", spy)
+    rng = np.random.default_rng(0)
+    both = 0
+    for _ in range(100):
+        n = int(rng.integers(1, 65))
+        ops = cached_ops(n)
+        spec = unfolded(Detection("csd", index=int(rng.integers(0, n + 1))))
+        scanner = _Scanner(spec, ops.dims, ops, seeded_phis(int(rng.integers(2**32)), 3))
+        calls.clear()
+        signal, _, _ = scanner.arrays(None)
+        points = [i for _, where in calls for i in where]
+        assert len(points) == len(set(points)), spec
+        assert sum(scanner.health.values()) == len(points)  # the two counts are disjoint
+        band = [i for count, where in calls if count == "rounding_band_points" for i in where]
+        both += np.count_nonzero(1.0 - signal[band] < 1e-4)
+    assert both > 0  # the overlap was exercised
