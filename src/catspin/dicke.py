@@ -218,48 +218,14 @@ def _unfold(y: np.ndarray, pairs: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# Elements moved per step of the in-place turn and unfold: bounds their copies.
-_CHUNK_ELEMENTS = 1 << 16
-
-
-def _turn(a: np.ndarray):
-    """a[i, j] <- a[p - 1 - i, p - 1 - j] in place for a square a of size p,
-    in chunks of rows."""
-    p = len(a)
-    step = max(1, _CHUNK_ELEMENTS // p)
-    for i in range(0, (p + 1) // 2, step):
-        j = min(i + step, (p + 1) // 2)
-        top = a[i:j].copy()
-        a[i:j] = a[p - j : p - i][::-1, ::-1]
-        a[p - j : p - i] = top[::-1, ::-1]
-
-
-def _butterfly(c: np.ndarray, pairs: int) -> np.ndarray:
-    """G^T c in place over the rows of c, for the parity fold of rotate with
-    its antisymmetric component k at row N - k: the rows k and N - k become
-    their sum and difference, and the middle row of even N gains sqrt(2);
-    the additions of _unfold, in chunks of rows."""
-    n = len(c) - 1
-    step = max(1, _CHUNK_ELEMENTS // len(c))
-    for k in range(0, pairs, step):
-        j = min(k + step, pairs)
-        top, bottom = c[k:j], c[n - k : n - j : -1]
-        first = top.copy()
-        top += bottom
-        np.subtract(first, bottom, out=bottom)
-    c[pairs : n + 1 - pairs] *= np.sqrt(2.0)
-    return c
-
-
-def rotate(ops: OperatorSet, axis: str, angle: float, amps=None) -> np.ndarray:
+def rotate(ops: OperatorSet, axis: str, angle: float, amps) -> np.ndarray:
     """e^{-i angle J_axis} for axis x or y, applied to a complex vector or a
-    (dim, k) block; amps=None gives the dense unitary itself.
+    (dim, k) block.
 
     x: R_x = G^T diag(B e^{-i angle lambda} B^T / 2) G per parity block B,
     where the fold G takes a to a_k + a_{N-k} (k < pairs) and sqrt(2)
     a_{N/2} (even N), then to a_k - a_{N-k}; G G^T = 2.  The products are
-    real, on float views; the dense unitary unfolds the block diagonal on
-    both sides.  y: R_y = P R_x P^dagger with P = diag(e^{-i pi m/2}).
+    real, on float views.  y: R_y = P R_x P^dagger with P = diag(e^{-i pi m/2}).
     """
     dim, pairs, odd = ops.dims.dim, len(ops.anti_vectors), ops.dims.n_atoms % 2
     # per parity: rows of the fold, its eigenvalues' place in m, eigenvectors
@@ -267,35 +233,49 @@ def rotate(ops: OperatorSet, axis: str, angle: float, amps=None) -> np.ndarray:
               (slice(-pairs, None), slice(1 - odd, None, 2), ops.anti_vectors))
     phase = 0.5 * np.exp(-1j * angle * ops.m)[:, None]
     twist = np.exp(-0.5j * np.pi * ops.m)[:, None] if axis == "y" else None
-    if amps is None:
-        coeffs = np.zeros((dim, dim), dtype=complex)
-        for rows, lam, vecs in blocks:  # C-ordered rows for the float view
-            scaled = np.multiply(phase[lam], vecs.T, order="C").view(float)
-            np.matmul(vecs, scaled, out=coeffs[rows, rows].view(float))
-            del scaled  # before the next block's
-        # G^T C G = (G^T (G^T C)^T)^T in place, once the antisymmetric
-        # block is turned end over end: its component k then sits at N - k
-        _turn(coeffs[-pairs:, -pairs:])
-        out = _butterfly(_butterfly(coeffs, pairs).T, pairs).T
-        if twist is not None:
-            out *= twist.T.conj()
-    else:
-        a = np.reshape(amps, (dim, -1))
-        a = (np.ascontiguousarray(a, complex) if twist is None else a * twist.conj()).view(float)
-        folded, coeffs = np.empty_like(a), np.empty_like(a)
-        np.add(a[:-pairs], a[::-1][:-pairs], out=folded[:-pairs])
-        np.subtract(a[:pairs], a[::-1][:pairs], out=folded[-pairs:])
-        folded[pairs:-pairs] *= np.sqrt(0.5)  # the middle row came out doubled
-        del a
-        for rows, lam, vecs in blocks:
-            np.matmul(vecs.T, folded[rows], out=coeffs[lam])
-        np.multiply(coeffs.view(complex), phase, out=coeffs.view(complex))
-        for rows, lam, vecs in blocks:
-            np.matmul(vecs, coeffs[lam], out=folded[rows])
-        out = _unfold(folded, pairs, coeffs).view(complex)
+    a = np.reshape(amps, (dim, -1))
+    a = (np.ascontiguousarray(a, complex) if twist is None else a * twist.conj()).view(float)
+    folded, coeffs = np.empty_like(a), np.empty_like(a)
+    np.add(a[:-pairs], a[::-1][:-pairs], out=folded[:-pairs])
+    np.subtract(a[:pairs], a[::-1][:pairs], out=folded[-pairs:])
+    folded[pairs:-pairs] *= np.sqrt(0.5)  # the middle row came out doubled
+    del a
+    for rows, lam, vecs in blocks:
+        np.matmul(vecs.T, folded[rows], out=coeffs[lam])
+    np.multiply(coeffs.view(complex), phase, out=coeffs.view(complex))
+    for rows, lam, vecs in blocks:
+        np.matmul(vecs, coeffs[lam], out=folded[rows])
+    out = _unfold(folded, pairs, coeffs).view(complex)
     if twist is not None:
         out *= twist
-    return out if amps is None else out.reshape(np.shape(amps))
+    return out.reshape(np.shape(amps))
+
+
+def rotation_rows(ops: OperatorSet, angle: float, first: int, last: int) -> np.ndarray:
+    """Rows first .. last - 1 of R_x = e^{-i angle J_x}, last <= N/2 + 1, as
+    a (last - first, dim) array; row N - f of R_x is row f reversed.
+
+    R_x = G^T C G (see rotate) is symmetric, so row f is (G^T C G e_f)^T:
+    row f of C's two parity blocks, (B[f] e^{-i angle lambda} / 2) B^T,
+    unfolded, their sum left of the middle and their difference right of it
+    (sqrt(2) times the symmetric one alone for the middle row of even N).
+    One real product per block for the real and one for the imaginary
+    part: the rows cost the dense product's flops.
+    """
+    pairs, odd = len(ops.anti_vectors), ops.dims.n_atoms % 2
+    phase = 0.5 * np.exp(-1j * angle * ops.m)
+    out = np.empty((last - first, ops.dims.dim), dtype=complex)
+    count = len(ops.anti_vectors[first:last])  # even N's middle row has no antisymmetric part
+    for part, scale in ((out.real, phase.real), (out.imag, phase.imag)):
+        sym = (ops.sym_vectors[first:last] * scale[odd::2]) @ ops.sym_vectors.T
+        part[:, :pairs], part[:, -pairs:] = sym[:, :pairs], sym[:, pairs - 1 :: -1]
+        np.multiply(sym[:, pairs:], np.sqrt(2.0), out=part[:, pairs:-pairs])
+        del sym  # before the antisymmetric block's
+        anti = (ops.anti_vectors[first:last] * scale[1 - odd :: 2]) @ ops.anti_vectors.T
+        part[:count, :pairs] += anti
+        part[:count, -pairs:] -= anti[:, ::-1]
+    out[count:] *= np.sqrt(2.0)
+    return out
 
 
 def total_spin_expectation(state: SpinState, ops: OperatorSet) -> float:
@@ -363,9 +343,9 @@ def pulse_diagonal(ops: OperatorSet, pulse: Pulse, phi: float, mu=None) -> np.nd
     raise ValueError(f"not a diagonal pulse: {pulse.kind} {pulse.axis}")
 
 
-def apply_pulses(ops: OperatorSet, pulses, amps=None, phi: float = 0.0, mu=None) -> np.ndarray:
+def apply_pulses(ops: OperatorSet, pulses, amps, phi: float = 0.0, mu=None) -> np.ndarray:
     """The pulses applied in order, pulses[0] first, to a complex vector or
-    a (dim, k) block; amps=None gives the dense unitary of the sequence.
+    a (dim, k) block (the identity gives the unitary of the sequence).
 
     Adjacent rotations about one axis merge into a single rotation.  x/y
     rotations go through rotate, every other pulse multiplies by its
@@ -382,9 +362,8 @@ def apply_pulses(ops: OperatorSet, pulses, amps=None, phi: float = 0.0, mu=None)
         if pulse.kind == "rotate" and pulse.axis in ("x", "y"):
             out = rotate(ops, pulse.axis, pulse.angle, out)
         else:
-            u = pulse_diagonal(ops, pulse, phi, mu)
-            out = np.diag(u) if out is None else u.reshape((-1,) + (1,) * (np.ndim(out) - 1)) * out
-    return np.eye(ops.dims.dim, dtype=complex) if out is None else out
+            out = pulse_diagonal(ops, pulse, phi, mu).reshape((-1,) + (1,) * (np.ndim(out) - 1)) * out
+    return out
 
 
 def apply_pulse(

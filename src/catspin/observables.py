@@ -10,12 +10,15 @@ folded the CRAIN/SCAIN spin echo into a single dark zone, each built-in
 reads psi(phi) = Tail B e^{-i c phi J_z} v0, so <J_z> and its variance are
 trigonometric polynomials of degree N and 2N in theta = c phi.  Their
 samples on an equispaced theta grid of at least 4N+1 points come from FFTs
-of the matrix B diag(v0), one per row, with J_z pushed back through Tail
-as a tridiagonal T.  T couples neighbouring rows, so the samples come in
-row slabs with a halo row on each side, whose centred moments merge in
-order by the pairwise update of Chan, Golub & LeVeque (1983); from dim 512
-on the slabs run on a pool of up to `threads` threads, bitwise the serial
-result.  One FFT of the samples gives the exact coefficients, and signal,
+of the rows of B diag(v0), one per row, with J_z pushed back through Tail
+as a tridiagonal T.  B is never built whole: it is one x rotation or none,
+whose row N - r is row r reversed, so each group of row slabs builds its
+fold rows once (dicke.rotation_rows), and each slab samples every mu of a
+scan over them.  T couples neighbouring rows, so a slab has a halo row on
+each side; its centred moments per mu merge in slab order by the pairwise
+update of Chan, Golub & LeVeque (1983); from dim 512 on the slabs run on a
+pool of up to `threads` threads, bitwise the serial result.  One FFT of
+the samples gives the exact coefficients, and signal,
 variance and the exact dS/dphi follow at every requested phi from
 baby-step giant-step exponential tables over those phis, which a scan
 builds at its first mu and reads at every later one while they fit 1 MB.
@@ -24,9 +27,10 @@ its single row directly; its variance is p (1 - p), with 1 - p summed from
 the other populations of the state where it falls below 1e-4.  Variance
 samples are centered, sum |(T - S) w|^2, and requested points whose
 interpolated SDS falls in the rounding band below 1e-6 N are recomputed
-directly from the state.  Specs that do not fold to one dark zone feed
-the same interpolation from CompiledProtocol.evaluate samples on a grid
-sized to their bandwidth, and sum 1 - p in the same band.
+directly from the state.  Specs that do not fold to one dark zone, or
+whose B is more than one x rotation, feed the same interpolation from
+CompiledProtocol.evaluate samples on a grid sized to their bandwidth, and
+sum 1 - p in the same band.
 
 Measured accuracy: the SDS matches the centered variance of run()'s state
 to 1e-15 N at N = 40/41; at N = 2000 (SCAIN, mu = pi/2) the signal matches
@@ -38,8 +42,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -49,12 +55,15 @@ from catspin.dicke import (
     SpinState,
     apply_pulses,
     pulse_diagonal,
+    rotate_pulse,
+    rotation_rows,
 )
 from catspin.protocols import (
     CompiledProtocol,
     Detection,
     ProtocolSpec,
     compile_protocol,
+    flips_jz,
     split_at_squeeze,
 )
 
@@ -160,8 +169,9 @@ _ROUNDING_BAND = 1e-6
 # would cost it (and Lambda) relative digits, 3.4e-10 at 1 - p = 2.5e-6.
 _CSD_SUM_BAND = 1e-4
 
-# Elements per block of a (points x frequencies) exponential or a sample
-# matrix: bounds the scratch memory of a scan independently of its size.
+# Elements per block of a (points x frequencies) exponential, a sample
+# matrix or a CD group's middle rows: bounds the scratch memory of a scan
+# independently of its size.
 _BLOCK_ELEMENTS = 1 << 20
 
 # A scan keeps the exponential tables of _fourier_sum for its later mu while
@@ -195,6 +205,16 @@ def _slabs(dims: EnsembleDims) -> tuple[int, int]:
     in slabs of `rows` rows that hold _SLAB_ELEMENTS."""
     samples = _fft_length(4 * dims.n_atoms + 1)
     return samples, max(1, _SLAB_ELEMENTS // samples)
+
+
+def _mirrored(dim: int, a: int, rows: int) -> list[tuple[int, int]]:
+    """The CD slabs (lo, hi) of the top slab from row a: rows a .. a + rows - 1
+    of the top half and their mirror images N - r below it, one slab where
+    both fit in `rows` rows."""
+    top = (dim + 1) // 2
+    if dim - 2 * a <= rows:
+        return [(a, dim - a)]
+    return [(a, min(a + rows, top)), (max(top, dim - a - rows), dim - a)]
 
 
 def _exp_tables(first: float, baby: int, giant: int, t: np.ndarray):
@@ -275,13 +295,35 @@ def _moments(w: np.ndarray, diag, below, above):
 
 def _merge(partials):
     """sum M and the variance of slab partials (W, M, V) merged in order by the pairwise update
-    of Chan, Golub & LeVeque (1983), all terms >= 0: V += V_s + (M_s W - M W_s)^2 / (W W_s (W + W_s))."""
-    weight = first = var = 0.0
+    of Chan, Golub & LeVeque (1983), all terms >= 0: V += V_s + (M_s W - M W_s)^2 / (W W_s (W + W_s)),
+    in place."""
+    weight = first = var = None
     for w_s, m_s, v_s in partials:
-        gap, spread = m_s * weight - first * w_s, weight * w_s * (weight + w_s)
-        var = var + v_s + gap * gap / np.where(spread > 0, spread, 1.0)
-        weight, first = weight + w_s, first + m_s
+        if weight is None:
+            weight, first, var = np.zeros_like(w_s), np.zeros_like(m_s), np.zeros_like(v_s)
+        gap, spread = m_s * weight, weight * w_s
+        gap -= first * w_s
+        weight += w_s
+        spread *= weight
+        var += v_s
+        gap *= gap
+        gap /= np.where(spread > 0, spread, 1.0)
+        var += gap
+        first += m_s
+        del w_s, m_s, v_s, gap, spread  # none held while the next partial is awaited
     return first, var
+
+
+def _in_order(pool, workers: int, fn, items):
+    """fn(item) for each item, in order, run on the pool with at most
+    `workers` results submitted and not yet read."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) == workers:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
@@ -304,9 +346,11 @@ class _Scanner:
     acting first on v_lead.  tail is the longest trailing run that J_z can be pushed back
     through as a tridiagonal T: diagonal pulses followed in time by x/y
     rotations.  Through the rotations T stays a spin component n.J; the
-    diagonal pulses only twist its off-diagonal.  middle is a dense matrix,
-    built once when it holds no squeeze.  Specs with more than one dark zone
-    go through CompiledProtocol.evaluate samples instead.
+    diagonal pulses only twist its off-diagonal.  No dense middle is built:
+    for CD it is brought to one x rotation or none, whose rows each group of
+    slabs builds once per scan (see _cd).  Specs with more than one dark
+    zone, and CD specs with a longer middle, go through
+    CompiledProtocol.evaluate samples instead.
     """
 
     def __init__(self, spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet,
@@ -316,7 +360,6 @@ class _Scanner:
             raise ValueError("phi points must be finite")
         self.spec, self.dims, self.ops = spec, dims, ops
         self.kernel = compile_protocol(spec, dims, ops)
-        self._middle = None
         self._tables = []  # _fourier_sum's kept tables over self.phis
         self.health = {"rounding_band_points": 0, "csd_sum_points": 0}  # _blockwise points
         self.folded = len(self.kernel.segments) <= 1
@@ -349,20 +392,30 @@ class _Scanner:
             row = np.zeros(dims.dim, dtype=complex)
             row[self.index] = 1.0
             self.row_lead = apply_pulses(ops, lead, row)
+            return
+        # CD reads the middle's rows off one x rotation's.  A last y rotation
+        # is P R_x P^dagger with P = diag(e^{-i pi m/2}), a z rotation that
+        # joins the tail.  Diagonal pulses that then start the middle commute
+        # with the dark zone, and a pi rotation about x or y maps J_z to
+        # -J_z, so they move before it (into v0), a pi rotation turning the
+        # rate's sign.  A middle still longer than the x rotation goes
+        # through CompiledProtocol.evaluate samples.
+        middle, self.moved = list(self.middle_pulses), []
+        if middle and middle[-1].axis == "y":
+            middle[-1:] = rotate_pulse("z", -math.pi / 2), rotate_pulse("x", middle[-1].angle)
+            self.tail = (rotate_pulse("z", math.pi / 2), *self.tail)
+        while middle and (middle[0].kind == "squeeze" or middle[0].axis == "z" or flips_jz(middle[0])):
+            self.moved.append(middle.pop(0))
+            self.rate *= -1 if flips_jz(self.moved[-1]) else 1
+        self.middle_pulses = middle
+        if len(middle) > 1:
+            self.folded, self.workers = False, 1
 
     # --- per-mu pieces ----------------------------------------------------
 
-    def _middle_matrix(self, mu) -> np.ndarray:
-        """Dense middle; kept for the next mu unless it holds a squeeze."""
-        if self._middle is not None:
-            return self._middle
-        middle = apply_pulses(self.ops, self.middle_pulses, mu=mu)
-        if not any(p.kind == "squeeze" for p in self.middle_pulses):
-            self._middle = middle
-        return middle
-
     def _observable(self, mu):
-        """T = tail^dagger J_z tail as (diagonal, superdiagonal)."""
+        """T = tail^dagger J_z tail as (diagonal, below, above): T w at row i
+        is below_i w_{i-1} + diagonal_i w_i + above_i w_{i+1}."""
         n = np.array([0.0, 0.0, 1.0])
         twists = []
         for pulse in reversed(self.tail):
@@ -374,12 +427,14 @@ class _Scanner:
         for pulse in twists:
             u = pulse_diagonal(self.ops, pulse, 0.0, mu)
             upper = upper * u[:-1].conj() * u[1:]
-        return n[2] * self.ops.m, upper
+        return n[2] * self.ops.m, np.append(0, upper).conj(), np.append(upper, 0)
 
     def _blockwise(self, out, where, values_at, count: str):
         """out[where] = values_at(phis[where]), in blocks of points small
         enough that a (dim, block) state matrix stays in _BLOCK_ELEMENTS;
-        health[count] adds the points."""
+        health[count] adds the points.  A point's value may differ in its
+        last bits with the points that share its block, as those of
+        CompiledProtocol.evaluate and apply_pulses do."""
         self.health[count] += where.size
         step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
         for i in range(0, len(where), step):
@@ -390,20 +445,27 @@ class _Scanner:
 
     def arrays(self, mu: float | None):
         """signal, SDS and exact dS/dphi at every phi of the grid."""
-        if mu is not None and not np.isfinite(mu):
-            raise ValueError(f"squeezing strength must be finite, got {mu}")
-        if self.phis.size == 0:
-            return np.empty(0), np.empty(0), np.empty(0)
+        return next(self.scan([mu]))
+
+    def scan(self, mus):
+        """arrays(mu) for each mu of mus in turn; CD samples every mu in one
+        pass over the slabs."""
+        for mu in mus:
+            if mu is not None and not np.isfinite(mu):
+                raise ValueError(f"squeezing strength must be finite, got {mu}")
         detection = self.spec.detection
-        if not self.folded:
-            signal, sds, pgs = self._sampled_kernel(mu)
+        if self.phis.size == 0:
+            columns = ((np.empty(0), np.empty(0), np.empty(0)) for _ in mus)
+        elif not self.folded:
+            columns = map(self._sampled_kernel, mus)
         elif detection.kind == "csd":
-            signal, sds, pgs = self._csd(mu)
+            columns = map(self._csd, mus)
         else:
-            signal, sds, pgs = self._cd(mu)
-        if detection.kind == "cd" and detection.add_j:
-            signal = signal + self.dims.j
-        return signal, sds, pgs
+            columns = self._cd(mus)
+        for signal, sds, pgs in columns:
+            if detection.kind == "cd" and detection.add_j:
+                signal = signal + self.dims.j
+            yield signal, sds, pgs
 
     def _csd(self, mu):
         m, index = self.ops.m, self.index
@@ -426,36 +488,66 @@ class _Scanner:
         self._blockwise(rest, np.flatnonzero(rest < _CSD_SUM_BAND), others, "csd_sum_points")
         return p, np.sqrt(np.maximum(p * rest, 0.0)), pgs
 
-    def _cd(self, mu):
-        dim = self.dims.dim
-        v0 = self.kernel.v0(mu)
-        middle = self._middle_matrix(mu)
-        diag, upper = self._observable(mu)
-        below, above = np.append(0, upper).conj(), np.append(upper, 0)
+    def _cd(self, mus):
+        dim, n = self.dims.dim, self.dims.n_atoms
         samples, rows = _slabs(self.dims)
+        top, fold = (dim + 1) // 2, n // 2 + 1
+        # row r of the x rotation is its fold row r up to N/2 and fold row
+        # N - r reversed past it.  The fold rows of `group` top slabs, at most
+        # _BLOCK_ELEMENTS, are built at once, while no slab runs, and serve
+        # those slabs and their mirror images.
+        group = rows * max(1, _BLOCK_ELEMENTS // (dim * rows))
+        kernel = self.kernel
+        states = [(apply_pulses(self.ops, (*kernel.pre, *self.moved), kernel.v_lead, mu=mu),
+                   *self._observable(mu)) for mu in mus]
 
-        def slab(a):  # rows a - 1 .. b, zero past the edges; sample j at theta = 2 pi j / samples
-            b = min(a + rows, dim)
-            lo, hi = max(a - 1, 0), min(b + 1, dim)
-            w = np.zeros((b - a + 2, samples), dtype=complex)
-            np.multiply(middle[lo:hi], v0, out=w[lo - a + 1 : hi - a + 1, :dim])
-            np.fft.fft(w, axis=-1, out=w)
-            return _moments(w, diag[a:b], below[a:b], above[a:b])
+        def groups():
+            for g in range(0, top, group):
+                first, last = max(g - 1, 0), min(g + group, top, fold - 1) + 1
+                block = (rotation_rows(self.ops, self.middle_pulses[0].angle, first, last)
+                         if self.middle_pulses else np.eye(last - first, dim, first, dtype=complex))
+                yield [(lo, hi, first, block) for a in range(g, min(g + group, top), rows)
+                       for lo, hi in _mirrored(dim, a, rows)]
+                del block  # before the next group's
+
+        def slab(item):
+            """(W, M, V) per mu of the rows lo .. hi - 1 with a halo row on
+            both sides, zero past the edges; sample j at theta = 2 pi j / samples."""
+            lo, hi, start, block = item
+            first, last = max(lo - 1, 0), min(hi + 1, dim)
+            cut = min(max(first, fold), last)
+            pieces = (block[first - start : cut - start],
+                      block[n + 1 - last - start : n + 1 - cut - start][::-1, ::-1])
+            partials = np.empty((3, len(states), samples))
+            w = np.empty((hi - lo + 2, samples), dtype=complex)
+            for i, (v0, diag, below, above) in enumerate(states):
+                w.fill(0.0)
+                at = first - lo + 1
+                for piece in pieces:
+                    np.multiply(piece, v0, out=w[at : at + len(piece), :dim])
+                    at += len(piece)
+                np.fft.fft(w, axis=-1, out=w)
+                partials[:, i] = _moments(w, diag[lo:hi], below[lo:hi], above[lo:hi])
+            return partials
 
         with ThreadPoolExecutor(self.workers) as pool:
-            run = pool.map if self.workers > 1 else map
-            mean, var = _merge(run(slab, range(0, dim, rows)))
+            mean, var = _merge(chain.from_iterable(
+                _in_order(pool, self.workers, slab, slabs) if self.workers > 1 else map(slab, slabs)
+                for slabs in groups()))
 
-        def direct(points):  # v0 after the dark zone, one column per point
-            darkened = v0[:, None] * np.exp(-1j * self.rate * np.outer(self.ops.m, points))
-            w = np.zeros((dim + 2, len(points)), dtype=complex)
-            np.matmul(middle, darkened, out=w[1:-1])
-            return _moments(w, diag, below, above)[2]
+        for mu, (v0, diag, below, above), mean_mu, var_mu in zip(mus, states, mean, var):
+            def direct(points):  # v0 after the dark zone and the middle, one column per point
+                w = np.zeros((dim + 2, len(points)), dtype=complex)
+                np.multiply(v0[:, None], np.exp(-1j * self.rate * np.outer(self.ops.m, points)),
+                            out=w[1:-1])
+                w[1:-1] = apply_pulses(self.ops, self.middle_pulses, w[1:-1], mu=mu)
+                return _moments(w, diag, below, above)[2]
 
-        return self._interpolate(mean, var, self.dims.n_atoms, self.rate, direct)
+            yield self._interpolate(mean_mu, var_mu, n, self.rate, direct)
 
     def _sampled_kernel(self, mu):
-        """Fallback for specs with several dark zones after folding."""
+        """Fallback for specs with several dark zones after folding, and for
+        CD ones whose middle is more than one x rotation."""
         fractions = [f for (f, _), _ in self.kernel.segments]
         denominators = []
         for f in fractions:
@@ -538,7 +630,9 @@ def scan_workers(kernel: CompiledProtocol, detection: Detection,
     dims = kernel.dims
     if len(kernel.segments) > 1 or detection.kind != "cd" or dims.dim < _POOL_MIN_DIM:
         return 1
-    return pool_size(threads, -(-dims.dim // _slabs(dims)[1]))
+    rows = _slabs(dims)[1]
+    return pool_size(threads, sum(len(_mirrored(dims.dim, a, rows))
+                                  for a in range(0, (dims.dim + 1) // 2, rows)))
 
 
 # --- sensitivity ------------------------------------------------------------
@@ -589,8 +683,7 @@ def sensitivity_scan_mu(
 
     scanner = _Scanner(spec, dims, ops, phi_window, threads)
     best, phi_star = np.full(mu_grid.size, np.nan), np.full(mu_grid.size, np.nan)
-    for i, mu in enumerate(mu_grid.tolist()):
-        _, sds, pgs = scanner.arrays(mu)
+    for i, (_, sds, pgs) in enumerate(scanner.scan(mu_grid.tolist())):
         lam = _sensitivity(sds, pgs, dims.n_atoms)
         # the max over the defined points: -inf, which no point reaches, if none is
         top = np.fmax.reduce(lam, initial=-np.inf)

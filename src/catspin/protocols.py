@@ -212,7 +212,7 @@ def run(
 # --- batched scan kernel ----------------------------------------------------
 
 
-def _flips_jz(pulse: Pulse) -> bool:
+def flips_jz(pulse: Pulse) -> bool:
     """A pi rotation about x or y maps J_z to -J_z."""
     return pulse.kind == "rotate" and pulse.axis in ("x", "y") and abs(pulse.angle) == np.pi
 
@@ -229,7 +229,7 @@ def fold_echoes(pulses: tuple[Pulse, ...]) -> tuple[Pulse, ...]:
     i = 0
     while i + 2 < len(out):
         first, mirror, second = out[i : i + 3]
-        if first.kind == second.kind == "dark_phase" and _flips_jz(mirror):
+        if first.kind == second.kind == "dark_phase" and flips_jz(mirror):
             rate = first.sign * first.fraction - second.sign * second.fraction
             folded = [mirror]
             if rate != 0.0:
@@ -275,7 +275,10 @@ class CompiledProtocol:
         return apply_pulses(self.ops, self.pre, self.v_lead, mu=mu)
 
     def evaluate(self, phis: np.ndarray, mu: float | None = None) -> np.ndarray:
-        """Final amplitudes for each phi, as a (dim, n_phi) array."""
+        """Final amplitudes for each phi, as a (dim, n_phi) array.  A phi's
+        column may differ in its last bits with the phis evaluated beside
+        it, since apply_pulses rounds a block's columns together (up to
+        2.5e-16 at N <= 64)."""
         phis = np.atleast_1d(np.asarray(phis, dtype=float))
         block = np.repeat(self.v0(mu)[:, None], len(phis), axis=1)
         for (fraction, sign), pulses in self.segments:

@@ -24,6 +24,7 @@ from catspin.dicke import (
     dark_pulse,
     rotate,
     rotate_pulse,
+    rotation_rows,
     squeeze_pulse,
     total_spin_expectation,
 )
@@ -316,7 +317,7 @@ class TestApplyPulses:
             assert vector.shape == (n + 1,)
             assert np.max(np.abs(vector - stepped[:, 0])) < 1e-12
             assert np.max(np.abs(apply_pulses(ops, pulses, block, phi, mu) - stepped)) < 1e-12
-            unitary = apply_pulses(ops, pulses, phi=phi, mu=mu)
+            unitary = apply_pulses(ops, pulses, np.eye(n + 1, dtype=complex), phi, mu)
             assert np.max(np.abs(unitary @ block - stepped)) < 1e-12
 
     def test_adjacent_rotations_merge_exactly(self, ops40):
@@ -326,7 +327,8 @@ class TestApplyPulses:
         assert np.array_equal(merged, apply_pulses(ops40, [rotate_pulse("y", 0.3 + 0.8)], state))
 
     def test_empty_sequence_is_identity(self):
-        assert np.array_equal(apply_pulses(cached_ops(4), []), np.eye(5, dtype=complex))
+        block = random_amps(5, seed=4, cols=3)
+        assert np.array_equal(apply_pulses(cached_ops(4), [], block), block)
 
 
 class TestInvariants:
@@ -498,34 +500,30 @@ class TestRotationOracles:
     def test_unitary_and_block_match_expm(self, n):
         ops = cached_ops(n)
         block = random_amps(n + 1, seed=n, cols=3)
+        twist = np.exp(-0.5j * np.pi * ops.m)
         for axis, generator in zip("xy", dense_generators(n)):
             for theta in (0.3, -1.1, 2.9, 7.5):
                 exact = expm(-1j * theta * generator)
-                assert np.max(np.abs(rotate(ops, axis, theta) - exact)) <= 1e-13
+                # rows up to N/2 of R_x, the rest reversed; R_y = P R_x P^dagger
+                half = rotation_rows(ops, theta, 0, n // 2 + 1)
+                unitary = np.concatenate([half, half[: n - n // 2][::-1, ::-1]])
+                if axis == "y":
+                    unitary = twist[:, None] * unitary * twist.conj()
+                assert np.max(np.abs(unitary - exact)) <= 1e-13
+                for first in range(n // 2 + 1):  # any run of rows
+                    assert np.max(np.abs(rotation_rows(ops, theta, first, n // 2 + 1)
+                                         - half[first:])) <= 1e-13
                 assert np.max(np.abs(rotate(ops, axis, theta, block) - exact @ block)) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 300, 301])
     @pytest.mark.parametrize("chunk", [1, 97, 1 << 16])
-    def test_in_place_unfold_is_bitwise_the_copying_one(self, monkeypatch, n, chunk):
-        # the dense unitary's G^T C G, turned and unfolded in place chunk by
-        # chunk, against the copying unfold it replaced; the same additions
+    def test_rows_in_chunks_match_the_vector_path(self, n, chunk):
+        # rotation_rows over runs of `chunk` rows, as a scan builds them
+        # group by group, against rotate's vector path on the identity
         ops = cached_ops(n)
-        dim, pairs = n + 1, len(ops.anti_vectors)
-        rng = np.random.default_rng(n)
-        coeffs = np.zeros((dim, dim), dtype=complex)
-        for rows in (slice(-pairs), slice(-pairs, None)):
-            size = len(range(dim)[rows])
-            coeffs[rows, rows] = rng.standard_normal((size, size, 2)) @ [1, 1j]
-        coeffs[0, 0] = -0.0  # signed zeros come through too
-        copied = dicke._unfold(dicke._unfold(coeffs, pairs, np.empty_like(coeffs)).T,
-                               pairs, np.empty_like(coeffs)).T
-        monkeypatch.setattr(dicke, "_CHUNK_ELEMENTS", chunk)
-        dicke._turn(coeffs[-pairs:, -pairs:])
-        in_place = dicke._butterfly(dicke._butterfly(coeffs, pairs).T, pairs).T
-        assert in_place.tobytes() == copied.tobytes()
-
-    def test_dense_rotation_holds_one_dim_squared_array(self):
-        # the unitary (61 MiB at N = 2000) and one scaled parity block beside it
-        ops = cached_ops(2000)
-        unitary, peak = traced_peak_mib(lambda: rotate(ops, "x", 0.7))
-        assert peak <= 1.3 * unitary.nbytes / 2**20
+        half = n // 2 + 1
+        for theta in (0.3, 2.9):
+            rows = np.concatenate([rotation_rows(ops, theta, a, min(a + chunk, half))
+                                   for a in range(0, half, chunk)])
+            exact = rotate(ops, "x", theta, np.eye(n + 1, dtype=complex))
+            assert np.max(np.abs(rows - exact[:half])) <= 1e-13

@@ -652,6 +652,18 @@ class TestSubGridPool:
             assert np.array_equal(np.isnan(lam), np.isnan(lam_one))
             assert np.nanmax(np.abs(lam - lam_one), initial=0.0) <= 2e-11 * 40
 
+    def test_slabs_tile_the_rows(self):
+        # the top slabs and their mirror images cover every row once, and a
+        # slab and its mirror meet in one slab where they fit
+        for dim in range(2, 80):
+            for rows in range(1, 14):
+                spans = [s for a in range(0, (dim + 1) // 2, rows)
+                         for s in observables._mirrored(dim, a, rows)]
+                covered = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+                assert np.array_equal(np.sort(covered), np.arange(dim)), (dim, rows)
+                assert all(0 < hi - lo <= rows for lo, hi in spans)
+        assert observables._mirrored(41, 0, 1618) == [(0, 41)]
+
     def test_slab_moments_sum_to_the_whole(self):
         # W, M and the merged variance of a split column equal those of the
         # whole column, which has zero rows past its edges
@@ -736,17 +748,62 @@ class TestSubGridPool:
 
     @pytest.mark.slow
     def test_scan_memory_at_the_cap(self):
-        # one CD scan mu at N = 4000 above its held middle (CRAIN's is the
-        # identity, cheap to build) holds a few 4 MB slab buffers per worker:
-        # measured 27.5 MiB, and 511 MiB with a dim x width buffer per worker
+        # a whole CRAIN CD fringe at N = 4000, its empty middle's rows
+        # included: measured 43.0 MiB, and 271.8 MiB with the dense middle
         ops = cached_ops(4000)
-        scanner = observables._Scanner(builtin("crain"), ops.dims, ops, default_phi_window())
-        scanner._middle_matrix(None)
-        (signal, _, _), scan = traced_peak_mib(lambda: scanner.arrays(None))
-        assert scan <= 40
-        assert np.max(np.abs(signal + 2000 * np.cos(scanner.phis))) <= 1e-14 * 4000
+        fringe, scan = traced_peak_mib(
+            lambda: fringe_scan(builtin("crain"), ops.dims, ops, default_phi_window()))
+        assert scan <= 60
+        assert np.max(np.abs(fringe.signal + 2000 * np.cos(fringe.phi))) <= 1e-14 * 4000
 
-    def test_pool_size_caps_at_the_sub_grids(self, many_cpus):
+    @pytest.mark.slow
+    def test_sweep_memory_at_the_cap(self):
+        # a whole 3-mu SCAIN sweep at N = 4000, each group of slabs building
+        # its middle rows once for every mu: measured 45.7 MiB, and 305.8 MiB
+        # with the dense middle
+        ops = cached_ops(4000)
+        sweep, scan = traced_peak_mib(lambda: sensitivity_scan_mu(
+            scain(), ops.dims, ops, np.pi * np.array([0.4, 0.45, 0.5]), normalize_hl=True))
+        assert scan <= 60
+        assert sweep.lam[-1] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.slow
+    def test_y_rotation_middle_memory(self):
+        # SCAIN with ara y at N = 2000: its pi rotation moves before the dark
+        # zone and its y rotation's rows come as x rows; measured 42.4 MiB,
+        # and 244.6 MiB when the middle was built dense (977 MiB at N = 4000)
+        ops = cached_ops(2000)
+        fringe, scan = traced_peak_mib(
+            lambda: fringe_scan(scain(ara="y"), ops.dims, ops, default_phi_window()))
+        assert scan <= 55
+        for i in (0, 700, 2000):
+            state = run(scain(ara="y"), ops.dims, ops, fringe.phi[i])
+            assert fringe.signal[i] == pytest.approx(expect_jz(state), abs=1e-12 * 2000)
+
+    def test_sweep_holds_no_dense_matrix(self):
+        # after a 3-mu sweep at N = 1000 no array the scanner can reach holds
+        # dim^2 elements; the kept exponential tables stop at 65 536
+        ops = cached_ops(1000)
+        scanner = observables._Scanner(scain(), ops.dims, ops, default_phi_window())
+        columns = list(scanner.scan([0.3, 1.1, HALF]))
+        assert len(columns) == 3
+        sizes, seen, todo = [], set(), [scanner]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                sizes += [obj.size] + ([obj.base.size] if isinstance(obj.base, np.ndarray) else [])
+            elif isinstance(obj, (list, tuple)):
+                todo += obj
+            elif isinstance(obj, dict):
+                todo += obj.values()
+            elif hasattr(obj, "__dict__"):
+                todo += vars(obj).values()
+        assert len(sizes) > 10 and max(sizes) < 1001**2
+
+    def test_pool_size_caps_at_the_slabs(self, many_cpus):
         # the pool's tasks are the slabs: 16 of 64 rows at N = 1000
         slabs = -(-1001 // observables._slabs(EnsembleDims(1000))[1])
         assert slabs == 16
