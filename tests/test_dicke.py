@@ -527,3 +527,26 @@ class TestRotationOracles:
                                    for a in range(0, half, chunk)])
             exact = rotate(ops, "x", theta, np.eye(n + 1, dtype=complex))
             assert np.max(np.abs(rows - exact[:half])) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 300, 301])
+    @pytest.mark.parametrize("chunk", [1, 97, 1 << 16])
+    def test_in_place_unfold_is_bitwise_the_copying_one(self, n, chunk):
+        # rotation_rows writes G^T C G's rows straight into its output, run
+        # by run; the same coefficient rows in rotate's folded layout, put
+        # through the copying _unfold, give the same additions bit for bit
+        ops = cached_ops(n)
+        dim, pairs, odd = n + 1, len(ops.anti_vectors), n % 2
+        half = n // 2 + 1
+        for theta in (0.3, 2.9):
+            phase = 0.5 * np.exp(-1j * theta * ops.m)
+            for a in range(0, half, chunk):
+                b = min(a + chunk, half)
+                count = len(ops.anti_vectors[a:b])
+                copied = np.empty((b - a, dim), dtype=complex)
+                for part, scale in ((copied.real, phase.real), (copied.imag, phase.imag)):
+                    folded = np.zeros((b - a, dim))
+                    folded[:, :-pairs] = (ops.sym_vectors[a:b] * scale[odd::2]) @ ops.sym_vectors.T
+                    folded[:count, -pairs:] = (ops.anti_vectors[a:b] * scale[1 - odd :: 2]) @ ops.anti_vectors.T
+                    part[:] = dicke._unfold(folded.T, pairs, np.empty_like(folded.T)).T
+                copied[count:] *= np.sqrt(2.0)  # even N's middle row: sqrt(2) times the symmetric one
+                assert rotation_rows(ops, theta, a, b).tobytes() == copied.tobytes()
