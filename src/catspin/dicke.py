@@ -259,22 +259,26 @@ def rotation_rows(ops: OperatorSet, angle: float, first: int, last: int) -> np.n
     row f of C's two parity blocks, (B[f] e^{-i angle lambda} / 2) B^T,
     unfolded, their sum left of the middle and their difference right of it
     (sqrt(2) times the symmetric one alone for the middle row of even N).
-    One real product per block for the real and one for the imaginary
-    part: the rows cost the dense product's flops.
+    A block takes one real product for the real part and one for the
+    imaginary part, the dense product's flops.  Its lambdas step by 2, so at
+    a multiple of pi/2 its phases are e^{-i angle lambda_0} times real
+    signs, and one product does: half the flops.
     """
     pairs, odd = len(ops.anti_vectors), ops.dims.n_atoms % 2
-    phase = 0.5 * np.exp(-1j * angle * ops.m)
-    out = np.empty((last - first, ops.dims.dim), dtype=complex)
-    count = len(ops.anti_vectors[first:last])  # even N's middle row has no antisymmetric part
-    for part, scale in ((out.real, phase.real), (out.imag, phase.imag)):
-        sym = (ops.sym_vectors[first:last] * scale[odd::2]) @ ops.sym_vectors.T
-        part[:, :pairs], part[:, -pairs:] = sym[:, :pairs], sym[:, pairs - 1 :: -1]
-        np.multiply(sym[:, pairs:], np.sqrt(2.0), out=part[:, pairs:-pairs])
-        del sym  # before the antisymmetric block's
-        anti = (ops.anti_vectors[first:last] * scale[1 - odd :: 2]) @ ops.anti_vectors.T
-        part[:count, :pairs] += anti
-        part[:count, -pairs:] -= anti[:, ::-1]
-    out[count:] *= np.sqrt(2.0)
+    out = np.zeros((last - first, ops.dims.dim), dtype=complex)
+    quarters = 2.0 * angle / np.pi
+    for vecs, lam, sign in ((ops.sym_vectors, ops.m[odd::2], 1.0),
+                            (ops.anti_vectors, ops.m[1 - odd :: 2], -1.0)):
+        phase = 0.5 * np.exp(-1j * angle * lam)
+        terms = ([(phase.real, 1.0), (phase.imag, 1j)] if quarters != round(quarters) else
+                 [(0.5 - (np.arange(len(lam)) * round(quarters) % 2), np.exp(-1j * angle * lam[0]))])
+        for scale, factor in terms:
+            y = (vecs[first:last] * scale) @ vecs.T
+            out[: len(y), :pairs] += factor * y[:, :pairs]
+            out[: len(y), -pairs:] += (sign * factor) * y[:, pairs - 1 :: -1]
+            if sign > 0:
+                out[:, pairs:-pairs] += (np.sqrt(2.0) * factor) * y[:, pairs:]
+    out[len(ops.anti_vectors[first:last]) :] *= np.sqrt(2.0)  # even N's middle row
     return out
 
 

@@ -13,15 +13,15 @@ samples on an equispaced theta grid of at least 4N+1 points come from FFTs
 of the rows of B diag(v0), one per row, with J_z pushed back through Tail
 as a tridiagonal T.  B is never built whole: it is one x rotation or none,
 whose row N - r is row r reversed, so each group of row slabs builds its
-fold rows once (dicke.rotation_rows), and each slab samples every mu of a
-scan over them.  T couples neighbouring rows, so a slab has a halo row on
-each side; its centred moments per mu merge in slab order by the pairwise
-update of Chan, Golub & LeVeque (1983); from dim 512 on the slabs run on a
-pool of up to `threads` threads, bitwise the serial result.  One FFT of
-the samples gives the exact coefficients, and signal,
-variance and the exact dS/dphi follow at every requested phi from
-baby-step giant-step exponential tables over those phis, which a scan
-builds at its first mu and reads at every later one while they fit 1 MB.
+fold rows (dicke.rotation_rows) once per batch of mu and samples every mu
+of the batch over them.  T couples neighbouring rows, so a slab has a
+halo row on each side; its centred moments per mu merge in slab order by
+the pairwise update of Chan, Golub & LeVeque (1983); from dim 512 on the
+slabs run on a pool of up to `threads` threads, bitwise the serial result.
+One FFT of the samples gives the exact coefficients, and signal, variance
+and the exact dS/dphi follow at every requested phi from baby-step
+giant-step exponential tables over those phis, which a scan builds at its
+first mu and reads at every later one while they fit 1 MB.
 Collective-state detection evaluates the degree-N amplitude polynomial of
 its single row directly; its variance is p (1 - p), with 1 - p summed from
 the other populations of the state where it falls below 1e-4.  Variance
@@ -45,7 +45,6 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import chain
 
 import numpy as np
 
@@ -170,8 +169,8 @@ _ROUNDING_BAND = 1e-6
 _CSD_SUM_BAND = 1e-4
 
 # Elements per block of a (points x frequencies) exponential, a sample
-# matrix or a CD group's middle rows: bounds the scratch memory of a scan
-# independently of its size.
+# matrix, a CD group's middle rows or a CD mu batch's slab moments: bounds
+# the scratch memory of a scan independently of its size.
 _BLOCK_ELEMENTS = 1 << 20
 
 # A scan keeps the exponential tables of _fourier_sum for its later mu while
@@ -182,7 +181,8 @@ _BLOCK_ELEMENTS = 1 << 20
 _KEPT_TABLE_ELEMENTS = 1 << 16
 
 # Complex elements of a CD slab buffer (4 MB): 64 rows at N = 1000, 16 at
-# 4000, one slab up to N = 255, whatever the threads.
+# 4000, one slab up to N = 255, whatever the threads; _moments takes it in
+# blocks of a quarter.
 # Below _POOL_MIN_DIM the slabs run serially: on 2 vCPUs a pool of 2 cost
 # 12 % per mu at N = 256, broke even at N = 300-450 and saved 13-21 % at
 # N = 511, 0-15 % at 1000 and 38 % at 2000.  The pool stops at the CPUs, the
@@ -281,16 +281,23 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pairs[..., ::2] + pairs[..., 1::2]
 
 
-def _moments(w: np.ndarray, diag, below, above):
-    """W = sum |w|^2, M = Re sum conj(w) T w and V = sum |(T - M/W) w|^2 per column over the
-    rows between w's halo rows, (T w)_i = below_i w_{i-1} + diag_i w_i + above_i w_{i+1}."""
-    inner = w[..., 1:-1, :]
-    tw = diag[:, None] * inner
-    tw += above[:, None] * w[..., 2:, :]
-    tw += below[:, None] * w[..., :-2, :]
-    weight, first = _dot(inner, inner), _dot(inner, tw)
-    tw -= (first / np.where(weight > 0, weight, 1.0))[..., None, :] * inner
-    return weight, first, _dot(tw, tw)
+def _moments(w: np.ndarray, diag, below, above) -> np.ndarray:
+    """(W, M, V) per column of w: W = sum |w|^2, M = Re sum conj(w) T w and V = sum |(T - M/W) w|^2
+    over the rows between w's halo rows, (T w)_i = below_i w_{i-1} + diag_i w_i + above_i w_{i+1}.
+    The columns go in blocks of a quarter of _SLAB_ELEMENTS, whose temporaries the allocator
+    reuses; over a whole slab it mapped fresh pages for each and faulted them in."""
+    out = np.empty((3, w.shape[-1]))
+    step = max(1, _SLAB_ELEMENTS // 4 // len(w))
+    for c in range(0, w.shape[-1], step):
+        block = w[:, c : c + step]
+        inner = block[1:-1]
+        tw = diag[:, None] * inner
+        tw += above[:, None] * block[2:]
+        tw += below[:, None] * block[:-2]
+        weight, first = _dot(inner, inner), _dot(inner, tw)
+        tw -= (first / np.where(weight > 0, weight, 1.0))[None, :] * inner
+        out[:, c : c + step] = weight, first, _dot(tw, tw)
+    return out
 
 
 def _merge(partials):
@@ -314,13 +321,13 @@ def _merge(partials):
     return first, var
 
 
-def _in_order(pool, workers: int, fn, items):
+def _in_order(pool, depth: int, fn, items):
     """fn(item) for each item, in order, run on the pool with at most
-    `workers` results submitted and not yet read."""
+    `depth` results submitted and not yet read."""
     pending = deque()
     for item in items:
         pending.append(pool.submit(fn, item))
-        if len(pending) == workers:
+        if len(pending) == depth:
             yield pending.popleft().result()
     while pending:
         yield pending.popleft().result()
@@ -348,7 +355,7 @@ class _Scanner:
     rotations.  Through the rotations T stays a spin component n.J; the
     diagonal pulses only twist its off-diagonal.  No dense middle is built:
     for CD it is brought to one x rotation or none, whose rows each group of
-    slabs builds once per scan (see _cd).  Specs with more than one dark
+    slabs builds once per batch of mu (see _cd).  Specs with more than one dark
     zone, and CD specs with a longer middle, go through
     CompiledProtocol.evaluate samples instead.
     """
@@ -489,35 +496,45 @@ class _Scanner:
         return p, np.sqrt(np.maximum(p * rest, 0.0)), pgs
 
     def _cd(self, mus):
+        """The CD arrays of each mu, the mus taken in batches whose slab
+        moments, 3 x batch x samples, stay within half of _BLOCK_ELEMENTS;
+        each batch builds the middle's rows anew."""
+        batch = max(1, _BLOCK_ELEMENTS // (6 * _slabs(self.dims)[0]))
+        for i in range(0, len(mus), batch):
+            yield from self._cd_batch(mus[i : i + batch])
+
+    def _cd_batch(self, mus):
         dim, n = self.dims.dim, self.dims.n_atoms
         samples, rows = _slabs(self.dims)
-        top, fold = (dim + 1) // 2, n // 2 + 1
-        # row r of the x rotation is its fold row r up to N/2 and fold row
-        # N - r reversed past it.  The fold rows of `group` top slabs, at most
-        # _BLOCK_ELEMENTS, are built at once, while no slab runs, and serve
-        # those slabs and their mirror images.
+        top = (dim + 1) // 2
+        # row r of the x rotation is its fold row r below top and fold row
+        # N - r reversed from there.  The fold rows of `group` top slabs, at
+        # most _BLOCK_ELEMENTS, are built at once and serve those slabs and
+        # their mirror images.  A group is built while the last slabs of the
+        # one before it run, so two groups' rows are held at most.
         group = rows * max(1, _BLOCK_ELEMENTS // (dim * rows))
         kernel = self.kernel
         states = [(apply_pulses(self.ops, (*kernel.pre, *self.moved), kernel.v_lead, mu=mu),
                    *self._observable(mu)) for mu in mus]
 
-        def groups():
+        def slabs():
             for g in range(0, top, group):
-                first, last = max(g - 1, 0), min(g + group, top, fold - 1) + 1
+                first, last = max(g - 1, 0), min(g + group + 1, top)
                 block = (rotation_rows(self.ops, self.middle_pulses[0].angle, first, last)
-                         if self.middle_pulses else np.eye(last - first, dim, first, dtype=complex))
-                yield [(lo, hi, first, block) for a in range(g, min(g + group, top), rows)
-                       for lo, hi in _mirrored(dim, a, rows)]
-                del block  # before the next group's
+                         if self.middle_pulses else None)
+                for a in range(g, min(g + group, top), rows):
+                    for lo, hi in _mirrored(dim, a, rows):
+                        yield lo, hi, first, block
 
         def slab(item):
             """(W, M, V) per mu of the rows lo .. hi - 1 with a halo row on
             both sides, zero past the edges; sample j at theta = 2 pi j / samples."""
             lo, hi, start, block = item
             first, last = max(lo - 1, 0), min(hi + 1, dim)
-            cut = min(max(first, fold), last)
-            pieces = (block[first - start : cut - start],
-                      block[n + 1 - last - start : n + 1 - cut - start][::-1, ::-1])
+            cut = min(max(first, top), last)
+            pieces = () if block is None else (
+                block[first - start : cut - start],
+                block[n + 1 - last - start : n + 1 - cut - start][::-1, ::-1])
             partials = np.empty((3, len(states), samples))
             w = np.empty((hi - lo + 2, samples), dtype=complex)
             for i, (v0, diag, below, above) in enumerate(states):
@@ -526,14 +543,15 @@ class _Scanner:
                 for piece in pieces:
                     np.multiply(piece, v0, out=w[at : at + len(piece), :dim])
                     at += len(piece)
+                if block is None:  # no middle: row r of diag(v0) is v0_r e_r
+                    w[np.arange(at, at + last - first), np.arange(first, last)] = v0[first:last]
                 np.fft.fft(w, axis=-1, out=w)
                 partials[:, i] = _moments(w, diag[lo:hi], below[lo:hi], above[lo:hi])
             return partials
 
-        with ThreadPoolExecutor(self.workers) as pool:
-            mean, var = _merge(chain.from_iterable(
-                _in_order(pool, self.workers, slab, slabs) if self.workers > 1 else map(slab, slabs)
-                for slabs in groups()))
+        with ThreadPoolExecutor(self.workers) as pool:  # each worker has a slab queued
+            mean, var = _merge(_in_order(pool, 2 * self.workers, slab, slabs())
+                               if self.workers > 1 else map(slab, slabs()))
 
         for mu, (v0, diag, below, above), mean_mu, var_mu in zip(mus, states, mean, var):
             def direct(points):  # v0 after the dark zone and the middle, one column per point

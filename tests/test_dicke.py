@@ -502,7 +502,7 @@ class TestRotationOracles:
         block = random_amps(n + 1, seed=n, cols=3)
         twist = np.exp(-0.5j * np.pi * ops.m)
         for axis, generator in zip("xy", dense_generators(n)):
-            for theta in (0.3, -1.1, 2.9, 7.5):
+            for theta in (0.3, -1.1, 2.9, 7.5, np.pi / 2, -np.pi / 2, np.pi):
                 exact = expm(-1j * theta * generator)
                 # rows up to N/2 of R_x, the rest reversed; R_y = P R_x P^dagger
                 half = rotation_rows(ops, theta, 0, n // 2 + 1)
@@ -522,7 +522,7 @@ class TestRotationOracles:
         # group by group, against rotate's vector path on the identity
         ops = cached_ops(n)
         half = n // 2 + 1
-        for theta in (0.3, 2.9):
+        for theta in (0.3, 2.9, np.pi / 2, -np.pi / 2):  # pi/2: one product per block
             rows = np.concatenate([rotation_rows(ops, theta, a, min(a + chunk, half))
                                    for a in range(0, half, chunk)])
             exact = rotate(ops, "x", theta, np.eye(n + 1, dtype=complex))
