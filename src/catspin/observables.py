@@ -5,19 +5,27 @@ linewidth conversion factor set to 1; the CLI applies an optional physical
 scale.  Lambda is nan wherever it is undefined, and scans return read-only
 float columns: a Fringe over a phi grid, a Sweep over a mu grid.
 
-Every scan goes through one spectral engine.  Once compile_protocol has
-folded the CRAIN/SCAIN spin echo into a single dark zone, each built-in
-reads psi(phi) = Tail B e^{-i c phi J_z} v0, so <J_z> and its variance are
+Every scan goes through one spectral engine, whose path, slab plan and
+pool _Scanner decides once.  Once compile_protocol has folded the
+CRAIN/SCAIN spin echo into a single dark zone, each built-in reads
+psi(phi) = Tail B e^{-i c phi J_z} v0, so <J_z> and its variance are
 trigonometric polynomials of degree N and 2N in theta = c phi.  Their
 samples on an equispaced theta grid of at least 4N+1 points come from FFTs
 of the rows of B diag(v0), one per row, with J_z pushed back through Tail
 as a tridiagonal T.  B is never built whole: it is one x rotation or none,
-whose row N - r is row r reversed, so each group of row slabs builds its
-fold rows (dicke.rotation_rows) once per batch of mu and samples every mu
-of the batch over them.  T couples neighbouring rows, so a slab has a
-halo row on each side; its centred moments per mu merge in slab order by
-the pairwise update of Chan, Golub & LeVeque (1983); from dim 512 on the
-slabs run on a pool of up to `threads` threads, bitwise the serial result.
+whose fold row r (dicke.rotation_rows) is its row r and, reversed, N - r.
+
+The rows run in slabs of at most 4 MB of samples (16 at N = 1000, 251 at
+4000, one up to N = 255), each a top slab of rows r <= N/2 or its mirror
+image, or both where they fit, with a halo row on each side as T couples
+neighbouring rows.  The top slabs' fold rows come in groups of at most
+16 MB, each built while the last slabs of the one before run, so two are
+held at most.  The mu run in batches whose slab moments hold at most 4 MB
+(43 mu at N = 1000, 10 at 4000); each group builds its rows once per batch.
+The centred moments per mu merge in slab order by the pairwise update of
+Chan, Golub & LeVeque (1983).  From dim 512 on the slabs run on a pool of
+up to `threads` threads, two slabs per worker ahead, bitwise the serial result.
+
 One FFT of the samples gives the exact coefficients, and signal, variance
 and the exact dS/dphi follow at every requested phi from baby-step
 giant-step exponential tables over those phis, which a scan builds at its
@@ -58,7 +66,6 @@ from catspin.dicke import (
     rotation_rows,
 )
 from catspin.protocols import (
-    CompiledProtocol,
     Detection,
     ProtocolSpec,
     compile_protocol,
@@ -180,9 +187,8 @@ _BLOCK_ELEMENTS = 1 << 20
 # rebuilt so that large-N scans hold no more memory than before.
 _KEPT_TABLE_ELEMENTS = 1 << 16
 
-# Complex elements of a CD slab buffer (4 MB): 64 rows at N = 1000, 16 at
-# 4000, one slab up to N = 255, whatever the threads; _moments takes it in
-# blocks of a quarter.
+# Complex elements of a CD slab buffer (4 MB), whatever the threads;
+# _moments takes it in blocks of a quarter.
 # Below _POOL_MIN_DIM the slabs run serially: on 2 vCPUs a pool of 2 cost
 # 12 % per mu at N = 256, broke even at N = 300-450 and saved 13-21 % at
 # N = 511, 0-15 % at 1000 and 38 % at 2000.  The pool stops at the CPUs, the
@@ -207,14 +213,19 @@ def _slabs(dims: EnsembleDims) -> tuple[int, int]:
     return samples, max(1, _SLAB_ELEMENTS // samples)
 
 
-def _mirrored(dim: int, a: int, rows: int) -> list[tuple[int, int]]:
-    """The CD slabs (lo, hi) of the top slab from row a: rows a .. a + rows - 1
-    of the top half and their mirror images N - r below it, one slab where
-    both fit in `rows` rows."""
+def _plan(dim: int, rows: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """The CD slabs (lo, hi) of `rows` rows by group, as (first, last, slabs)
+    with the group's fold rows first .. last - 1, its halo rows included."""
     top = (dim + 1) // 2
-    if dim - 2 * a <= rows:
-        return [(a, dim - a)]
-    return [(a, min(a + rows, top)), (max(top, dim - a - rows), dim - a)]
+    group = rows * max(1, _BLOCK_ELEMENTS // (dim * rows))
+    plan = []
+    for g in range(0, top, group):
+        slabs = []
+        for a in range(g, min(g + group, top), rows):
+            slabs += ([(a, dim - a)] if dim - 2 * a <= rows else
+                      [(a, min(a + rows, top)), (max(top, dim - a - rows), dim - a)])
+        plan.append((max(g - 1, 0), min(g + group + 1, top), slabs))
+    return plan
 
 
 def _exp_tables(first: float, baby: int, giant: int, t: np.ndarray):
@@ -347,17 +358,14 @@ def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
 class _Scanner:
     """Spectral evaluation of one protocol over one phi grid, at any mu.
 
-    compile_protocol folds and cuts the protocol once per scan, and the
-    exponential tables of _fourier_sum over the grid are kept while small.
-    With one dark zone it reads tail middle D(rate phi) pre v_lead, pre
-    acting first on v_lead.  tail is the longest trailing run that J_z can be pushed back
-    through as a tridiagonal T: diagonal pulses followed in time by x/y
-    rotations.  Through the rotations T stays a spin component n.J; the
-    diagonal pulses only twist its off-diagonal.  No dense middle is built:
-    for CD it is brought to one x rotation or none, whose rows each group of
-    slabs builds once per batch of mu (see _cd).  Specs with more than one dark
-    zone, and CD specs with a longer middle, go through
-    CompiledProtocol.evaluate samples instead.
+    The constructor compiles the protocol and picks the path of every scan:
+    CSD rows, CD rows with their slab plan and pool, or, for specs with
+    several dark zones and CD specs whose middle stays longer than one x
+    rotation, CompiledProtocol.evaluate samples.  With one dark zone it reads
+    tail middle D(rate phi) pre v_lead, pre acting first on v_lead.  tail is
+    the longest trailing run that J_z can be pushed back through as a
+    tridiagonal T: diagonal pulses followed in time by x/y rotations, through
+    which T stays a spin component n.J whose off-diagonal the diagonals twist.
     """
 
     def __init__(self, spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet,
@@ -369,28 +377,19 @@ class _Scanner:
         self.kernel = compile_protocol(spec, dims, ops)
         self._tables = []  # _fourier_sum's kept tables over self.phis
         self.health = {"rounding_band_points": 0, "csd_sum_points": 0}  # _blockwise points
-        self.folded = len(self.kernel.segments) <= 1
-        self.workers = scan_workers(self.kernel, spec.detection, threads)
         csd = spec.detection.kind == "csd"
         self.index = _resolve_csd_index(spec.detection, dims) if csd else None
-        if not self.folded:
+        # the path of every scan and its pool; unbound, so no reference cycle
+        self._path, self.workers = _Scanner._sampled_kernel, 1
+        if len(self.kernel.segments) > 1:
             return
         # a spec that folds to no dark zone has rate 0 and all its pulses in pre
         (fraction, sign), self.post = (self.kernel.segments or (((0.0, 1), ()),))[0]
         self.rate = sign * fraction
-        n_tail, twisted = 0, False
-        for pulse in reversed(self.post):
-            diagonal = pulse.kind == "squeeze" or pulse.axis == "z"
-            if twisted and not diagonal:
-                break
-            twisted = twisted or diagonal
-            n_tail += 1
-        self.middle_pulses = self.post[: len(self.post) - n_tail]
-        self.tail = self.post[len(self.post) - n_tail :]
         if csd:
-            # U^T e_idx for U = tail . middle: the transposed pulses in
-            # reverse order (the diagonals and R_x are symmetric, R_y^T =
-            # R_y(-angle)); those before the first squeeze run once
+            # U^T e_idx for U = post: the transposed pulses in reverse order
+            # (the diagonals and R_x are symmetric, R_y^T = R_y(-angle));
+            # those before the first squeeze run once
             transposed = [
                 replace(p, angle=-p.angle) if p.kind == "rotate" and p.axis == "y" else p
                 for p in reversed(self.post)
@@ -399,7 +398,17 @@ class _Scanner:
             row = np.zeros(dims.dim, dtype=complex)
             row[self.index] = 1.0
             self.row_lead = apply_pulses(ops, lead, row)
+            self._path = _Scanner._csd
             return
+        n_tail, twisted = 0, False
+        for pulse in reversed(self.post):
+            diagonal = pulse.kind == "squeeze" or pulse.axis == "z"
+            if twisted and not diagonal:
+                break
+            twisted = twisted or diagonal
+            n_tail += 1
+        middle, self.moved = list(self.post[: len(self.post) - n_tail]), []
+        self.tail = self.post[len(self.post) - n_tail :]
         # CD reads the middle's rows off one x rotation's.  A last y rotation
         # is P R_x P^dagger with P = diag(e^{-i pi m/2}), a z rotation that
         # joins the tail.  Diagonal pulses that then start the middle commute
@@ -407,16 +416,20 @@ class _Scanner:
         # -J_z, so they move before it (into v0), a pi rotation turning the
         # rate's sign.  A middle still longer than the x rotation goes
         # through CompiledProtocol.evaluate samples.
-        middle, self.moved = list(self.middle_pulses), []
         if middle and middle[-1].axis == "y":
             middle[-1:] = rotate_pulse("z", -math.pi / 2), rotate_pulse("x", middle[-1].angle)
             self.tail = (rotate_pulse("z", math.pi / 2), *self.tail)
         while middle and (middle[0].kind == "squeeze" or middle[0].axis == "z" or flips_jz(middle[0])):
             self.moved.append(middle.pop(0))
             self.rate *= -1 if flips_jz(self.moved[-1]) else 1
-        self.middle_pulses = middle
         if len(middle) > 1:
-            self.folded, self.workers = False, 1
+            return
+        self.middle_pulses = middle
+        self.samples, rows = _slabs(dims)
+        self.plan = _plan(dims.dim, rows)
+        if dims.dim >= _POOL_MIN_DIM:
+            self.workers = pool_size(threads, sum(len(slabs) for _, _, slabs in self.plan))
+        self._path = _Scanner._cd
 
     # --- per-mu pieces ----------------------------------------------------
 
@@ -461,70 +474,54 @@ class _Scanner:
             if mu is not None and not np.isfinite(mu):
                 raise ValueError(f"squeezing strength must be finite, got {mu}")
         detection = self.spec.detection
-        if self.phis.size == 0:
-            columns = ((np.empty(0), np.empty(0), np.empty(0)) for _ in mus)
-        elif not self.folded:
-            columns = map(self._sampled_kernel, mus)
-        elif detection.kind == "csd":
-            columns = map(self._csd, mus)
-        else:
-            columns = self._cd(mus)
+        columns = self._path(self, mus) if self.phis.size else ((np.empty(0),) * 3 for _ in mus)
         for signal, sds, pgs in columns:
             if detection.kind == "cd" and detection.add_j:
                 signal = signal + self.dims.j
             yield signal, sds, pgs
 
-    def _csd(self, mu):
+    def _csd(self, mus):
         m, index = self.ops.m, self.index
-        v0 = self.kernel.v0(mu)
-        c = apply_pulses(self.ops, self.row_pulses, self.row_lead, mu=mu) * v0
-        # a(theta) = sum_k c_k e^{-i m_k theta}; reversed, the frequencies
-        # -m_k run upward from m_0
-        amp = _fourier_sum(m[0], np.stack([c, -1j * m * c], axis=1)[::-1],
-                           self.rate * self.phis, self._tables)
-        p = np.abs(amp[:, 0]) ** 2
-        pgs = 2.0 * self.rate * np.real(amp[:, 0].conj() * amp[:, 1])
+        for mu in mus:
+            v0 = self.kernel.v0(mu)
+            c = apply_pulses(self.ops, self.row_pulses, self.row_lead, mu=mu) * v0
+            # a(theta) = sum_k c_k e^{-i m_k theta}; reversed, the frequencies
+            # -m_k run upward from m_0
+            amp = _fourier_sum(m[0], np.stack([c, -1j * m * c], axis=1)[::-1],
+                               self.rate * self.phis, self._tables)
+            p = np.abs(amp[:, 0]) ** 2
+            pgs = 2.0 * self.rate * np.real(amp[:, 0].conj() * amp[:, 1])
 
-        def others(points):
-            pops = np.abs(self.kernel.evaluate(points, mu)) ** 2
-            return np.delete(pops, index, axis=0).sum(axis=0)
+            def others(points):
+                pops = np.abs(self.kernel.evaluate(points, mu)) ** 2
+                return np.delete(pops, index, axis=0).sum(axis=0)
 
-        # projector: Q^2 = Q, so the variance is p (1 - p); where 1 - p has
-        # cancelled it is the summed population of the other Dicke states
-        rest = 1.0 - p
-        self._blockwise(rest, np.flatnonzero(rest < _CSD_SUM_BAND), others, "csd_sum_points")
-        return p, np.sqrt(np.maximum(p * rest, 0.0)), pgs
+            # projector: Q^2 = Q, so the variance is p (1 - p); where 1 - p has
+            # cancelled it is the summed population of the other Dicke states
+            rest = 1.0 - p
+            self._blockwise(rest, np.flatnonzero(rest < _CSD_SUM_BAND), others, "csd_sum_points")
+            yield p, np.sqrt(np.maximum(p * rest, 0.0)), pgs
 
     def _cd(self, mus):
-        """The CD arrays of each mu, the mus taken in batches whose slab
-        moments, 3 x batch x samples, stay within half of _BLOCK_ELEMENTS;
-        each batch builds the middle's rows anew."""
-        batch = max(1, _BLOCK_ELEMENTS // (6 * _slabs(self.dims)[0]))
+        """The CD arrays of each mu, in batches whose slab moments,
+        3 x batch x samples, stay within half of _BLOCK_ELEMENTS."""
+        batch = max(1, _BLOCK_ELEMENTS // (6 * self.samples))
         for i in range(0, len(mus), batch):
             yield from self._cd_batch(mus[i : i + batch])
 
     def _cd_batch(self, mus):
-        dim, n = self.dims.dim, self.dims.n_atoms
-        samples, rows = _slabs(self.dims)
+        dim, n, samples = self.dims.dim, self.dims.n_atoms, self.samples
         top = (dim + 1) // 2
-        # row r of the x rotation is its fold row r below top and fold row
-        # N - r reversed from there.  The fold rows of `group` top slabs, at
-        # most _BLOCK_ELEMENTS, are built at once and serve those slabs and
-        # their mirror images.  A group is built while the last slabs of the
-        # one before it run, so two groups' rows are held at most.
-        group = rows * max(1, _BLOCK_ELEMENTS // (dim * rows))
         kernel = self.kernel
         states = [(apply_pulses(self.ops, (*kernel.pre, *self.moved), kernel.v_lead, mu=mu),
                    *self._observable(mu)) for mu in mus]
 
-        def slabs():
-            for g in range(0, top, group):
-                first, last = max(g - 1, 0), min(g + group + 1, top)
+        def slabs():  # a group's rows are built while the last slabs of the one before run
+            for first, last, group in self.plan:
                 block = (rotation_rows(self.ops, self.middle_pulses[0].angle, first, last)
                          if self.middle_pulses else None)
-                for a in range(g, min(g + group, top), rows):
-                    for lo, hi in _mirrored(dim, a, rows):
-                        yield lo, hi, first, block
+                for lo, hi in group:
+                    yield lo, hi, first, block
 
         def slab(item):
             """(W, M, V) per mu of the rows lo .. hi - 1 with a halo row on
@@ -563,7 +560,7 @@ class _Scanner:
 
             yield self._interpolate(mean_mu, var_mu, n, self.rate, direct)
 
-    def _sampled_kernel(self, mu):
+    def _sampled_kernel(self, mus):
         """Fallback for specs with several dark zones after folding, and for
         CD ones whose middle is more than one x rotation."""
         fractions = [f for (f, _), _ in self.kernel.segments]
@@ -580,19 +577,19 @@ class _Scanner:
         total = 4 * degree + 1
         grid = (2 * np.pi * steps) * np.arange(total) / total
         index, m = self.index, self.ops.m
-
-        def moments(points):
-            pops = np.abs(self.kernel.evaluate(points, mu)) ** 2
-            if index is not None:  # 1 - p as the sum of the other rows
-                return pops[index], pops[index] * np.delete(pops, index, axis=0).sum(axis=0)
-            mean = m @ pops
-            return mean, np.einsum("ij,ij->j", (m[:, None] - mean) ** 2, pops)
-
-        mean, var = np.empty(total), np.empty(total)
         step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
-        for i in range(0, total, step):
-            mean[i : i + step], var[i : i + step] = moments(grid[i : i + step])
-        return self._interpolate(mean, var, degree, 1.0 / steps, lambda points: moments(points)[1])
+        for mu in mus:
+            def moments(points):
+                pops = np.abs(self.kernel.evaluate(points, mu)) ** 2
+                if index is not None:  # 1 - p as the sum of the other rows
+                    return pops[index], pops[index] * np.delete(pops, index, axis=0).sum(axis=0)
+                mean = m @ pops
+                return mean, np.einsum("ij,ij->j", (m[:, None] - mean) ** 2, pops)
+
+            mean, var = np.empty(total), np.empty(total)
+            for i in range(0, total, step):
+                mean[i : i + step], var[i : i + step] = moments(grid[i : i + step])
+            yield self._interpolate(mean, var, degree, 1.0 / steps, lambda points: moments(points)[1])
 
     def _interpolate(self, mean, var, degree, rate, direct):
         """Evaluate the fitted polynomials at the phis; SDS values in the
@@ -625,10 +622,10 @@ def fringe_scan(
 ) -> Fringe:
     """Signal/SDS/PGS at every point of a sorted phi grid.
 
-    threads: see scan_workers; report, if given, receives pool_workers, the
-    threads the scan ran on, and a health block counting the points
-    recomputed in the rounding band (rounding_band_points) and those whose
-    1 - p was summed (csd_sum_points).
+    threads caps the pool of the CD slabs; report, if given, receives
+    pool_workers, the threads the scan ran on, and a health block counting
+    the points recomputed in the rounding band (rounding_band_points) and
+    those whose 1 - p was summed (csd_sum_points).
     """
     phis = np.asarray(phi_grid, dtype=float)
     if phis.size and not (np.all(np.isfinite(phis)) and np.all(np.diff(phis) >= 0)):
@@ -638,19 +635,6 @@ def fringe_scan(
     if report is not None:
         report.update(pool_workers=scanner.workers, health=scanner.health)
     return Fringe(phi=phis, signal=signal, sds=sds, pgs=pgs)
-
-
-def scan_workers(kernel: CompiledProtocol, detection: Detection,
-                 threads: int | None = None) -> int:
-    """Threads the CD slabs of a scan of the compiled protocol run on:
-    pool_size(threads, slab count) at dim >= _POOL_MIN_DIM with at most one
-    dark zone, 1 there below and on other paths."""
-    dims = kernel.dims
-    if len(kernel.segments) > 1 or detection.kind != "cd" or dims.dim < _POOL_MIN_DIM:
-        return 1
-    rows = _slabs(dims)[1]
-    return pool_size(threads, sum(len(_mirrored(dims.dim, a, rows))
-                                  for a in range(0, (dims.dim + 1) // 2, rows)))
 
 
 # --- sensitivity ------------------------------------------------------------

@@ -1,6 +1,8 @@
+import gc
 import math
 import os
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -25,17 +27,17 @@ from catspin.observables import (
     noise_model_table,
     parity_average,
     pool_size,
-    scan_workers,
     sensitivity_at,
     sensitivity_scan_mu,
     variance_jz,
 )
 from catspin.observables import _merge, _moments
-from catspin.dicke import dark_pulse, rotate_pulse
+from catspin.dicke import dark_pulse, rotate_pulse, squeeze_pulse
 from catspin.protocols import (
     Detection,
     ProtocolParams,
     ProtocolSpec,
+    PROTOCOL_IDS,
     builtin,
     compile_protocol,
     oracle_run,
@@ -402,6 +404,23 @@ class TestCompiledOncePerScan:
             assert len(sweep.lam) == 3
         assert names == ["unfolded", "SCAIN"]
 
+    @pytest.mark.parametrize("spec", [scain(), scain(xi=1, detection=Detection("csd")),
+                                      unfolded()], ids=["cd", "csd", "unfolded"])
+    def test_scanner_is_freed_when_its_scan_ends(self, ops40, spec):
+        # a scanner in a reference cycle would keep its kernel and tables
+        # until the cyclic collector ran, piling up over a run of commands
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            scanner = observables._Scanner(spec, ops40.dims, ops40, default_phi_window(101))
+            assert len(list(scanner.scan([0.3, 0.9]))) == 2
+            alive = weakref.ref(scanner)
+            del scanner
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     @pytest.mark.parametrize("k", [1, 5])
     def test_csd_sweep_rotates_twice_per_mu(self, monkeypatch, dims40, ops40, k):
         # the state's R_x(pi/2) and the readout row's R_x(pi/2)^T hold no mu
@@ -652,17 +671,28 @@ class TestSubGridPool:
             assert np.array_equal(np.isnan(lam), np.isnan(lam_one))
             assert np.nanmax(np.abs(lam - lam_one), initial=0.0) <= 2e-11 * 40
 
-    def test_slabs_tile_the_rows(self):
+    def test_slabs_tile_the_rows(self, monkeypatch):
         # the top slabs and their mirror images cover every row once, and a
-        # slab and its mirror meet in one slab where they fit
-        for dim in range(2, 80):
-            for rows in range(1, 14):
-                spans = [s for a in range(0, (dim + 1) // 2, rows)
-                         for s in observables._mirrored(dim, a, rows)]
-                covered = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-                assert np.array_equal(np.sort(covered), np.arange(dim)), (dim, rows)
-                assert all(0 < hi - lo <= rows for lo, hi in spans)
-        assert observables._mirrored(41, 0, 1618) == [(0, 41)]
+        # slab and its mirror meet in one slab where they fit; each group's
+        # fold rows hold its slabs' rows and halo rows, row r > N/2 being
+        # fold row N - r, in one group or, with a small block, in several
+        for block, groups in ((observables._BLOCK_ELEMENTS, 1), (150, 20)):
+            monkeypatch.setattr(observables, "_BLOCK_ELEMENTS", block)
+            for dim in range(2, 80):
+                for rows in range(1, 14):
+                    plan = observables._plan(dim, rows)
+                    spans = [s for _, _, slabs in plan for s in slabs]
+                    covered = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+                    assert np.array_equal(np.sort(covered), np.arange(dim)), (dim, rows)
+                    assert all(0 < hi - lo <= rows for lo, hi in spans)
+                    for first, last, slabs in plan:
+                        for lo, hi in slabs:
+                            held = np.arange(max(lo - 1, 0), min(hi + 1, dim))
+                            fold = np.minimum(held, dim - 1 - held)
+                            assert first <= fold.min() and fold.max() < last, (dim, rows)
+            assert len(observables._plan(79, 2)) == groups
+        monkeypatch.undo()
+        assert observables._plan(41, 1618) == [(0, 21, [(0, 41)])]
 
     def test_slab_moments_sum_to_the_whole(self):
         # W, M and the merged variance of a split column equal those of the
@@ -717,8 +747,7 @@ class TestSubGridPool:
         sys.setswitchinterval(1e-6)
         try:
             for threads in (2, 3, 4):
-                assert scan_workers(compile_protocol(spec, ops.dims, ops), spec.detection,
-                                    threads) == threads
+                assert observables._Scanner(spec, ops.dims, ops, window, threads).workers == threads
                 assert all(map(np.array_equal, scan(threads), serial))
         finally:
             sys.setswitchinterval(interval)
@@ -826,6 +855,29 @@ class TestSubGridPool:
                 todo += vars(obj).values()
         assert len(sizes) > 10 and max(sizes) < 1001**2
 
+    def test_every_builtin_takes_the_fast_path(self, monkeypatch):
+        # no built-in falls back to CompiledProtocol.evaluate samples: each
+        # CSD scan reads its row, each CD middle is one x rotation or none
+        def sampled(self, mus):
+            raise AssertionError(f"{self.spec.name} scanned through evaluate samples")
+
+        monkeypatch.setattr(observables._Scanner, "_sampled_kernel", sampled)
+        for n in (40, 41, 1000):
+            ops = cached_ops(n)
+            for pid in PROTOCOL_IDS:
+                for ara in "xy":
+                    for xi in (1, -1):
+                        for kind in ("cd", "csd"):
+                            params = ProtocolParams(mu=0.3, ara=ara, xi=xi,
+                                                    detection=Detection(kind))
+                            scanner = observables._Scanner(builtin(pid, params), ops.dims, ops,
+                                                           [-0.2, 0.05, 0.4])
+                            assert all(np.isfinite(column).all()
+                                       for column in scanner.arrays(None)[:2])
+                            if kind == "cd":
+                                assert [(p.kind, p.axis) for p in scanner.middle_pulses] in (
+                                    [], [("rotate", "x")]), (n, pid, ara, xi)
+
     def test_pool_size_caps_at_the_slabs(self, many_cpus):
         # the pool's tasks are the slabs: 16 of 64 rows at N = 1000
         slabs = -(-1001 // observables._slabs(EnsembleDims(1000))[1])
@@ -865,16 +917,28 @@ class TestSubGridPool:
 
     def test_scan_workers_only_on_the_large_cd_path(self, monkeypatch, many_cpus):
         csd = scain(detection=Detection("csd", index=0))
+        # one dark zone, but a CD middle of x 0.4 then y 0.7 before the
+        # squeeze: longer than one x rotation, so evaluate samples, serially
+        long_middle = ProtocolSpec("long-middle", (
+            rotate_pulse("x", HALF), dark_pulse(1.0, 1), rotate_pulse("x", 0.4),
+            rotate_pulse("y", 0.7), squeeze_pulse(0.3, 1), rotate_pulse("x", HALF)),
+            Detection("cd"))
 
         def workers(spec, threads, n=1000):
             ops = cached_ops(n)
-            return scan_workers(compile_protocol(spec, ops.dims, ops), spec.detection, threads)
+            return observables._Scanner(spec, ops.dims, ops, [0.1], threads).workers
 
         assert workers(scain(), 4, 40) == 1  # dim 41 < _POOL_MIN_DIM
         assert workers(scain(), 4) == 4
         assert workers(scain(), 10**6) == 16  # 16 slabs at N = 1000; sized, never started
         assert workers(csd, 4) == 1
         assert workers(unfolded(), 4) == 1
+        ops = cached_ops(1000)
+        assert len(compile_protocol(long_middle, ops.dims, ops).segments) == 1
+        assert workers(long_middle, 4) == 1
+        report = {}
+        fringe_scan(long_middle, ops.dims, ops, [0.1], threads=4, report=report)
+        assert report["pool_workers"] == 1
         monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
         assert workers(scain(), 4, 40) == 1  # N = 40 is one slab
         assert workers(csd, 4, 40) == 1
