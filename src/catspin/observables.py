@@ -36,9 +36,8 @@ the other populations of the state where it falls below 1e-4.  Variance
 samples are centered, sum |(T - S) w|^2, and requested points whose
 interpolated SDS falls in the rounding band below 1e-6 N are recomputed
 directly from the state.  Specs that do not fold to one dark zone, or
-whose B is more than one x rotation, feed the same interpolation from
-CompiledProtocol.evaluate samples on a grid sized to their bandwidth, and
-sum 1 - p in the same band.
+whose B is more than one x rotation, are evaluated directly at every phi:
+CompiledProtocol.evaluate carries psi and its exact phase derivative.
 
 Measured accuracy: the SDS matches the centered variance of run()'s state
 to 1e-15 N at N = 40/41; at N = 2000 (SCAIN, mu = pi/2) the signal matches
@@ -361,11 +360,12 @@ class _Scanner:
     The constructor compiles the protocol and picks the path of every scan:
     CSD rows, CD rows with their slab plan and pool, or, for specs with
     several dark zones and CD specs whose middle stays longer than one x
-    rotation, CompiledProtocol.evaluate samples.  With one dark zone it reads
-    tail middle D(rate phi) pre v_lead, pre acting first on v_lead.  tail is
-    the longest trailing run that J_z can be pushed back through as a
-    tridiagonal T: diagonal pulses followed in time by x/y rotations, through
-    which T stays a spin component n.J whose off-diagonal the diagonals twist.
+    rotation, direct evaluation at every phi (_direct).  With one dark zone
+    it reads tail middle D(rate phi) pre v_lead, pre acting first on v_lead.
+    tail is the longest trailing run that J_z can be pushed back through as
+    a tridiagonal T: diagonal pulses followed in time by x/y rotations,
+    through which T stays a spin component n.J whose off-diagonal the
+    diagonals twist.
     """
 
     def __init__(self, spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet,
@@ -379,8 +379,9 @@ class _Scanner:
         self.health = {"rounding_band_points": 0, "csd_sum_points": 0}  # _blockwise points
         csd = spec.detection.kind == "csd"
         self.index = _resolve_csd_index(spec.detection, dims) if csd else None
-        # the path of every scan and its pool; unbound, so no reference cycle
-        self._path, self.workers = _Scanner._sampled_kernel, 1
+        # the path of every scan and its pool, unbound, so no reference cycle;
+        # pool_size checks threads whatever the path
+        self._path, self.workers = _Scanner._evaluated, pool_size(threads, 1)
         if len(self.kernel.segments) > 1:
             return
         # a spec that folds to no dark zone has rate 0 and all its pulses in pre
@@ -414,8 +415,8 @@ class _Scanner:
         # joins the tail.  Diagonal pulses that then start the middle commute
         # with the dark zone, and a pi rotation about x or y maps J_z to
         # -J_z, so they move before it (into v0), a pi rotation turning the
-        # rate's sign.  A middle still longer than the x rotation goes
-        # through CompiledProtocol.evaluate samples.
+        # rate's sign.  A middle still longer than the x rotation is
+        # evaluated directly at every phi (_direct).
         if middle and middle[-1].axis == "y":
             middle[-1:] = rotate_pulse("z", -math.pi / 2), rotate_pulse("x", middle[-1].angle)
             self.tail = (rotate_pulse("z", math.pi / 2), *self.tail)
@@ -450,11 +451,11 @@ class _Scanner:
         return n[2] * self.ops.m, np.append(0, upper).conj(), np.append(upper, 0)
 
     def _blockwise(self, out, where, values_at, count: str):
-        """out[where] = values_at(phis[where]), in blocks of points small
-        enough that a (dim, block) state matrix stays in _BLOCK_ELEMENTS;
-        health[count] adds the points.  A point's value may differ in its
-        last bits with the points that share its block, as those of
-        CompiledProtocol.evaluate and apply_pulses do."""
+        """out[where] = values_at(phis[where]) for the rounding band or the CSD
+        sum path, in blocks of points whose (dim, block) state stays in
+        _BLOCK_ELEMENTS; health[count] adds the points.  A point's value may
+        differ in its last bits with the points that share its block, as
+        those of CompiledProtocol.evaluate and apply_pulses do."""
         self.health[count] += where.size
         step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
         for i in range(0, len(where), step):
@@ -481,7 +482,7 @@ class _Scanner:
             yield signal, sds, pgs
 
     def _csd(self, mus):
-        m, index = self.ops.m, self.index
+        m = self.ops.m
         for mu in mus:
             v0 = self.kernel.v0(mu)
             c = apply_pulses(self.ops, self.row_pulses, self.row_lead, mu=mu) * v0
@@ -491,16 +492,12 @@ class _Scanner:
                                self.rate * self.phis, self._tables)
             p = np.abs(amp[:, 0]) ** 2
             pgs = 2.0 * self.rate * np.real(amp[:, 0].conj() * amp[:, 1])
-
-            def others(points):
-                pops = np.abs(self.kernel.evaluate(points, mu)) ** 2
-                return np.delete(pops, index, axis=0).sum(axis=0)
-
             # projector: Q^2 = Q, so the variance is p (1 - p); where 1 - p has
-            # cancelled it is the summed population of the other Dicke states
-            rest = 1.0 - p
-            self._blockwise(rest, np.flatnonzero(rest < _CSD_SUM_BAND), others, "csd_sum_points")
-            yield p, np.sqrt(np.maximum(p * rest, 0.0)), pgs
+            # cancelled, _direct sums it from the other Dicke states
+            var = p * (1.0 - p)
+            self._blockwise(var, np.flatnonzero(1.0 - p < _CSD_SUM_BAND),
+                            lambda points: self._direct(points, mu)[1], "csd_sum_points")
+            yield p, np.sqrt(np.maximum(var, 0.0)), pgs
 
     def _cd(self, mus):
         """The CD arrays of each mu, in batches whose slab moments,
@@ -558,57 +555,51 @@ class _Scanner:
                 w[1:-1] = apply_pulses(self.ops, self.middle_pulses, w[1:-1], mu=mu)
                 return _moments(w, diag, below, above)[2]
 
-            yield self._interpolate(mean_mu, var_mu, n, self.rate, direct)
+            yield self._interpolate(mean_mu, var_mu, direct)
 
-    def _sampled_kernel(self, mus):
-        """Fallback for specs with several dark zones after folding, and for
-        CD ones whose middle is more than one x rotation."""
-        fractions = [f for (f, _), _ in self.kernel.segments]
-        denominators = []
-        for f in fractions:
-            q = next((q for q in range(1, 65) if abs(f * q - round(f * q)) <= 1e-12), None)
-            if q is None:
-                raise ValueError(f"dark-zone fraction {f} is not a multiple of 1/q, q <= 64")
-            denominators.append(q)
-        # every fraction is a multiple of 1/steps, so the fringe is a
-        # trigonometric polynomial in phi / steps
-        steps = math.lcm(*denominators)
-        degree = self.dims.n_atoms * sum(round(f * steps) for f in fractions)
-        total = 4 * degree + 1
-        grid = (2 * np.pi * steps) * np.arange(total) / total
-        index, m = self.index, self.ops.m
-        step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
+    def _evaluated(self, mus):
+        """The path of specs with several dark zones after folding, and of CD
+        ones whose middle is more than one x rotation: every phi directly."""
         for mu in mus:
-            def moments(points):
-                pops = np.abs(self.kernel.evaluate(points, mu)) ** 2
-                if index is not None:  # 1 - p as the sum of the other rows
-                    return pops[index], pops[index] * np.delete(pops, index, axis=0).sum(axis=0)
+            signal, var, pgs = self._direct(self.phis, mu)
+            yield signal, np.sqrt(np.maximum(var, 0.0)), pgs
+
+    def _direct(self, points, mu):
+        """(signal, variance, exact dS/dphi) at points, as a (3, points) array
+        reduced from CompiledProtocol.evaluate's psi and dpsi/dphi in blocks
+        whose (dim, 2 block) state stays in _BLOCK_ELEMENTS.  CD reads <J_z>,
+        its centred variance and 2 Re <psi|J_z|dpsi>; CSD p, p times the
+        summed other populations and 2 Re(conj(psi_idx) dpsi_idx)."""
+        m, index = self.ops.m, self.index
+        out = np.empty((3, len(points)))
+        step = max(1, _BLOCK_ELEMENTS // (2 * self.dims.dim))
+        for i in range(0, len(points), step):
+            psi, dpsi = self.kernel.evaluate(points[i : i + step], mu)
+            pops = np.abs(psi) ** 2
+            if index is not None:
+                p, rest = pops[index], np.delete(pops, index, axis=0).sum(axis=0)
+                out[:, i : i + step] = p, p * rest, 2.0 * np.real(psi[index].conj() * dpsi[index])
+            else:
                 mean = m @ pops
-                return mean, np.einsum("ij,ij->j", (m[:, None] - mean) ** 2, pops)
+                var = np.einsum("ij,ij->j", (m[:, None] - mean) ** 2, pops)
+                out[:, i : i + step] = mean, var, 2.0 * _dot(psi, m[:, None] * dpsi)
+        return out
 
-            mean, var = np.empty(total), np.empty(total)
-            for i in range(0, total, step):
-                mean[i : i + step], var[i : i + step] = moments(grid[i : i + step])
-            yield self._interpolate(mean, var, degree, 1.0 / steps, lambda points: moments(points)[1])
-
-    def _interpolate(self, mean, var, degree, rate, direct):
-        """Evaluate the fitted polynomials at the phis; SDS values in the
-        rounding band, and for CSD where 1 - p < _CSD_SUM_BAND, are replaced
-        by direct(phis) variances, each point once."""
+    def _interpolate(self, mean, var, direct):
+        """Evaluate the CD polynomials of degree N and 2N at the phis; SDS
+        values in the rounding band are replaced by direct(phis) variances."""
+        degree = self.dims.n_atoms
         freqs = np.arange(2 * degree + 1)
         coefs = np.zeros((2 * degree + 1, 3), dtype=complex)
         coefs[: degree + 1, 0] = _trig_coefficients(mean, degree)
         coefs[:, 1] = 1j * freqs * coefs[:, 0]
         coefs[:, 2] = _trig_coefficients(var, 2 * degree)
-        values = _fourier_sum(0.0, coefs, rate * self.phis, self._tables).real
+        values = _fourier_sum(0.0, coefs, self.rate * self.phis, self._tables).real
         sds = np.sqrt(np.maximum(values[:, 2], 0.0))
-        low = sds < _ROUNDING_BAND * self.dims.n_atoms
-        # CSD's direct sums 1 - p from the other populations, as _csd does where it cancels
-        summed = (1.0 - values[:, 0] < _CSD_SUM_BAND) & ~low & (self.index is not None)
-        for where, count in ((low, "rounding_band_points"), (summed, "csd_sum_points")):
-            self._blockwise(sds, np.flatnonzero(where),
-                            lambda points: np.sqrt(np.maximum(direct(points), 0.0)), count)
-        return values[:, 0], sds, rate * values[:, 1]
+        self._blockwise(sds, np.flatnonzero(sds < _ROUNDING_BAND * degree),
+                        lambda points: np.sqrt(np.maximum(direct(points), 0.0)),
+                        "rounding_band_points")
+        return values[:, 0], sds, self.rate * values[:, 1]
 
 
 def fringe_scan(

@@ -274,17 +274,23 @@ class CompiledProtocol:
         """The state entering the first dark zone."""
         return apply_pulses(self.ops, self.pre, self.v_lead, mu=mu)
 
-    def evaluate(self, phis: np.ndarray, mu: float | None = None) -> np.ndarray:
-        """Final amplitudes for each phi, as a (dim, n_phi) array.  A phi's
-        column may differ in its last bits with the phis evaluated beside
-        it, since apply_pulses rounds a block's columns together (up to
+    def evaluate(self, phis: np.ndarray, mu: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, dpsi): the final amplitudes and their exact derivative in phi,
+        each (dim, n_phi).  dpsi goes by the product rule: a dark zone
+        D = e^{-i s f phi J_z} maps (psi, dpsi) to (D psi, D dpsi - i s f J_z D psi),
+        and every other pulse acts on both halves of one (dim, 2 n_phi) block.
+        A phi's column may differ in its last bits with the phis evaluated
+        beside it, as apply_pulses rounds a block's columns together (up to
         2.5e-16 at N <= 64)."""
         phis = np.atleast_1d(np.asarray(phis, dtype=float))
-        block = np.repeat(self.v0(mu)[:, None], len(phis), axis=1)
+        k, m = len(phis), self.ops.m
+        block = np.zeros((self.dims.dim, 2 * k), dtype=complex)
+        block[:, :k] = self.v0(mu)[:, None]
         for (fraction, sign), pulses in self.segments:
-            block = block * np.exp((-1j * sign * fraction) * np.outer(self.ops.m, phis))
+            block *= np.tile(np.exp((-1j * sign * fraction) * np.outer(m, phis)), 2)
+            block[:, k:] += (-1j * sign * fraction) * m[:, None] * block[:, :k]
             block = apply_pulses(self.ops, pulses, block, mu=mu)
-        return block
+        return block[:, :k], block[:, k:]
 
 
 def compile_protocol(spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet) -> CompiledProtocol:

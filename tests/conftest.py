@@ -14,12 +14,13 @@ def cached_ops(n_atoms: int):
     return build_operator_set(EnsembleDims(n_atoms))
 
 
-def unfolded(detection=Detection("cd")):
-    """Two dark zones that no echo folds: the CompiledProtocol samples path."""
+def unfolded(detection=Detection("cd"), fraction=0.25):
+    """Two dark zones that no echo folds, the second of the given phase
+    fraction: the path that evaluates every phi directly."""
     return ProtocolSpec(
         "unfolded",
         (rotate_pulse("x", np.pi / 2), dark_pulse(0.5, 1), rotate_pulse("y", 1.0),
-         dark_pulse(0.25, -1), rotate_pulse("x", np.pi / 2)),
+         dark_pulse(fraction, -1), rotate_pulse("x", np.pi / 2)),
         detection,
     )
 

@@ -77,7 +77,7 @@ def test_criterion_01_exact_scain_fringe_law():
     for n in (4, 10, 40):
         ops = cached_ops(n)
         kernel = compile_protocol(scain_spec(), ops.dims, ops)
-        pops = np.abs(kernel.evaluate(phis)) ** 2
+        pops = np.abs(kernel.evaluate(phis)[0]) ** 2
         signal = ops.m @ pops
         worst_cd = max(worst_cd, np.max(np.abs(signal + (n / 2) * np.cos(n * phis))))
         worst_csd = max(
@@ -193,7 +193,7 @@ def test_criterion_07_clock_closed_forms():
     for n in (2, 25, 100):
         ops = cached_ops(n)
         cac = compile_protocol(builtin("cac"), ops.dims, ops)
-        pops = np.abs(cac.evaluate(phis)) ** 2
+        pops = np.abs(cac.evaluate(phis)[0]) ** 2
         up_count = ops.dims.j + ops.m @ pops
         worst_cac = max(
             worst_cac, float(np.max(np.abs(up_count - n * np.cos(phis / 2) ** 2)))

@@ -4,7 +4,10 @@ reads in catspin still exist and still record their spans.
 `bench/spans.install` wraps catspin's entry points by name, so renaming
 one of them in `src/` would break the benchmark's traced run.  This test
 runs a fringe and a qpd command through that tracer, in a fresh
-interpreter since the tracer patches modules for good.
+interpreter since the tracer patches modules for good.  A CSD fringe near
+phi = 0 takes the sum path, whose `CompiledProtocol.evaluate(phis, mu)`
+call the tracer counts from its positional phis, the kernel's `segments`
+and `dims.dim`.
 """
 
 import json
@@ -24,8 +27,12 @@ recorder = spans.Recorder()
 spans.install(recorder)
 import catspin.cli as cli
 codes = [cli.main(["fringe", "--n", "6", "--phi-range", "0:1:5", "--out", "f.csv"]),
-         cli.main(["qpd", "--n", "4", "--stage", "B", "--format", "raw", "--out", "q.raw"])]
-json.dump({"codes": codes, "spans": sorted({s.name for s in recorder.spans})}, sys.stdout)
+         cli.main(["qpd", "--n", "4", "--stage", "B", "--format", "raw", "--out", "q.raw"]),
+         cli.main(["fringe", "--n", "6", "--detection", "csd", "--phi-range", "-1e-3:1e-3:3",
+                   "--out", "c.csv"])]
+json.dump({"codes": codes, "spans": sorted({s.name for s in recorder.spans}),
+           "evaluate": [s.counts for s in recorder.spans if s.name == "protocols.evaluate"]},
+          sys.stdout)
 """
 
 
@@ -36,7 +43,10 @@ def test_traced_run_records_every_layer(tmp_path):
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     assert {"cli.main", "dicke.build_operator_set", "protocols.compile_protocol",
             "observables.scan", "protocols.run", "husimi.qpd_field",
-            "cli.write"} <= set(result["spans"])
+            "cli.write", "protocols.evaluate"} <= set(result["spans"])
+    # all three points have 1 - p < 1e-4 and go through one evaluate call
+    (counts,) = result["evaluate"]
+    assert counts["columns"] == 3 and counts["gflop"] > 0

@@ -469,8 +469,8 @@ class TestCompiledOncePerScan:
         monkeypatch.setattr(observables, "_exp_tables", spy)
         return sweep
 
-    @pytest.mark.parametrize("spec", [scain(), scain(xi=1, detection=Detection("csd")),
-                                      unfolded()], ids=["cd", "csd", "unfolded"])
+    @pytest.mark.parametrize("spec", [scain(), scain(xi=1, detection=Detection("csd"))],
+                             ids=["cd", "csd"])
     def test_sweep_builds_exponential_tables_once(self, table_builds, ops40, spec):
         window = default_phi_window()
         one = table_builds(spec, ops40, window, [0.2])
@@ -856,12 +856,12 @@ class TestSubGridPool:
         assert len(sizes) > 10 and max(sizes) < 1001**2
 
     def test_every_builtin_takes_the_fast_path(self, monkeypatch):
-        # no built-in falls back to CompiledProtocol.evaluate samples: each
-        # CSD scan reads its row, each CD middle is one x rotation or none
-        def sampled(self, mus):
-            raise AssertionError(f"{self.spec.name} scanned through evaluate samples")
+        # no built-in is evaluated directly at every phi: each CSD scan reads
+        # its row, each CD middle is one x rotation or none
+        def evaluated(self, mus):
+            raise AssertionError(f"{self.spec.name} scanned through direct evaluation")
 
-        monkeypatch.setattr(observables._Scanner, "_sampled_kernel", sampled)
+        monkeypatch.setattr(observables._Scanner, "_evaluated", evaluated)
         for n in (40, 41, 1000):
             ops = cached_ops(n)
             for pid in PROTOCOL_IDS:
@@ -915,10 +915,18 @@ class TestSubGridPool:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert pool_size(None, 5) == 1
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("spec", [scain(), scain(detection=Detection("csd", index=0)),
+                                      unfolded()], ids=["cd", "csd", "unfolded"])
+    def test_threads_are_checked_on_every_path(self, ops40, spec, threads):
+        # at N = 40 no path sizes a pool, and each used to accept these
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            fringe_scan(spec, ops40.dims, ops40, [0.1], threads=threads)
+
     def test_scan_workers_only_on_the_large_cd_path(self, monkeypatch, many_cpus):
         csd = scain(detection=Detection("csd", index=0))
         # one dark zone, but a CD middle of x 0.4 then y 0.7 before the
-        # squeeze: longer than one x rotation, so evaluate samples, serially
+        # squeeze: longer than one x rotation, so evaluated directly, serially
         long_middle = ProtocolSpec("long-middle", (
             rotate_pulse("x", HALF), dark_pulse(1.0, 1), rotate_pulse("x", 0.4),
             rotate_pulse("y", 0.7), squeeze_pulse(0.3, 1), rotate_pulse("x", HALF)),

@@ -411,7 +411,7 @@ class TestCompiledKernel:
             spec = builtin(pid, ProtocolParams(mu=HALF, ara="x", xi=-1))
             kernel = compile_protocol(spec, dims40, ops40)
             phis = np.array([-0.2, 0.0, 0.017, 1.1])
-            block = kernel.evaluate(phis, mu)
+            block = kernel.evaluate(phis, mu)[0]
             for i, phi in enumerate(phis):
                 direct = run(spec, dims40, ops40, phi, mu_override=mu).amps
                 assert np.max(np.abs(block[:, i] - direct)) < 1e-12

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from catspin.dicke import apply_pulses, dark_pulse, rotate_pulse, squeeze_pulse
 from catspin.observables import _Scanner, _sensitivity
@@ -130,46 +130,43 @@ def test_engine_matches_the_oracle_at_large_n(n):
     assert band > 0 and csd_sum > 0  # both recompute paths were checked
 
 
+# "incommensurate" is unfolded with a second dark zone of phase fraction
+# 1/pi, no multiple of any 1/q: no finite grid samples its fringe exactly
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 64),
-       pid=st.sampled_from(["crain", "scain", "cac", "cosac", "scac", "unfolded"]),
+       pid=st.sampled_from(["crain", "scain", "cac", "cosac", "scac", "unfolded",
+                            "incommensurate"]),
        ara=st.sampled_from(["x", "y"]), xi=st.sampled_from([1, -1]),
        det=st.sampled_from(["cd", "csd"]), index=st.integers(0, 64),
        mu=st.floats(0.0, math.pi / 2), seed=st.integers(0, 2**32 - 1))
+@example(n=5, pid="incommensurate", ara="x", xi=1, det="cd", index=0, mu=0.3, seed=1)
+@example(n=40, pid="incommensurate", ara="x", xi=1, det="csd", index=0, mu=0.3, seed=2)
+@example(n=64, pid="incommensurate", ara="x", xi=1, det="cd", index=0, mu=0.3, seed=3)
 def test_engine_matches_the_oracle_for_any_spec(n, pid, ara, xi, det, index, mu, seed):
     ops = cached_ops(n)
     detection = Detection(det, index=index % (n + 1) if det == "csd" else None)
-    spec = (unfolded(detection) if pid == "unfolded"
-            else builtin(pid, ProtocolParams(ara=ara, xi=xi, detection=detection)))
+    if pid in ("unfolded", "incommensurate"):
+        spec = unfolded(detection, 0.25 if pid == "unfolded" else 1 / math.pi)
+    else:
+        spec = builtin(pid, ProtocolParams(ara=ara, xi=xi, detection=detection))
     assert_matches_oracle(spec, ops, seeded_phis(seed, 3), (mu,))
 
 
-def test_each_sampled_csd_point_is_recomputed_once(monkeypatch):
-    # a point both in the rounding band and where 1 - p < 1e-4 is recomputed
-    # by one pass and counted by one of the two health counts
-    calls = []
-    blockwise = _Scanner._blockwise
-
-    def spy(self, out, where, values_at, count):
-        calls.append((count, where.tolist()))
-        return blockwise(self, out, where, values_at, count)
-
-    monkeypatch.setattr(_Scanner, "_blockwise", spy)
+def test_evaluated_csd_points_need_no_recompute():
+    # direct evaluation sums 1 - p from the other populations at every
+    # point, so neither the rounding band nor the CSD sum path recomputes
+    # one, also where 1 - p < 1e-4
     rng = np.random.default_rng(0)
-    both = 0
+    near = 0
     for _ in range(100):
         n = int(rng.integers(1, 65))
         ops = cached_ops(n)
         spec = unfolded(Detection("csd", index=int(rng.integers(0, n + 1))))
         scanner = _Scanner(spec, ops.dims, ops, seeded_phis(int(rng.integers(2**32)), 3))
-        calls.clear()
         signal, _, _ = scanner.arrays(None)
-        points = [i for _, where in calls for i in where]
-        assert len(points) == len(set(points)), spec
-        assert sum(scanner.health.values()) == len(points)  # the two counts are disjoint
-        band = [i for count, where in calls if count == "rounding_band_points" for i in where]
-        both += np.count_nonzero(1.0 - signal[band] < 1e-4)
-    assert both > 0  # the overlap was exercised
+        assert scanner.health == {"rounding_band_points": 0, "csd_sum_points": 0}, spec
+        near += np.count_nonzero(1.0 - signal < 1e-4)
+    assert near > 0  # points of the CSD sum band were scanned
 
 
 def random_middle(rng, detection):
@@ -199,7 +196,7 @@ def test_engine_matches_the_oracle_through_any_middle():
     # the CD rows come from one x rotation: a last y rotation is turned into
     # x between z rotations, and leading pi rotations and diagonals move
     # before the dark zone; about half the middles are still longer and go
-    # through CompiledProtocol.evaluate samples
+    # through direct evaluation
     rng = np.random.default_rng(11)
     for _ in range(120):
         n = int(rng.integers(1, 65))
@@ -247,7 +244,7 @@ def test_a_point_moves_with_its_batch_only_at_rounding_level(monkeypatch):
         spec = random_middle(rng, Detection("cd"))
         phis = np.sort(rng.uniform(-np.pi, np.pi, 5))
         kernel = compile_protocol(spec, ops.dims, ops)
-        evaluate = max(evaluate, _alone_and_batched(lambda p: kernel.evaluate(p, mu), phis))
+        evaluate = max(evaluate, _alone_and_batched(lambda p: kernel.evaluate(p, mu)[0], phis))
         # built-ins meet the rounding band near phi = 0
         spec = builtin(("crain", "scain", "scac")[rng.integers(3)],
                        ProtocolParams(ara="xy"[rng.integers(2)], xi=int(rng.choice([1, -1]))))
