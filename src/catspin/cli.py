@@ -181,23 +181,17 @@ _CSV_CHUNK = 1 << 10
 
 def _write_csv(path: str, header: list[str], columns) -> list[str]:
     """Write a header and one row per element of the equal-length columns
-    atomically: '%d' cells for an integer column, '%.17g' for the others,
-    and an empty cell for nan."""
+    atomically: '%d' cells for an integer column, '%.17g' for the others.
+    A nan cell is empty: '%.17g' prints every nan as 'nan', a text that no
+    other float ('inf', '-0', '1e+300') holds, so the rows drop it."""
     columns = [np.asarray(c) for c in columns]
-    specs = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\r\n"
 
     def write(fh):
-        # one row template per pattern of nan cells, keyed by its bits;
-        # '%.0s' takes its cell's value and prints nothing
-        blank = np.column_stack([np.isnan(c) for c in columns])
-        keys = (blank @ (1 << np.arange(len(specs)))).tolist()
-        templates = {key: ",".join("%.0s" if key >> i & 1 else spec for i, spec in enumerate(specs))
-                     + "\r\n" for key in set(keys)}
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(keys), _CSV_CHUNK):
-            part = slice(start, start + _CSV_CHUNK)
-            rows = zip(*(c[part].tolist() for c in columns))
-            fh.write("".join(map(str.__mod__, map(templates.__getitem__, keys[part]), rows)))
+        for start in range(0, len(columns[0]), _CSV_CHUNK):
+            rows = zip(*(c[start : start + _CSV_CHUNK].tolist() for c in columns))
+            fh.write("".join(map(row.__mod__, rows)).replace("nan", ""))
 
     _atomic_write(path, write)
     return [path]

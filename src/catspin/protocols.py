@@ -85,6 +85,14 @@ class ProtocolParams:
             raise ValueError(f"mu must be finite, got {self.mu}")
 
 
+# a pulse's JSON: kind: (constructor, {key, in argument order: Pulse attribute})
+_PULSE_FIELDS = {
+    "rotate": (rotate_pulse, {"axis": "axis", "angle": "angle"}),
+    "squeeze": (squeeze_pulse, {"mu": "mu", "mu_sign": "sign"}),
+    "dark_phase": (dark_pulse, {"fraction": "fraction", "sign": "sign"}),
+}
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Named, ordered pulse sequence plus the detection convention."""
@@ -109,16 +117,9 @@ class ProtocolSpec:
                 raise ValueError(f"{self.name}: expected one full-phase dark zone")
 
     def to_json(self) -> str:
-        pulses = []
-        for p in self.pulses:
-            if p.kind == "rotate":
-                pulses.append({"kind": "rotate", "axis": p.axis, "angle": p.angle})
-            elif p.kind == "squeeze":
-                pulses.append({"kind": "squeeze", "mu": p.mu, "mu_sign": p.sign})
-            else:
-                pulses.append(
-                    {"kind": "dark_phase", "fraction": p.fraction, "sign": p.sign}
-                )
+        pulses = [{"kind": p.kind, **{key: getattr(p, attr)
+                                      for key, attr in _PULSE_FIELDS[p.kind][1].items()}}
+                  for p in self.pulses]
         doc = {"name": self.name, "pulses": pulses, "detection": self.detection.to_dict()}
         return json.dumps(doc, indent=2)
 
@@ -127,20 +128,11 @@ class ProtocolSpec:
         doc = json.loads(text)
         pulses = []
         for p in doc["pulses"]:
-            kind = p["kind"]
-            if kind == "rotate":
-                pulses.append(rotate_pulse(p["axis"], p["angle"]))
-            elif kind == "squeeze":
-                pulses.append(squeeze_pulse(p["mu"], p["mu_sign"]))
-            elif kind == "dark_phase":
-                pulses.append(dark_pulse(p["fraction"], p["sign"]))
-            else:
-                raise ValueError(f"unknown pulse kind {kind!r}")
-        return ProtocolSpec(
-            name=doc["name"],
-            pulses=tuple(pulses),
-            detection=Detection.from_dict(doc["detection"]),
-        )
+            if p["kind"] not in _PULSE_FIELDS:
+                raise ValueError(f"unknown pulse kind {p['kind']!r}")
+            make, fields = _PULSE_FIELDS[p["kind"]]
+            pulses.append(make(*(p[key] for key in fields)))
+        return ProtocolSpec(doc["name"], tuple(pulses), Detection.from_dict(doc["detection"]))
 
 
 # id: (dark-zone core, cat wrapper or not, default detection, CSD index of a

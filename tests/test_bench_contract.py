@@ -7,7 +7,8 @@ runs a fringe and a qpd command through that tracer, in a fresh
 interpreter since the tracer patches modules for good.  A CSD fringe near
 phi = 0 takes the sum path, whose `CompiledProtocol.evaluate(phis, mu)`
 call the tracer counts from its positional phis, the kernel's `segments`
-and `dims.dim`.
+and `dims.dim`.  The fringe's CSV records a `cli.write` span of its own
+size, since the manifest and qpd writes alone would also give the name.
 """
 
 import json
@@ -30,8 +31,11 @@ codes = [cli.main(["fringe", "--n", "6", "--phi-range", "0:1:5", "--out", "f.csv
          cli.main(["qpd", "--n", "4", "--stage", "B", "--format", "raw", "--out", "q.raw"]),
          cli.main(["fringe", "--n", "6", "--detection", "csd", "--phi-range", "-1e-3:1e-3:3",
                    "--out", "c.csv"])]
+fringe = next(s for s in recorder.spans if s.name == "cli.main")
 json.dump({"codes": codes, "spans": sorted({s.name for s in recorder.spans}),
-           "evaluate": [s.counts for s in recorder.spans if s.name == "protocols.evaluate"]},
+           "evaluate": [s.counts for s in recorder.spans if s.name == "protocols.evaluate"],
+           "fringe_writes": [s.counts for s in recorder.spans
+                             if s.name == "cli.write" and s.parent == fringe.id]},
           sys.stdout)
 """
 
@@ -50,3 +54,8 @@ def test_traced_run_records_every_layer(tmp_path):
     # all three points have 1 - p < 1e-4 and go through one evaluate call
     (counts,) = result["evaluate"]
     assert counts["columns"] == 3 and counts["gflop"] > 0
+    # the fringe CSV itself, not only the manifests and the qpd raw file,
+    # goes through the wrapped _atomic_write; its manifest's write is a
+    # child of cli.write_manifest
+    assert result["fringe_writes"] == [{"bytes": (tmp_path / "f.csv").stat().st_size,
+                                        "files": 1}]

@@ -499,6 +499,7 @@ class TestExplicitZeroAndFileTypes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert [p for p in os.listdir(tmp_path) if p != "cfg.json"] == []
+        return err
 
     @pytest.mark.parametrize("argv", [
         ["--n", "1e4", "--coop-range", "1:10:3", "--delta-tilde", "0"],
@@ -549,6 +550,28 @@ class TestExplicitZeroAndFileTypes:
         argv = ["--config", str(cfg), "fringe", "--n", "4", "--phi-range", "0:1:5",
                 "--out", str(tmp_path / "f.csv")]
         self.assert_clean_failure(tmp_path, capsys, argv, (EXIT_USAGE,))
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["--config", "missing.json", "fringe", "--n", "4", "--phi-range", "0:1:5"], None,
+         "cannot read config file"),
+        (["--config", "cfg.json", "fringe", "--n", "4", "--phi-range", "0:1:5"], "[1, 2]",
+         "must hold a JSON object"),
+        ([], None, "missing command"),
+        (["cavity", "--coop-range", "1e-4:1:3"], None, "cavity sweep needs --n"),
+        (["excess-noise", "--n", "10", "--en-range", "-1:5:3", "--log"], None,
+         "--log sweep needs positive bounds"),
+        (["cavity", "--params", "missing.json"], None, "cannot read cavity params"),
+        (["cavity", "--params", "cfg.json"], "{", "cannot read cavity params"),
+        (["cavity", "--params", "cfg.json"], "[1, 2]", "cannot read cavity params"),
+    ], ids=["config-missing", "config-list", "no-command", "sweep-without-n", "log-nonpositive",
+            "params-missing", "params-malformed", "params-list"])
+    def test_file_and_command_errors(self, tmp_path, capsys, monkeypatch, argv, text, message):
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / "cfg.json").write_text(text)
+        out = ["--out", str(tmp_path / "x.out")] if argv else []
+        err = self.assert_clean_failure(tmp_path, capsys, [*argv, *out], (EXIT_USAGE,))
+        assert err.startswith("usage error: ") and message in err
 
     def test_cavity_warning_is_one_stderr_line(self, tmp_path, capsys):
         rc = main(["cavity", "--n", "8", "--coop-range", "1e-4:10:7",

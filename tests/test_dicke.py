@@ -22,6 +22,7 @@ from catspin.dicke import (
     build_operator_set,
     css_state,
     dark_pulse,
+    pulse_diagonal,
     rotate,
     rotate_pulse,
     rotation_rows,
@@ -47,6 +48,25 @@ class TestEnsembleDims:
             EnsembleDims(N_ATOMS_CAP + 1)
         with pytest.raises(DimensionError):
             EnsembleDims(2.5)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("make, error, match", [
+        (lambda ops: rotate_pulse("x", math.inf), ValueError, "angle must be finite"),
+        (lambda ops: squeeze_pulse(math.nan, 1), ValueError, "strength must be finite"),
+        (lambda ops: squeeze_pulse(1.0, 0), ValueError, "squeeze sign"),
+        (lambda ops: dark_pulse(0.0, 1), ValueError, "fraction must be in"),
+        (lambda ops: dark_pulse(1.0, 0), ValueError, "dark-zone sign"),
+        (lambda ops: pulse_diagonal(ops, rotate_pulse("x", 0.3), 0.0), ValueError,
+         "not a diagonal pulse"),
+        (lambda ops: basis_state(ops.dims, 41), DimensionError, "basis index 41"),
+        (lambda ops: SpinState(ops.dims, np.zeros(40)), DimensionError, r"expected \(41,\)"),
+    ], ids=["rotate-angle", "squeeze-mu", "squeeze-sign", "dark-fraction", "dark-sign",
+            "x-diagonal", "basis-index", "state-length"])
+    def test_rejects(self, ops40, make, error, match):
+        with pytest.raises(error, match=match) as raised:
+            make(ops40)
+        assert raised.type is error
 
 
 def random_amps(dim, seed=0, cols=None):

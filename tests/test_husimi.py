@@ -97,6 +97,11 @@ class TestSphereGrid:
         with pytest.raises(ValueError):
             SphereGrid(thetas=np.array([0.5]), phis=np.array([0.0, 1.0]))
 
+    def test_rejects_the_periodic_endpoint(self):
+        # phi = 2 pi is phi = 0 again, so the axis must stop below it
+        with pytest.raises(ValueError, match="below 2 pi"):
+            SphereGrid(thetas=np.array([0.0, np.pi]), phis=np.array([0.0, np.pi, 2 * np.pi]))
+
     def test_field_shape_checked(self):
         grid = default_grid(5, 8)
         with pytest.raises(ValueError):

@@ -179,6 +179,17 @@ class TestFringeScan:
         with pytest.raises(ValueError):
             fringe_scan(scain(), dims40, ops40, np.array([0.2, 0.1]))
 
+    @pytest.mark.parametrize("index, error, match", [
+        (None, ValueError, "without a collective-state index"),
+        (41, IndexError, "csd index 41 outside"),
+    ], ids=["unset", "past-n"])
+    def test_rejects_bad_csd_index(self, dims40, ops40, index, error, match):
+        # a custom spec: builtin() would fill an unset index
+        spec = ProtocolSpec("custom", builtin("cosac").pulses, Detection("csd", index=index))
+        with pytest.raises(error, match=match) as raised:
+            fringe_scan(spec, dims40, ops40, np.array([0.1]))
+        assert raised.type is error
+
     @pytest.mark.parametrize("mu", [math.nan, math.inf])
     @pytest.mark.parametrize("phis", [[0.1], []])
     def test_rejects_non_finite_mu_override(self, dims40, ops40, mu, phis):
@@ -476,6 +487,21 @@ class TestCompiledOncePerScan:
         one = table_builds(spec, ops40, window, [0.2])
         five = table_builds(spec, ops40, window, np.linspace(0.2, 1.2, 5))
         assert five == one >= 1
+
+    @pytest.mark.parametrize("spec", [scain(), scain(xi=1, detection=Detection("csd"))],
+                             ids=["cd", "csd"])
+    def test_tables_are_not_shared_across_scans(self, monkeypatch, ops40, spec):
+        # windows of one length but other phis: tables of the first sweep
+        # fit the second's shapes, so only its own scanner keeps them out
+        mus = [0.3, 0.9, HALF]
+        window = default_phi_window(401)
+        sensitivity_scan_mu(spec, ops40.dims, ops40, mus, phi_window=window)
+        second = sensitivity_scan_mu(spec, ops40.dims, ops40, mus, phi_window=window + 0.01)
+        # alone: with nothing kept, each mu builds the same tables afresh
+        monkeypatch.setattr(observables, "_KEPT_TABLE_ELEMENTS", 0)
+        alone = sensitivity_scan_mu(spec, ops40.dims, ops40, mus, phi_window=window + 0.01)
+        for name in ("lam", "phi_star"):
+            assert getattr(second, name).tobytes() == getattr(alone, name).tobytes(), name
 
     @pytest.mark.parametrize("n, points", [(40, 10**5), (1000, 2001)])
     def test_tables_past_the_cap_are_rebuilt_at_every_mu(self, table_builds, n, points):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -146,6 +147,22 @@ class TestBuiltins:
         )
         with pytest.raises(ValueError):
             bad.validate()
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("make, match", [
+        (lambda: Detection("x"), "detection kind"),
+        (lambda: ProtocolParams(xi=0), "xi must be"),
+        (lambda: ProtocolParams(mu=np.nan), "mu must be finite"),
+    ], ids=["detection-kind", "xi", "mu"])
+    def test_rejects_bad_params(self, make, match):
+        with pytest.raises(ValueError, match=match) as raised:
+            make()
+        assert raised.type is ValueError
+
+    def test_compile_rejects_other_operators(self, dims40, ops41):
+        with pytest.raises(DimensionError, match="disagree"):
+            compile_protocol(builtin("scain"), dims40, ops41)
 
 
 class TestRun:
@@ -358,7 +375,77 @@ class TestOracle:
                 assert np.max(np.abs(a - self.expm_oracle(spec, n, phi, mu))) <= 1e-14
 
 
+# SCAIN, mu 0.41, ara y, xi +1, CSD of |E_0>, as to_json writes it: the
+# exchange format of a protocol, its key names, key order and indent
+_SCAIN_JSON = """{
+  "name": "SCAIN",
+  "pulses": [
+    {
+      "kind": "rotate",
+      "axis": "x",
+      "angle": 1.5707963267948966
+    },
+    {
+      "kind": "squeeze",
+      "mu": 0.41,
+      "mu_sign": -1
+    },
+    {
+      "kind": "rotate",
+      "axis": "y",
+      "angle": 1.5707963267948966
+    },
+    {
+      "kind": "dark_phase",
+      "fraction": 0.5,
+      "sign": 1
+    },
+    {
+      "kind": "rotate",
+      "axis": "x",
+      "angle": 3.141592653589793
+    },
+    {
+      "kind": "dark_phase",
+      "fraction": 0.5,
+      "sign": -1
+    },
+    {
+      "kind": "rotate",
+      "axis": "y",
+      "angle": 1.5707963267948966
+    },
+    {
+      "kind": "squeeze",
+      "mu": 0.41,
+      "mu_sign": 1
+    },
+    {
+      "kind": "rotate",
+      "axis": "x",
+      "angle": 1.5707963267948966
+    }
+  ],
+  "detection": {
+    "kind": "csd",
+    "index": 0
+  }
+}"""
+
+
 class TestSerialization:
+    def test_json_text_is_pinned(self):
+        spec = builtin("scain", ProtocolParams(mu=0.41, ara="y", xi=1,
+                                               detection=Detection("csd", index=0)))
+        assert spec.to_json() == _SCAIN_JSON
+        assert ProtocolSpec.from_json(_SCAIN_JSON) == spec
+
+    def test_unknown_pulse_kind_is_rejected(self):
+        doc = json.loads(_SCAIN_JSON)
+        doc["pulses"][4]["kind"] = "warp"
+        with pytest.raises(ValueError, match="unknown pulse kind 'warp'"):
+            ProtocolSpec.from_json(json.dumps(doc))
+
     def test_json_round_trip(self):
         spec = builtin("scain", ProtocolParams(mu=0.41, ara="y", xi=1,
                                                detection=Detection("csd", index=0)))
