@@ -6,8 +6,6 @@ from catspin.dicke import (
     OperatorSet,
     Pulse,
     SpinState,
-    apply_dark_phase,
-    apply_oats,
     apply_pulse,
     apply_rotation,
     basis_state,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 # Atom-light coupling area (m^2) for the alkali D2 line driven on both legs,
 # so the single-atom cooperativity is this area over (mode area * mirror
@@ -65,10 +65,12 @@ class CavityParams:
     power: float = POWER_REFERENCE
 
     def __post_init__(self):
-        for name in ("kappa", "xi_sq", "cooperativity", "gamma_sp", "mirror_t",
-                     "mode_side", "power"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
+            if value < 0 and field.name not in ("delta_tilde", "delta_opt"):
+                raise ValueError(f"{field.name} must be nonnegative")
 
     def cooperativity_consistency(self) -> float:
         """Relative deviation of the stored cooperativity from the

@@ -38,10 +38,9 @@ from catspin.cavity import (
     squeezing_time,
     steady_state_amplitude,
 )
-from catspin.dicke import DimensionError, EnsembleDims, build_operator_set
+from catspin.dicke import EnsembleDims, build_operator_set
 from catspin.husimi import default_grid, qpd_field, quadrature_residual, raw_layout
 from catspin.observables import (
-    collective_distribution,
     excess_noise_curve,
     fringe_scan,
     noise_model_table,
@@ -428,11 +427,11 @@ def _cmd_sensitivity(opts) -> tuple[list[str], dict]:
     window = None if opts["phi_window"] is None else np.linspace(*opts["phi_window"])
     report = {}
     sweep = sensitivity_scan_mu(spec, dims, ops, mus, phi_window=window,
-                                normalize_hl=opts["normalize_hl"], threads=opts["threads"],
-                                report=report)
+                                threads=opts["threads"], report=report)
     report["health"]["undefined_lambda"] = int(np.count_nonzero(np.isnan(sweep.lam)))
+    hl = dims.n_atoms if opts["normalize_hl"] else 1.0  # as a fraction of the Heisenberg limit
     return _write_csv(opts["out"], ["mu", "lambda", "phi_star"], [
-        sweep.mu, sweep.lam / opts["gamma"], sweep.phi_star]), report
+        sweep.mu, sweep.lam / hl / opts["gamma"], sweep.phi_star]), report
 
 
 def _stage_pulse_count(stage: str, n_pulses: int) -> int:
@@ -468,7 +467,7 @@ def _cmd_collective(opts) -> tuple[list[str], dict]:
     n_pulses = _stage_pulse_count(opts["stage"], len(spec.pulses))
     state = run(spec, dims, ops, opts["phi"], n_pulses=n_pulses)
     return _write_csv(opts["out"], ["index", "m", "population"], [
-        np.arange(dims.dim), dims.m_values(), collective_distribution(state)]), {}
+        np.arange(dims.dim), dims.m_values(), state.populations()]), {}
 
 
 def _sweep(bounds: tuple[float, float, int], log: bool) -> np.ndarray:
@@ -507,7 +506,7 @@ def _cmd_cavity(opts) -> tuple[list[str], dict]:
         try:
             with open(opts["params"]) as fh:
                 params = CavityParams.from_json(fh.read())
-        except (OSError, json.JSONDecodeError, TypeError) as exc:
+        except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise UsageError(f"cannot read cavity params: {exc}") from exc
         zeta = steady_state_amplitude(params)
         chi = squeezing_rate_chi(params)
@@ -573,7 +572,8 @@ def main(argv: list[str] | None = None) -> int:
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        except (ArithmeticError, BudgetError, DimensionError, RuntimeError, ValueError) as exc:
+        # BudgetError is a RuntimeError, DimensionError a ValueError
+        except (ArithmeticError, MemoryError, RuntimeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
 

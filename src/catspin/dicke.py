@@ -378,16 +378,8 @@ def apply_pulse(
     return SpinState(state.dims, apply_pulses(ops, (pulse,), state.amps, phi, mu_override))
 
 
+# kept for bench/spans.py, which times this name as the dicke.apply_rotation layer
 def apply_rotation(state: SpinState, ops: OperatorSet, axis: str, angle: float) -> SpinState:
     """Apply e^{-i angle J_axis}."""
     return apply_pulse(state, ops, rotate_pulse(axis, angle), 0.0)
 
-
-def apply_oats(state: SpinState, ops: OperatorSet, mu: float, sign: int) -> SpinState:
-    """Apply the one-axis twist e^{+i sign mu J_z^2}: sign=-1 squeezes, +1 undoes it."""
-    return apply_pulse(state, ops, squeeze_pulse(mu, sign), 0.0)
-
-
-def apply_dark_phase(state: SpinState, ops: OperatorSet, phase: float, sign: int) -> SpinState:
-    """Apply the dark-zone phase e^{-i sign phase J_z}."""
-    return apply_pulse(state, ops, dark_pulse(1.0, sign), phase)

@@ -97,11 +97,6 @@ def collective_population(state: SpinState, m_index: int) -> float:
     return float(abs(state.amps[m_index]) ** 2)
 
 
-def collective_distribution(state: SpinState) -> np.ndarray:
-    """Populations of every Dicke state, in index order."""
-    return state.populations()
-
-
 # --- fringe machinery -------------------------------------------------------
 
 
@@ -656,7 +651,6 @@ def sensitivity_scan_mu(
     ops: OperatorSet,
     mu_grid,
     phi_window: np.ndarray | None = None,
-    normalize_hl: bool = False,
     threads: int | None = None,
     report: dict | None = None,
 ) -> Sweep:
@@ -666,15 +660,14 @@ def sensitivity_scan_mu(
     has nan lam and phi_star.  phi_star is the first window point whose
     Lambda lies within 1e-9 (relative) of the best, so flat maxima (even N
     at mu = pi/2 reaches Lambda = N everywhere) resolve deterministically.
-    With normalize_hl the values are divided by N, i.e. reported as a
-    fraction of the Heisenberg limit.  threads and report: see fringe_scan.
+    lam is the raw Lambda, whose Heisenberg limit is N; the CLI's
+    --normalize-hl and --gamma scale it.  threads and report: see fringe_scan.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if not np.all((mu_grid >= 0) & (mu_grid <= math.pi / 2 + 1e-12)):
         raise ValueError("mu grid must lie within [0, pi/2]")
     if phi_window is None:
         phi_window = default_phi_window()
-    scale = dims.n_atoms if normalize_hl else 1.0
 
     scanner = _Scanner(spec, dims, ops, phi_window, threads)
     best, phi_star = np.full(mu_grid.size, np.nan), np.full(mu_grid.size, np.nan)
@@ -684,7 +677,7 @@ def sensitivity_scan_mu(
         top = np.fmax.reduce(lam, initial=-np.inf)
         hits = np.flatnonzero(lam >= top * (1.0 - 1e-9))
         if hits.size:
-            best[i], phi_star[i] = top / scale, scanner.phis[hits[0]]
+            best[i], phi_star[i] = top, scanner.phis[hits[0]]
     if report is not None:
         report.update(pool_workers=scanner.workers, health=scanner.health)
     return Sweep(mu=mu_grid, lam=best, phi_star=phi_star)

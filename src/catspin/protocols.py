@@ -101,21 +101,6 @@ class ProtocolSpec:
     pulses: tuple[Pulse, ...]
     detection: Detection
 
-    def validate(self):
-        """Check the structural conventions of the built-in families."""
-        darks = [p for p in self.pulses if p.kind == "dark_phase"]
-        base = self.name.split("-")[-1].lower()
-        if base in ("crain", "scain"):
-            if len(darks) != 2 or {d.sign for d in darks} != {1, -1} or any(
-                d.fraction != 0.5 for d in darks
-            ):
-                raise ValueError(
-                    f"{self.name}: expected two half-phase dark zones of opposite sign"
-                )
-        elif base in ("cac", "cosac", "scac"):
-            if len(darks) != 1 or darks[0].fraction != 1.0:
-                raise ValueError(f"{self.name}: expected one full-phase dark zone")
-
     def to_json(self) -> str:
         pulses = [{"kind": p.kind, **{key: getattr(p, attr)
                                       for key, attr in _PULSE_FIELDS[p.kind][1].items()}}
@@ -126,13 +111,16 @@ class ProtocolSpec:
     @staticmethod
     def from_json(text: str) -> "ProtocolSpec":
         doc = json.loads(text)
-        pulses = []
-        for p in doc["pulses"]:
-            if p["kind"] not in _PULSE_FIELDS:
-                raise ValueError(f"unknown pulse kind {p['kind']!r}")
-            make, fields = _PULSE_FIELDS[p["kind"]]
-            pulses.append(make(*(p[key] for key in fields)))
-        return ProtocolSpec(doc["name"], tuple(pulses), Detection.from_dict(doc["detection"]))
+        try:
+            pulses = []
+            for p in doc["pulses"]:
+                if p["kind"] not in _PULSE_FIELDS:
+                    raise ValueError(f"unknown pulse kind {p['kind']!r}")
+                make, fields = _PULSE_FIELDS[p["kind"]]
+                pulses.append(make(*(p[key] for key in fields)))
+            return ProtocolSpec(doc["name"], tuple(pulses), Detection.from_dict(doc["detection"]))
+        except KeyError as exc:  # a pulse, the detection or the protocol lacks a key
+            raise ValueError(f"protocol JSON lacks the key {exc}") from None
 
 
 # id: (dark-zone core, cat wrapper or not, default detection, CSD index of a
@@ -171,14 +159,7 @@ def builtin(protocol_id: str, params: ProtocolParams | None = None) -> ProtocolS
     if detection.kind == "csd" and detection.index is None:
         detection = replace(detection, index=csd_index)
     outer = rotate_pulse("x", np.pi / 2)
-    spec = ProtocolSpec(name=pid.upper(), pulses=(outer, *core, outer), detection=detection)
-    spec.validate()
-    return spec
-
-
-def initial_state(dims: EnsembleDims) -> SpinState:
-    """All spins down: |E_0> = |-z>."""
-    return basis_state(dims, 0)
+    return ProtocolSpec(name=pid.upper(), pulses=(outer, *core, outer), detection=detection)
 
 
 def run(
@@ -189,7 +170,7 @@ def run(
     mu_override: float | None = None,
     n_pulses: int | None = None,
 ) -> SpinState:
-    """Run the pulse sequence on |E_0> and return the final state.
+    """Run the pulse sequence on |E_0> = basis_state(dims, 0) and return the final state.
 
     n_pulses truncates the sequence (used for stage-resolved snapshots);
     mu_override rebinds the squeeze strength of every squeeze pulse while
@@ -198,7 +179,7 @@ def run(
     if dims != ops.dims:
         raise DimensionError("dims and operator set disagree")
     pulses = spec.pulses if n_pulses is None else spec.pulses[:n_pulses]
-    return SpinState(dims, apply_pulses(ops, pulses, initial_state(dims).amps, phi, mu_override))
+    return SpinState(dims, apply_pulses(ops, pulses, basis_state(dims, 0).amps, phi, mu_override))
 
 
 # --- batched scan kernel ----------------------------------------------------
@@ -296,7 +277,7 @@ def compile_protocol(spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet) -
         ((pulses[a].fraction, pulses[a].sign), pulses[a + 1 : b])
         for a, b in zip(bounds[:-1], bounds[1:])
     )
-    v_lead = apply_pulses(ops, lead, initial_state(dims).amps)
+    v_lead = apply_pulses(ops, lead, basis_state(dims, 0).amps)
     return CompiledProtocol(ops=ops, v_lead=v_lead, pre=pre, segments=segments)
 
 

@@ -31,7 +31,6 @@ import catspin
 import catspin.observables as observables
 from catspin.husimi import QpdField, default_grid, qpd_field, raw_layout, read_field_raw
 from catspin.observables import (
-    collective_distribution,
     excess_noise_curve,
     fringe_scan,
     noise_floor,
@@ -487,6 +486,11 @@ class TestCavityCommand:
         assert rc == EXIT_USAGE
 
 
+# a cavity params file whose kappa is the text filled in
+_CAVITY_PARAMS = ('{"kappa": %s, "delta_tilde": 1, "xi_sq": 1, "cooperativity": 1, '
+                  '"gamma_sp": 1, "delta_opt": 1}')
+
+
 class TestExplicitZeroAndFileTypes:
     """An explicit 0 is honoured (and rejected where it has no meaning),
     non-finite or non-positive values are rejected where they have none, and
@@ -563,8 +567,12 @@ class TestExplicitZeroAndFileTypes:
         (["cavity", "--params", "missing.json"], None, "cannot read cavity params"),
         (["cavity", "--params", "cfg.json"], "{", "cannot read cavity params"),
         (["cavity", "--params", "cfg.json"], "[1, 2]", "cannot read cavity params"),
+        (["cavity", "--params", "cfg.json"], _CAVITY_PARAMS % "NaN",
+         "cannot read cavity params: kappa must be finite"),
+        (["cavity", "--params", "cfg.json"], _CAVITY_PARAMS % "-1",
+         "cannot read cavity params: kappa must be nonnegative"),
     ], ids=["config-missing", "config-list", "no-command", "sweep-without-n", "log-nonpositive",
-            "params-missing", "params-malformed", "params-list"])
+            "params-missing", "params-malformed", "params-list", "params-nan", "params-negative"])
     def test_file_and_command_errors(self, tmp_path, capsys, monkeypatch, argv, text, message):
         monkeypatch.chdir(tmp_path)
         if text is not None:
@@ -572,6 +580,13 @@ class TestExplicitZeroAndFileTypes:
         out = ["--out", str(tmp_path / "x.out")] if argv else []
         err = self.assert_clean_failure(tmp_path, capsys, [*argv, *out], (EXIT_USAGE,))
         assert err.startswith("usage error: ") and message in err
+
+    def test_allocation_failure_is_runtime_error(self, tmp_path, capsys):
+        # 1e15 points ask numpy for 7 PiB, a request that fails at once
+        argv = ["fringe", "--n", "4", "--phi-range", "0:1:1000000000000000",
+                "--out", str(tmp_path / "x.csv")]
+        err = self.assert_clean_failure(tmp_path, capsys, argv, (EXIT_RUNTIME,))
+        assert err.startswith("error: Unable to allocate")
 
     def test_cavity_warning_is_one_stderr_line(self, tmp_path, capsys):
         rc = main(["cavity", "--n", "8", "--coop-range", "1e-4:10:7",
@@ -759,9 +774,10 @@ def _parent_sensitivity(n, mu_range, phi_window=None, normalize_hl=False, gamma=
     ops = cached_ops(n)
     window = None if phi_window is None else np.linspace(*parse_range(phi_window))
     sweep = sensitivity_scan_mu(_spec(**spec), ops.dims, ops,
-                                np.linspace(*parse_range(mu_range)), window, normalize_hl)
+                                np.linspace(*parse_range(mu_range)), window)
+    hl = n if normalize_hl else 1.0
     return _parent_csv(["mu", "lambda", "phi_star"], (
-        [fmt(mu), "" if math.isnan(lam) else fmt(lam / gamma),
+        [fmt(mu), "" if math.isnan(lam) else fmt(lam / hl / gamma),
          "" if math.isnan(phi_star) else fmt(phi_star)]
         for mu, lam, phi_star in zip(sweep.mu, sweep.lam, sweep.phi_star)))
 
@@ -781,7 +797,7 @@ def _parent_qpd(n, phi, stage, **spec):
 
 def _parent_collective(n, phi, stage, **spec):
     state = _stage_state(n, phi, stage, **spec)
-    dist = collective_distribution(state)
+    dist = state.populations()
     return _parent_csv(["index", "m", "population"], (
         [str(i), fmt(mm), fmt(p)] for i, (mm, p) in enumerate(zip(state.dims.m_values(), dist))))
 

@@ -13,8 +13,6 @@ from catspin.dicke import (
     EnsembleDims,
     N_ATOMS_CAP,
     SpinState,
-    apply_dark_phase,
-    apply_oats,
     apply_pulse,
     apply_pulses,
     apply_rotation,
@@ -252,7 +250,7 @@ class TestRotation:
 class TestOats:
     def test_even_cat_splits_between_antipodal_css(self, dims40, ops40):
         state = css_state(dims40, np.pi / 2, np.pi / 2)
-        out = apply_oats(state, ops40, np.pi / 2, -1)
+        out = apply_pulse(state, ops40, squeeze_pulse(np.pi / 2, -1), 0.0)
         plus = css_state(dims40, np.pi / 2, np.pi / 2)
         minus = css_state(dims40, np.pi / 2, 3 * np.pi / 2)
         assert abs(np.vdot(plus.amps, out.amps)) ** 2 == pytest.approx(0.5, abs=1e-12)
@@ -260,7 +258,7 @@ class TestOats:
 
     def test_odd_cat_splits_along_x(self, dims41, ops41):
         state = css_state(dims41, np.pi / 2, np.pi / 2)
-        out = apply_oats(state, ops41, np.pi / 2, -1)
+        out = apply_pulse(state, ops41, squeeze_pulse(np.pi / 2, -1), 0.0)
         plus = css_state(dims41, np.pi / 2, 0.0)
         minus = css_state(dims41, np.pi / 2, np.pi)
         assert abs(np.vdot(plus.amps, out.amps)) ** 2 == pytest.approx(0.5, abs=1e-12)
@@ -268,19 +266,20 @@ class TestOats:
 
     def test_unsqueeze_is_exact_inverse(self, dims40, ops40):
         state = css_state(dims40, 0.8, 1.9)
-        roundtrip = apply_oats(apply_oats(state, ops40, 0.77, -1), ops40, 0.77, +1)
+        squeezed = apply_pulse(state, ops40, squeeze_pulse(0.77, -1), 0.0)
+        roundtrip = apply_pulse(squeezed, ops40, squeeze_pulse(0.77, +1), 0.0)
         assert np.max(np.abs(roundtrip.amps - state.amps)) < 1e-14
 
 
 class TestDarkPhase:
     def test_zero_phase_identity(self, dims40, ops40):
         state = css_state(dims40, 1.0, 1.0)
-        out = apply_dark_phase(state, ops40, 0.0, +1)
+        out = apply_pulse(state, ops40, dark_pulse(1.0, +1), 0.0)
         assert np.array_equal(out.amps, state.amps)
 
     def test_bottom_state_gains_global_phase(self, dims40, ops40):
         state = basis_state(dims40, 0)
-        out = apply_dark_phase(state, ops40, 0.3, +1)
+        out = apply_pulse(state, ops40, dark_pulse(1.0, +1), 0.3)
         # m = -j on |E_0>, so the phase is e^{+i sign*phase*j}
         assert out.amps[0] == pytest.approx(np.exp(1j * 0.3 * 20), abs=1e-12)
         assert np.max(np.abs(out.populations() - state.populations())) < 1e-15
@@ -292,9 +291,9 @@ class TestDarkPhase:
         cat[0], cat[n] = 1 / np.sqrt(2), eta / np.sqrt(2)
         state = SpinState(dims40, cat)
         phi = 0.0173
-        state = apply_dark_phase(state, ops40, phi / 2, +1)
+        state = apply_pulse(state, ops40, dark_pulse(1.0, +1), phi / 2)
         state = apply_rotation(state, ops40, "x", np.pi)
-        state = apply_dark_phase(state, ops40, phi / 2, -1)
+        state = apply_pulse(state, ops40, dark_pulse(1.0, -1), phi / 2)
         ratio = state.amps[n] / state.amps[0]
         assert ratio * eta == pytest.approx(np.exp(1j * n * phi), abs=1e-10)
 
@@ -357,9 +356,9 @@ class TestInvariants:
             ops = cached_ops(n)
             state = css_state(ops.dims, 0.6, 0.2)
             state = apply_rotation(state, ops, "x", 1.234)
-            state = apply_oats(state, ops, 0.9, -1)
+            state = apply_pulse(state, ops, squeeze_pulse(0.9, -1), 0.0)
             state = apply_rotation(state, ops, "y", -0.77)
-            state = apply_dark_phase(state, ops, 0.31, -1)
+            state = apply_pulse(state, ops, dark_pulse(1.0, -1), 0.31)
             assert abs(state.norm() - 1.0) < 1e-12
 
     def test_total_spin_conserved(self, dims40, ops40):
@@ -367,7 +366,7 @@ class TestInvariants:
         state = css_state(dims40, 0.4, 2.2)
         for move in range(4):
             state = apply_rotation(state, ops40, "xy"[move % 2], 0.3 + move)
-            state = apply_oats(state, ops40, 0.2 * (move + 1), -1)
+            state = apply_pulse(state, ops40, squeeze_pulse(0.2 * (move + 1), -1), 0.0)
             assert total_spin_expectation(state, ops40) == pytest.approx(
                 j * (j + 1), abs=1e-9
             )
@@ -377,7 +376,7 @@ class TestInvariants:
         # coefficient of the antipodal coherent state in the post-squeeze cat
         ops = cached_ops(n)
         state = apply_rotation(basis_state(ops.dims, 0), ops, "x", np.pi / 2)
-        state = apply_oats(state, ops, np.pi / 2, -1)
+        state = apply_pulse(state, ops, squeeze_pulse(np.pi / 2, -1), 0.0)
         c_plus = np.vdot(css_state(ops.dims, np.pi / 2, np.pi / 2).amps, state.amps)
         c_minus = np.vdot(css_state(ops.dims, np.pi / 2, 3 * np.pi / 2).amps, state.amps)
         eta = c_minus / c_plus
@@ -387,7 +386,7 @@ class TestInvariants:
     def test_odd_cat_phase_after_squeeze(self, n):
         ops = cached_ops(n)
         state = apply_rotation(basis_state(ops.dims, 0), ops, "x", np.pi / 2)
-        state = apply_oats(state, ops, np.pi / 2, -1)
+        state = apply_pulse(state, ops, squeeze_pulse(np.pi / 2, -1), 0.0)
         c_plus = np.vdot(css_state(ops.dims, np.pi / 2, 0.0).amps, state.amps)
         c_minus = np.vdot(css_state(ops.dims, np.pi / 2, np.pi).amps, state.amps)
         eta = c_minus / c_plus

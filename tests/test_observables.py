@@ -17,7 +17,6 @@ from catspin.dicke import (
 from catspin.observables import (
     Fringe,
     central_fringe_fwhm,
-    collective_distribution,
     collective_population,
     default_phi_window,
     excess_noise_crossover,
@@ -93,7 +92,7 @@ class TestCollective:
         reference = None
         for n_pulses in (4, 5, 6):  # stages D, E, F
             state = run(spec, dims40, ops40, np.pi / 80, n_pulses=n_pulses)
-            dist = collective_distribution(state)
+            dist = state.populations()
             if reference is None:
                 reference = dist
             assert np.max(np.abs(dist - reference)) < 1e-12
@@ -120,7 +119,7 @@ class TestCollective:
 
     def test_distribution_sums_to_one(self, dims41, ops41):
         state = run(scain(), dims41, ops41, 0.3)
-        assert np.sum(collective_distribution(state)) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(state.populations()) == pytest.approx(1.0, abs=1e-12)
 
     def test_index_out_of_range(self, dims40):
         with pytest.raises(IndexError):
@@ -227,9 +226,7 @@ class TestSensitivity:
         assert isinstance(lam, float) and math.isnan(lam)
 
     def test_scan_endpoint_even(self, dims40, ops40):
-        (lam,) = sensitivity_scan_mu(
-            scain(), dims40, ops40, [HALF], normalize_hl=True
-        ).lam
+        (lam,) = sensitivity_scan_mu(scain(), dims40, ops40, [HALF]).lam / 40
         assert lam == pytest.approx(1.0, rel=1e-6)
 
     def test_scan_endpoint_odd(self, dims41, ops41):
@@ -359,7 +356,7 @@ class TestSpectralEngine:
         # at mu = 0 the final state is a Dicke state at every phi, and at
         # mu = pi/2 wherever sin(N phi) = 0; the variance is zero there and
         # rounding must not make Lambda defined
-        sweep = sensitivity_scan_mu(scain(xi=1), dims40, ops40, [0.0], normalize_hl=True)
+        sweep = sensitivity_scan_mu(scain(xi=1), dims40, ops40, [0.0])
         assert np.isnan(sweep.lam).all() and np.isnan(sweep.phi_star).all()
         fringe = fringe_scan(scain(), dims40, ops40, [-np.pi, 0.0, np.pi])
         assert np.isnan(fringe.sensitivity(dims40)).all()
@@ -367,8 +364,8 @@ class TestSpectralEngine:
     def test_phi_star_is_first_point_of_flat_maximum(self, dims40, ops40):
         # even N at mu = pi/2: Lambda = N at every non-degenerate point
         window = default_phi_window()
-        sweep = sensitivity_scan_mu(scain(xi=1), dims40, ops40, [HALF], normalize_hl=True)
-        assert sweep.lam[0] == pytest.approx(1.0, rel=1e-9)
+        sweep = sensitivity_scan_mu(scain(xi=1), dims40, ops40, [HALF])
+        assert sweep.lam[0] / 40 == pytest.approx(1.0, rel=1e-9)
         assert sweep.phi_star[0] == window[0]
 
     def test_csd_variance_where_population_nears_one(self, dims41, ops41):
@@ -376,8 +373,8 @@ class TestSpectralEngine:
         # --detection csd --xi 1 --normalize-hl`: p (1 - p) with 1 - p taken
         # as 1 - p read 1.000000005, above the Heisenberg limit
         spec = builtin("scac", ProtocolParams(mu=HALF, ara="y", xi=1, detection=Detection("csd")))
-        sweep = sensitivity_scan_mu(spec, dims41, ops41, [HALF], normalize_hl=True)
-        (lam,), (phi_star,) = sweep.lam, sweep.phi_star
+        sweep = sensitivity_scan_mu(spec, dims41, ops41, [HALF])
+        (lam,), (phi_star,) = sweep.lam / 41, sweep.phi_star
         (pgs,) = fringe_scan(spec, dims41, ops41, [phi_star]).pgs
         pops = run(spec, dims41, ops41, phi_star).populations()
         full = abs(pgs) / math.sqrt(pops[-1] * pops[:-1].sum()) / 41
@@ -819,9 +816,9 @@ class TestSubGridPool:
         # and 305.8 MiB with the dense middle
         ops = cached_ops(4000)
         sweep, scan = traced_peak_mib(lambda: sensitivity_scan_mu(
-            scain(), ops.dims, ops, np.pi * np.array([0.4, 0.45, 0.5]), normalize_hl=True))
+            scain(), ops.dims, ops, np.pi * np.array([0.4, 0.45, 0.5])))
         assert scan <= 75
-        assert sweep.lam[-1] == pytest.approx(1.0, abs=1e-9)
+        assert sweep.lam[-1] / 4000 == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.slow
     def test_y_rotation_middle_memory(self):
@@ -847,8 +844,7 @@ class TestSubGridPool:
         mus, window = np.linspace(0.0, HALF, 300), np.linspace(0.01, 1.5, 41)
 
         def sweep(part):
-            return sensitivity_scan_mu(scain(), ops.dims, ops, part, phi_window=window,
-                                       normalize_hl=True, threads=2)
+            return sensitivity_scan_mu(scain(), ops.dims, ops, part, phi_window=window, threads=2)
 
         whole, scan = traced_peak_mib(lambda: sweep(mus))
         assert scan <= 35
@@ -856,7 +852,7 @@ class TestSubGridPool:
             alone = sweep(mus[i : i + 1])
             assert alone.lam.tobytes() == whole.lam[i : i + 1].tobytes()
             assert alone.phi_star.tobytes() == whole.phi_star[i : i + 1].tobytes()
-        assert whole.lam[-1] == pytest.approx(1.0, abs=1e-12)
+        assert whole.lam[-1] / 300 == pytest.approx(1.0, abs=1e-12)
 
     def test_sweep_holds_no_dense_matrix(self):
         # after a 3-mu sweep at N = 1000 no array the scanner can reach holds

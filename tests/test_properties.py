@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from catspin.cavity import MomentSet, decay_moments
 from catspin.dicke import (
     SpinState,
-    apply_dark_phase,
-    apply_oats,
     apply_pulse,
     apply_rotation,
     css_state,
@@ -20,7 +18,6 @@ from catspin.dicke import (
     total_spin_expectation,
 )
 from catspin.observables import (
-    collective_distribution,
     expect_jz,
     parity_average,
 )
@@ -67,7 +64,8 @@ def test_rotations_compose(n, axis, alpha, beta):
 def test_squeeze_inverts(n, mu, theta, phi):
     ops = cached_ops(n)
     state = css_state(ops.dims, theta, phi)
-    back = apply_oats(apply_oats(state, ops, mu, -1), ops, mu, +1)
+    squeezed = apply_pulse(state, ops, squeeze_pulse(mu, -1), 0.0)
+    back = apply_pulse(squeezed, ops, squeeze_pulse(mu, +1), 0.0)
     assert np.max(np.abs(back.amps - state.amps)) < 1e-13
 
 
@@ -80,7 +78,7 @@ def test_down_count_identity(n, data):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     state = SpinState(ops.dims, amps / np.linalg.norm(amps))
-    pops = collective_distribution(state)
+    pops = state.populations()
     j = ops.dims.j
     weighted = sum((j - m) * pops[k] for k, m in enumerate(ops.dims.m_values()))
     assert j - expect_jz(state) == pytest.approx(weighted, abs=1e-10)
@@ -122,5 +120,5 @@ def test_css_normalized(n, theta, phi):
 def test_dark_phase_preserves_populations(n, phase, sign):
     ops = cached_ops(n)
     state = css_state(ops.dims, 1.0, 0.5)
-    out = apply_dark_phase(state, ops, phase, sign)
+    out = apply_pulse(state, ops, dark_pulse(1.0, sign), phase)
     assert np.max(np.abs(out.populations() - state.populations())) < 1e-14

@@ -8,7 +8,6 @@ from scipy.linalg import expm
 
 from catspin.dicke import DimensionError, css_state
 from catspin.observables import expect_jz
-from catspin.dicke import dark_pulse
 from catspin.protocols import (
     PROTOCOL_IDS,
     Detection,
@@ -117,8 +116,12 @@ class TestBuiltins:
         assert axes == ["x", "y", "x", "y", "x"]
 
     def test_dark_zone_structure_validated(self):
-        for pid in ("crain", "scain", "cac", "cosac", "scac"):
-            builtin(pid).validate()
+        # the interferometers' spin echo: two half-phase dark zones of
+        # opposite sign; the clocks: one full-phase dark zone
+        for pid in PROTOCOL_IDS:
+            darks = [(p.fraction, p.sign) for p in builtin(pid).pulses if p.kind == "dark_phase"]
+            echo = pid in ("crain", "scain")
+            assert darks == ([(0.5, 1), (0.5, -1)] if echo else [(1.0, 1)]), pid
 
     def test_csd_default_indices(self):
         scain = builtin("scain", ProtocolParams(detection=Detection("csd")))
@@ -134,19 +137,6 @@ class TestBuiltins:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             builtin("esp")
-
-    def test_validate_rejects_malformed_dark_structure(self):
-        good = builtin("scain")
-        bad = ProtocolSpec(
-            name="SCAIN",
-            pulses=tuple(
-                dark_pulse(0.5, +1) if p.kind == "dark_phase" else p
-                for p in good.pulses
-            ),
-            detection=Detection("cd"),
-        )
-        with pytest.raises(ValueError):
-            bad.validate()
 
 
 class TestInputChecks:
@@ -445,6 +435,18 @@ class TestSerialization:
         doc["pulses"][4]["kind"] = "warp"
         with pytest.raises(ValueError, match="unknown pulse kind 'warp'"):
             ProtocolSpec.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("drop, key", [
+        (lambda doc: doc["pulses"][0].pop("angle"), "angle"),
+        (lambda doc: doc["pulses"][1].pop("kind"), "kind"),
+        (lambda doc: doc["detection"].pop("kind"), "kind"),
+    ], ids=["rotate-without-angle", "pulse-without-kind", "detection-without-kind"])
+    def test_missing_key_is_rejected(self, drop, key):
+        doc = json.loads(_SCAIN_JSON)
+        drop(doc)
+        with pytest.raises(ValueError, match=f"lacks the key '{key}'") as raised:
+            ProtocolSpec.from_json(json.dumps(doc))
+        assert raised.type is ValueError
 
     def test_json_round_trip(self):
         spec = builtin("scain", ProtocolParams(mu=0.41, ara="y", xi=1,
