@@ -71,6 +71,8 @@ class CavityParams:
                 raise ValueError(f"{field.name} must be finite, got {value}")
             if value < 0 and field.name not in ("delta_tilde", "delta_opt"):
                 raise ValueError(f"{field.name} must be nonnegative")
+        if self.kappa == 0:  # the steady-state field divides by kappa/2
+            raise ValueError("kappa must be positive")
 
     def cooperativity_consistency(self) -> float:
         """Relative deviation of the stored cooperativity from the
@@ -92,8 +94,6 @@ def steady_state_amplitude(params: CavityParams) -> complex:
     Both mirrors share the same transmittivity, so the input coupling rate
     is kappa/2.
     """
-    if params.kappa <= 0:
-        raise ValueError("kappa must be positive for a steady state")
     half = params.kappa / 2.0
     delta = params.delta_tilde * half
     xi = math.sqrt(params.xi_sq)

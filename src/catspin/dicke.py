@@ -7,8 +7,11 @@ J_z eigenstate with eigenvalue m = k - J (|E_0> = all spins down).
 
 Everything here is exact: z-axis generators are diagonal, J_x and J_y are
 the bands of one real tridiagonal, and x/y rotations (y by a diagonal phase
-similarity) use J_x's real eigenvectors, the only dense arrays: two half-size
-parity blocks from J_x's three-term recurrence at its known spectrum m.
+similarity) use J_x's real eigenvectors, the only dense array: those of
+lambda >= 0 in each reversal parity, from J_x's three-term recurrence at its
+known spectrum m.  The eigenvector of -lambda is that of lambda with the
+signs of its odd-k rows flipped, of the same parity at even N and of the
+other at odd N; lambda = 0 (even N) is its own mirror and counts once.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Largest ensemble the dense machinery is sized for.  The two half-size J_x
-# eigenvector blocks take 64 MB here and their O(N^2) recurrence 0.1 s; a
-# qpd command peaks at about 122 MB RSS and a collective one at 100 MB.
+# Largest ensemble the dense machinery is sized for.  The J_x eigenvectors of
+# lambda >= 0 take 32 MB here and their O(N^2) recurrence about 0.05 s; a qpd
+# command peaks at about 89 MB RSS and a collective one at 66 MB.
 N_ATOMS_CAP = 4000
 
 
@@ -103,17 +106,37 @@ class OperatorSet:
     J_z is the diagonal m (and J_z^2 the diagonal jz_sq); J_x is the real
     symmetric tridiagonal with superdiagonal off, and J_y = P J_x P^dagger
     with P = diag(e^{-i pi m/2}).  J_x commutes with the reversal k -> N - k:
-    sym_vectors and anti_vectors, the only dense arrays, are its orthogonal
-    eigenvectors on the pairs (e_k +- e_{N-k})/sqrt(2) (and e_{N/2} of even
-    N), with eigenvalues m[N % 2::2] and m[1 - N % 2::2].  Immutable.
+    its orthogonal eigenvectors live on the pairs (e_k +- e_{N-k})/sqrt(2)
+    (and e_{N/2} of even N), symmetric for lambda = m with j - m even and
+    antisymmetric for j - m odd.  J_x anticommutes with D = diag((-1)^k), so
+    the eigenvector of -lambda is D times that of lambda: of the same
+    reversal parity at even N, of the other at odd N.  lambda = 0 (even N)
+    is its own mirror and counts once.
+
+    Only lambda >= 0 is kept.  vectors, the only dense array, holds column
+    c of parity b (0 symmetric, 1 antisymmetric) at vectors[b, :, c], of
+    lambda = m[N - 2c - b], in pair coordinates; it is zero past each
+    parity's own rows and columns, which sym_vectors and anti_vectors are.
+    Immutable.
     """
 
     dims: EnsembleDims
     m: np.ndarray = field(repr=False)
     jz_sq: np.ndarray = field(repr=False)
     off: np.ndarray = field(repr=False)
-    sym_vectors: np.ndarray = field(repr=False)
-    anti_vectors: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
+
+    @property
+    def sym_vectors(self) -> np.ndarray:
+        """(N // 2 + 1, N // 4 + 1): lambda = j, j - 2, ... >= 0."""
+        half = self.dims.n_atoms // 2
+        return self.vectors[0, : half + 1, : (half + 2) // 2]
+
+    @property
+    def anti_vectors(self) -> np.ndarray:
+        """((N + 1) // 2, (N // 2 + 1) // 2): lambda = j - 1, j - 3, ... >= 0."""
+        half = self.dims.n_atoms // 2
+        return self.vectors[1, : self.dims.n_atoms - half, : (half + 1) // 2]
 
     def apply_generator(self, axis: str, amps: np.ndarray) -> np.ndarray:
         """J_axis applied to a vector or a (dim, k) block, in O(dim k)."""
@@ -136,12 +159,17 @@ def build_operator_set(dims: EnsembleDims) -> OperatorSet:
     eigenvector, of lambda = m and reversal parity (-1)^(j-m), follows from
     off[k] v_{k+1} = lambda v_k - off[k-1] v_{k-1} run from the edge to the
     centre, the stable direction (Gautschi, SIAM Rev. 9, 24 (1967)), in O(N^2).
+    It runs for lambda >= 0 only: at -lambda the same steps give (-1)^k v_k
+    bit for bit, as negation is exact.
     """
     m, off = dims.m_values(), _ladder_coefficients(dims) / 2.0
     n, (half, odd) = dims.n_atoms, divmod(dims.n_atoms, 2)
-    # columns: the symmetric parity's m, then the antisymmetric parity's
-    lam, sign = np.concatenate((m[odd::2], m[1 - odd::2])), np.repeat([1.0, -1.0], (half + 1, half + odd))
-    v = np.empty((half + 2, n + 1))
+    cols = (half + 2) // 2
+    # lambda = m[N - 2c - b] at [b, c]: both parities' lambda >= 0, and one
+    # lambda < 0 that pads the antisymmetric columns where they are fewer
+    lam = m[::-1][: 2 * cols].reshape(cols, 2).T
+    sign = np.array([[1.0], [-1.0]])
+    v = np.empty((half + 2, 2, cols))
     v[0], v[1] = 1.0, lam / off[0]
     for k in range(1, half + 1):
         np.multiply(lam, v[k], out=v[k + 1])
@@ -153,13 +181,16 @@ def build_operator_set(dims: EnsembleDims) -> OperatorSet:
     # the equation left out: rows half, half + 1 mirror N - half, N - half - 1
     miss = np.abs(v[half:] - sign * v[half - 1 + odd : half + 1 + odd][::-1])
     v[: half + odd] *= np.sqrt(2.0)
-    blocks = v[: half + 1, : half + 1], v[: half + odd, half + 1 :]
-    norms = np.concatenate([np.sqrt(np.einsum("ij,ij->j", b, b)) for b in blocks])
+    norms = np.stack([np.sqrt(np.einsum("ij,ij->j", b, b))
+                      for b in (v[: half + 1, 0], v[: half + odd, 1])])
     if not np.max(miss / norms) * off[half] <= 1e-12 * n:
         raise np.linalg.LinAlgError(f"J_x spectrum at N={n} misses m")
     v[: half + 1] /= norms
-    ops = OperatorSet(dims, m, m**2, off, *blocks)
-    for arr in (ops.m, ops.jz_sq, off, *blocks):
+    v[half + 1] = 0.0  # past the rows and columns of each parity
+    v[half + odd :, 1] = 0.0
+    v[:, 1, (half + 1) // 2 :] = 0.0
+    ops = OperatorSet(dims, m, m**2, off, v.transpose(1, 0, 2)[:, : 2 * cols])
+    for arr in (ops.m, ops.jz_sq, off, ops.vectors):
         arr.setflags(write=False)
     return ops
 
@@ -210,42 +241,91 @@ def css_state(dims: EnsembleDims, theta: float, phi: float) -> SpinState:
     return SpinState(dims, amps)
 
 
-def _unfold(y: np.ndarray, pairs: int, out: np.ndarray) -> np.ndarray:
-    """G^T y into out for the rows of y, with G the parity fold of rotate."""
-    np.add(y[:pairs], y[-pairs:], out=out[:pairs])
-    np.subtract(y[:pairs], y[-pairs:], out=out[::-1][:pairs])
-    np.multiply(y[pairs:-pairs], np.sqrt(2.0), out=out[pairs:-pairs])
+def _unfold(sym: np.ndarray, anti: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """G^T y into out for the fold rows y of each parity, with G the fold of
+    rotate; the symmetric rows past the pairs are even N's middle row."""
+    pairs = len(anti)
+    np.add(sym[:pairs], anti, out=out[:pairs])
+    np.subtract(sym[:pairs], anti, out=out[::-1][:pairs])
+    np.multiply(sym[pairs : len(out) - pairs], np.sqrt(2.0), out=out[pairs:-pairs])
     return out
 
 
+def _phases(ops: OperatorSet, angle: float) -> np.ndarray:
+    """e^{-i angle lambda} at each column of ops.vectors, (2, columns);
+    1/2 at lambda = 0, which is its own mirror and counts once."""
+    n, cols = ops.dims.n_atoms, ops.vectors.shape[2]
+    phase = np.exp((-1j * angle) * ops.m[::-1][: 2 * cols].reshape(cols, 2).T)
+    phase[n // 2 % 2, n // 4 : n // 4 + 1 - n % 2] = 0.5  # lambda = 0 is m[N/2], of even N
+    return phase
+
+
 def rotate(ops: OperatorSet, axis: str, angle: float, amps) -> np.ndarray:
-    """e^{-i angle J_axis} for axis x or y, applied to a complex vector or a
+    """e^{-i angle J_x} or e^{-i angle J_y} applied to a complex vector or a
     (dim, k) block.
 
     x: R_x = G^T diag(B e^{-i angle lambda} B^T / 2) G per parity block B,
     where the fold G takes a to a_k + a_{N-k} (k < pairs) and sqrt(2)
-    a_{N/2} (even N), then to a_k - a_{N-k}; G G^T = 2.  The products are
-    real, on float views.  y: R_y = P R_x P^dagger with P = diag(e^{-i pi m/2}).
+    a_{N/2} (even N), then to a_k - a_{N-k}; G G^T = 2.  B keeps only its
+    columns of lambda >= 0, H; the vector of -lambda is D v with
+    D = diag((-1)^k), whose coefficient is v . D a (see OperatorSet), and
+    lambda = 0 counts once, by its phase halved.  Split a into its even-k and
+    odd-k rows, z_e = H^T G a_e and z_o = H^T G a_o: lambda's coefficient is
+    z_e + z_o and -lambda's z_e - z_o.  Then R_x a is the even rows of
+    G^T H (c z_e - i s z_o) with the odd rows of G^T H (c z_o - i s z_e),
+    c - i s from _phases.  At even N the reversal keeps the parity of k:
+    G a_e is G a on the even fold rows and G a_o on the odd ones, so each
+    product takes alternate rows, half the flops of the full blocks.  At
+    odd N fold row i holds a_i and a_{N-i}, one of each parity, so G a_e
+    and G a_o sit side by side and one product takes all rows, the full
+    blocks' flops.  Each reads H once, half the bytes of the full blocks.
+    Both parities run as one stacked real product, on float views.
+    y: R_y = P R_x P^dagger with P = diag(e^{-i pi m/2}).
     """
-    dim, pairs, odd = ops.dims.dim, len(ops.anti_vectors), ops.dims.n_atoms % 2
-    # per parity: rows of the fold, its eigenvalues' place in m, eigenvectors
-    blocks = ((slice(-pairs), slice(odd, None, 2), ops.sym_vectors),
-              (slice(-pairs, None), slice(1 - odd, None, 2), ops.anti_vectors))
-    phase = 0.5 * np.exp(-1j * angle * ops.m)[:, None]
+    dim, odd = ops.dims.dim, ops.dims.n_atoms % 2
+    pairs, vecs = dim // 2, ops.vectors
+    rows, cols = vecs.shape[1:]
     twist = np.exp(-0.5j * np.pi * ops.m)[:, None] if axis == "y" else None
     a = np.reshape(amps, (dim, -1))
     a = (np.ascontiguousarray(a, complex) if twist is None else a * twist.conj()).view(float)
-    folded, coeffs = np.empty_like(a), np.empty_like(a)
-    np.add(a[:-pairs], a[::-1][:-pairs], out=folded[:-pairs])
-    np.subtract(a[:pairs], a[::-1][:pairs], out=folded[-pairs:])
-    folded[pairs:-pairs] *= np.sqrt(0.5)  # the middle row came out doubled
-    del a
-    for rows, lam, vecs in blocks:
-        np.matmul(vecs.T, folded[rows], out=coeffs[lam])
-    np.multiply(coeffs.view(complex), phase, out=coeffs.view(complex))
-    for rows, lam, vecs in blocks:
-        np.matmul(vecs, coeffs[lam], out=folded[rows])
-    out = _unfold(folded, pairs, coeffs).view(complex)
+    k = a.shape[1]
+    # fold rows of both parities; those past a parity's own rows meet its zero rows
+    top, bottom = a[:rows], a[::-1][:rows]
+    if odd:  # G a_e beside G a_o: a_i in the slot of i's parity, +-a_{N-i} in the other
+        folded = np.empty((2, rows, 2, k))
+        folded[:, ::2, 0], folded[:, 1::2, 1] = top[::2], top[1::2]
+        folded[0, ::2, 1], folded[0, 1::2, 0] = bottom[::2], bottom[1::2]
+        np.negative(bottom[::2], out=folded[1, ::2, 1])
+        np.negative(bottom[1::2], out=folded[1, 1::2, 0])
+        folded = folded.reshape(2, rows, 2 * k)
+    else:  # G a: its even fold rows are G a_e, its odd ones G a_o
+        folded = np.empty((2, rows, k))
+        np.add(top, bottom, out=folded[0])
+        np.subtract(top, bottom, out=folded[1])
+        folded[0, pairs : dim - pairs] *= np.sqrt(0.5)  # the middle row came out doubled
+    del a, top, bottom
+
+    def split(x):  # even N: (parity, fold-row parity, its rows, width); odd N: all rows
+        return x[:, None] if odd else x.reshape(2, cols, 2, -1).transpose(0, 2, 1, 3)
+
+    z = room = np.matmul(split(vecs).mT, split(folded))
+    z = z.transpose(0, 2, 1, 3).reshape(2, cols, 2, k).view(complex)  # z_e beside z_o
+    phase = _phases(ops, angle)[:, :, None, None]  # c - i s
+    mixed = z * phase.real
+    z *= 1j * phase.imag
+    mixed += z[:, :, ::-1]  # u = c z_e - i s z_o beside v = c z_o - i s z_e
+    mixed = mixed.view(float).reshape(2, cols, 2 - odd, -1).transpose(0, 2, 1, 3)
+    np.matmul(split(vecs), mixed, out=split(folded))
+    out = room.reshape(-1)[: dim * k].reshape(dim, k)  # z's room is free again
+    if odd:  # G^T, each output row from the slot of its parity
+        slots = folded.reshape(2, rows, 2, k)[:, :pairs]
+        np.add(slots[0, ::2, 0], slots[1, ::2, 0], out=out[:pairs:2])
+        np.add(slots[0, 1::2, 1], slots[1, 1::2, 1], out=out[1:pairs:2])
+        np.subtract(slots[0, ::2, 1], slots[1, ::2, 1], out=out[::-1][:pairs:2])
+        np.subtract(slots[0, 1::2, 0], slots[1, 1::2, 0], out=out[::-1][1:pairs:2])
+    else:
+        _unfold(folded[0], folded[1, :pairs], out)
+    out = out.view(complex)
     if twist is not None:
         out *= twist
     return out.reshape(np.shape(amps))
@@ -255,30 +335,38 @@ def rotation_rows(ops: OperatorSet, angle: float, first: int, last: int) -> np.n
     """Rows first .. last - 1 of R_x = e^{-i angle J_x}, last <= N/2 + 1, as
     a (last - first, dim) array; row N - f of R_x is row f reversed.
 
-    R_x = G^T C G (see rotate) is symmetric, so row f is (G^T C G e_f)^T:
-    row f of C's two parity blocks, (B[f] e^{-i angle lambda} / 2) B^T,
-    unfolded, their sum left of the middle and their difference right of it
-    (sqrt(2) times the symmetric one alone for the middle row of even N).
-    A block takes one real product for the real part and one for the
-    imaginary part, the dense product's flops.  Its lambdas step by 2, so at
-    a multiple of pi/2 its phases are e^{-i angle lambda_0} times real
-    signs, and one product does: half the flops.
+    R_x = G^T C G (see rotate) is symmetric, so row f is (G^T C G e_f)^T.
+    The eigenvector of -lambda is D v, D = diag((-1)^k), so the pair
+    lambda, -lambda adds 2 cos(angle lambda) v_f v_c where f + c is even
+    and -2i sin(angle lambda) v_f v_c where it is odd (lambda = 0 once, by
+    cos halved).  Over the stored halves H, entry (f, c) is sum H[f] cos H[i]
+    or -i sum H[f] sin H[i]: at c = i both parities added, at c = N - i
+    (i < pairs) the antisymmetric one subtracted, and sqrt(2) more on even
+    N's middle row and column.  One stacked product serves the rows f of
+    one parity and the fold rows i of another.  At even N, i and N - i
+    share a parity and so a weight: half the flops of the full blocks' one
+    real product per block at a multiple of pi/2, a quarter of their two at
+    other angles.  At odd N each takes both weights, the full blocks' flops
+    at pi/2 and half of them at other angles.
     """
-    pairs, odd = len(ops.anti_vectors), ops.dims.n_atoms % 2
-    out = np.zeros((last - first, ops.dims.dim), dtype=complex)
-    quarters = 2.0 * angle / np.pi
-    for vecs, lam, sign in ((ops.sym_vectors, ops.m[odd::2], 1.0),
-                            (ops.anti_vectors, ops.m[1 - odd :: 2], -1.0)):
-        phase = 0.5 * np.exp(-1j * angle * lam)
-        terms = ([(phase.real, 1.0), (phase.imag, 1j)] if quarters != round(quarters) else
-                 [(0.5 - (np.arange(len(lam)) * round(quarters) % 2), np.exp(-1j * angle * lam[0]))])
-        for scale, factor in terms:
-            y = (vecs[first:last] * scale) @ vecs.T
-            out[: len(y), :pairs] += factor * y[:, :pairs]
-            out[: len(y), -pairs:] += (sign * factor) * y[:, pairs - 1 :: -1]
-            if sign > 0:
-                out[:, pairs:-pairs] += (np.sqrt(2.0) * factor) * y[:, pairs:]
-    out[len(ops.anti_vectors[first:last]) :] *= np.sqrt(2.0)  # even N's middle row
+    dim, n = ops.dims.dim, ops.dims.n_atoms
+    pairs, vecs = dim // 2, ops.vectors
+    phase = _phases(ops, angle)[:, None]
+    rows = vecs[:, first:last]
+    weighted = (rows * phase.real, rows * phase.imag)  # real and imaginary parts
+    out = np.zeros((last - first, dim), dtype=complex)
+    for p in (0, 1):  # the local rows of one parity of f
+        for r in (0, 1):  # the fold rows i of one parity
+            direct, mirror = (first + p + r) % 2, (first + p + r + n) % 2
+            for t in {direct, mirror}:  # the parity of f + c picks the weight
+                y = weighted[t][:, p::2] @ vecs[:, r::2].mT
+                part = (out.real, out.imag)[t][p::2]
+                if t == direct:
+                    part[:, r : dim - pairs : 2] += (y[0] + y[1])[:, : len(range(r, dim - pairs, 2))]
+                if t == mirror:
+                    part[:, ::-1][:, r:pairs:2] += (y[0] - y[1])[:, : len(range(r, pairs, 2))]
+    out[:, pairs : dim - pairs] *= np.sqrt(2.0)  # even N's middle column
+    out[max(pairs - first, 0) :] *= np.sqrt(2.0)  # and middle row
     return out
 
 

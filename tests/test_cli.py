@@ -67,6 +67,28 @@ def test_import_loads_no_scipy():
     assert _run_python(code).stdout.split() == ["[]", "[]"]
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("argv, bound", [
+    (["qpd", "--n", "4000", "--stage", "J", "--format", "raw"], 100),
+    (["collective", "--n", "4000", "--stage", "J"], 76),
+], ids=["qpd", "collective"])
+def test_peak_rss_at_the_cap(tmp_path, argv, bound):
+    # the fresh interpreter's own peak RSS once cli.main returns.  Not
+    # RUSAGE_CHILDREN, which adds earlier tests' children, nor the child's
+    # own ru_maxrss: Linux starts that at the forking process's RSS, which
+    # late in a tier-1 session is above either bound.  VmHWM counts only the
+    # child's address space.  Measured 89.3 and 65.9 MiB, against 122.8 and
+    # 100.0 MiB when the operator set held the full parity blocks
+    code = ("import sys\n"
+            "from catspin import cli\n"
+            "status = cli.main(sys.argv[1:])\n"
+            "peak_kib = next(line.split()[1] for line in open('/proc/self/status')\n"
+            "                if line.startswith('VmHWM:'))\n"
+            "print(status, int(peak_kib) / 1024)\n")
+    status, peak_mib = _run_python(code, *argv, "--out", str(tmp_path / "out")).stdout.split()
+    assert status == "0" and float(peak_mib) <= bound
+
+
 _NO_SCIPY_COMMANDS = {
     "fringe.csv": ["fringe", "--protocol", "scain", "--n", "40", "--phi-range", "-0.1pi:0.1pi:21"],
     "sensitivity.csv": ["sensitivity", "--protocol", "scain", "--n", "41",
@@ -571,8 +593,11 @@ class TestExplicitZeroAndFileTypes:
          "cannot read cavity params: kappa must be finite"),
         (["cavity", "--params", "cfg.json"], _CAVITY_PARAMS % "-1",
          "cannot read cavity params: kappa must be nonnegative"),
+        (["cavity", "--params", "cfg.json"], _CAVITY_PARAMS % "0",
+         "cannot read cavity params: kappa must be positive"),
     ], ids=["config-missing", "config-list", "no-command", "sweep-without-n", "log-nonpositive",
-            "params-missing", "params-malformed", "params-list", "params-nan", "params-negative"])
+            "params-missing", "params-malformed", "params-list", "params-nan", "params-negative",
+            "params-kappa-zero"])
     def test_file_and_command_errors(self, tmp_path, capsys, monkeypatch, argv, text, message):
         monkeypatch.chdir(tmp_path)
         if text is not None:

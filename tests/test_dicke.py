@@ -73,6 +73,29 @@ def random_amps(dim, seed=0, cols=None):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def half_lambdas(ops):
+    """The lambda of each stored column: m[N - 2c - b] for parity b."""
+    n = ops.dims.n_atoms
+    return [ops.m[n - b :: -2][: block.shape[1]] for b, block in
+            enumerate((ops.sym_vectors, ops.anti_vectors))]
+
+
+def full_blocks(ops):
+    """The two parity blocks with every lambda, ascending like the m of their
+    parity, rebuilt from the stored lambda >= 0 halves by the mirror rule:
+    the column of -lambda is that of lambda with its rows times (-1)^k, from
+    the same parity at even N and from the other at odd N; lambda = 0, of
+    even N, is its own mirror and counts once."""
+    n = ops.dims.n_atoms
+    halves, lams = (ops.sym_vectors, ops.anti_vectors), half_lambdas(ops)
+    blocks = []
+    for b, own in enumerate(halves):
+        mate, mate_lam = halves[b ^ n % 2], lams[b ^ n % 2]
+        mirror = mate[: len(own)] * (-1.0) ** np.arange(len(own))[:, None]
+        blocks.append(np.hstack((mirror[:, mate_lam != 0], own[:, ::-1])))
+    return blocks
+
+
 def eigensystem(ops):
     """J_x eigenvalues and the full orthogonal V rebuilt from the two parity
     blocks: column b of a block is sum_k b_k (e_k +- e_{N-k})/sqrt(2) over
@@ -80,9 +103,10 @@ def eigensystem(ops):
     the eigenvalues of a block are the m of its reversal parity."""
     n, pairs = ops.dims.n_atoms, len(ops.anti_vectors)
     vecs = np.zeros((n + 1, n + 1))
-    sym = len(ops.sym_vectors)
-    for sign, block, cols in ((1.0, ops.sym_vectors, slice(sym)),
-                              (-1.0, ops.anti_vectors, slice(sym, None))):
+    sym_block, anti_block = full_blocks(ops)
+    sym = len(sym_block)
+    for sign, block, cols in ((1.0, sym_block, slice(sym)),
+                              (-1.0, anti_block, slice(sym, None))):
         vecs[:pairs, cols] = block[:pairs] / np.sqrt(2.0)
         vecs[::-1][:pairs, cols] = sign * block[:pairs] / np.sqrt(2.0)
         if sign > 0:  # the middle state of even N
@@ -155,16 +179,20 @@ class TestOperatorSet:
         assert np.allclose(ops40.jz_sq, (np.arange(41) - 20.0) ** 2)
 
     def test_immutable_arrays(self, ops40):
-        for arr in (ops40.sym_vectors, ops40.anti_vectors, ops40.off, ops40.m, ops40.jz_sq):
+        for arr in (ops40.vectors, ops40.sym_vectors, ops40.anti_vectors, ops40.off, ops40.m,
+                    ops40.jz_sq):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
     def test_only_dense_array_is_the_real_eigenvector_matrix(self, ops40):
         dense = [name for name, value in vars(ops40).items()
-                 if isinstance(value, np.ndarray) and value.ndim == 2]
-        assert dense == ["sym_vectors", "anti_vectors"]  # no dense V beside them
-        assert ops40.sym_vectors.shape == (21, 21) and ops40.anti_vectors.shape == (20, 20)
-        assert ops40.sym_vectors.dtype == ops40.anti_vectors.dtype == np.float64
+                 if isinstance(value, np.ndarray) and value.ndim >= 2]
+        assert dense == ["vectors"]  # no dense V beside it
+        assert ops40.vectors.shape == (2, 22, 11) and ops40.vectors.dtype == np.float64
+        # the lambda >= 0 halves: 11 of the 21 symmetric columns, 10 of the 20 antisymmetric
+        assert ops40.sym_vectors.shape == (21, 11) and ops40.anti_vectors.shape == (20, 10)
+        for half in (ops40.sym_vectors, ops40.anti_vectors):
+            assert half.base is not None and np.shares_memory(half, ops40.vectors)
 
 
 class TestCssState:
@@ -405,24 +433,31 @@ class TestLargeEnsemble:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 3999, 4000])
     def test_split_eigensolve_is_exact(self, n):
-        # both parities of the reversal split, up to the cap
+        # both parities of the reversal split, up to the cap, from the halves
         ops = build_operator_set(EnsembleDims(n))
-        assert ops.sym_vectors.shape == (n // 2 + 1,) * 2
-        assert ops.anti_vectors.shape == ((n + 1) // 2,) * 2
-        for block in (ops.sym_vectors, ops.anti_vectors):
+        assert ops.sym_vectors.shape == (n // 2 + 1, (n // 2 + 2) // 2)
+        assert ops.anti_vectors.shape == ((n + 1) // 2, (n // 2 + 1) // 2)
+        blocks = full_blocks(ops)
+        assert [b.shape for b in blocks] == [(n // 2 + 1,) * 2, ((n + 1) // 2,) * 2]
+        for block in blocks:
             gram = block.T @ block
             gram[np.diag_indices_from(gram)] -= 1.0
             assert np.max(np.abs(gram)) <= 1e-13
-        del gram
+        del gram, blocks
         vals, vecs = eigensystem(ops)
         x = np.random.default_rng(n).standard_normal(ops.dims.dim)
         jx_x = vecs @ (vals * (vecs.T @ x))
         assert np.max(np.abs(jx_x - ops.apply_generator("x", x))) <= 1e-10 * n
 
     def test_build_holds_no_dense_v(self):
-        # two half-size blocks and one LAPACK workspace at a time; a dense
+        # the recurrence's one buffer of the lambda >= 0 halves; a dense
         # (N+1)^2 V alone would be 122 MiB
         assert traced_peak_mib(lambda: build_operator_set(EnsembleDims(4000)))[1] <= 100
+
+    def test_build_holds_only_the_halves(self):
+        # the recurrence buffer of the halves takes 30.6 MiB at the cap and the
+        # build peaked at 31.5 MiB; the full parity blocks alone took 61.1 MiB
+        assert traced_peak_mib(lambda: build_operator_set(EnsembleDims(4000)))[1] <= 34
 
 
 def lapack_blocks(n):
@@ -443,6 +478,33 @@ def lapack_blocks(n):
     return blocks
 
 
+def full_recurrence_blocks(n):
+    """The parity blocks with every lambda, from the build's recurrence run
+    at each lambda = m of both signs: an oracle for the mirror rule, which
+    the build uses in place of the runs at lambda < 0."""
+    dims = EnsembleDims(n)
+    m, off = dims.m_values(), dicke._ladder_coefficients(dims) / 2.0
+    half, odd = divmod(n, 2)
+    lam = np.concatenate((m[odd::2], m[1 - odd :: 2]))
+    sign = np.repeat([1.0, -1.0], (half + 1, half + odd))
+    v = np.empty((half + 2, n + 1))
+    v[0], v[1] = 1.0, lam / off[0]
+    for k in range(1, half + 1):
+        np.multiply(lam, v[k], out=v[k + 1])
+        v[k + 1] -= off[k - 1] * v[k - 1]
+        v[k + 1] /= off[k]
+        if k % 32 == 0:
+            big = np.abs(v[k + 1]) > 1e100
+            v[: k + 2, big] /= np.abs(v[k + 1, big])
+    miss = np.abs(v[half:] - sign * v[half - 1 + odd : half + 1 + odd][::-1])
+    v[: half + odd] *= np.sqrt(2.0)
+    blocks = v[: half + 1, : half + 1], v[: half + odd, half + 1 :]
+    norms = np.concatenate([np.sqrt(np.einsum("ij,ij->j", b, b)) for b in blocks])
+    assert np.max(miss / norms) * off[half] <= 1e-12 * n
+    v[: half + 1] /= norms
+    return blocks
+
+
 class TestRecurrenceBlocks:
     """The J_x eigenvector blocks come from a three-term recurrence at the
     known spectrum m; these check them against LAPACK and closed forms."""
@@ -452,9 +514,20 @@ class TestRecurrenceBlocks:
                                    pytest.param(4000, marks=pytest.mark.slow)])
     def test_blocks_match_lapack_up_to_column_sign(self, n):
         ops = build_operator_set(EnsembleDims(n))
-        for block, oracle in zip((ops.sym_vectors, ops.anti_vectors), lapack_blocks(n)):
+        for block, oracle in zip(full_blocks(ops), lapack_blocks(n)):
             signs = np.where(np.sum(block * oracle, axis=0) < 0, -1.0, 1.0)
             assert np.max(np.abs(block - signs * oracle)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 41,
+                                   pytest.param(3999, marks=pytest.mark.slow),
+                                   pytest.param(4000, marks=pytest.mark.slow)])
+    def test_mirrored_halves_are_the_full_recurrence_bit_for_bit(self, n):
+        # the lambda < 0 columns come from the mirror rule, not from a run of
+        # the recurrence at -lambda; both give the same bits
+        ops = build_operator_set(EnsembleDims(n))
+        for block, oracle in zip(full_blocks(ops), full_recurrence_blocks(n)):
+            assert block.shape == oracle.shape
+            assert block.tobytes() == np.ascontiguousarray(oracle).tobytes()
 
     @pytest.mark.parametrize("n", [40, 41,
                                    pytest.param(3999, marks=pytest.mark.slow),
@@ -515,7 +588,7 @@ class TestRotationOracles:
             overlap = abs(np.vdot(target, rotate(ops, "y", theta, bottom)))
             assert 1.0 - overlap <= 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 40, 41])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 40, 41, 42, 43])
     def test_unitary_and_block_match_expm(self, n):
         ops = cached_ops(n)
         block = random_amps(n + 1, seed=n, cols=3)
@@ -551,21 +624,27 @@ class TestRotationOracles:
     @pytest.mark.parametrize("chunk", [1, 97, 1 << 16])
     def test_in_place_unfold_is_bitwise_the_copying_one(self, n, chunk):
         # rotation_rows writes G^T C G's rows straight into its output, run
-        # by run; the same coefficient rows in rotate's folded layout, put
-        # through the copying _unfold, give the same additions bit for bit
+        # by run and parity by parity; the same products in rotate's fold
+        # layout, put through the copying _unfold, give the same additions
+        # bit for bit.  Output column c takes the weight of the parity of
+        # f + c, from fold row c (c < pairs) or N - c
         ops = cached_ops(n)
-        dim, pairs, odd = n + 1, len(ops.anti_vectors), n % 2
+        dim, pairs, vecs = n + 1, len(ops.anti_vectors), ops.vectors
         half = n // 2 + 1
         for theta in (0.3, 2.9):
-            phase = 0.5 * np.exp(-1j * theta * ops.m)
+            phase = dicke._phases(ops, theta)[:, None]
             for a in range(0, half, chunk):
                 b = min(a + chunk, half)
-                count = len(ops.anti_vectors[a:b])
-                copied = np.empty((b - a, dim), dtype=complex)
-                for part, scale in ((copied.real, phase.real), (copied.imag, phase.imag)):
-                    folded = np.zeros((b - a, dim))
-                    folded[:, :-pairs] = (ops.sym_vectors[a:b] * scale[odd::2]) @ ops.sym_vectors.T
-                    folded[:count, -pairs:] = (ops.anti_vectors[a:b] * scale[1 - odd :: 2]) @ ops.anti_vectors.T
-                    part[:] = dicke._unfold(folded.T, pairs, np.empty_like(folded.T)).T
-                copied[count:] *= np.sqrt(2.0)  # even N's middle row: sqrt(2) times the symmetric one
+                weighted = (vecs[:, a:b] * phase.real, vecs[:, a:b] * phase.imag)
+                copied = np.zeros((b - a, dim), dtype=complex)
+                for p in (0, 1):  # local rows of one parity
+                    for q in (0, 1):  # output columns of one parity
+                        t = (a + p + q) % 2
+                        folded = np.zeros((2, len(weighted[t][0, p::2]), vecs.shape[1]))
+                        for r in {q, (q + n) % 2}:  # fold rows of c = i, of c = N - i
+                            folded[:, :, r::2] = weighted[t][:, p::2] @ vecs[:, r::2].mT
+                        y = dicke._unfold(folded[0].T, folded[1, :, :pairs].T,
+                                          np.empty((dim, folded.shape[1]))).T
+                        (copied.real, copied.imag)[t][p::2, q::2] += y[:, q::2]
+                copied[max(pairs - a, 0) :] *= np.sqrt(2.0)  # even N's middle row
                 assert rotation_rows(ops, theta, a, b).tobytes() == copied.tobytes()
