@@ -146,6 +146,17 @@ def _out_path(text: str) -> str:
     return text
 
 
+# Elements of the largest array qpd_field allocates: n_theta x max(n_phi, N + 1)
+# for the weighted coefficients and the field, min(N + 1, n_phi) x n_phi for
+# its phase table.  A complex array of 2^24 elements holds 256 MiB; a raw
+# 4096 x 4096 field at N = 40, at the bound, would peak near 0.45 GiB,
+# extrapolated from the 60 and 134 MiB measured at 1024 x 1024 and 2048 x
+# 2048.  A larger grid is a usage error rather than an allocation that can
+# fill memory before any MemoryError.  The default 181 x 361 grid at the
+# N = 4000 cap takes 1.4 M.
+_GRID_ELEMENTS = 1 << 24
+
+
 def grid(text: str) -> tuple[int, ...]:
     """'THETAxPHI' point counts as a tuple of ints."""
     return tuple(int(count) for count in text.lower().split("x"))
@@ -385,6 +396,11 @@ def _validate(command: str, opts: dict):
         n = opts["n"]
         if not -(n + 1) <= opts["csd_index"] <= n:
             raise UsageError(f"--csd-index must lie in [{-(n + 1)}, {n}] for N={n}")
+    if opts.get("grid") is not None:
+        (n_theta, n_phi), dim = opts["grid"], opts["n"] + 1
+        if max(n_theta, min(dim, n_phi)) * max(n_phi, dim) > _GRID_ELEMENTS:
+            raise UsageError(f"--grid {n_theta}x{n_phi} at N={opts['n']} needs arrays over "
+                             f"{_GRID_ELEMENTS} elements")
     if command == "cavity":
         design = any(opts[key] is not None for key in _DESIGN_KNOBS[1:])
         if sum([opts["coop_range"] is not None, opts["params"] is not None, design]) != 1:

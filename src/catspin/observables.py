@@ -24,7 +24,12 @@ held at most.  The mu run in batches whose slab moments hold at most 4 MB
 (43 mu at N = 1000, 10 at 4000); each group builds its rows once per batch.
 The centred moments per mu merge in slab order by the pairwise update of
 Chan, Golub & LeVeque (1983).  From dim 512 on the slabs run on a pool of
-up to `threads` threads, two slabs per worker ahead, bitwise the serial result.
+up to `threads` threads, two slabs per worker ahead, bitwise the serial result,
+and the pool is the scan's whole thread budget: every BLAS call of the scan
+(v0, group rows, slabs, interpolation, recomputes) runs on one thread of
+numpy's OpenBLAS, whose own count comes back when the scan returns or
+raises, so these scans' bits do not follow the BLAS thread count either.
+Every other path keeps BLAS's defaults.
 
 One FFT of the samples gives the exact coefficients, and signal, variance
 and the exact dS/dphi follow at every requested phi from baby-step
@@ -47,10 +52,13 @@ and the CSD population cos^2(N phi/2) to 6e-15.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -186,7 +194,11 @@ _KEPT_TABLE_ELEMENTS = 1 << 16
 # Below _POOL_MIN_DIM the slabs run serially: on 2 vCPUs a pool of 2 cost
 # 12 % per mu at N = 256, broke even at N = 300-450 and saved 13-21 % at
 # N = 511, 0-15 % at 1000 and 38 % at 2000.  The pool stops at the CPUs, the
-# slab count and by default at _POOL_DEFAULT, the measured size.
+# slab count and by default at _POOL_DEFAULT, the measured size.  From
+# _POOL_MIN_DIM on BLAS runs on one thread: an OpenBLAS worker spun about
+# 0.12 s of CPU after each threaded call, taking a core from the slab
+# workers.  Below it, and on the paths without slabs, one BLAS thread was
+# slower: in process, +5-10 % on N = 40/41 sweeps and +19 % on N = 4000 stages.
 _SLAB_ELEMENTS, _POOL_MIN_DIM, _POOL_DEFAULT = 1 << 18, 512, 2
 
 
@@ -198,6 +210,46 @@ def pool_size(threads: int | None, slabs: int) -> int:
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     return min(_POOL_DEFAULT if threads is None else threads, cpus, slabs)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, looked up
+    at the first call, not at import; None where numpy carries no such pair."""
+    try:
+        from numpy._core import _multiarray_umath
+        # dlsym on the extension's handle searches the libraries it links
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def blas_threads() -> int | None:
+    """The threads numpy's OpenBLAS runs on now, None where it is not found."""
+    api = _openblas()
+    return None if api is None else api[0]()
+
+
+@contextmanager
+def _blas_limit(threads: int | None):
+    """BLAS on `threads` threads inside the block, the process's own count
+    back when it ends or raises; None leaves the library untouched.  The
+    count is the process's: scans run from several threads at once share it."""
+    api = None if threads is None else _openblas()
+    if api is None:
+        yield
+        return
+    get, put = api
+    before = get()
+    put(threads)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _slabs(dims: EnsembleDims) -> tuple[int, int]:
@@ -374,9 +426,10 @@ class _Scanner:
         self.health = {"rounding_band_points": 0, "csd_sum_points": 0}  # _blockwise points
         csd = spec.detection.kind == "csd"
         self.index = _resolve_csd_index(spec.detection, dims) if csd else None
-        # the path of every scan and its pool, unbound, so no reference cycle;
-        # pool_size checks threads whatever the path
-        self._path, self.workers = _Scanner._evaluated, pool_size(threads, 1)
+        # the path of every scan, its pool and its BLAS threads (None: the
+        # process's own), the path unbound, so no reference cycle; pool_size
+        # checks threads whatever the path
+        self._path, self.workers, self.blas = _Scanner._evaluated, pool_size(threads, 1), None
         if len(self.kernel.segments) > 1:
             return
         # a spec that folds to no dark zone has rate 0 and all its pulses in pre
@@ -423,8 +476,9 @@ class _Scanner:
         self.middle_pulses = middle
         self.samples, rows = _slabs(dims)
         self.plan = _plan(dims.dim, rows)
-        if dims.dim >= _POOL_MIN_DIM:
+        if dims.dim >= _POOL_MIN_DIM:  # the pool is the scan's whole thread budget
             self.workers = pool_size(threads, sum(len(slabs) for _, _, slabs in self.plan))
+            self.blas = 1
         self._path = _Scanner._cd
 
     # --- per-mu pieces ----------------------------------------------------
@@ -599,6 +653,14 @@ class _Scanner:
         return values[:, 0], sds, self.rate * values[:, 1]
 
 
+def _report(scanner: _Scanner, report: dict | None):
+    """Fill report, if given, as fringe_scan describes; read inside the
+    scan's BLAS limit."""
+    if report is not None:
+        report.update(pool_workers=scanner.workers, blas_threads=blas_threads(),
+                      health=scanner.health)
+
+
 def fringe_scan(
     spec: ProtocolSpec,
     dims: EnsembleDims,
@@ -610,18 +672,20 @@ def fringe_scan(
 ) -> Fringe:
     """Signal/SDS/PGS at every point of a sorted phi grid.
 
-    threads caps the pool of the CD slabs; report, if given, receives
-    pool_workers, the threads the scan ran on, and a health block counting
-    the points recomputed in the rounding band (rounding_band_points) and
-    those whose 1 - p was summed (csd_sum_points).
+    threads caps the pool of the CD slabs, whose scans run BLAS on one thread
+    from dim 512 on; report, if given, receives pool_workers, the threads the
+    scan ran on, blas_threads, the BLAS threads it ran on (None where numpy's
+    OpenBLAS is not found), and a health block counting the points
+    recomputed in the rounding band (rounding_band_points) and those whose
+    1 - p was summed (csd_sum_points).
     """
     phis = np.asarray(phi_grid, dtype=float)
     if phis.size and not (np.all(np.isfinite(phis)) and np.all(np.diff(phis) >= 0)):
         raise ValueError("phi grid must be finite and sorted")
     scanner = _Scanner(spec, dims, ops, phis, threads)
-    signal, sds, pgs = scanner.arrays(mu_override)
-    if report is not None:
-        report.update(pool_workers=scanner.workers, health=scanner.health)
+    with _blas_limit(scanner.blas):
+        signal, sds, pgs = scanner.arrays(mu_override)
+        _report(scanner, report)
     return Fringe(phi=phis, signal=signal, sds=sds, pgs=pgs)
 
 
@@ -671,15 +735,15 @@ def sensitivity_scan_mu(
 
     scanner = _Scanner(spec, dims, ops, phi_window, threads)
     best, phi_star = np.full(mu_grid.size, np.nan), np.full(mu_grid.size, np.nan)
-    for i, (_, sds, pgs) in enumerate(scanner.scan(mu_grid.tolist())):
-        lam = _sensitivity(sds, pgs, dims.n_atoms)
-        # the max over the defined points: -inf, which no point reaches, if none is
-        top = np.fmax.reduce(lam, initial=-np.inf)
-        hits = np.flatnonzero(lam >= top * (1.0 - 1e-9))
-        if hits.size:
-            best[i], phi_star[i] = top, scanner.phis[hits[0]]
-    if report is not None:
-        report.update(pool_workers=scanner.workers, health=scanner.health)
+    with _blas_limit(scanner.blas):
+        for i, (_, sds, pgs) in enumerate(scanner.scan(mu_grid.tolist())):
+            lam = _sensitivity(sds, pgs, dims.n_atoms)
+            # the max over the defined points: -inf, which no point reaches, if none is
+            top = np.fmax.reduce(lam, initial=-np.inf)
+            hits = np.flatnonzero(lam >= top * (1.0 - 1e-9))
+            if hits.size:
+                best[i], phi_star[i] = top, scanner.phis[hits[0]]
+        _report(scanner, report)
     return Sweep(mu=mu_grid, lam=best, phi_star=phi_star)
 
 
@@ -710,7 +774,9 @@ def central_fringe_fwhm(
     if n_points < 3 or n_points % 2 == 0:
         raise ValueError(f"n_points must be odd and >= 3, got {n_points}")
     phis = np.linspace(-half_window, half_window, n_points)
-    signal, _, _ = _Scanner(spec, dims, ops, phis).arrays(mu_override)
+    scanner = _Scanner(spec, dims, ops, phis)
+    with _blas_limit(scanner.blas):
+        signal, _, _ = scanner.arrays(mu_override)
     center = n_points // 2
     s0 = signal[center]
     span_max, span_min = signal.max(), signal.min()

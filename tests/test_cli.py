@@ -46,10 +46,13 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def _run_python(code, *args):
-    """Run code in a fresh interpreter that imports catspin from this tree."""
+def _run_python(code, *args, env=None):
+    """Run code in a fresh interpreter that imports catspin from this tree,
+    with env's variables set, or unset where their value is None."""
     src = os.path.dirname(os.path.dirname(catspin.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = dict(os.environ, **(env or {}),
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, check=True)
 
@@ -65,6 +68,13 @@ def test_import_loads_no_scipy():
         "print(loaded())\n"
     )
     assert _run_python(code).stdout.split() == ["[]", "[]"]
+
+
+def test_import_looks_up_no_blas():
+    # numpy's OpenBLAS is looked up at the first scan that pins it, not at import
+    code = ("import catspin.cli, catspin.observables as o\n"
+            "print(o._openblas.cache_info().misses)\n")
+    assert _run_python(code).stdout.split() == ["0"]
 
 
 @pytest.mark.slow
@@ -87,6 +97,38 @@ def test_peak_rss_at_the_cap(tmp_path, argv, bound):
             "print(status, int(peak_kib) / 1024)\n")
     status, peak_mib = _run_python(code, *argv, "--out", str(tmp_path / "out")).stdout.split()
     assert status == "0" and float(peak_mib) <= bound
+
+
+@pytest.mark.slow
+def test_cd_scans_do_not_depend_on_blas_threads(tmp_path):
+    # from dim 512 on a CD scan runs BLAS on one thread, so neither --threads
+    # nor the process's BLAS thread count moves its bits.  With BLAS on its
+    # default 2 threads both commands wrote other bytes than with 1
+    if observables._openblas() is None:
+        pytest.skip("numpy's OpenBLAS thread count is not reachable")
+    commands = {
+        "fringe": ["fringe", "--protocol", "scac", "--ara", "y", "--n", "600",
+                   "--phi-range", "-0.1pi:0.1pi:2001"],
+        "sensitivity": ["sensitivity", "--n", "600", "--mu-range", "0.49pi:0.5pi:3",
+                        "--xi", "1", "--normalize-hl"],
+    }
+    code = ("import hashlib, json, sys\n"
+            "from catspin.cli import main\n"
+            "commands, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+            "digests = {}\n"
+            "for name, argv in commands.items():\n"
+            "    for threads in ('1', '2'):\n"
+            "        assert main(argv + ['--threads', threads, '--out', out]) == 0\n"
+            "        with open(out, 'rb') as fh:\n"
+            "            digests.setdefault(name, []).append(hashlib.sha256(fh.read()).hexdigest())\n"
+            "print(json.dumps(digests))\n")
+    digests = {name: set() for name in commands}
+    for blas in ({"OPENBLAS_NUM_THREADS": "1"},  # and unset: the library's default
+                 dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))):
+        run = _run_python(code, json.dumps(commands), str(tmp_path / "out.csv"), env=blas)
+        for name, runs in json.loads(run.stdout).items():
+            digests[name].update(runs)
+    assert {name: len(found) for name, found in digests.items()} == dict.fromkeys(commands, 1)
 
 
 _NO_SCIPY_COMMANDS = {
@@ -261,6 +303,28 @@ class TestFringeCommand:
         monkeypatch.setattr(observables, "_SLAB_ELEMENTS", 2 * 25)  # 2 rows of 25 samples: 4 slabs
         assert main(args + ["--threads", "3"]) == 0
         assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 3
+
+    def test_manifest_records_blas_threads(self, tmp_path, monkeypatch):
+        # 1 where the CD slabs pin BLAS (dim >= 512), the process's own
+        # count elsewhere, null where numpy's OpenBLAS is not found
+        own = observables.blas_threads()
+        commands = {
+            "f": ["fringe", "--phi-range", "-0.01:0.01:5"],
+            "s": ["sensitivity", "--mu-range", "0.5pi:0.5pi:2", "--phi-window", "0.001:0.01:5"],
+        }
+
+        def recorded(name, n):
+            out = tmp_path / f"{name}.csv"
+            assert main(commands[name] + ["--n", n, "--out", str(out)]) == 0
+            return json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())["blas_threads"]
+
+        for name in commands:
+            assert recorded(name, "600") == (None if own is None else 1)
+            assert recorded(name, "6") == own
+            assert observables.blas_threads() == own
+        monkeypatch.setattr(observables, "_openblas", lambda: None)
+        for name in commands:
+            assert recorded(name, "600") is None and recorded(name, "6") is None
 
     def test_explicit_threads_capped_at_the_cpus(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -441,6 +505,26 @@ class TestQpdCommand:
         assert data == out.read_bytes()
         sidecar = json.dumps(meta, indent=2) + "\n"
         assert sidecar.encode() == (tmp_path / "q.bin.json").read_bytes()
+
+    @pytest.mark.parametrize("n, grid", [
+        ("4", "100000000x100000000"),  # was killed by the kernel, exit 137
+        ("4000", "2x1000000"),  # a (N + 1) x n_phi phase table of 4e9 elements
+        ("40", "4096x4097"),  # one element row past the bound
+        ("40", "16777217x2"),
+    ])
+    def test_grid_over_the_element_bound_is_a_usage_error(self, tmp_path, monkeypatch, n, grid):
+        # rejected at parse time: nothing of the grid is built
+        monkeypatch.setattr("catspin.cli.default_grid", None)
+        argv = ["qpd", "--n", n, "--stage", "B", "--grid", grid, "--out", str(tmp_path / "q.csv")]
+        with pytest.raises(UsageError, match="--grid"):
+            parse_config(argv)
+        assert main(argv) == EXIT_USAGE
+        assert os.listdir(tmp_path) == []
+
+    def test_grid_at_the_element_bound_parses(self, tmp_path):
+        argv = ["qpd", "--n", "40", "--stage", "B", "--out", str(tmp_path / "q.csv")]
+        assert parse_config(argv + ["--grid", "4096x4096"]).options["grid"] == (4096, 4096)
+        assert parse_config(argv + ["--n", "4000", "--grid", "4001x4193"]).options["n"] == 4000
 
     def test_stage_beyond_protocol(self, tmp_path):
         rc = main(["qpd", "--protocol", "crain", "--n", "4", "--stage", "Z",

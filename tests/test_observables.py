@@ -974,3 +974,85 @@ class TestSubGridPool:
         assert workers(scain(), 4, 40) == 1  # N = 40 is one slab
         assert workers(csd, 4, 40) == 1
         assert workers(unfolded(), 4, 40) == 1
+
+
+class TestBlasThreads:
+    """From dim 512 a CD scan runs every BLAS call on one thread and hands the
+    process's own count back when it returns or raises; every other scan
+    leaves the library alone."""
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        """numpy's OpenBLAS (a stand-in count of 3 where it is not found), with
+        every call to it recorded."""
+        count = [3]
+        get, put = observables._openblas() or (lambda: count[0], lambda n: count.__setitem__(0, n))
+        calls = []
+
+        def record(name, fn):
+            def call(*args):
+                calls.append((name, *args))
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(observables, "_openblas", lambda: (record("get", get),
+                                                               record("set", put)))
+        return get, calls
+
+    @staticmethod
+    def _seen_inside(monkeypatch, fail=False):
+        """The BLAS threads that each slab's _moments call runs on."""
+        seen, moments = [], observables._moments
+
+        def spy(*args):
+            seen.append(observables.blas_threads())
+            if fail:
+                raise RuntimeError("a slab failed")
+            return moments(*args)
+
+        monkeypatch.setattr(observables, "_moments", spy)
+        return seen
+
+    SCANS = {
+        "fringe_scan": lambda ops: fringe_scan(scain(), ops.dims, ops, np.linspace(-0.01, 0.01, 5)),
+        "sensitivity_scan_mu": lambda ops: sensitivity_scan_mu(
+            scain(xi=1), ops.dims, ops, [0.45 * np.pi, HALF], np.linspace(0.001, 0.01, 5)),
+        "central_fringe_fwhm": lambda ops: central_fringe_fwhm(
+            scain(), ops.dims, ops, half_window=0.01, n_points=21),
+    }
+
+    @pytest.mark.parametrize("scan", SCANS)
+    def test_pinned_scan_restores_the_count(self, blas, monkeypatch, scan):
+        get, calls = blas
+        before = get()
+        seen = self._seen_inside(monkeypatch)
+        self.SCANS[scan](cached_ops(600))
+        assert get() == before
+        assert seen and set(seen) == {1}
+        assert [call for call in calls if call[0] == "set"] == [("set", 1), ("set", before)]
+
+    def test_raising_scan_restores_the_count(self, blas, monkeypatch):
+        get, calls = blas
+        before = get()
+        self._seen_inside(monkeypatch, fail=True)
+        with pytest.raises(RuntimeError, match="a slab failed"):
+            self.SCANS["sensitivity_scan_mu"](cached_ops(600))
+        assert get() == before
+        assert [call for call in calls if call[0] == "set"] == [("set", 1), ("set", before)]
+
+    @pytest.mark.parametrize("scan", SCANS)
+    def test_scan_below_the_pool_never_touches_the_library(self, blas, scan):
+        get, calls = blas
+        before = get()
+        self.SCANS[scan](cached_ops(40))  # dim 41: the CD slabs, serially
+        assert calls == [] and get() == before
+
+    def test_other_paths_keep_the_library_default(self, blas):
+        get, calls = blas
+        ops = cached_ops(600)
+        csd = scain(detection=Detection("csd", index=0))
+        for spec in (csd, unfolded()):
+            report = {}
+            fringe_scan(spec, ops.dims, ops, [0.1], report=report)
+            assert report["blas_threads"] == get()
+        assert [call for call in calls if call[0] == "set"] == []
