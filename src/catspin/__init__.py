@@ -14,7 +14,6 @@ from catspin.dicke import (
     dark_pulse,
     rotate_pulse,
     squeeze_pulse,
-    total_spin_expectation,
 )
 from catspin.protocols import (
     Detection,

@@ -580,7 +580,8 @@ def execute(config: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    with warnings.catch_warnings():  # a library warning is one stderr line, without a path
+    with warnings.catch_warnings():  # a library warning is one stderr line, without a path,
+        warnings.simplefilter("default")  # also where the interpreter's filters raise it
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             config = parse_config(argv)

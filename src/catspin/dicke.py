@@ -116,7 +116,8 @@ class OperatorSet:
     Only lambda >= 0 is kept.  vectors, the only dense array, holds column
     c of parity b (0 symmetric, 1 antisymmetric) at vectors[b, :, c], of
     lambda = m[N - 2c - b], in pair coordinates; it is zero past each
-    parity's own rows and columns, which sym_vectors and anti_vectors are.
+    parity's own rows and columns: (N // 2 + 1, N // 4 + 1) symmetric, of
+    lambda = j, j - 2, ..., and ((N + 1) // 2, (N // 2 + 1) // 2) antisymmetric.
     Immutable.
     """
 
@@ -125,18 +126,6 @@ class OperatorSet:
     jz_sq: np.ndarray = field(repr=False)
     off: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)
-
-    @property
-    def sym_vectors(self) -> np.ndarray:
-        """(N // 2 + 1, N // 4 + 1): lambda = j, j - 2, ... >= 0."""
-        half = self.dims.n_atoms // 2
-        return self.vectors[0, : half + 1, : (half + 2) // 2]
-
-    @property
-    def anti_vectors(self) -> np.ndarray:
-        """((N + 1) // 2, (N // 2 + 1) // 2): lambda = j - 1, j - 3, ... >= 0."""
-        half = self.dims.n_atoms // 2
-        return self.vectors[1, : self.dims.n_atoms - half, : (half + 1) // 2]
 
     def apply_generator(self, axis: str, amps: np.ndarray) -> np.ndarray:
         """J_axis applied to a vector or a (dim, k) block, in O(dim k)."""
@@ -193,13 +182,6 @@ def build_operator_set(dims: EnsembleDims) -> OperatorSet:
     for arr in (ops.m, ops.jz_sq, off, ops.vectors):
         arr.setflags(write=False)
     return ops
-
-
-def _check_dims(state: SpinState, ops: OperatorSet):
-    if state.dims != ops.dims:
-        raise DimensionError(
-            f"state is for N={state.dims.n_atoms}, operators for N={ops.dims.n_atoms}"
-        )
 
 
 def css_log_magnitudes(n_atoms: int, c, s) -> np.ndarray:
@@ -308,15 +290,15 @@ def rotate(ops: OperatorSet, axis: str, angle: float, amps) -> np.ndarray:
     def split(x):  # even N: (parity, fold-row parity, its rows, width); odd N: all rows
         return x[:, None] if odd else x.reshape(2, cols, 2, -1).transpose(0, 2, 1, 3)
 
-    z = room = np.matmul(split(vecs).mT, split(folded))
-    z = z.transpose(0, 2, 1, 3).reshape(2, cols, 2, k).view(complex)  # z_e beside z_o
+    room = np.matmul(split(vecs).mT, split(folded))
+    z = room.transpose(0, 2, 1, 3).reshape(2, cols, 2, k).view(complex)  # z_e beside z_o
     phase = _phases(ops, angle)[:, :, None, None]  # c - i s
-    mixed = z * phase.real
-    z *= 1j * phase.imag
-    mixed += z[:, :, ::-1]  # u = c z_e - i s z_o beside v = c z_o - i s z_e
-    mixed = mixed.view(float).reshape(2, cols, 2 - odd, -1).transpose(0, 2, 1, 3)
-    np.matmul(split(vecs), mixed, out=split(folded))
-    out = room.reshape(-1)[: dim * k].reshape(dim, k)  # z's room is free again
+    spare = folded.reshape(-1)[: room.size].view(complex).reshape(z.shape)  # folded is free
+    np.multiply(z, 1j * phase.imag, out=spare)
+    z *= phase.real
+    z += spare[:, :, ::-1]  # u = c z_e - i s z_o beside v = c z_o - i s z_e, in split's layout
+    np.matmul(split(vecs), room, out=split(folded))
+    out = room.reshape(-1)[: dim * k].reshape(dim, k)  # and is free again
     if odd:  # G^T, each output row from the slot of its parity
         slots = folded.reshape(2, rows, 2, k)[:, :pairs]
         np.add(slots[0, ::2, 0], slots[1, ::2, 0], out=out[:pairs:2])
@@ -368,14 +350,6 @@ def rotation_rows(ops: OperatorSet, angle: float, first: int, last: int) -> np.n
     out[:, pairs : dim - pairs] *= np.sqrt(2.0)  # even N's middle column
     out[max(pairs - first, 0) :] *= np.sqrt(2.0)  # and middle row
     return out
-
-
-def total_spin_expectation(state: SpinState, ops: OperatorSet) -> float:
-    """<J_x^2 + J_y^2 + J_z^2>; equals j(j+1) on the symmetric subspace."""
-    _check_dims(state, ops)
-    return float(
-        sum(np.linalg.norm(ops.apply_generator(axis, state.amps)) ** 2 for axis in "xyz")
-    )
 
 
 # --- pulses ---------------------------------------------------------------
@@ -462,7 +436,10 @@ def apply_pulse(
     state: SpinState, ops: OperatorSet, pulse: Pulse, phi: float, mu_override=None
 ) -> SpinState:
     """Apply one pulse, binding the scan phase phi and optional mu override."""
-    _check_dims(state, ops)
+    if state.dims != ops.dims:
+        raise DimensionError(
+            f"state is for N={state.dims.n_atoms}, operators for N={ops.dims.n_atoms}"
+        )
     return SpinState(state.dims, apply_pulses(ops, (pulse,), state.amps, phi, mu_override))
 
 

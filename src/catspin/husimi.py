@@ -12,7 +12,6 @@ n_phi > N; past that, quadrature_residual() reads the aliasing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,13 +136,3 @@ def raw_layout(field: QpdField, n_atoms: int, stage_label: str) -> tuple[bytes, 
         "stage_label": stage_label,
     }
     return np.ascontiguousarray(field.values, dtype="<f8").tobytes(), meta
-
-
-def read_field_raw(path) -> tuple[np.ndarray, dict]:
-    """Read back a raw field and its sidecar (for round-trip checks)."""
-    with open(str(path) + ".json") as fh:
-        meta = json.load(fh)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    values = np.frombuffer(data, dtype="<f8").reshape(meta["n_theta"], meta["n_phi"])
-    return values, meta

@@ -28,7 +28,8 @@ up to `threads` threads, two slabs per worker ahead, bitwise the serial result,
 and the pool is the scan's whole thread budget: every BLAS call of the scan
 (v0, group rows, slabs, interpolation, recomputes) runs on one thread of
 numpy's OpenBLAS, whose own count comes back when the scan returns or
-raises, so these scans' bits do not follow the BLAS thread count either.
+raises (the last to end of scans running at once restores it), so these
+scans' bits do not follow the BLAS thread count either.
 Every other path keeps BLAS's defaults.
 
 One FFT of the samples gives the exact coefficients, and signal, variance
@@ -56,6 +57,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -94,15 +96,6 @@ def variance_jz(state: SpinState) -> float:
     m = state.dims.m_values()
     p = state.populations()
     return float(np.sum((m - np.sum(m * p)) ** 2 * p))
-
-
-def collective_population(state: SpinState, m_index: int) -> float:
-    """Population of the single Dicke state |E_m_index>."""
-    if not 0 <= m_index <= state.dims.n_atoms:
-        raise IndexError(
-            f"collective index {m_index} outside [0, {state.dims.n_atoms}]"
-        )
-    return float(abs(state.amps[m_index]) ** 2)
 
 
 # --- fringe machinery -------------------------------------------------------
@@ -234,22 +227,34 @@ def blas_threads() -> int | None:
     return None if api is None else api[0]()
 
 
+# the process's own BLAS count while _blas_limit blocks are open, and how many are
+_blas_saved = {"count": None, "open": 0}
+_blas_lock = threading.Lock()
+
+
 @contextmanager
 def _blas_limit(threads: int | None):
-    """BLAS on `threads` threads inside the block, the process's own count
-    back when it ends or raises; None leaves the library untouched.  The
-    count is the process's: scans run from several threads at once share it."""
+    """BLAS on `threads` threads inside the block; None leaves the library
+    untouched.  The count is the process's, so blocks open at once (scans on
+    several threads) share it: the first to open saves it, and the last to
+    close, or raise, restores it, in whatever order they close."""
     api = None if threads is None else _openblas()
     if api is None:
         yield
         return
     get, put = api
-    before = get()
-    put(threads)
+    with _blas_lock:
+        if not _blas_saved["open"]:
+            _blas_saved["count"] = get()
+        _blas_saved["open"] += 1
+        put(threads)
     try:
         yield
     finally:
-        put(before)
+        with _blas_lock:
+            _blas_saved["open"] -= 1
+            if not _blas_saved["open"]:
+                put(_blas_saved["count"])
 
 
 def _slabs(dims: EnsembleDims) -> tuple[int, int]:
@@ -513,22 +518,24 @@ class _Scanner:
 
     # --- evaluation -------------------------------------------------------
 
-    def arrays(self, mu: float | None):
-        """signal, SDS and exact dS/dphi at every phi of the grid."""
-        return next(self.scan([mu]))
-
-    def scan(self, mus):
-        """arrays(mu) for each mu of mus in turn; CD samples every mu in one
-        pass over the slabs."""
+    def scan(self, mus, report: dict | None = None):
+        """signal, SDS and exact dS/dphi at every phi, for each mu of mus in
+        turn (None: the spec's own), CD's in one pass over the slabs.  The
+        BLAS limit holds until the last, so callers exhaust the scan; report,
+        if given, is filled as fringe_scan describes before it closes."""
         for mu in mus:
             if mu is not None and not np.isfinite(mu):
                 raise ValueError(f"squeezing strength must be finite, got {mu}")
         detection = self.spec.detection
-        columns = self._path(self, mus) if self.phis.size else ((np.empty(0),) * 3 for _ in mus)
-        for signal, sds, pgs in columns:
-            if detection.kind == "cd" and detection.add_j:
-                signal = signal + self.dims.j
-            yield signal, sds, pgs
+        with _blas_limit(self.blas):
+            columns = self._path(self, mus) if self.phis.size else ((np.empty(0),) * 3 for _ in mus)
+            for signal, sds, pgs in columns:
+                if detection.kind == "cd" and detection.add_j:
+                    signal = signal + self.dims.j
+                yield signal, sds, pgs
+            if report is not None:
+                report.update(pool_workers=self.workers, blas_threads=blas_threads(),
+                              health=self.health)
 
     def _csd(self, mus):
         m = self.ops.m
@@ -653,14 +660,6 @@ class _Scanner:
         return values[:, 0], sds, self.rate * values[:, 1]
 
 
-def _report(scanner: _Scanner, report: dict | None):
-    """Fill report, if given, as fringe_scan describes; read inside the
-    scan's BLAS limit."""
-    if report is not None:
-        report.update(pool_workers=scanner.workers, blas_threads=blas_threads(),
-                      health=scanner.health)
-
-
 def fringe_scan(
     spec: ProtocolSpec,
     dims: EnsembleDims,
@@ -672,20 +671,20 @@ def fringe_scan(
 ) -> Fringe:
     """Signal/SDS/PGS at every point of a sorted phi grid.
 
-    threads caps the pool of the CD slabs, whose scans run BLAS on one thread
-    from dim 512 on; report, if given, receives pool_workers, the threads the
-    scan ran on, blas_threads, the BLAS threads it ran on (None where numpy's
-    OpenBLAS is not found), and a health block counting the points
-    recomputed in the rounding band (rounding_band_points) and those whose
-    1 - p was summed (csd_sum_points).
+    A point's values may differ in their last bits with the other points of
+    the grid, as the products that evaluate a scan take its points
+    together: Lambda by up to 3.5e-16 N over CRAIN, SCAIN, CAC and SCAC at
+    N = 40, 41 and 600.  threads caps the pool of the CD slabs, whose scans
+    run BLAS on one thread from dim 512 on; report, if given, receives
+    pool_workers, the threads the scan ran on, blas_threads, the BLAS
+    threads it ran on (None where numpy's OpenBLAS is not found), and a
+    health block counting the points recomputed in the rounding band
+    (rounding_band_points) and those whose 1 - p was summed (csd_sum_points).
     """
     phis = np.asarray(phi_grid, dtype=float)
     if phis.size and not (np.all(np.isfinite(phis)) and np.all(np.diff(phis) >= 0)):
         raise ValueError("phi grid must be finite and sorted")
-    scanner = _Scanner(spec, dims, ops, phis, threads)
-    with _blas_limit(scanner.blas):
-        signal, sds, pgs = scanner.arrays(mu_override)
-        _report(scanner, report)
+    ((signal, sds, pgs),) = _Scanner(spec, dims, ops, phis, threads).scan([mu_override], report)
     return Fringe(phi=phis, signal=signal, sds=sds, pgs=pgs)
 
 
@@ -700,7 +699,8 @@ def sensitivity_at(
     mu_override: float | None = None,
 ) -> float:
     """Lambda = |dS/dphi| / DeltaS at a single finite phi, nan where the
-    point is degenerate."""
+    point is degenerate; it may differ from a fringe_scan through phi at
+    rounding level (see there)."""
     return float(fringe_scan(spec, dims, ops, [phi], mu_override).sensitivity(dims)[0])
 
 
@@ -735,15 +735,13 @@ def sensitivity_scan_mu(
 
     scanner = _Scanner(spec, dims, ops, phi_window, threads)
     best, phi_star = np.full(mu_grid.size, np.nan), np.full(mu_grid.size, np.nan)
-    with _blas_limit(scanner.blas):
-        for i, (_, sds, pgs) in enumerate(scanner.scan(mu_grid.tolist())):
-            lam = _sensitivity(sds, pgs, dims.n_atoms)
-            # the max over the defined points: -inf, which no point reaches, if none is
-            top = np.fmax.reduce(lam, initial=-np.inf)
-            hits = np.flatnonzero(lam >= top * (1.0 - 1e-9))
-            if hits.size:
-                best[i], phi_star[i] = top, scanner.phis[hits[0]]
-        _report(scanner, report)
+    for i, (_, sds, pgs) in enumerate(scanner.scan(mu_grid.tolist(), report)):
+        lam = _sensitivity(sds, pgs, dims.n_atoms)
+        # the max over the defined points: -inf, which no point reaches, if none is
+        top = np.fmax.reduce(lam, initial=-np.inf)
+        hits = np.flatnonzero(lam >= top * (1.0 - 1e-9))
+        if hits.size:
+            best[i], phi_star[i] = top, scanner.phis[hits[0]]
     return Sweep(mu=mu_grid, lam=best, phi_star=phi_star)
 
 
@@ -774,9 +772,7 @@ def central_fringe_fwhm(
     if n_points < 3 or n_points % 2 == 0:
         raise ValueError(f"n_points must be odd and >= 3, got {n_points}")
     phis = np.linspace(-half_window, half_window, n_points)
-    scanner = _Scanner(spec, dims, ops, phis)
-    with _blas_limit(scanner.blas):
-        signal, _, _ = scanner.arrays(mu_override)
+    signal = fringe_scan(spec, dims, ops, phis, mu_override).signal
     center = n_points // 2
     s0 = signal[center]
     span_max, span_min = signal.max(), signal.min()

@@ -1,4 +1,5 @@
 import functools
+import json
 import os
 import tracemalloc
 
@@ -62,3 +63,31 @@ def traced_peak_mib(fn):
     finally:
         tracemalloc.stop()
     return result, peak / 2**20
+
+
+def sym_vectors(ops):
+    """The symmetric J_x eigenvectors of ops, (N // 2 + 1, N // 4 + 1):
+    lambda = j, j - 2, ... >= 0."""
+    half = ops.dims.n_atoms // 2
+    return ops.vectors[0, : half + 1, : (half + 2) // 2]
+
+
+def anti_vectors(ops):
+    """The antisymmetric ones, ((N + 1) // 2, (N // 2 + 1) // 2):
+    lambda = j - 1, j - 3, ... >= 0."""
+    half = ops.dims.n_atoms // 2
+    return ops.vectors[1, : ops.dims.n_atoms - half, : (half + 1) // 2]
+
+
+def total_spin_expectation(state, ops):
+    """<J_x^2 + J_y^2 + J_z^2>; equals j(j+1) on the symmetric subspace."""
+    return float(sum(np.linalg.norm(ops.apply_generator(axis, state.amps)) ** 2
+                     for axis in "xyz"))
+
+
+def read_field_raw(path):
+    """A raw Husimi field and its sidecar, read back."""
+    with open(str(path) + ".json") as fh:
+        meta = json.load(fh)
+    values = np.fromfile(path, dtype="<f8").reshape(meta["n_theta"], meta["n_phi"])
+    return values, meta

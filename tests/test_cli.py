@@ -29,7 +29,7 @@ from catspin.cli import (
 )
 import catspin
 import catspin.observables as observables
-from catspin.husimi import QpdField, default_grid, qpd_field, raw_layout, read_field_raw
+from catspin.husimi import QpdField, default_grid, qpd_field, raw_layout
 from catspin.observables import (
     excess_noise_curve,
     fringe_scan,
@@ -38,7 +38,7 @@ from catspin.observables import (
     sensitivity_scan_mu,
 )
 from catspin.protocols import Detection, ProtocolParams, builtin, run
-from conftest import cached_ops
+from conftest import cached_ops, read_field_raw
 
 
 def read_csv(path):
@@ -558,7 +558,6 @@ class TestCavityCommand:
         manifest = json.loads((tmp_path / "cav.csv.manifest.json").read_text())
         assert manifest["invalid_rows"] == 4
 
-    @pytest.mark.filterwarnings("ignore:collective cooperativity")
     def test_budget_invalid_exits_two(self, tmp_path, capsys):
         rc = main(["cavity", "--n", "100", "--coop-range", "1e-9:1e-8:3",
                    "--log", "--out", str(tmp_path / "cav.csv")])
@@ -705,6 +704,20 @@ class TestExplicitZeroAndFileTypes:
         assert lines[0].startswith("warning: collective cooperativity")
         assert all(line.startswith(("warning: ", "error: ")) for line in lines)
         assert not any(".py" in line or "UserWarning" in line for line in lines)
+
+    def test_warnings_turned_into_errors_stay_one_line(self, tmp_path, capsys):
+        # -W error or PYTHONWARNINGS=error does not make a library warning a traceback
+        out = tmp_path / "cav.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["cavity", "--n", "1e4", "--coop-range", "1e-4:10:61", "--log",
+                         "--out", str(out)]) == 0
+            assert capsys.readouterr().err.startswith("warning: 4 of 61 rows left empty")
+            assert main(["cavity", "--n", "5", "--coop-range", "1e-3:1e-2:3",
+                         "--out", str(tmp_path / "small.csv")]) == EXIT_RUNTIME
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["warning"] * 3 + ["error"]
+        assert len(read_csv(out)) == 62
 
     @pytest.mark.parametrize("argv", [["--mode-side", "0"], ["--mirror-t", "0"]])
     def test_nonpositive_geometry_is_usage_error(self, tmp_path, argv):
@@ -981,9 +994,7 @@ class TestColumnarWriter:
     def test_bytes_match_the_per_row_writer(self, tmp_path, case):
         argv, parent = _WRITER_CASES[case]
         out = tmp_path / "out.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the cavity sweep's empty-rows warning
-            assert main([*argv, "--out", str(out)]) == 0
+        assert main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == parent()
 
     @pytest.mark.parametrize("argv, health", [

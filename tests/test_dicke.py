@@ -25,10 +25,9 @@ from catspin.dicke import (
     rotate_pulse,
     rotation_rows,
     squeeze_pulse,
-    total_spin_expectation,
 )
 
-from conftest import cached_ops, traced_peak_mib
+from conftest import anti_vectors, cached_ops, sym_vectors, total_spin_expectation, traced_peak_mib
 
 
 class TestEnsembleDims:
@@ -77,7 +76,7 @@ def half_lambdas(ops):
     """The lambda of each stored column: m[N - 2c - b] for parity b."""
     n = ops.dims.n_atoms
     return [ops.m[n - b :: -2][: block.shape[1]] for b, block in
-            enumerate((ops.sym_vectors, ops.anti_vectors))]
+            enumerate((sym_vectors(ops), anti_vectors(ops)))]
 
 
 def full_blocks(ops):
@@ -87,7 +86,7 @@ def full_blocks(ops):
     the same parity at even N and from the other at odd N; lambda = 0, of
     even N, is its own mirror and counts once."""
     n = ops.dims.n_atoms
-    halves, lams = (ops.sym_vectors, ops.anti_vectors), half_lambdas(ops)
+    halves, lams = (sym_vectors(ops), anti_vectors(ops)), half_lambdas(ops)
     blocks = []
     for b, own in enumerate(halves):
         mate, mate_lam = halves[b ^ n % 2], lams[b ^ n % 2]
@@ -101,7 +100,7 @@ def eigensystem(ops):
     blocks: column b of a block is sum_k b_k (e_k +- e_{N-k})/sqrt(2) over
     k < ceil(N/2), plus b_{N/2} e_{N/2} in the symmetric block of even N;
     the eigenvalues of a block are the m of its reversal parity."""
-    n, pairs = ops.dims.n_atoms, len(ops.anti_vectors)
+    n, pairs = ops.dims.n_atoms, len(anti_vectors(ops))
     vecs = np.zeros((n + 1, n + 1))
     sym_block, anti_block = full_blocks(ops)
     sym = len(sym_block)
@@ -179,7 +178,7 @@ class TestOperatorSet:
         assert np.allclose(ops40.jz_sq, (np.arange(41) - 20.0) ** 2)
 
     def test_immutable_arrays(self, ops40):
-        for arr in (ops40.vectors, ops40.sym_vectors, ops40.anti_vectors, ops40.off, ops40.m,
+        for arr in (ops40.vectors, sym_vectors(ops40), anti_vectors(ops40), ops40.off, ops40.m,
                     ops40.jz_sq):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -190,8 +189,8 @@ class TestOperatorSet:
         assert dense == ["vectors"]  # no dense V beside it
         assert ops40.vectors.shape == (2, 22, 11) and ops40.vectors.dtype == np.float64
         # the lambda >= 0 halves: 11 of the 21 symmetric columns, 10 of the 20 antisymmetric
-        assert ops40.sym_vectors.shape == (21, 11) and ops40.anti_vectors.shape == (20, 10)
-        for half in (ops40.sym_vectors, ops40.anti_vectors):
+        assert sym_vectors(ops40).shape == (21, 11) and anti_vectors(ops40).shape == (20, 10)
+        for half in (sym_vectors(ops40), anti_vectors(ops40)):
             assert half.base is not None and np.shares_memory(half, ops40.vectors)
 
 
@@ -435,8 +434,9 @@ class TestLargeEnsemble:
     def test_split_eigensolve_is_exact(self, n):
         # both parities of the reversal split, up to the cap, from the halves
         ops = build_operator_set(EnsembleDims(n))
-        assert ops.sym_vectors.shape == (n // 2 + 1, (n // 2 + 2) // 2)
-        assert ops.anti_vectors.shape == ((n + 1) // 2, (n // 2 + 1) // 2)
+        vecs, half = ops.vectors, n // 2  # zero past each parity's rows and columns
+        assert not vecs[0, half + 1 :].any() and not vecs[1, n - half :].any()
+        assert not vecs[1, :, (half + 1) // 2 :].any()
         blocks = full_blocks(ops)
         assert [b.shape for b in blocks] == [(n // 2 + 1,) * 2, ((n + 1) // 2,) * 2]
         for block in blocks:
@@ -458,6 +458,16 @@ class TestLargeEnsemble:
         # the recurrence buffer of the halves takes 30.6 MiB at the cap and the
         # build peaked at 31.5 MiB; the full parity blocks alone took 61.1 MiB
         assert traced_peak_mib(lambda: build_operator_set(EnsembleDims(4000)))[1] <= 34
+
+    @pytest.mark.parametrize("n, bound", [(2000, 33), (2001, 49)])
+    def test_rotate_holds_the_fold_and_one_product(self, n, bound):
+        # a 16 MiB complex block: the fold (16 MiB at even N, 32 at odd) and
+        # the first product (16), mixed in place, traced 32.4 and 48.3 MiB; a
+        # mixed copy beside them took 48.2 and 64.3 MiB
+        ops = cached_ops(n)
+        block = np.ones((n + 1, 524), dtype=complex)
+        for axis in "xy":
+            assert traced_peak_mib(lambda: rotate(ops, axis, 0.7, block))[1] <= bound
 
 
 def lapack_blocks(n):
@@ -548,7 +558,7 @@ class TestRecurrenceBlocks:
         # OpenBLAS 0.3.31 its blocks differ at N = 2000 (not yet at 1000)
         code = ("import hashlib; from catspin.dicke import EnsembleDims, build_operator_set; "
                 "ops = build_operator_set(EnsembleDims(2000)); "
-                "print(hashlib.sha256(ops.sym_vectors.tobytes() + ops.anti_vectors.tobytes()).hexdigest())")
+                "print(hashlib.sha256(ops.vectors.tobytes()).hexdigest())")
         src = os.path.dirname(os.path.dirname(dicke.__file__))
         digests = []
         for threads in ("1", "2"):
@@ -629,7 +639,7 @@ class TestRotationOracles:
         # bit for bit.  Output column c takes the weight of the parity of
         # f + c, from fold row c (c < pairs) or N - c
         ops = cached_ops(n)
-        dim, pairs, vecs = n + 1, len(ops.anti_vectors), ops.vectors
+        dim, pairs, vecs = n + 1, len(anti_vectors(ops)), ops.vectors
         half = n // 2 + 1
         for theta in (0.3, 2.9):
             phase = dicke._phases(ops, theta)[:, None]

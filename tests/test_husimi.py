@@ -14,11 +14,10 @@ from catspin.husimi import (
     quadrature,
     quadrature_residual,
     raw_layout,
-    read_field_raw,
 )
 from catspin.protocols import ProtocolParams, builtin, run
 
-from conftest import cached_ops
+from conftest import cached_ops, read_field_raw
 
 
 def scain_state(ops, phi=np.pi / 80, n_pulses=None):

@@ -15,14 +15,13 @@ from catspin.dicke import (
     dark_pulse,
     rotate_pulse,
     squeeze_pulse,
-    total_spin_expectation,
 )
 from catspin.observables import (
     expect_jz,
     parity_average,
 )
 
-from conftest import cached_ops
+from conftest import cached_ops, total_spin_expectation
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 axes = st.sampled_from(["x", "y", "z"])

@@ -163,7 +163,7 @@ def test_evaluated_csd_points_need_no_recompute():
         ops = cached_ops(n)
         spec = unfolded(Detection("csd", index=int(rng.integers(0, n + 1))))
         scanner = _Scanner(spec, ops.dims, ops, seeded_phis(int(rng.integers(2**32)), 3))
-        signal, _, _ = scanner.arrays(None)
+        ((signal, _, _),) = scanner.scan([None])
         assert scanner.health == {"rounding_band_points": 0, "csd_sum_points": 0}, spec
         near += np.count_nonzero(1.0 - signal < 1e-4)
     assert near > 0  # points of the CSD sum band were scanned
@@ -248,7 +248,7 @@ def test_a_point_moves_with_its_batch_only_at_rounding_level(monkeypatch):
         # built-ins meet the rounding band near phi = 0
         spec = builtin(("crain", "scain", "scac")[rng.integers(3)],
                        ProtocolParams(ara="xy"[rng.integers(2)], xi=int(rng.choice([1, -1]))))
-        _Scanner(spec, ops.dims, ops, seeded_phis(int(rng.integers(2**32)), 6)).arrays(mu)
+        list(_Scanner(spec, ops.dims, ops, seeded_phis(int(rng.integers(2**32)), 6)).scan([mu]))
     for values_at, points, n in calls:
         band = max(band, _alone_and_batched(values_at, points) / n**2)
     assert len(calls) > 10
