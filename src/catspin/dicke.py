@@ -396,6 +396,14 @@ def dark_pulse(fraction: float, sign: int) -> Pulse:
     return Pulse(kind="dark_phase", fraction=float(fraction), sign=int(sign))
 
 
+def check_phase(dims: EnsembleDims, phi) -> None:
+    """Raise ValueError unless the scan phase phi (a number or an array)
+    keeps the largest phase a scan meets, 2N |phi|, finite.  The bound is
+    tested without forming 2N phi, which would overflow."""
+    if not np.all(np.abs(np.asarray(phi, dtype=float)) <= np.finfo(float).max / (2 * dims.n_atoms)):
+        raise ValueError("phi and 2N |phi| must be finite")
+
+
 def pulse_diagonal(ops: OperatorSet, pulse: Pulse, phi: float, mu=None) -> np.ndarray:
     """Diagonal of a z rotation, a squeeze or a dark-zone pulse, as a 1-d
     array; phi binds the dark-zone phase, mu (if given) the squeeze strength."""

@@ -14,14 +14,19 @@ samples on an equispaced theta grid of at least 4N+1 points come from FFTs
 of the rows of B diag(v0), one per row, with J_z pushed back through Tail
 as a tridiagonal T.  B is never built whole: it is one x rotation or none,
 whose fold row r (dicke.rotation_rows) is its row r and, reversed, N - r.
+Where B and Tail hold only squeezes and rotations by multiples of pi/2
+(the tail rule, which every built-in meets), theta + pi maps J_z to +-J_z
+and the variance has even frequencies only: an odd grid of at least 2N+1
+points fixes both polynomials (2025 samples at N = 1000, against 4050).
 
-The rows run in slabs of at most 4 MB of samples (16 at N = 1000, 251 at
-4000, one up to N = 255), each a top slab of rows r <= N/2 or its mirror
-image, or both where they fit, with a halo row on each side as T couples
-neighbouring rows.  The top slabs' fold rows come in groups of at most
-16 MB, each built while the last slabs of the one before run, so two are
-held at most.  The mu run in batches whose slab moments hold at most 4 MB
-(43 mu at N = 1000, 10 at 4000); each group builds its rows once per batch.
+The rows run in slabs of at most 4 MB of samples (8 at N = 1000, 126 at
+4000, one up to N = 358, on the odd grid), each a top slab of rows
+r <= N/2 or its mirror image, or both where they fit, with a halo row on
+each side as T couples neighbouring rows.  The top slabs' fold rows come in
+groups of at most 16 MB, each built while the last slabs of the one before
+run, so two are held at most.  The mu run in batches whose slab moments
+hold at most 4 MB (86 mu at N = 1000, 21 at 4000, on the odd grid); each
+group builds its rows once per batch.
 The centred moments per mu merge in slab order by the pairwise update of
 Chan, Golub & LeVeque (1983).  From dim 512 on the slabs run on a pool of
 up to `threads` threads, two slabs per worker ahead, bitwise the serial result,
@@ -70,6 +75,7 @@ from catspin.dicke import (
     OperatorSet,
     SpinState,
     apply_pulses,
+    check_phase,
     pulse_diagonal,
     rotate_pulse,
     rotation_rows,
@@ -182,16 +188,19 @@ _BLOCK_ELEMENTS = 1 << 20
 # rebuilt so that large-N scans hold no more memory than before.
 _KEPT_TABLE_ELEMENTS = 1 << 16
 
-# Complex elements of a CD slab buffer (4 MB), whatever the threads;
-# _moments takes it in blocks of a quarter.
-# Below _POOL_MIN_DIM the slabs run serially: on 2 vCPUs a pool of 2 cost
-# 12 % per mu at N = 256, broke even at N = 300-450 and saved 13-21 % at
-# N = 511, 0-15 % at 1000 and 38 % at 2000.  The pool stops at the CPUs, the
-# slab count and by default at _POOL_DEFAULT, the measured size.  From
-# _POOL_MIN_DIM on BLAS runs on one thread: an OpenBLAS worker spun about
-# 0.12 s of CPU after each threaded call, taking a core from the slab
-# workers.  Below it, and on the paths without slabs, one BLAS thread was
-# slower: in process, +5-10 % on N = 40/41 sweeps and +19 % on N = 4000 stages.
+# Complex elements of a CD slab buffer (4 MB), whatever the threads:
+# 129 rows of 2025 samples at N = 1000 (8 slabs), 32 of 8019 at 4000 (126)
+# on the odd grid.  _moments takes it in blocks of a quarter.
+# Below _POOL_MIN_DIM the slabs run serially: on 2 vCPUs and the odd grid,
+# against serial slabs a pool of 2 cost 1-2 % per mu at N = 300-359 (one
+# and two slabs), saved 1-10 % at 400, 2-17 % at 450, 16-23 % at 511,
+# 16 % at 600, 26 % at 700 and 31 % at 1000 (minima of 5-7 runs of 12
+# SCAIN mu).  The pool stops at the CPUs, the slab count and by default at
+# _POOL_DEFAULT, the measured size.  From _POOL_MIN_DIM on BLAS runs on one thread: an
+# OpenBLAS worker spun about 0.12 s of CPU after each threaded call, taking
+# a core from the slab workers.  Below it, and on the paths without slabs,
+# one BLAS thread was slower: in process, +5-10 % on N = 40/41 sweeps and
+# +19 % on N = 4000 stages.
 _SLAB_ELEMENTS, _POOL_MIN_DIM, _POOL_DEFAULT = 1 << 18, 512, 2
 
 
@@ -257,10 +266,13 @@ def _blas_limit(threads: int | None):
                 put(_blas_saved["count"])
 
 
-def _slabs(dims: EnsembleDims) -> tuple[int, int]:
+def _slabs(dims: EnsembleDims, pi_periodic: bool) -> tuple[int, int]:
     """(samples, rows): CD takes a fast FFT length of at least 4N+1 samples,
-    in slabs of `rows` rows that hold _SLAB_ELEMENTS."""
-    samples = _fft_length(4 * dims.n_atoms + 1)
+    or, where the variance is pi-periodic in theta, an odd one of at least
+    2N+1 (2025 at N = 1000, against 4050), in slabs of `rows` rows that
+    hold _SLAB_ELEMENTS."""
+    n = dims.n_atoms
+    samples = _fft_length(2 * n + 1, (3, 5, 7, 11)) if pi_periodic else _fft_length(4 * n + 1)
     return samples, max(1, _SLAB_ELEMENTS // samples)
 
 
@@ -317,11 +329,12 @@ def _fourier_sum(first: float, coefs: np.ndarray, theta: np.ndarray,
     return out
 
 
-def _fft_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n: a fast FFT length."""
+def _fft_length(n: int, primes=(2, 3, 5)) -> int:
+    """Smallest integer >= n whose prime factors all lie in primes: a fast
+    FFT length (odd where primes are)."""
     while True:
         rest = n
-        for p in (2, 3, 5):
+        for p in primes:
             while rest % p == 0:
                 rest //= p
         if rest == 1:
@@ -423,8 +436,7 @@ class _Scanner:
     def __init__(self, spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet,
                  phis, threads: int | None = None):
         self.phis = np.asarray(phis, dtype=float)
-        if not np.all(np.isfinite(self.phis)):
-            raise ValueError("phi points must be finite")
+        check_phase(dims, self.phis)
         self.spec, self.dims, self.ops = spec, dims, ops
         self.kernel = compile_protocol(spec, dims, ops)
         self._tables = []  # _fourier_sum's kept tables over self.phis
@@ -479,7 +491,15 @@ class _Scanner:
         if len(middle) > 1:
             return
         self.middle_pulses = middle
-        self.samples, rows = _slabs(dims)
+        # The tail rule.  theta + pi multiplies the state after the tail by
+        # U R_z(pi) U^dagger, U = tail middle, up to a phase.  Squeezes commute
+        # with 1, R_x(pi), R_y(pi) and R_z(pi), and rotations by multiples of
+        # pi/2 permute them up to phases, so where U holds nothing else the
+        # state moves by one of them, which maps J_z to +-J_z: the variance
+        # has even frequencies only.
+        self.pi_periodic = all(p.kind == "squeeze" or p.angle % (math.pi / 2) == 0
+                               for p in (*middle, *self.tail))
+        self.samples, rows = _slabs(dims, self.pi_periodic)
         self.plan = _plan(dims.dim, rows)
         if dims.dim >= _POOL_MIN_DIM:  # the pool is the scan's whole thread budget
             self.workers = pool_size(threads, sum(len(slabs) for _, _, slabs in self.plan))
@@ -558,8 +578,9 @@ class _Scanner:
     def _cd(self, mus):
         """The CD arrays of each mu, in batches whose slab moments, 3 x batch x samples,
         stay within half of _BLOCK_ELEMENTS at any N: a smaller batch rebuilds the group
-        rows more often.  tracemalloc peaks: 200 mu at N = 1000 45-47 MiB, a quarter batch
-        26 MiB but 1-7 % slower on 2 vCPUs; 600 mu at N = 300 16 MiB, a quarter batch 8."""
+        rows more often.  tracemalloc peaks on the odd grid, SCAIN over the default window:
+        200 mu at N = 1000 (batches of 86) 46.8 MiB, a quarter batch 27.4 MiB but 4 % slower
+        on 2 vCPUs; 600 mu at N = 300 (288) 17.8 MiB, a quarter batch 8.1 MiB and 3 % slower."""
         batch = max(1, _BLOCK_ELEMENTS // (6 * self.samples))
         for i in range(0, len(mus), batch):
             yield from self._cd_batch(mus[i : i + batch])
@@ -652,6 +673,8 @@ class _Scanner:
         coefs[: degree + 1, 0] = _trig_coefficients(mean, degree)
         coefs[:, 1] = 1j * freqs * coefs[:, 0]
         coefs[:, 2] = _trig_coefficients(var, 2 * degree)
+        if self.pi_periodic:  # on the odd grid, odd bins hold only aliased negative frequencies
+            coefs[1::2, 2] = 0.0
         values = _fourier_sum(0.0, coefs, self.rate * self.phis, self._tables).real
         sds = np.sqrt(np.maximum(values[:, 2], 0.0))
         self._blockwise(sds, np.flatnonzero(sds < _ROUNDING_BAND * degree),

@@ -22,6 +22,7 @@ from catspin.dicke import (
     SpinState,
     apply_pulses,
     basis_state,
+    check_phase,
     dark_pulse,
     rotate_pulse,
     squeeze_pulse,
@@ -178,6 +179,7 @@ def run(
     """
     if dims != ops.dims:
         raise DimensionError("dims and operator set disagree")
+    check_phase(dims, phi)
     pulses = spec.pulses if n_pulses is None else spec.pulses[:n_pulses]
     return SpinState(dims, apply_pulses(ops, pulses, basis_state(dims, 0).amps, phi, mu_override))
 

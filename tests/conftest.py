@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from catspin import observables
 from catspin.dicke import EnsembleDims, build_operator_set, dark_pulse, rotate_pulse
-from catspin.protocols import Detection, ProtocolSpec
+from catspin.protocols import Detection, ProtocolSpec, builtin
 
 
 @functools.lru_cache(maxsize=16)
@@ -51,6 +52,15 @@ def many_cpus(monkeypatch):
     """64 CPUs in the affinity mask, so that explicit pools of 3 and 4
     workers run on any machine (pool_size caps a request at the CPUs)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+
+
+def slab_rows(monkeypatch, n_atoms: int, rows: int):
+    """Slabs of `rows` rows for the built-in CD scans at N = n_atoms: the slab
+    budget is rows times the sample count that the scanner takes there (all
+    built-ins meet the tail rule, so they share it)."""
+    ops = cached_ops(n_atoms)
+    samples = observables._Scanner(builtin("scain"), ops.dims, ops, [0.0]).samples
+    monkeypatch.setattr(observables, "_SLAB_ELEMENTS", rows * samples)
 
 
 def traced_peak_mib(fn):

@@ -38,7 +38,7 @@ from catspin.observables import (
     sensitivity_scan_mu,
 )
 from catspin.protocols import Detection, ProtocolParams, builtin, run
-from conftest import cached_ops, read_field_raw
+from conftest import cached_ops, read_field_raw, slab_rows
 
 
 def read_csv(path):
@@ -275,9 +275,10 @@ class TestFringeCommand:
         assert main(args + ["--out", str(c), "--threads", "4"]) == 0
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
-    def test_pool_above_threshold_is_byte_identical(self, tmp_path, many_cpus):
-        # dim = _POOL_MIN_DIM + 1 runs its 5 slabs on the pool
+    def test_pool_above_threshold_is_byte_identical(self, tmp_path, monkeypatch, many_cpus):
+        # dim = _POOL_MIN_DIM + 1 runs its 5 slabs of at most 121 rows on the pool
         n = str(observables._POOL_MIN_DIM)
+        slab_rows(monkeypatch, observables._POOL_MIN_DIM, 121)
         commands = {
             "f": ["fringe", "--n", n, "--mu", "0.5pi", "--xi", "-1",
                   "--phi-range", "-0.1pi:0.1pi:201"],
@@ -300,7 +301,7 @@ class TestFringeCommand:
         assert main(args + ["--threads", str(10**6)]) == 0  # serial below the threshold
         assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 1
         monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
-        monkeypatch.setattr(observables, "_SLAB_ELEMENTS", 2 * 25)  # 2 rows of 25 samples: 4 slabs
+        slab_rows(monkeypatch, 6, 2)  # 4 slabs
         assert main(args + ["--threads", "3"]) == 0
         assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 3
 
@@ -329,7 +330,7 @@ class TestFringeCommand:
     def test_explicit_threads_capped_at_the_cpus(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
-        monkeypatch.setattr(observables, "_SLAB_ELEMENTS", 2 * 25)  # 2 rows of 25 samples: 4 slabs
+        slab_rows(monkeypatch, 6, 2)  # 4 slabs
         out = tmp_path / "f.csv"
         args = ["fringe", "--n", "6", "--phi-range", "0:1:5", "--out", str(out)]
         assert main(args + ["--threads", "4"]) == 0
@@ -400,6 +401,22 @@ class TestScanBoundary:
         out = tmp_path / "f.csv"
         assert main(["fringe", "--n", "4", *extra, "--out", str(out)]) == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["fringe", "--phi-range", "0:1e308:3"],
+        ["fringe", "--phi-range", "0:1e308:3", "--detection", "csd"],
+        ["collective", "--phi", "1e308", "--stage", "J"],
+        ["qpd", "--phi", "1e308", "--stage", "J"],
+        ["qpd", "--phi", "1e308", "--stage", "J", "--format", "raw"],
+    ])
+    def test_phase_beyond_the_float_range_is_an_error(self, tmp_path, capsys, argv):
+        # a finite phi whose phase 2N phi overflows would write nan cells
+        out = tmp_path / "q.out"
+        assert main([*argv, "--n", "40", "--out", str(out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "2N |phi| must be finite" in err and "Traceback" not in err
+        assert "warning:" not in err
         assert os.listdir(tmp_path) == []
 
     def test_csd_index_extremes_accepted(self, tmp_path):

@@ -18,6 +18,7 @@ from catspin.dicke import (
     apply_rotation,
     basis_state,
     build_operator_set,
+    check_phase,
     css_state,
     dark_pulse,
     pulse_diagonal,
@@ -64,6 +65,17 @@ class TestInputChecks:
         with pytest.raises(error, match=match) as raised:
             make(ops40)
         assert raised.type is error
+
+    @pytest.mark.parametrize("phi", [1e308, -1e308, np.float64(1e308), np.array([0.0, 1e308]),
+                                     math.inf, math.nan],
+                             ids=["float", "negative", "numpy-scalar", "array", "inf", "nan"])
+    def test_phase_beyond_the_float_range(self, dims40, phi):
+        # 2N phi overflows: a ValueError, and no overflow warning on the way
+        with pytest.raises(ValueError, match=r"2N \|phi\| must be finite"):
+            check_phase(dims40, phi)
+
+    def test_phase_within_the_float_range(self, dims40):
+        check_phase(dims40, np.array([-1e306, 0.0, 2.2e306]))
 
 
 def random_amps(dim, seed=0, cols=None):

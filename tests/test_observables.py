@@ -46,7 +46,7 @@ from catspin.protocols import (
 
 import catspin.dicke as dicke
 import catspin.observables as observables
-from conftest import cached_ops, traced_peak_mib, unfolded
+from conftest import cached_ops, slab_rows, traced_peak_mib, unfolded
 
 HALF = np.pi / 2
 
@@ -671,12 +671,6 @@ class TestSubGridPool:
     the thread count may not move a bit of the result, and the slab height
     only at rounding level."""
 
-    @staticmethod
-    def _slab_budget(monkeypatch, rows, n):
-        """Slabs of `rows` rows at N = n: the budget is rows x samples."""
-        samples, _ = observables._slabs(EnsembleDims(n))
-        monkeypatch.setattr(observables, "_SLAB_ELEMENTS", rows * samples)
-
     @pytest.mark.parametrize("rows", [1, 2, 5, 16, 40])
     def test_sweep_is_stable_across_slab_heights(self, monkeypatch, rows):
         # from one row per slab (every row a halo of two slabs) to two slabs,
@@ -692,7 +686,7 @@ class TestSubGridPool:
                     for mu in (mus if squeezed else mus[:1])]
 
         whole = scan()
-        self._slab_budget(monkeypatch, rows, 40)
+        slab_rows(monkeypatch, 40, rows)
         for one, sliced in zip(whole, scan()):
             assert np.max(np.abs(sliced.signal - one.signal)) <= 1e-15 * 40
             assert np.max(np.abs(sliced.pgs - one.pgs)) <= 1e-15 * 40**2
@@ -764,7 +758,7 @@ class TestSubGridPool:
         # to interleave them
         ops = cached_ops(40)
         spec, window = scain(xi=xi), default_phi_window(301)
-        self._slab_budget(monkeypatch, 9, 40)
+        slab_rows(monkeypatch, 40, 9)
 
         def scan(threads):
             return [np.array([f.signal, f.sds, f.pgs])
@@ -788,7 +782,7 @@ class TestSubGridPool:
         # partials arrive in any order; the merge runs in slab order
         ops = cached_ops(40)
         spec, window = scain(ara="y"), default_phi_window(301)
-        self._slab_budget(monkeypatch, rows, 40)
+        slab_rows(monkeypatch, 40, rows)
 
         def scan(threads):
             return [np.array([f.signal, f.sds, f.pgs])
@@ -842,20 +836,22 @@ class TestSubGridPool:
 
     @pytest.mark.slow
     def test_long_sweep_memory(self, monkeypatch, many_cpus):
-        # 300 mu at N = 300 on a pool of 2 run in batches of 143 mu, whose
-        # slab moments stay within half of _BLOCK_ELEMENTS: measured 21.4
-        # MiB, and 47.7 MiB with every mu in one pass.  A mu gives the same
-        # bits in any batch.
+        # 600 mu at N = 300 (605 samples) on a pool of 2, over 2 slabs of at
+        # most 151 rows, run in batches of 288, 288 and 24 mu, whose slab
+        # moments stay within half of _BLOCK_ELEMENTS: measured 21.9 MiB, and
+        # 44.5 MiB with all 600 mu in one pass.  A mu gives the same bits in
+        # any batch, on both sides of each batch edge.
         monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
+        slab_rows(monkeypatch, 300, 151)
         ops = cached_ops(300)
-        mus, window = np.linspace(0.0, HALF, 300), np.linspace(0.01, 1.5, 41)
+        mus, window = np.linspace(0.0, HALF, 600), np.linspace(0.01, 1.5, 41)
 
         def sweep(part):
             return sensitivity_scan_mu(scain(), ops.dims, ops, part, phi_window=window, threads=2)
 
         whole, scan = traced_peak_mib(lambda: sweep(mus))
         assert scan <= 35
-        for i in (0, 142, 143, 299):
+        for i in (0, 287, 288, 575, 576, 599):
             alone = sweep(mus[i : i + 1])
             assert alone.lam.tobytes() == whole.lam[i : i + 1].tobytes()
             assert alone.phi_star.tobytes() == whole.phi_star[i : i + 1].tobytes()
@@ -909,12 +905,14 @@ class TestSubGridPool:
                                     [], [("rotate", "x")]), (n, pid, ara, xi)
 
     def test_pool_size_caps_at_the_slabs(self, many_cpus):
-        # the pool's tasks are the slabs: 16 of 64 rows at N = 1000
-        slabs = -(-1001 // observables._slabs(EnsembleDims(1000))[1])
-        assert slabs == 16
+        # the pool's tasks are the slabs: 8 of 129 rows at N = 1000 (2025 samples)
+        ops = cached_ops(1000)
+        plan = observables._Scanner(scain(), ops.dims, ops, [0.1]).plan
+        slabs = sum(len(group) for _, _, group in plan)
+        assert slabs == 8
         assert pool_size(1, slabs) == 1
         assert pool_size(3, slabs) == 3
-        assert pool_size(10**6, slabs) == 16  # sized, never started
+        assert pool_size(10**6, slabs) == 8  # sized, never started
         assert pool_size(None, 1) == 1
         with pytest.raises(ValueError):
             pool_size(0, slabs)
@@ -968,7 +966,7 @@ class TestSubGridPool:
 
         assert workers(scain(), 4, 40) == 1  # dim 41 < _POOL_MIN_DIM
         assert workers(scain(), 4) == 4
-        assert workers(scain(), 10**6) == 16  # 16 slabs at N = 1000; sized, never started
+        assert workers(scain(), 10**6) == 8  # 8 slabs at N = 1000; sized, never started
         assert workers(csd, 4) == 1
         assert workers(unfolded(), 4) == 1
         ops = cached_ops(1000)
@@ -981,6 +979,33 @@ class TestSubGridPool:
         assert workers(scain(), 4, 40) == 1  # N = 40 is one slab
         assert workers(csd, 4, 40) == 1
         assert workers(unfolded(), 4, 40) == 1
+
+
+class TestTailRule:
+    """Where every pulse of the CD middle and tail is a squeeze or a quarter
+    turn, the variance is pi-periodic in theta, and the scan samples it on
+    an odd FFT length of at least 2N+1 in place of one of at least 4N+1."""
+
+    X_MIDDLE = ProtocolSpec("x-middle", (
+        rotate_pulse("x", HALF), dark_pulse(1.0, 1), rotate_pulse("x", 0.7),
+        squeeze_pulse(0.3, 1), rotate_pulse("x", HALF)), Detection("cd"))
+
+    def test_sample_counts(self):
+        ops = cached_ops(1000)
+        scanner = observables._Scanner(scain(), ops.dims, ops, [0.1])
+        assert scanner.pi_periodic and scanner.samples == 2025
+        scanner = observables._Scanner(self.X_MIDDLE, ops.dims, ops, [0.1])
+        assert scanner.middle_pulses == [rotate_pulse("x", 0.7)]
+        assert not scanner.pi_periodic and scanner.samples == 4050
+        for n, halved, whole in ((40, 81, 162), (41, 99, 180), (2000, 4125, 8100)):
+            assert observables._slabs(EnsembleDims(n), True)[0] == halved
+            assert observables._slabs(EnsembleDims(n), False)[0] == whole
+
+    def test_a_middle_off_the_quarter_turns_is_not_pi_periodic(self, ops40):
+        # why such a spec keeps 4N+1 samples: theta + pi moves its variance
+        scanner = observables._Scanner(self.X_MIDDLE, ops40.dims, ops40, [0.1])
+        var = scanner._direct(np.array([0.1, 0.1 + np.pi]), 0.3)[1]
+        assert abs(var[0] - var[1]) > 1e-3 * 40**2
 
 
 class TestBlasThreads:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from catspin.dicke import apply_pulses, dark_pulse, rotate_pulse, squeeze_pulse
 from catspin.observables import _Scanner, _sensitivity
@@ -254,3 +254,32 @@ def test_a_point_moves_with_its_batch_only_at_rounding_level(monkeypatch):
     assert len(calls) > 10
     assert evaluate <= EVALUATE_BATCH_TOL
     assert band <= BAND_BATCH_TOL
+
+
+# The tail rule: shifting theta by pi moves the state after the tail by
+# U R_z(pi) U^dagger, U = tail middle, which maps J_z to +-J_z where U holds
+# only squeezes and quarter turns, so the variance is pi-periodic in theta
+quarter_turns = st.builds(lambda axis, k: rotate_pulse(axis, k * (math.pi / 2)),
+                          st.sampled_from("xyz"), st.integers(-4, 4))
+squeezes = st.builds(squeeze_pulse, st.floats(0.0, 2.0), st.sampled_from([1, -1]))
+turns = st.builds(rotate_pulse, st.sampled_from("xyz"), st.floats(-3.0, 3.0))
+
+# |variance at theta - variance at theta + pi| over N^2, from _direct: the
+# maximum measured over 2000 examples was 2.8e-16
+PERIODIC_VAR_TOL = 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 48), pre=st.lists(squeezes | turns, max_size=3),
+       fraction=st.sampled_from([0.25, 0.5, 1.0]), sign=st.sampled_from([1, -1]),
+       post=st.lists(quarter_turns | squeezes, max_size=6),
+       mu=st.floats(0.0, math.pi / 2), phi=st.floats(-math.pi, math.pi))
+def test_the_tail_rule_makes_the_variance_pi_periodic(n, pre, fraction, sign, post, mu, phi):
+    ops = cached_ops(n)
+    spec = ProtocolSpec("tail-rule", (rotate_pulse("x", math.pi / 2), *pre,
+                                      dark_pulse(fraction, sign), *post), Detection("cd"))
+    scanner = _Scanner(spec, ops.dims, ops, [phi])
+    assume(scanner._path is _Scanner._cd)  # where the rule is decided
+    assert scanner.pi_periodic
+    shifted = scanner._direct(np.array([phi, phi + math.pi / fraction]), mu)[1]
+    assert abs(shifted[0] - shifted[1]) <= PERIODIC_VAR_TOL * n**2
