@@ -28,14 +28,14 @@ run, so two are held at most.  The mu run in batches whose slab moments
 hold at most 4 MB (86 mu at N = 1000, 21 at 4000, on the odd grid); each
 group builds its rows once per batch.
 The centred moments per mu merge in slab order by the pairwise update of
-Chan, Golub & LeVeque (1983).  From dim 512 on the slabs run on a pool of
-up to `threads` threads, two slabs per worker ahead, bitwise the serial result,
-and the pool is the scan's whole thread budget: every BLAS call of the scan
-(v0, group rows, slabs, interpolation, recomputes) runs on one thread of
-numpy's OpenBLAS, whose own count comes back when the scan returns or
-raises (the last to end of scans running at once restores it), so these
-scans' bits do not follow the BLAS thread count either.
-Every other path keeps BLAS's defaults.
+Chan, Golub & LeVeque (1983).  A scan of more than one slab (N >= 359 for
+every built-in) runs them on a pool of up to `threads` threads, two slabs
+per worker ahead, bitwise the serial result, and the pool is the scan's
+whole thread budget: every BLAS call of the scan (v0, group rows, slabs,
+interpolation, recomputes) runs on one thread of numpy's OpenBLAS, whose own
+count comes back when the scan returns or raises (the last to end of scans
+running at once restores it), so these scans' bits do not follow the BLAS
+thread count either.  One-slab scans and every other path keep BLAS's defaults.
 
 One FFT of the samples gives the exact coefficients, and signal, variance
 and the exact dS/dphi follow at every requested phi from baby-step
@@ -188,20 +188,19 @@ _BLOCK_ELEMENTS = 1 << 20
 # rebuilt so that large-N scans hold no more memory than before.
 _KEPT_TABLE_ELEMENTS = 1 << 16
 
-# Complex elements of a CD slab buffer (4 MB), whatever the threads:
-# 129 rows of 2025 samples at N = 1000 (8 slabs), 32 of 8019 at 4000 (126)
-# on the odd grid.  _moments takes it in blocks of a quarter.
-# Below _POOL_MIN_DIM the slabs run serially: on 2 vCPUs and the odd grid,
-# against serial slabs a pool of 2 cost 1-2 % per mu at N = 300-359 (one
-# and two slabs), saved 1-10 % at 400, 2-17 % at 450, 16-23 % at 511,
-# 16 % at 600, 26 % at 700 and 31 % at 1000 (minima of 5-7 runs of 12
-# SCAIN mu).  The pool stops at the CPUs, the slab count and by default at
-# _POOL_DEFAULT, the measured size.  From _POOL_MIN_DIM on BLAS runs on one thread: an
-# OpenBLAS worker spun about 0.12 s of CPU after each threaded call, taking
-# a core from the slab workers.  Below it, and on the paths without slabs,
-# one BLAS thread was slower: in process, +5-10 % on N = 40/41 sweeps and
-# +19 % on N = 4000 stages.
-_SLAB_ELEMENTS, _POOL_MIN_DIM, _POOL_DEFAULT = 1 << 18, 512, 2
+# Complex elements of a CD slab buffer (4 MB), whatever the threads: 129 rows
+# of 2025 samples at N = 1000 (8 slabs), 32 of 8019 at 4000 (126), one slab
+# up to N = 358, on the odd grid.  _moments takes it in blocks of a quarter.
+# More than one slab (N >= 359 for every built-in) run on a pool, stopped at
+# the CPUs, the slab count and by default at _POOL_DEFAULT, the measured size,
+# with BLAS on one thread: an OpenBLAS worker spun about 0.12 s of CPU after
+# each threaded call, taking a core from the slab workers.  On 2 vCPUs a pool
+# of 2 against serial slabs cost 1 % per mu at N = 359, saved 1-10 % at 400,
+# 2-17 % at 450, 16-23 % at 511, 16 % at 600, 26 % at 700 and 31 % at 1000
+# (minima of 5-7 runs of 12 SCAIN mu).  One-slab scans and the paths without
+# slabs keep BLAS's defaults, as one BLAS thread was slower there: in process
+# +5-10 % on N = 40/41 sweeps and +19 % on N = 4000 stages.
+_SLAB_ELEMENTS, _POOL_DEFAULT = 1 << 18, 2
 
 
 def pool_size(threads: int | None, slabs: int) -> int:
@@ -443,12 +442,16 @@ class _Scanner:
         self.health = {"rounding_band_points": 0, "csd_sum_points": 0}  # _blockwise points
         csd = spec.detection.kind == "csd"
         self.index = _resolve_csd_index(spec.detection, dims) if csd else None
-        # the path of every scan, its pool and its BLAS threads (None: the
-        # process's own), the path unbound, so no reference cycle; pool_size
-        # checks threads whatever the path
-        self._path, self.workers, self.blas = _Scanner._evaluated, pool_size(threads, 1), None
+        # the path of every scan (unbound: no reference cycle) and its slabs,
+        # one off the CD rows path; more than one run on the pool with BLAS on
+        # one thread (None: the process's own).  pool_size checks any threads
+        self._path, slabs = self._route(dims, ops, csd)
+        self.workers, self.blas = pool_size(threads, slabs), 1 if slabs > 1 else None
+
+    def _route(self, dims: EnsembleDims, ops: OperatorSet, csd: bool):
+        """(path, slabs) of every scan, setting the CD rows path's slab plan."""
         if len(self.kernel.segments) > 1:
-            return
+            return _Scanner._evaluated, 1
         # a spec that folds to no dark zone has rate 0 and all its pulses in pre
         (fraction, sign), self.post = (self.kernel.segments or (((0.0, 1), ()),))[0]
         self.rate = sign * fraction
@@ -464,8 +467,7 @@ class _Scanner:
             row = np.zeros(dims.dim, dtype=complex)
             row[self.index] = 1.0
             self.row_lead = apply_pulses(ops, lead, row)
-            self._path = _Scanner._csd
-            return
+            return _Scanner._csd, 1
         n_tail, twisted = 0, False
         for pulse in reversed(self.post):
             diagonal = pulse.kind == "squeeze" or pulse.axis == "z"
@@ -489,7 +491,7 @@ class _Scanner:
             self.moved.append(middle.pop(0))
             self.rate *= -1 if flips_jz(self.moved[-1]) else 1
         if len(middle) > 1:
-            return
+            return _Scanner._evaluated, 1
         self.middle_pulses = middle
         # The tail rule.  theta + pi multiplies the state after the tail by
         # U R_z(pi) U^dagger, U = tail middle, up to a phase.  Squeezes commute
@@ -501,10 +503,7 @@ class _Scanner:
                                for p in (*middle, *self.tail))
         self.samples, rows = _slabs(dims, self.pi_periodic)
         self.plan = _plan(dims.dim, rows)
-        if dims.dim >= _POOL_MIN_DIM:  # the pool is the scan's whole thread budget
-            self.workers = pool_size(threads, sum(len(slabs) for _, _, slabs in self.plan))
-            self.blas = 1
-        self._path = _Scanner._cd
+        return _Scanner._cd, sum(len(group) for _, _, group in self.plan)
 
     # --- per-mu pieces ----------------------------------------------------
 
@@ -697,12 +696,13 @@ def fringe_scan(
     A point's values may differ in their last bits with the other points of
     the grid, as the products that evaluate a scan take its points
     together: Lambda by up to 3.5e-16 N over CRAIN, SCAIN, CAC and SCAC at
-    N = 40, 41 and 600.  threads caps the pool of the CD slabs, whose scans
-    run BLAS on one thread from dim 512 on; report, if given, receives
-    pool_workers, the threads the scan ran on, blas_threads, the BLAS
-    threads it ran on (None where numpy's OpenBLAS is not found), and a
-    health block counting the points recomputed in the rounding band
-    (rounding_band_points) and those whose 1 - p was summed (csd_sum_points).
+    N = 40, 41 and 600.  threads caps the pool of the CD slabs; a scan of
+    more than one slab (N >= 359 for every built-in) runs BLAS on one
+    thread.  report, if given, receives pool_workers, the threads the scan
+    ran on, blas_threads, the BLAS threads it ran on (None where numpy's
+    OpenBLAS is not found), and a health block counting the points
+    recomputed in the rounding band (rounding_band_points) and those whose
+    1 - p was summed (csd_sum_points).
     """
     phis = np.asarray(phi_grid, dtype=float)
     if phis.size and not (np.all(np.isfinite(phis)) and np.all(np.diff(phis) >= 0)):

@@ -101,9 +101,10 @@ def test_peak_rss_at_the_cap(tmp_path, argv, bound):
 
 @pytest.mark.slow
 def test_cd_scans_do_not_depend_on_blas_threads(tmp_path):
-    # from dim 512 on a CD scan runs BLAS on one thread, so neither --threads
-    # nor the process's BLAS thread count moves its bits.  With BLAS on its
-    # default 2 threads both commands wrote other bytes than with 1
+    # a CD scan of more than one slab (N >= 359 for every built-in) runs BLAS
+    # on one thread, so neither --threads nor the process's BLAS thread count
+    # moves its bits.  Run serially with BLAS on its default 2 threads, each
+    # command wrote other bytes than with 1, at N = 359 and 400 as at 600
     if observables._openblas() is None:
         pytest.skip("numpy's OpenBLAS thread count is not reachable")
     commands = {
@@ -111,6 +112,10 @@ def test_cd_scans_do_not_depend_on_blas_threads(tmp_path):
                    "--phi-range", "-0.1pi:0.1pi:2001"],
         "sensitivity": ["sensitivity", "--n", "600", "--mu-range", "0.49pi:0.5pi:3",
                         "--xi", "1", "--normalize-hl"],
+        "fringe-359": ["fringe", "--protocol", "scac", "--ara", "y", "--n", "359",
+                       "--mu", "0.3pi", "--phi-range", "-0.1pi:0.1pi:2001"],
+        "sensitivity-400": ["sensitivity", "--n", "400", "--mu-range", "0.49pi:0.5pi:3",
+                            "--xi", "1", "--normalize-hl"],
     }
     code = ("import hashlib, json, sys\n"
             "from catspin.cli import main\n"
@@ -275,39 +280,39 @@ class TestFringeCommand:
         assert main(args + ["--out", str(c), "--threads", "4"]) == 0
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
-    def test_pool_above_threshold_is_byte_identical(self, tmp_path, monkeypatch, many_cpus):
-        # dim = _POOL_MIN_DIM + 1 runs its 5 slabs of at most 121 rows on the pool
-        n = str(observables._POOL_MIN_DIM)
-        slab_rows(monkeypatch, observables._POOL_MIN_DIM, 121)
-        commands = {
-            "f": ["fringe", "--n", n, "--mu", "0.5pi", "--xi", "-1",
-                  "--phi-range", "-0.1pi:0.1pi:201"],
-            "s": ["sensitivity", "--n", n, "--mu-range", "0.45pi:0.5pi:2", "--xi", "1",
-                  "--normalize-hl"],
-        }
-        for name, args in commands.items():
-            outs = []
-            for threads in ("1", "2", "4"):
-                out = tmp_path / f"{name}{threads}.csv"
-                assert main(args + ["--threads", threads, "--out", str(out)]) == 0
-                manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
-                assert manifest["pool_workers"] == int(threads)
-                outs.append(out.read_bytes())
-            assert outs[0] == outs[1] == outs[2]
+    def test_pool_above_threshold_is_byte_identical(self, tmp_path, many_cpus):
+        # N = 358 fits one slab of 729 samples and runs serially; N = 359
+        # takes two slabs, so the pool runs them on up to 2 workers
+        for n, slabs in (("358", 1), ("359", 2)):
+            commands = {
+                "f": ["fringe", "--n", n, "--mu", "0.5pi", "--xi", "-1",
+                      "--phi-range", "-0.1pi:0.1pi:201"],
+                "s": ["sensitivity", "--n", n, "--mu-range", "0.45pi:0.5pi:2", "--xi", "1",
+                      "--normalize-hl"],
+            }
+            for name, args in commands.items():
+                outs = []
+                for threads in ("1", "2", "4"):
+                    out = tmp_path / f"{name}{n}-{threads}.csv"
+                    assert main(args + ["--threads", threads, "--out", str(out)]) == 0
+                    manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+                    assert manifest["pool_workers"] == min(int(threads), slabs)
+                    outs.append(out.read_bytes())
+                assert outs[0] == outs[1] == outs[2]
 
     def test_manifest_records_pool_workers(self, tmp_path, monkeypatch, many_cpus):
         out = tmp_path / "f.csv"
         args = ["fringe", "--n", "6", "--phi-range", "0:1:5", "--out", str(out)]
-        assert main(args + ["--threads", str(10**6)]) == 0  # serial below the threshold
+        assert main(args + ["--threads", str(10**6)]) == 0  # one slab: serial
         assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 1
-        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
         slab_rows(monkeypatch, 6, 2)  # 4 slabs
         assert main(args + ["--threads", "3"]) == 0
         assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 3
 
     def test_manifest_records_blas_threads(self, tmp_path, monkeypatch):
-        # 1 where the CD slabs pin BLAS (dim >= 512), the process's own
-        # count elsewhere, null where numpy's OpenBLAS is not found
+        # 1 where a CD scan has more than one slab and pins BLAS (N >= 359),
+        # the process's own count elsewhere, null where numpy's OpenBLAS is
+        # not found
         own = observables.blas_threads()
         commands = {
             "f": ["fringe", "--phi-range", "-0.01:0.01:5"],
@@ -321,6 +326,8 @@ class TestFringeCommand:
 
         for name in commands:
             assert recorded(name, "600") == (None if own is None else 1)
+            assert recorded(name, "400") == (None if own is None else 1)
+            assert recorded(name, "358") == own
             assert recorded(name, "6") == own
             assert observables.blas_threads() == own
         monkeypatch.setattr(observables, "_openblas", lambda: None)
@@ -329,7 +336,6 @@ class TestFringeCommand:
 
     def test_explicit_threads_capped_at_the_cpus(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
         slab_rows(monkeypatch, 6, 2)  # 4 slabs
         out = tmp_path / "f.csv"
         args = ["fringe", "--n", "6", "--phi-range", "0:1:5", "--out", str(out)]

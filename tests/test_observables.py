@@ -753,9 +753,8 @@ class TestSubGridPool:
 
     @pytest.mark.parametrize("xi", [1, -1])
     def test_pooled_scan_is_bitwise_the_serial_one(self, monkeypatch, many_cpus, xi):
-        # the pool is forced at N = 40, below its dimension threshold, over
-        # 5 slabs of 9 rows with up to 4 workers and a short switch interval
-        # to interleave them
+        # the slab budget gives N = 40 5 slabs of 9 rows, which run on up
+        # to 4 workers with a short switch interval to interleave them
         ops = cached_ops(40)
         spec, window = scain(xi=xi), default_phi_window(301)
         slab_rows(monkeypatch, 40, 9)
@@ -766,7 +765,6 @@ class TestSubGridPool:
                               for mu in (0.3, HALF))]
 
         serial = scan(1)
-        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -790,7 +788,6 @@ class TestSubGridPool:
                               for mu in (0.021 * np.pi, HALF))]
 
         serial = scan(1)
-        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -841,7 +838,6 @@ class TestSubGridPool:
         # moments stay within half of _BLOCK_ELEMENTS: measured 21.9 MiB, and
         # 44.5 MiB with all 600 mu in one pass.  A mu gives the same bits in
         # any batch, on both sides of each batch edge.
-        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
         slab_rows(monkeypatch, 300, 151)
         ops = cached_ops(300)
         mus, window = np.linspace(0.0, HALF, 600), np.linspace(0.01, 1.5, 41)
@@ -951,7 +947,7 @@ class TestSubGridPool:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             fringe_scan(spec, ops40.dims, ops40, [0.1], threads=threads)
 
-    def test_scan_workers_only_on_the_large_cd_path(self, monkeypatch, many_cpus):
+    def test_scan_workers_only_on_the_large_cd_path(self, many_cpus):
         csd = scain(detection=Detection("csd", index=0))
         # one dark zone, but a CD middle of x 0.4 then y 0.7 before the
         # squeeze: longer than one x rotation, so evaluated directly, serially
@@ -964,7 +960,9 @@ class TestSubGridPool:
             ops = cached_ops(n)
             return observables._Scanner(spec, ops.dims, ops, [0.1], threads).workers
 
-        assert workers(scain(), 4, 40) == 1  # dim 41 < _POOL_MIN_DIM
+        assert workers(scain(), 4, 40) == 1  # one slab
+        assert workers(scain(), 4, 358) == 1  # one slab of 729 samples up to N = 358
+        assert workers(scain(), 4, 359) == 2  # two slabs from N = 359
         assert workers(scain(), 4) == 4
         assert workers(scain(), 10**6) == 8  # 8 slabs at N = 1000; sized, never started
         assert workers(csd, 4) == 1
@@ -975,8 +973,6 @@ class TestSubGridPool:
         report = {}
         fringe_scan(long_middle, ops.dims, ops, [0.1], threads=4, report=report)
         assert report["pool_workers"] == 1
-        monkeypatch.setattr(observables, "_POOL_MIN_DIM", 0)
-        assert workers(scain(), 4, 40) == 1  # N = 40 is one slab
         assert workers(csd, 4, 40) == 1
         assert workers(unfolded(), 4, 40) == 1
 
@@ -1009,8 +1005,9 @@ class TestTailRule:
 
 
 class TestBlasThreads:
-    """From dim 512 a CD scan runs every BLAS call on one thread and hands the
-    process's own count back when it returns or raises; every other scan
+    """A CD scan of more than one slab (N >= 359 for every built-in) runs
+    every BLAS call on one thread and hands the process's own count back when
+    it returns or raises; every other scan, one-slab CD scans included,
     leaves the library alone."""
 
     @pytest.fixture
@@ -1076,7 +1073,7 @@ class TestBlasThreads:
     def test_scan_below_the_pool_never_touches_the_library(self, blas, scan):
         get, calls = blas
         before = get()
-        self.SCANS[scan](cached_ops(40))  # dim 41: the CD slabs, serially
+        self.SCANS[scan](cached_ops(40))  # one CD slab, serially
         assert calls == [] and get() == before
 
     @pytest.fixture
