@@ -48,6 +48,7 @@ from catspin.observables import (
     sensitivity_scan_mu,
 )
 from catspin.protocols import PROTOCOL_IDS, Detection, ProtocolParams, builtin, run
+from catspin.threads import blas_threads, budget
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -568,10 +569,13 @@ _COMMANDS = {
 
 
 def execute(config: RunConfig) -> int:
-    """Run one validated command; writes artifacts and their manifests, with
-    the extra manifest keys the command returns beside its artifacts."""
+    """Run one validated command in one threads.budget of its --threads;
+    writes artifacts and their manifests, with the threads the command ran
+    on and the extra manifest keys it returns beside its artifacts."""
     t0 = time.perf_counter()
-    artifacts, record = _COMMANDS[config.command](config.options)
+    with budget(config.options.get("threads")) as pool:
+        artifacts, record = _COMMANDS[config.command](config.options)
+        record = {"pool_workers": pool.used, "blas_threads": blas_threads(), **record}
     wall = time.perf_counter() - t0
     for path in artifacts:
         write_manifest(path, config.command, config.options, wall, record)

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from catspin import threads
+
 # Largest ensemble the dense machinery is sized for.  The J_x eigenvectors of
 # lambda >= 0 take 32 MB here and their O(N^2) recurrence about 0.05 s; a qpd
 # command peaks at about 89 MB RSS and a collective one at 66 MB.
@@ -242,6 +244,34 @@ def _phases(ops: OperatorSet, angle: float) -> np.ndarray:
     return phase
 
 
+# Where one parity half of a rotate product costs this much, its two halves
+# run as two calls, one on the pool of the budget open on the thread.  A
+# half's cost is its eigenvector entries times its real columns plus 64: one
+# pass over the entries took about the time of 64 columns.  Medians of 30-150
+# alternating calls, halves on 2 vCPUs against one stacked call, BLAS on one
+# thread: 0.53x at N = 4000 on a vector, 0.77x at 2000, 0.78x at 1500, 0.94x
+# at 1250, 0.79x at N = 1001 on 2 columns, 0.93x at 1000 on 4, 0.74x at 359
+# on 1024; but 1.15x at N = 1000 and 1.07x at 1001 on a vector, 1.08x at
+# 1000 on 2 columns, 1.10x at 700 on 8, 1.11x at 359 on 64, 1.07x at 200 on 256.
+_HALF_COST = 9_000_000
+
+
+def _halves(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.matmul(x, y, out) over stacked parity blocks (axis 0); where a half
+    costs _HALF_COST and the budget open on this thread has a pool, half 1
+    runs on the pool beside half 0: two one-thread BLAS calls, bitwise the
+    stacked one on one thread."""
+    budget = threads.current()
+    if budget is None or budget.workers < 2 or x[0].size * (y.shape[-1] + 64) < _HALF_COST:
+        return np.matmul(x, y, out=out)
+    if out is None:
+        out = np.empty(x.shape[:-1] + y.shape[-1:])
+    other = budget.submit(np.matmul, x[1], y[1], out=out[1])
+    np.matmul(x[0], y[0], out=out[0])
+    other.result()
+    return out
+
+
 def rotate(ops: OperatorSet, axis: str, angle: float, amps) -> np.ndarray:
     """e^{-i angle J_x} or e^{-i angle J_y} applied to a complex vector or a
     (dim, k) block.
@@ -261,7 +291,8 @@ def rotate(ops: OperatorSet, axis: str, angle: float, amps) -> np.ndarray:
     odd N fold row i holds a_i and a_{N-i}, one of each parity, so G a_e
     and G a_o sit side by side and one product takes all rows, the full
     blocks' flops.  Each reads H once, half the bytes of the full blocks.
-    Both parities run as one stacked real product, on float views.
+    Both parities run as one stacked real product, on float views, or where
+    large as two on the pool (_halves).
     y: R_y = P R_x P^dagger with P = diag(e^{-i pi m/2}).
     """
     dim, odd = ops.dims.dim, ops.dims.n_atoms % 2
@@ -290,14 +321,14 @@ def rotate(ops: OperatorSet, axis: str, angle: float, amps) -> np.ndarray:
     def split(x):  # even N: (parity, fold-row parity, its rows, width); odd N: all rows
         return x[:, None] if odd else x.reshape(2, cols, 2, -1).transpose(0, 2, 1, 3)
 
-    room = np.matmul(split(vecs).mT, split(folded))
+    room = _halves(split(vecs).mT, split(folded))
     z = room.transpose(0, 2, 1, 3).reshape(2, cols, 2, k).view(complex)  # z_e beside z_o
     phase = _phases(ops, angle)[:, :, None, None]  # c - i s
     spare = folded.reshape(-1)[: room.size].view(complex).reshape(z.shape)  # folded is free
     np.multiply(z, 1j * phase.imag, out=spare)
     z *= phase.real
     z += spare[:, :, ::-1]  # u = c z_e - i s z_o beside v = c z_o - i s z_e, in split's layout
-    np.matmul(split(vecs), room, out=split(folded))
+    _halves(split(vecs), room, out=split(folded))
     out = room.reshape(-1)[: dim * k].reshape(dim, k)  # and is free again
     if odd:  # G^T, each output row from the slot of its parity
         slots = folded.reshape(2, rows, 2, k)[:, :pairs]

@@ -28,14 +28,13 @@ run, so two are held at most.  The mu run in batches whose slab moments
 hold at most 4 MB (86 mu at N = 1000, 21 at 4000, on the odd grid); each
 group builds its rows once per batch.
 The centred moments per mu merge in slab order by the pairwise update of
-Chan, Golub & LeVeque (1983).  A scan of more than one slab (N >= 359 for
-every built-in) runs them on a pool of up to `threads` threads, two slabs
-per worker ahead, bitwise the serial result, and the pool is the scan's
-whole thread budget: every BLAS call of the scan (v0, group rows, slabs,
-interpolation, recomputes) runs on one thread of numpy's OpenBLAS, whose own
-count comes back when the scan returns or raises (the last to end of scans
-running at once restores it), so these scans' bits do not follow the BLAS
-thread count either.  One-slab scans and every other path keep BLAS's defaults.
+Chan, Golub & LeVeque (1983).  Every scan runs in a threads.budget: every
+BLAS call on one thread of numpy's OpenBLAS, and `threads` as the whole
+thread budget of a pool that runs the slabs where there are several (N >=
+359 for every built-in), two per worker ahead, and otherwise the mu of a
+one-slab CD scan, each mu's interpolation and recomputes on one worker.
+Either is bitwise the serial result, so no scan's bits follow the thread
+count of the pool or of BLAS.
 
 One FFT of the samples gives the exact coefficients, and signal, variance
 and the exact dS/dphi follow at every requested phi from baby-step
@@ -58,14 +57,7 @@ and the CSD population cos^2(N phi/2) to 6e-15.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -87,6 +79,7 @@ from catspin.protocols import (
     flips_jz,
     split_at_squeeze,
 )
+from catspin.threads import blas_threads, budget
 
 # --- single-state expectations ---------------------------------------------
 
@@ -191,78 +184,18 @@ _KEPT_TABLE_ELEMENTS = 1 << 16
 # Complex elements of a CD slab buffer (4 MB), whatever the threads: 129 rows
 # of 2025 samples at N = 1000 (8 slabs), 32 of 8019 at 4000 (126), one slab
 # up to N = 358, on the odd grid.  _moments takes it in blocks of a quarter.
-# More than one slab (N >= 359 for every built-in) run on a pool, stopped at
-# the CPUs, the slab count and by default at _POOL_DEFAULT, the measured size,
+# More than one slab (N >= 359 for every built-in) run on the budget's pool,
 # with BLAS on one thread: an OpenBLAS worker spun about 0.12 s of CPU after
 # each threaded call, taking a core from the slab workers.  On 2 vCPUs a pool
 # of 2 against serial slabs cost 1 % per mu at N = 359, saved 1-10 % at 400,
 # 2-17 % at 450, 16-23 % at 511, 16 % at 600, 26 % at 700 and 31 % at 1000
-# (minima of 5-7 runs of 12 SCAIN mu).  One-slab scans and the paths without
-# slabs keep BLAS's defaults, as one BLAS thread was slower there: in process
-# +5-10 % on N = 40/41 sweeps and +19 % on N = 4000 stages.
-_SLAB_ELEMENTS, _POOL_DEFAULT = 1 << 18, 2
-
-
-def pool_size(threads: int | None, slabs: int) -> int:
-    """Worker threads for `slabs` tasks: threads (>= 1; by default
-    _POOL_DEFAULT), capped at the CPUs this process may run on and at slabs."""
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return min(_POOL_DEFAULT if threads is None else threads, cpus, slabs)
-
-
-@functools.cache
-def _openblas():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, looked up
-    at the first call, not at import; None where numpy carries no such pair."""
-    try:
-        from numpy._core import _multiarray_umath
-        # dlsym on the extension's handle searches the libraries it links
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
-
-def blas_threads() -> int | None:
-    """The threads numpy's OpenBLAS runs on now, None where it is not found."""
-    api = _openblas()
-    return None if api is None else api[0]()
-
-
-# the process's own BLAS count while _blas_limit blocks are open, and how many are
-_blas_saved = {"count": None, "open": 0}
-_blas_lock = threading.Lock()
-
-
-@contextmanager
-def _blas_limit(threads: int | None):
-    """BLAS on `threads` threads inside the block; None leaves the library
-    untouched.  The count is the process's, so blocks open at once (scans on
-    several threads) share it: the first to open saves it, and the last to
-    close, or raise, restores it, in whatever order they close."""
-    api = None if threads is None else _openblas()
-    if api is None:
-        yield
-        return
-    get, put = api
-    with _blas_lock:
-        if not _blas_saved["open"]:
-            _blas_saved["count"] = get()
-        _blas_saved["open"] += 1
-        put(threads)
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_saved["open"] -= 1
-            if not _blas_saved["open"]:
-                put(_blas_saved["count"])
+# (minima of 5-7 runs of 12 SCAIN mu).  A one-slab scan runs its mu on the
+# pool instead.  BLAS on one thread alone, with no pool, cut the CPU of the
+# N = 40/41 sweeps and figures by 47-49 % but cost 4-7 % of their wall time;
+# with the mu on the pool their wall time held.  Running the mu on the pool
+# where there are several slabs too raised the VmHWM of the N = 1000 sweeps
+# from 62.7 to 68.4 MiB, so there the pool keeps to the slabs.
+_SLAB_ELEMENTS = 1 << 18
 
 
 def _slabs(dims: EnsembleDims, pi_periodic: bool) -> tuple[int, int]:
@@ -296,33 +229,42 @@ def _exp_tables(first: float, baby: int, giant: int, t: np.ndarray):
             np.exp(1j * np.outer(t, first + baby * np.arange(giant))))
 
 
+def _blocks(count: int, cols: int) -> tuple[int, int, int]:
+    """(baby, giant, step) of _fourier_sum over `count` coefficients of
+    `cols` columns: k = baby h + l, theta taken `step` at a time."""
+    baby = math.isqrt(count - 1) + 1
+    giant = -(-count // baby)
+    return baby, giant, max(1, _BLOCK_ELEMENTS // (giant * cols))
+
+
+def _kept_tables(first: float, count: int, cols: int, theta: np.ndarray) -> list | None:
+    """The _exp_tables of every theta block of _fourier_sum, which a scan
+    builds once and reads at every mu; None past _KEPT_TABLE_ELEMENTS."""
+    baby, giant, step = _blocks(count, cols)
+    if len(theta) * (baby + giant) > _KEPT_TABLE_ELEMENTS:
+        return None
+    return [_exp_tables(first, baby, giant, theta[i : i + step])
+            for i in range(0, len(theta), step)]
+
+
 def _fourier_sum(first: float, coefs: np.ndarray, theta: np.ndarray,
-                 kept: list | None = None) -> np.ndarray:
+                 tables: list | None = None) -> np.ndarray:
     """sum_k coefs[k, :] e^{i (first + k) theta} at every theta.
 
     Baby-step giant-step: with k = B h + l each theta needs about 2 sqrt(K)
     exponentials, e^{i (first + B h) theta} and e^{i l theta}, instead of K;
-    theta is taken in blocks.  kept, a list owned by one scan whose calls all
-    share first, the shape of coefs and theta, keeps each block's tables for
-    the next call while they hold at most _KEPT_TABLE_ELEMENTS.
+    theta is taken in blocks, whose tables come from tables (_kept_tables
+    of the same first, coefs shape and theta) where given.
     """
     count, cols = coefs.shape
-    baby = math.isqrt(count - 1) + 1
-    giant = -(-count // baby)
+    baby, giant, step = _blocks(count, cols)
     table = np.zeros((giant * baby, cols), dtype=complex)
     table[:count] = coefs
     table = table.reshape(giant, baby, cols).transpose(1, 0, 2).reshape(baby, giant * cols)
-    keep = kept is not None and len(theta) * (baby + giant) <= _KEPT_TABLE_ELEMENTS
     out = np.empty((len(theta), cols), dtype=complex)
-    step = max(1, _BLOCK_ELEMENTS // (giant * cols))
     for block, i in enumerate(range(0, len(theta), step)):
         t = theta[i : i + step]
-        if keep and block < len(kept):
-            baby_exp, giant_exp = kept[block]
-        else:
-            baby_exp, giant_exp = _exp_tables(first, baby, giant, t)
-            if keep:
-                kept.append((baby_exp, giant_exp))
+        baby_exp, giant_exp = tables[block] if tables else _exp_tables(first, baby, giant, t)
         inner = (baby_exp @ table).reshape(len(t), giant, cols)
         out[i : i + step] = np.einsum("th,thc->tc", giant_exp, inner)
     return out
@@ -395,18 +337,6 @@ def _merge(partials):
     return first, var
 
 
-def _in_order(pool, depth: int, fn, items):
-    """fn(item) for each item, in order, run on the pool with at most
-    `depth` results submitted and not yet read."""
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) == depth:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
     """Active 3-d rotation R with e^{i angle J_a} J e^{-i angle J_a} = R J,
     for a = x or y."""
@@ -436,17 +366,14 @@ class _Scanner:
                  phis, threads: int | None = None):
         self.phis = np.asarray(phis, dtype=float)
         check_phase(dims, self.phis)
-        self.spec, self.dims, self.ops = spec, dims, ops
+        self.spec, self.dims, self.ops, self.threads = spec, dims, ops, threads
         self.kernel = compile_protocol(spec, dims, ops)
-        self._tables = []  # _fourier_sum's kept tables over self.phis
         self.health = {"rounding_band_points": 0, "csd_sum_points": 0}  # _blockwise points
         csd = spec.detection.kind == "csd"
         self.index = _resolve_csd_index(spec.detection, dims) if csd else None
         # the path of every scan (unbound: no reference cycle) and its slabs,
-        # one off the CD rows path; more than one run on the pool with BLAS on
-        # one thread (None: the process's own).  pool_size checks any threads
-        self._path, slabs = self._route(dims, ops, csd)
-        self.workers, self.blas = pool_size(threads, slabs), 1 if slabs > 1 else None
+        # one off the CD rows path
+        self._path, self.slabs = self._route(dims, ops, csd)
 
     def _route(self, dims: EnsembleDims, ops: OperatorSet, csd: bool):
         """(path, slabs) of every scan, setting the CD rows path's slab plan."""
@@ -523,68 +450,73 @@ class _Scanner:
             upper = upper * u[:-1].conj() * u[1:]
         return n[2] * self.ops.m, np.append(0, upper).conj(), np.append(upper, 0)
 
-    def _blockwise(self, out, where, values_at, count: str):
+    def _blockwise(self, out, where, values_at) -> int:
         """out[where] = values_at(phis[where]) for the rounding band or the CSD
         sum path, in blocks of points whose (dim, block) state stays in
-        _BLOCK_ELEMENTS; health[count] adds the points.  A point's value may
-        differ in its last bits with the points that share its block, as
-        those of CompiledProtocol.evaluate and apply_pulses do."""
-        self.health[count] += where.size
+        _BLOCK_ELEMENTS; returns the points.  A point's value may differ in
+        its last bits with the points that share its block, as those of
+        CompiledProtocol.evaluate and apply_pulses do."""
         step = max(1, _BLOCK_ELEMENTS // self.dims.dim)
         for i in range(0, len(where), step):
             part = where[i : i + step]
             out[part] = values_at(self.phis[part])
+        return where.size
 
     # --- evaluation -------------------------------------------------------
 
     def scan(self, mus, report: dict | None = None):
         """signal, SDS and exact dS/dphi at every phi, for each mu of mus in
         turn (None: the spec's own), CD's in one pass over the slabs.  The
-        BLAS limit holds until the last, so callers exhaust the scan; report,
-        if given, is filled as fringe_scan describes before it closes."""
+        scan runs in a threads.budget (the one open on this thread, if any)
+        until the last, so callers exhaust it; report, if given, is filled as
+        fringe_scan describes before it closes."""
         for mu in mus:
             if mu is not None and not np.isfinite(mu):
                 raise ValueError(f"squeezing strength must be finite, got {mu}")
         detection = self.spec.detection
-        with _blas_limit(self.blas):
-            columns = self._path(self, mus) if self.phis.size else ((np.empty(0),) * 3 for _ in mus)
+        with budget(self.threads) as pool:
+            columns = (self._path(self, mus, pool) if self.phis.size
+                       else ((np.empty(0),) * 3 for _ in mus))
             for signal, sds, pgs in columns:
                 if detection.kind == "cd" and detection.add_j:
                     signal = signal + self.dims.j
                 yield signal, sds, pgs
             if report is not None:
-                report.update(pool_workers=self.workers, blas_threads=blas_threads(),
+                report.update(pool_workers=pool.used, blas_threads=blas_threads(),
                               health=self.health)
 
-    def _csd(self, mus):
+    def _csd(self, mus, pool):
         m = self.ops.m
+        theta = self.rate * self.phis
+        tables = _kept_tables(m[0], len(m), 2, theta)
         for mu in mus:
             v0 = self.kernel.v0(mu)
             c = apply_pulses(self.ops, self.row_pulses, self.row_lead, mu=mu) * v0
             # a(theta) = sum_k c_k e^{-i m_k theta}; reversed, the frequencies
             # -m_k run upward from m_0
-            amp = _fourier_sum(m[0], np.stack([c, -1j * m * c], axis=1)[::-1],
-                               self.rate * self.phis, self._tables)
+            amp = _fourier_sum(m[0], np.stack([c, -1j * m * c], axis=1)[::-1], theta, tables)
             p = np.abs(amp[:, 0]) ** 2
             pgs = 2.0 * self.rate * np.real(amp[:, 0].conj() * amp[:, 1])
             # projector: Q^2 = Q, so the variance is p (1 - p); where 1 - p has
             # cancelled, _direct sums it from the other Dicke states
             var = p * (1.0 - p)
-            self._blockwise(var, np.flatnonzero(1.0 - p < _CSD_SUM_BAND),
-                            lambda points: self._direct(points, mu)[1], "csd_sum_points")
+            self.health["csd_sum_points"] += self._blockwise(
+                var, np.flatnonzero(1.0 - p < _CSD_SUM_BAND),
+                lambda points: self._direct(points, mu)[1])
             yield p, np.sqrt(np.maximum(var, 0.0)), pgs
 
-    def _cd(self, mus):
+    def _cd(self, mus, pool):
         """The CD arrays of each mu, in batches whose slab moments, 3 x batch x samples,
         stay within half of _BLOCK_ELEMENTS at any N: a smaller batch rebuilds the group
         rows more often.  tracemalloc peaks on the odd grid, SCAIN over the default window:
         200 mu at N = 1000 (batches of 86) 46.8 MiB, a quarter batch 27.4 MiB but 4 % slower
         on 2 vCPUs; 600 mu at N = 300 (288) 17.8 MiB, a quarter batch 8.1 MiB and 3 % slower."""
         batch = max(1, _BLOCK_ELEMENTS // (6 * self.samples))
+        tables = _kept_tables(0.0, 2 * self.dims.n_atoms + 1, 3, self.rate * self.phis)
         for i in range(0, len(mus), batch):
-            yield from self._cd_batch(mus[i : i + batch])
+            yield from self._cd_batch(mus[i : i + batch], pool, tables)
 
-    def _cd_batch(self, mus):
+    def _cd_batch(self, mus, pool, tables):
         dim, n, samples = self.dims.dim, self.dims.n_atoms, self.samples
         top = (dim + 1) // 2
         kernel = self.kernel
@@ -621,11 +553,13 @@ class _Scanner:
                 partials[:, i] = _moments(w, diag[lo:hi], below[lo:hi], above[lo:hi])
             return partials
 
-        with ThreadPoolExecutor(self.workers) as pool:  # each worker has a slab queued
-            mean, var = _merge(_in_order(pool, 2 * self.workers, slab, slabs())
-                               if self.workers > 1 else map(slab, slabs()))
+        mean, var = _merge(pool.map(slab, slabs(), self.slabs))
 
-        for mu, (v0, diag, below, above), mean_mu, var_mu in zip(mus, states, mean, var):
+        def finish(item):
+            """A mu's arrays and its rounding-band points; where the mu run on
+            the pool, a worker's, which writes no scan state."""
+            mu, (v0, diag, below, above), mean_mu, var_mu = item
+
             def direct(points):  # v0 after the dark zone and the middle, one column per point
                 w = np.zeros((dim + 2, len(points)), dtype=complex)
                 np.multiply(v0[:, None], np.exp(-1j * self.rate * np.outer(self.ops.m, points)),
@@ -633,9 +567,15 @@ class _Scanner:
                 w[1:-1] = apply_pulses(self.ops, self.middle_pulses, w[1:-1], mu=mu)
                 return _moments(w, diag, below, above)[2]
 
-            yield self._interpolate(mean_mu, var_mu, direct)
+            return self._interpolate(mean_mu, var_mu, direct, tables)
 
-    def _evaluated(self, mus):
+        # the pool takes the slabs where there are several, else the mu
+        items = zip(mus, states, mean, var)
+        for columns, band in pool.map(finish, items, len(mus) if self.slabs == 1 else 1):
+            self.health["rounding_band_points"] += band
+            yield columns
+
+    def _evaluated(self, mus, pool):
         """The path of specs with several dark zones after folding, and of CD
         ones whose middle is more than one x rotation: every phi directly."""
         for mu in mus:
@@ -663,9 +603,9 @@ class _Scanner:
                 out[:, i : i + step] = mean, var, 2.0 * _dot(psi, m[:, None] * dpsi)
         return out
 
-    def _interpolate(self, mean, var, direct):
-        """Evaluate the CD polynomials of degree N and 2N at the phis; SDS
-        values in the rounding band are replaced by direct(phis) variances."""
+    def _interpolate(self, mean, var, direct, tables):
+        """The CD polynomials of degree N and 2N at the phis, and how many
+        points' SDS fell in the rounding band and came from direct(phis)."""
         degree = self.dims.n_atoms
         freqs = np.arange(2 * degree + 1)
         coefs = np.zeros((2 * degree + 1, 3), dtype=complex)
@@ -674,12 +614,11 @@ class _Scanner:
         coefs[:, 2] = _trig_coefficients(var, 2 * degree)
         if self.pi_periodic:  # on the odd grid, odd bins hold only aliased negative frequencies
             coefs[1::2, 2] = 0.0
-        values = _fourier_sum(0.0, coefs, self.rate * self.phis, self._tables).real
+        values = _fourier_sum(0.0, coefs, self.rate * self.phis, tables).real
         sds = np.sqrt(np.maximum(values[:, 2], 0.0))
-        self._blockwise(sds, np.flatnonzero(sds < _ROUNDING_BAND * degree),
-                        lambda points: np.sqrt(np.maximum(direct(points), 0.0)),
-                        "rounding_band_points")
-        return values[:, 0], sds, self.rate * values[:, 1]
+        band = self._blockwise(sds, np.flatnonzero(sds < _ROUNDING_BAND * degree),
+                               lambda points: np.sqrt(np.maximum(direct(points), 0.0)))
+        return (values[:, 0], sds, self.rate * values[:, 1]), band
 
 
 def fringe_scan(
@@ -696,13 +635,12 @@ def fringe_scan(
     A point's values may differ in their last bits with the other points of
     the grid, as the products that evaluate a scan take its points
     together: Lambda by up to 3.5e-16 N over CRAIN, SCAIN, CAC and SCAC at
-    N = 40, 41 and 600.  threads caps the pool of the CD slabs; a scan of
-    more than one slab (N >= 359 for every built-in) runs BLAS on one
-    thread.  report, if given, receives pool_workers, the threads the scan
-    ran on, blas_threads, the BLAS threads it ran on (None where numpy's
-    OpenBLAS is not found), and a health block counting the points
-    recomputed in the rounding band (rounding_band_points) and those whose
-    1 - p was summed (csd_sum_points).
+    N = 40, 41 and 600.  threads caps the pool (see threads.budget); every
+    scan runs BLAS on one thread.  report, if given, receives pool_workers,
+    the most threads the scan ran on at once, blas_threads, the BLAS
+    threads it ran on (1, None where numpy's OpenBLAS is not found), and a
+    health block counting the points recomputed in the rounding band
+    (rounding_band_points) and those whose 1 - p was summed (csd_sum_points).
     """
     phis = np.asarray(phi_grid, dtype=float)
     if phis.size and not (np.all(np.isfinite(phis)) and np.all(np.diff(phis) >= 0)):

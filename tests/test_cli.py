@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -28,7 +29,9 @@ from catspin.cli import (
     parse_range,
 )
 import catspin
+import catspin.cli as cli
 import catspin.observables as observables
+import catspin.threads as threads
 from catspin.husimi import QpdField, default_grid, qpd_field, raw_layout
 from catspin.observables import (
     excess_noise_curve,
@@ -71,10 +74,11 @@ def test_import_loads_no_scipy():
 
 
 def test_import_looks_up_no_blas():
-    # numpy's OpenBLAS is looked up at the first scan that pins it, not at import
-    code = ("import catspin.cli, catspin.observables as o\n"
-            "print(o._openblas.cache_info().misses)\n")
-    assert _run_python(code).stdout.split() == ["0"]
+    # numpy's OpenBLAS is looked up at the first budget that pins it, and the
+    # pool started at its first task, not at import
+    code = ("import threading, catspin.cli, catspin.threads as t\n"
+            "print(t._openblas.cache_info().misses, threading.active_count())\n")
+    assert _run_python(code).stdout.split() == ["0", "1"]
 
 
 @pytest.mark.slow
@@ -101,11 +105,14 @@ def test_peak_rss_at_the_cap(tmp_path, argv, bound):
 
 @pytest.mark.slow
 def test_cd_scans_do_not_depend_on_blas_threads(tmp_path):
-    # a CD scan of more than one slab (N >= 359 for every built-in) runs BLAS
-    # on one thread, so neither --threads nor the process's BLAS thread count
-    # moves its bits.  Run serially with BLAS on its default 2 threads, each
-    # command wrote other bytes than with 1, at N = 359 and 400 as at 600
-    if observables._openblas() is None:
+    # every command and every library scan runs BLAS on one thread, and the
+    # pool splits only work whose parts share no sum (a scan's slabs, a
+    # one-slab sweep's mu, rotate's parity halves), so neither --threads nor
+    # the process's BLAS thread count moves a byte.  With BLAS on its default
+    # 2 threads each of these wrote other bytes than with 1: the scans of N =
+    # 359, 400 and 600 before their slabs pinned BLAS, the other commands and
+    # the library's directly evaluated spec before every command and scan did
+    if threads._openblas() is None:
         pytest.skip("numpy's OpenBLAS thread count is not reachable")
     commands = {
         "fringe": ["fringe", "--protocol", "scac", "--ara", "y", "--n", "600",
@@ -116,24 +123,78 @@ def test_cd_scans_do_not_depend_on_blas_threads(tmp_path):
                        "--mu", "0.3pi", "--phi-range", "-0.1pi:0.1pi:2001"],
         "sensitivity-400": ["sensitivity", "--n", "400", "--mu-range", "0.49pi:0.5pi:3",
                             "--xi", "1", "--normalize-hl"],
+        "sensitivity-358": ["sensitivity", "--n", "358", "--mu-range", "0.49pi:0.5pi:3",
+                            "--xi", "1", "--normalize-hl"],
+        "fringe-358": ["fringe", "--protocol", "scac", "--ara", "y", "--n", "358",
+                       "--phi-range", "-0.1pi:0.1pi:2001"],
+        "fringe-41": ["fringe", "--n", "41", "--mu", "0", "--phi-range", "-pi:pi:2001"],
+        "csd-2000": ["fringe", "--n", "2000", "--detection", "csd",
+                     "--phi-range", "-0.01pi:0.01pi:201"],
+        "qpd": ["qpd", "--n", "4000", "--stage", "G", "--format", "raw"],
+        "collective": ["collective", "--n", "4000", "--stage", "J"],
     }
     code = ("import hashlib, json, sys\n"
+            "import numpy as np\n"
             "from catspin.cli import main\n"
+            "from catspin.dicke import EnsembleDims, build_operator_set, dark_pulse, rotate_pulse\n"
+            "from catspin.observables import fringe_scan\n"
+            "from catspin.protocols import Detection, ProtocolSpec\n"
             "commands, out = json.loads(sys.argv[1]), sys.argv[2]\n"
             "digests = {}\n"
+            "def add(name, data):\n"
+            "    digests.setdefault(name, []).append(hashlib.sha256(data).hexdigest())\n"
             "for name, argv in commands.items():\n"
-            "    for threads in ('1', '2'):\n"
-            "        assert main(argv + ['--threads', threads, '--out', out]) == 0\n"
+            "    for flags in ([['--threads', '1'], ['--threads', '2']]\n"
+            "                  if argv[0] in ('fringe', 'sensitivity') else [[]]):\n"
+            "        assert main(argv + flags + ['--out', out]) == 0\n"
             "        with open(out, 'rb') as fh:\n"
-            "            digests.setdefault(name, []).append(hashlib.sha256(fh.read()).hexdigest())\n"
+            "            add(name, fh.read())\n"
+            "# two dark zones that no echo folds, as conftest.unfolded\n"
+            "spec = ProtocolSpec('unfolded', (\n"
+            "    rotate_pulse('x', np.pi / 2), dark_pulse(0.5, 1), rotate_pulse('y', 1.0),\n"
+            "    dark_pulse(0.25, -1), rotate_pulse('x', np.pi / 2)), Detection('cd'))\n"
+            "ops = build_operator_set(EnsembleDims(300))\n"
+            "for threads in (1, 2):\n"
+            "    f = fringe_scan(spec, ops.dims, ops, np.linspace(-0.3, 0.3, 201), 0.37, threads)\n"
+            "    add('library', np.array([f.signal, f.sds, f.pgs]).tobytes())\n"
             "print(json.dumps(digests))\n")
-    digests = {name: set() for name in commands}
+    digests = {}
     for blas in ({"OPENBLAS_NUM_THREADS": "1"},  # and unset: the library's default
                  dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))):
-        run = _run_python(code, json.dumps(commands), str(tmp_path / "out.csv"), env=blas)
+        run = _run_python(code, json.dumps(commands), str(tmp_path / "out"), env=blas)
         for name, runs in json.loads(run.stdout).items():
-            digests[name].update(runs)
-    assert {name: len(found) for name, found in digests.items()} == dict.fromkeys(commands, 1)
+            digests.setdefault(name, set()).update(runs)
+    assert {name: len(found) for name, found in digests.items()} == dict.fromkeys(
+        [*commands, "library"], 1)
+
+
+@pytest.mark.parametrize("error, code", [(None, 0), (UsageError, 1), (RuntimeError, 2)],
+                         ids=["ok", "usage", "runtime"])
+def test_main_restores_the_blas_count_and_joins_its_pool(tmp_path, monkeypatch, many_cpus,
+                                                         error, code):
+    # a one-slab sweep of 3 mu runs them on the pool with BLAS on one thread;
+    # whatever the exit, the count comes back and no pool thread outlives main
+    count, seen = [3], []
+    monkeypatch.setattr(threads, "_openblas", lambda: (
+        lambda: count[0], lambda n: count.__setitem__(0, n)))
+    interpolate = observables._Scanner._interpolate
+
+    def spy(self, *args):
+        seen.append((threading.current_thread() is threading.main_thread(), count[0]))
+        return interpolate(self, *args)
+
+    def fail(*args):
+        raise error("cannot write")
+
+    monkeypatch.setattr(observables._Scanner, "_interpolate", spy)
+    if error is not None:
+        monkeypatch.setattr(cli, "_write_csv", fail)
+    before = threading.enumerate()
+    argv = ["sensitivity", "--n", "40", "--mu-range", "0:0.5pi:3", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == code
+    assert count == [3] and threading.enumerate() == before
+    assert len(seen) == 3 and {pinned for _, pinned in seen} == {1}
+    assert not all(on_main for on_main, _ in seen)  # the pool ran
 
 
 _NO_SCIPY_COMMANDS = {
@@ -281,9 +342,10 @@ class TestFringeCommand:
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
     def test_pool_above_threshold_is_byte_identical(self, tmp_path, many_cpus):
-        # N = 358 fits one slab of 729 samples and runs serially; N = 359
-        # takes two slabs, so the pool runs them on up to 2 workers
-        for n, slabs in (("358", 1), ("359", 2)):
+        # N = 358 fits one slab of 729 samples, so the pool runs a sweep's 2
+        # mu, and a fringe's one mu serially; N = 359 takes two slabs, which
+        # the pool runs on up to 2 workers
+        for n, tasks in (("358", {"f": 1, "s": 2}), ("359", {"f": 2, "s": 2})):
             commands = {
                 "f": ["fringe", "--n", n, "--mu", "0.5pi", "--xi", "-1",
                       "--phi-range", "-0.1pi:0.1pi:201"],
@@ -296,7 +358,7 @@ class TestFringeCommand:
                     out = tmp_path / f"{name}{n}-{threads}.csv"
                     assert main(args + ["--threads", threads, "--out", str(out)]) == 0
                     manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
-                    assert manifest["pool_workers"] == min(int(threads), slabs)
+                    assert manifest["pool_workers"] == min(int(threads), tasks[name])
                     outs.append(out.read_bytes())
                 assert outs[0] == outs[1] == outs[2]
 
@@ -310,13 +372,14 @@ class TestFringeCommand:
         assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 3
 
     def test_manifest_records_blas_threads(self, tmp_path, monkeypatch):
-        # 1 where a CD scan has more than one slab and pins BLAS (N >= 359),
-        # the process's own count elsewhere, null where numpy's OpenBLAS is
-        # not found
-        own = observables.blas_threads()
+        # every command runs BLAS on one thread: 1, or null where numpy's
+        # OpenBLAS is not found; the process's own count comes back after
+        own = threads.blas_threads()
         commands = {
             "f": ["fringe", "--phi-range", "-0.01:0.01:5"],
             "s": ["sensitivity", "--mu-range", "0.5pi:0.5pi:2", "--phi-window", "0.001:0.01:5"],
+            "q": ["qpd", "--stage", "C", "--grid", "3x4"],
+            "c": ["collective", "--stage", "C"],
         }
 
         def recorded(name, n):
@@ -325,12 +388,10 @@ class TestFringeCommand:
             return json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())["blas_threads"]
 
         for name in commands:
-            assert recorded(name, "600") == (None if own is None else 1)
-            assert recorded(name, "400") == (None if own is None else 1)
-            assert recorded(name, "358") == own
-            assert recorded(name, "6") == own
-            assert observables.blas_threads() == own
-        monkeypatch.setattr(observables, "_openblas", lambda: None)
+            for n in ("600", "358", "6"):
+                assert recorded(name, n) == (None if own is None else 1)
+            assert threads.blas_threads() == own
+        monkeypatch.setattr(threads, "_openblas", lambda: None)
         for name in commands:
             assert recorded(name, "600") is None and recorded(name, "6") is None
 

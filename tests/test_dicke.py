@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, expm
 
 import catspin.dicke as dicke
+import catspin.threads as threads
 from catspin.dicke import (
     DimensionError,
     EnsembleDims,
@@ -284,6 +285,24 @@ class TestRotation:
     def test_bad_axis(self, dims40, ops40):
         with pytest.raises(ValueError):
             apply_rotation(basis_state(dims40, 0), ops40, "q", 0.1)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [1999, 2000, 3999, 4000])
+    def test_halves_on_the_pool_are_bitwise_one_call(self, many_cpus, n):
+        # at these N even one vector is past _HALF_COST, so a budget of 2
+        # runs each product's parity halves as two one-thread calls, one on
+        # its pool; a budget of 1 runs the stacked call, BLAS on one thread
+        ops = cached_ops(n)
+        rng = np.random.default_rng(n)
+        block = rng.standard_normal((n + 1, 64)) + 1j * rng.standard_normal((n + 1, 64))
+        for amps in (block[:, 0].copy(), block):
+            for axis in "xy":
+                with threads.budget(1) as serial:
+                    one = dicke.rotate(ops, axis, 0.7, amps)
+                with threads.budget(2) as pool:
+                    split = dicke.rotate(ops, axis, 0.7, amps)
+                assert (serial.used, pool.used) == (1, 2)
+                assert split.tobytes() == one.tobytes(), (amps.shape, axis)
 
 
 class TestOats:

@@ -26,12 +26,12 @@ from catspin.observables import (
     fringe_scan,
     noise_model_table,
     parity_average,
-    pool_size,
     sensitivity_at,
     sensitivity_scan_mu,
     variance_jz,
 )
 from catspin.observables import _merge, _moments
+from catspin.threads import pool_size
 from catspin.dicke import dark_pulse, rotate_pulse, squeeze_pulse
 from catspin.protocols import (
     Detection,
@@ -46,6 +46,7 @@ from catspin.protocols import (
 
 import catspin.dicke as dicke
 import catspin.observables as observables
+import catspin.threads as threads
 from conftest import cached_ops, slab_rows, traced_peak_mib, unfolded
 
 HALF = np.pi / 2
@@ -759,9 +760,9 @@ class TestSubGridPool:
         spec, window = scain(xi=xi), default_phi_window(301)
         slab_rows(monkeypatch, 40, 9)
 
-        def scan(threads):
+        def scan(threads, report=None):
             return [np.array([f.signal, f.sds, f.pgs])
-                    for f in (fringe_scan(spec, ops.dims, ops, window, mu, threads)
+                    for f in (fringe_scan(spec, ops.dims, ops, window, mu, threads, report)
                               for mu in (0.3, HALF))]
 
         serial = scan(1)
@@ -769,8 +770,9 @@ class TestSubGridPool:
         sys.setswitchinterval(1e-6)
         try:
             for threads in (2, 3, 4):
-                assert observables._Scanner(spec, ops.dims, ops, window, threads).workers == threads
-                assert all(map(np.array_equal, scan(threads), serial))
+                report = {}
+                assert all(map(np.array_equal, scan(threads, report), serial))
+                assert report["pool_workers"] == threads
         finally:
             sys.setswitchinterval(interval)
 
@@ -795,6 +797,49 @@ class TestSubGridPool:
                 assert all(map(np.array_equal, scan(threads), serial))
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n", [40, 41, 358])
+    def test_one_slab_sweep_on_the_pool_is_bitwise_the_serial_one(self, monkeypatch, many_cpus, n):
+        # a one-slab CD sweep runs its mu on the pool, each mu's interpolation
+        # and rounding-band recompute (all of the mu = 0 row) on one worker;
+        # the main thread alone writes the scan's health, and where the
+        # tables fit the kept size (N = 40/41 here), alone builds them
+        ops, window = cached_ops(n), default_phi_window()
+        mus = np.linspace(0.0, HALF, 7)
+        builds, exp_tables = [], observables._exp_tables
+
+        def spy(*args):
+            builds.append(threading.current_thread() is threading.main_thread())
+            return exp_tables(*args)
+
+        class MainOnly(dict):
+            def __setitem__(self, key, value):
+                assert threading.current_thread() is threading.main_thread()
+                super().__setitem__(key, value)
+
+        monkeypatch.setattr(observables, "_exp_tables", spy)
+        runs = []
+        for threads in (1, 2):
+            for spec in (scain(), scain(ara="y", xi=1)):
+                scanner, report = observables._Scanner(spec, ops.dims, ops, window, threads), {}
+                scanner.health = MainOnly(scanner.health)
+                columns = np.array(list(scanner.scan(mus.tolist(), report)))
+                assert scanner.slabs == 1 and report["pool_workers"] == threads
+                runs.append((columns.tobytes(), dict(report["health"])))
+        assert runs[:2] == runs[2:]
+        assert runs[0][1]["rounding_band_points"] >= len(window)  # the mu = 0 row
+        assert all(builds) == (n < 358)
+
+    @pytest.mark.slow
+    def test_one_slab_sweep_memory_from_mu_zero(self):
+        # N = 358 on the pool of 2 from mu = 0, whose 2001 points all fall in
+        # the rounding band and are recomputed in one (360, 2001) block while
+        # the next mu interpolate: measured 38.0 MiB, and 33.7 MiB serially
+        ops = cached_ops(358)
+        sweep, scan = traced_peak_mib(lambda: sensitivity_scan_mu(
+            scain(), ops.dims, ops, np.linspace(0.0, HALF, 5), threads=2))
+        assert scan <= 45
+        assert sweep.lam[-1] / 358 == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.slow
     def test_scan_memory_at_the_cap(self):
@@ -901,43 +946,45 @@ class TestSubGridPool:
                                     [], [("rotate", "x")]), (n, pid, ara, xi)
 
     def test_pool_size_caps_at_the_slabs(self, many_cpus):
-        # the pool's tasks are the slabs: 8 of 129 rows at N = 1000 (2025 samples)
+        # the pool's tasks are the slabs: 8 of 129 rows at N = 1000 (2025
+        # samples), so however large the pool, a scan runs on 8 threads
         ops = cached_ops(1000)
-        plan = observables._Scanner(scain(), ops.dims, ops, [0.1]).plan
-        slabs = sum(len(group) for _, _, group in plan)
-        assert slabs == 8
-        assert pool_size(1, slabs) == 1
-        assert pool_size(3, slabs) == 3
-        assert pool_size(10**6, slabs) == 8  # sized, never started
-        assert pool_size(None, 1) == 1
+        scanner = observables._Scanner(scain(), ops.dims, ops, [0.1], 10**6)
+        assert scanner.slabs == 8
+        assert pool_size(1) == 1
+        assert pool_size(3) == 3
+        assert pool_size(10**6) == 64  # the CPUs of many_cpus
+        report = {}
+        list(scanner.scan([None], report))
+        assert report["pool_workers"] == 8
         with pytest.raises(ValueError):
-            pool_size(0, slabs)
+            pool_size(0)
 
     @pytest.mark.parametrize("cpus, expected", [(1, 1), (2, 2), (64, 2)])
     def test_pool_size_default_stops_at_two(self, monkeypatch, cpus, expected):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        assert pool_size(None, 5) == expected
-        assert pool_size(cpus, 5) == min(cpus, 5)  # an explicit request is kept
+        assert pool_size(None) == expected
+        assert pool_size(cpus) == cpus  # an explicit request is kept
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_pool_size_caps_an_explicit_request_at_the_cpus(self, monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         for threads in (1, 2, 4, 10**6):
-            assert pool_size(threads, 5) == min(threads, cpus)
+            assert pool_size(threads) == min(threads, cpus)
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert pool_size(4, 5) == cpus
+        assert pool_size(4) == cpus
 
     def test_pool_size_default_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert pool_size(None, 5) == 1
+        assert pool_size(None) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert pool_size(None, 5) == 2
+        assert pool_size(None) == 2
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert pool_size(None, 5) == 1
+        assert pool_size(None) == 1
 
     @pytest.mark.parametrize("threads", [0, -3])
     @pytest.mark.parametrize("spec", [scain(), scain(detection=Detection("csd", index=0)),
@@ -956,25 +1003,27 @@ class TestSubGridPool:
             rotate_pulse("y", 0.7), squeeze_pulse(0.3, 1), rotate_pulse("x", HALF)),
             Detection("cd"))
 
-        def workers(spec, threads, n=1000):
-            ops = cached_ops(n)
-            return observables._Scanner(spec, ops.dims, ops, [0.1], threads).workers
+        def workers(spec, threads, n=1000, mus=(None,)):
+            """The pool threads that a scan of mus at one phi ran on."""
+            ops, report = cached_ops(n), {}
+            list(observables._Scanner(spec, ops.dims, ops, [0.1], threads).scan(list(mus), report))
+            return report["pool_workers"]
 
-        assert workers(scain(), 4, 40) == 1  # one slab
+        three = (0.3, 0.9, HALF)
+        assert workers(scain(), 4, 40) == 1  # one slab and one mu
+        assert workers(scain(), 4, 40, three) == 3  # one slab: the pool takes the mu
         assert workers(scain(), 4, 358) == 1  # one slab of 729 samples up to N = 358
+        assert workers(scain(), 4, 358, three) == 3
         assert workers(scain(), 4, 359) == 2  # two slabs from N = 359
+        assert workers(scain(), 4, 359, three) == 2  # the slabs, not the mu
         assert workers(scain(), 4) == 4
-        assert workers(scain(), 10**6) == 8  # 8 slabs at N = 1000; sized, never started
         assert workers(csd, 4) == 1
         assert workers(unfolded(), 4) == 1
         ops = cached_ops(1000)
         assert len(compile_protocol(long_middle, ops.dims, ops).segments) == 1
         assert workers(long_middle, 4) == 1
-        report = {}
-        fringe_scan(long_middle, ops.dims, ops, [0.1], threads=4, report=report)
-        assert report["pool_workers"] == 1
-        assert workers(csd, 4, 40) == 1
-        assert workers(unfolded(), 4, 40) == 1
+        assert workers(csd, 4, 40, three) == 1
+        assert workers(unfolded(), 4, 40, three) == 1
 
 
 class TestTailRule:
@@ -1005,17 +1054,15 @@ class TestTailRule:
 
 
 class TestBlasThreads:
-    """A CD scan of more than one slab (N >= 359 for every built-in) runs
-    every BLAS call on one thread and hands the process's own count back when
-    it returns or raises; every other scan, one-slab CD scans included,
-    leaves the library alone."""
+    """Every scan, on every path, runs every BLAS call on one thread and
+    hands the process's own count back when it returns or raises."""
 
     @pytest.fixture
     def blas(self, monkeypatch):
         """numpy's OpenBLAS (a stand-in count of 3 where it is not found), with
         every call to it recorded."""
         count = [3]
-        get, put = observables._openblas() or (lambda: count[0], lambda n: count.__setitem__(0, n))
+        get, put = threads._openblas() or (lambda: count[0], lambda n: count.__setitem__(0, n))
         calls = []
 
         def record(name, fn):
@@ -1024,8 +1071,8 @@ class TestBlasThreads:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(observables, "_openblas", lambda: (record("get", get),
-                                                               record("set", put)))
+        monkeypatch.setattr(threads, "_openblas", lambda: (record("get", get),
+                                                           record("set", put)))
         return get, calls
 
     @staticmethod
@@ -1034,7 +1081,7 @@ class TestBlasThreads:
         seen, moments = [], observables._moments
 
         def spy(*args):
-            seen.append(observables.blas_threads())
+            seen.append(threads.blas_threads())
             if fail:
                 raise RuntimeError("a slab failed")
             return moments(*args)
@@ -1070,25 +1117,27 @@ class TestBlasThreads:
         assert [call for call in calls if call[0] == "set"] == [("set", 1), ("set", before)]
 
     @pytest.mark.parametrize("scan", SCANS)
-    def test_scan_below_the_pool_never_touches_the_library(self, blas, scan):
+    def test_one_slab_scan_pins_the_library(self, blas, monkeypatch, scan):
         get, calls = blas
         before = get()
-        self.SCANS[scan](cached_ops(40))  # one CD slab, serially
-        assert calls == [] and get() == before
+        seen = self._seen_inside(monkeypatch)
+        self.SCANS[scan](cached_ops(40))  # one CD slab
+        assert get() == before
+        assert seen and set(seen) == {1}
+        assert [call for call in calls if call[0] == "set"] == [("set", 1), ("set", before)]
 
     @pytest.fixture
     def stand_in(self, monkeypatch):
         """A stand-in library whose count starts at 3, whatever the machine's,
         and a bookkeeping of open limits that the test cannot leave behind."""
         count = [3]
-        monkeypatch.setattr(observables, "_openblas", lambda: (
+        monkeypatch.setattr(threads, "_openblas", lambda: (
             lambda: count[0], lambda n: count.__setitem__(0, n)))
-        monkeypatch.setattr(observables, "_blas_saved", {"count": None, "open": 0},
-                            raising=False)
+        monkeypatch.setattr(threads, "_blas_saved", {"count": None, "open": 0})
         return count
 
     def test_limits_open_at_once_restore_the_count_in_any_order(self, stand_in):
-        first, second = observables._blas_limit(1), observables._blas_limit(1)
+        first, second = threads._blas_limit(1), threads._blas_limit(1)
         first.__enter__()
         second.__enter__()
         first.__exit__(None, None, None)  # closed in the order they opened
@@ -1113,12 +1162,13 @@ class TestBlasThreads:
                 list(pool.map(scan, range(2)))
                 assert stand_in == [3]
 
-    def test_other_paths_keep_the_library_default(self, blas):
+    def test_other_paths_pin_the_library(self, blas):
         get, calls = blas
+        before = get()
         ops = cached_ops(600)
         csd = scain(detection=Detection("csd", index=0))
         for spec in (csd, unfolded()):
             report = {}
             fringe_scan(spec, ops.dims, ops, [0.1], report=report)
-            assert report["blas_threads"] == get()
-        assert [call for call in calls if call[0] == "set"] == []
+            assert report["blas_threads"] == 1 and get() == before
+        assert [call for call in calls if call[0] == "set"] == [("set", 1), ("set", before)] * 2
