@@ -18,23 +18,29 @@ Where B and Tail hold only squeezes and rotations by multiples of pi/2
 (the tail rule, which every built-in meets), theta + pi maps J_z to +-J_z
 and the variance has even frequencies only: an odd grid of at least 2N+1
 points fixes both polynomials (2025 samples at N = 1000, against 4050).
+Where v0 is an eigenvector of a pi rotation P_b that B takes to P_x or P_y
+and Tail to one of the three (the mirror rule, which every CD built-in
+meets; Varshalovich, Moskalev & Khersonskii 1988, ch. 4), row N - r is row
+r at theta or at -theta, up to a phase, and the rows r <= N/2 give the
+moments of all rows.
 
-The rows run in slabs of at most 4 MB of samples (8 at N = 1000, 126 at
-4000, one up to N = 358, on the odd grid), each a top slab of rows
-r <= N/2 or its mirror image, or both where they fit, with a halo row on
-each side as T couples neighbouring rows.  The top slabs' fold rows come in
-groups of at most 16 MB, each built while the last slabs of the one before
-run, so two are held at most.  The mu run in batches whose slab moments
-hold at most 4 MB (86 mu at N = 1000, 21 at 4000, on the odd grid); each
-group builds its rows once per batch.
-The centred moments per mu merge in slab order by the pairwise update of
-Chan, Golub & LeVeque (1983).  Every scan runs in a threads.budget: every
-BLAS call on one thread of numpy's OpenBLAS, and `threads` as the whole
-thread budget of a pool that runs the slabs where there are several (N >=
-359 for every built-in), two per worker ahead, and otherwise the mu of a
-one-slab CD scan, each mu's interpolation and recomputes on one worker.
-Either is bitwise the serial result, so no scan's bits follow the thread
-count of the pool or of BLAS.
+The rows run in slabs of at most 4 MB of samples, each a top slab of rows
+r <= N/2 with a halo row on each side as T couples neighbouring rows.
+Under the mirror rule the top slabs are all (4 at N = 1000, 63 at 4000,
+one up to N = 507, on the odd grid); else each comes with its mirror
+image, in one slab where the two fit (8 at N = 1000, one up to N = 358).
+The top slabs' fold rows come in groups of at most 16 MB, each built while
+the last slabs of the one before run, so two are held at most.  The mu run
+in batches whose slab moments hold at most 4 MB (86 mu at N = 1000, 21 at
+4000, on the odd grid); each group builds its rows once per batch.  The
+centred moments per mu merge in slab order by the pairwise update of Chan,
+Golub & LeVeque (1983), a top slab's again as its mirror image's.  Every
+scan runs in a threads.budget: every BLAS call on one thread of numpy's
+OpenBLAS, and `threads` as the whole thread budget of a pool that runs the
+slabs where there are several (N >= 508 for every built-in), two per
+worker ahead, and otherwise the mu of a one-slab CD scan, each mu's
+interpolation and recomputes on one worker.  Either is bitwise the serial
+result, so no scan's bits follow the thread count of the pool or of BLAS.
 
 One FFT of the samples gives the exact coefficients, and signal, variance
 and the exact dS/dphi follow at every requested phi from baby-step
@@ -77,6 +83,8 @@ from catspin.protocols import (
     ProtocolSpec,
     compile_protocol,
     flips_jz,
+    fold_echoes,
+    pi_axis,
     split_at_squeeze,
 )
 from catspin.threads import blas_threads, budget
@@ -182,19 +190,21 @@ _BLOCK_ELEMENTS = 1 << 20
 _KEPT_TABLE_ELEMENTS = 1 << 16
 
 # Complex elements of a CD slab buffer (4 MB), whatever the threads: 129 rows
-# of 2025 samples at N = 1000 (8 slabs), 32 of 8019 at 4000 (126), one slab
-# up to N = 358, on the odd grid.  _moments takes it in blocks of a quarter.
-# More than one slab (N >= 359 for every built-in) run on the budget's pool,
-# with BLAS on one thread: an OpenBLAS worker spun about 0.12 s of CPU after
-# each threaded call, taking a core from the slab workers.  On 2 vCPUs a pool
-# of 2 against serial slabs cost 1 % per mu at N = 359, saved 1-10 % at 400,
-# 2-17 % at 450, 16-23 % at 511, 16 % at 600, 26 % at 700 and 31 % at 1000
-# (minima of 5-7 runs of 12 SCAIN mu).  A one-slab scan runs its mu on the
-# pool instead.  BLAS on one thread alone, with no pool, cut the CPU of the
-# N = 40/41 sweeps and figures by 47-49 % but cost 4-7 % of their wall time;
-# with the mu on the pool their wall time held.  Running the mu on the pool
-# where there are several slabs too raised the VmHWM of the N = 1000 sweeps
-# from 62.7 to 68.4 MiB, so there the pool keeps to the slabs.
+# of 2025 samples at N = 1000, 32 of 8019 at 4000, on the odd grid; under the
+# mirror rule 4 and 63 top slabs there and one up to N = 507, else 8 and 126
+# and one up to N = 358.  _moments takes it in blocks of a quarter.  More than
+# one slab run on the budget's pool, with BLAS on one thread: an OpenBLAS
+# worker spun about 0.12 s of CPU after each threaded call, taking a core from
+# the slab workers.  On 2 vCPUs a pool of 2 against serial slabs (minima of 5
+# runs of 12 SCAIN mu) cost 13 % at N = 508, whose second top slab is its
+# middle row alone, and saved 7 % at 600 and 23 % at 1000; with slabs on both
+# sides of the rows it cost 1 % per mu at N = 359 and saved 1-31 % from 400 to
+# 1000.  A one-slab scan runs its mu on the pool instead.  BLAS on one thread
+# alone, with no pool, cut the CPU of the N = 40/41 sweeps and figures by
+# 47-49 % but cost 4-7 % of their wall time; with the mu on the pool their
+# wall time held.  Running the mu on the pool where there are several slabs
+# too raised the VmHWM of the N = 1000 sweeps from 62.7 to 68.4 MiB, so there
+# the pool keeps to the slabs.
 _SLAB_ELEMENTS = 1 << 18
 
 
@@ -208,17 +218,21 @@ def _slabs(dims: EnsembleDims, pi_periodic: bool) -> tuple[int, int]:
     return samples, max(1, _SLAB_ELEMENTS // samples)
 
 
-def _plan(dim: int, rows: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
+def _plan(dim: int, rows: int, mirror: bool) -> list[tuple[int, int, list[tuple[int, int]]]]:
     """The CD slabs (lo, hi) of `rows` rows by group, as (first, last, slabs)
-    with the group's fold rows first .. last - 1, its halo rows included."""
+    with the group's fold rows first .. last - 1, its halo rows included.  The
+    top slabs tile the fold rows r <= N/2; under the mirror rule they are the
+    whole plan, else each comes with its mirror image, in one slab where the
+    two fit."""
     top = (dim + 1) // 2
     group = rows * max(1, _BLOCK_ELEMENTS // (dim * rows))
     plan = []
     for g in range(0, top, group):
         slabs = []
         for a in range(g, min(g + group, top), rows):
-            slabs += ([(a, dim - a)] if dim - 2 * a <= rows else
-                      [(a, min(a + rows, top)), (max(top, dim - a - rows), dim - a)])
+            hi = min(a + rows, top)
+            slabs += ([(a, hi)] if mirror else [(a, dim - a)] if dim - 2 * a <= rows else
+                      [(a, hi), (max(top, dim - a - rows), dim - a)])
         plan.append((max(g - 1, 0), min(g + group + 1, top), slabs))
     return plan
 
@@ -317,14 +331,17 @@ def _moments(w: np.ndarray, diag, below, above) -> np.ndarray:
 
 
 def _merge(partials):
-    """sum M and the variance of slab partials (W, M, V) merged in order by the pairwise update
-    of Chan, Golub & LeVeque (1983), all terms >= 0: V += V_s + (M_s W - M W_s)^2 / (W W_s (W + W_s)),
-    in place."""
+    """sum M and the variance of slab partials merged in order by the pairwise update of
+    Chan, Golub & LeVeque (1983), all terms >= 0: V += V_s + (M_s W - M W_s)^2 / (W W_s (W + W_s)),
+    in place.  Each item is ((W, M, V), sign), M taken times sign, so a mirror image whose T
+    changes sign reads its top slab's arrays."""
     weight = first = var = None
-    for w_s, m_s, v_s in partials:
+    for (w_s, m_s, v_s), sign in partials:
         if weight is None:
             weight, first, var = np.zeros_like(w_s), np.zeros_like(m_s), np.zeros_like(v_s)
         gap, spread = m_s * weight, weight * w_s
+        if sign < 0:
+            np.negative(gap, out=gap)
         gap -= first * w_s
         weight += w_s
         spread *= weight
@@ -332,9 +349,25 @@ def _merge(partials):
         gap *= gap
         gap /= np.where(spread > 0, spread, 1.0)
         var += gap
-        first += m_s
+        (np.add if sign > 0 else np.subtract)(first, m_s, out=first)
         del w_s, m_s, v_s, gap, spread  # none held while the next partial is awaited
     return first, var
+
+
+def _project(v0: np.ndarray, axis: str) -> np.ndarray:
+    """v0 on the eigenspace of P_axis = e^{-i pi J_axis} nearest it, which drops the
+    rounding of an eigenvector: (v0 + S v0 / lambda) / 2 for the phased permutation S
+    that is P_axis up to a phase, (S v)_k = v_{N-k} for x, (-1)^k v_{N-k} for y and
+    (-1)^k v_k for z (Varshalovich, Moskalev & Khersonskii 1988, ch. 4), and the
+    eigenvalue lambda of S nearest <v0|S v0>: +-1, or +-i for y at odd N.  For z it
+    zeroes the entries of the other parity of k."""
+    image = v0 if axis == "z" else v0[::-1]
+    if axis != "x":
+        image = image.copy()
+        image[1::2] *= -1
+    unit = 1j if axis == "y" and len(v0) % 2 == 0 else 1.0
+    lam = unit if (np.vdot(v0, image) * np.conj(unit)).real >= 0 else -unit
+    return 0.5 * (v0 + image * np.conj(lam))
 
 
 def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
@@ -376,7 +409,19 @@ class _Scanner:
         self._path, self.slabs = self._route(dims, ops, csd)
 
     def _route(self, dims: EnsembleDims, ops: OperatorSet, csd: bool):
-        """(path, slabs) of every scan, setting the CD rows path's slab plan."""
+        """(path, slabs) of every scan, setting the CD rows path's slab plan.
+
+        The mirror rule.  v0 is an eigenvector of P_eigen, the pi rotation
+        that the pulses before the dark zone make of P_z, which |E_0> has.
+        The middle B takes it to P_c = B P_eigen B^dagger; where c is x or y,
+        P_c maps row r to row N - r, up to signs and phases, and where the
+        tail takes c to an axis, P_c T P_c^dagger = +-T: + where it is z.  So
+        the (W, M, V) of each bottom slab are those of its top mirror with M
+        times that sign, at theta where eigen is z, as D(theta) commutes with
+        P_z, and else at -theta, as P_x and P_y turn D(theta) into D(-theta).
+        SCAIN and SCAC with ara x take theta, with ara y -theta (eigen x);
+        CRAIN and CAC, with no middle, -theta (eigen y).
+        """
         if len(self.kernel.segments) > 1:
             return _Scanner._evaluated, 1
         # a spec that folds to no dark zone has rate 0 and all its pulses in pre
@@ -421,15 +466,23 @@ class _Scanner:
             return _Scanner._evaluated, 1
         self.middle_pulses = middle
         # The tail rule.  theta + pi multiplies the state after the tail by
-        # U R_z(pi) U^dagger, U = tail middle, up to a phase.  Squeezes commute
-        # with 1, R_x(pi), R_y(pi) and R_z(pi), and rotations by multiples of
-        # pi/2 permute them up to phases, so where U holds nothing else the
-        # state moves by one of them, which maps J_z to +-J_z: the variance
-        # has even frequencies only.
-        self.pi_periodic = all(p.kind == "squeeze" or p.angle % (math.pi / 2) == 0
-                               for p in (*middle, *self.tail))
+        # U P_z U^dagger, U = tail middle, up to a phase.  Where pi_axis names
+        # it a pi rotation, which maps J_z to +-J_z, the variance has even
+        # frequencies only.
+        self.pi_periodic = pi_axis("z", (*middle, *self.tail)) is not None
         self.samples, rows = _slabs(dims, self.pi_periodic)
-        self.plan = _plan(dims.dim, rows)
+        # the mirror rule (see the docstring)
+        folded = fold_echoes(self.spec.pulses)
+        dark = next((i for i, p in enumerate(folded) if p.kind == "dark_phase"), len(folded))
+        self.eigen = pi_axis("z", (*folded[:dark], *self.moved))
+        mirror = pi_axis(self.eigen, middle)
+        sign = pi_axis(mirror, self.tail)
+        if mirror not in ("x", "y") or sign is None:
+            self.eigen = self.mirror = None
+        else:  # the mirror image's columns of a top slab's partials, and M's sign
+            self.mirror = (slice(0, self.samples) if self.eigen == "z" else
+                           slice(self.samples, 0, -1), 1 if sign == "z" else -1)
+        self.plan = _plan(dims.dim, rows, self.mirror is not None)
         return _Scanner._cd, sum(len(group) for _, _, group in self.plan)
 
     # --- per-mu pieces ----------------------------------------------------
@@ -522,6 +575,7 @@ class _Scanner:
         kernel = self.kernel
         states = [(apply_pulses(self.ops, (*kernel.pre, *self.moved), kernel.v_lead, mu=mu),
                    *self._observable(mu)) for mu in mus]
+        half = dim // 2  # under the mirror rule the rows below mirror; at even N row half is its own
 
         def slabs():  # a group's rows are built while the last slabs of the one before run
             for first, last, group in self.plan:
@@ -532,16 +586,23 @@ class _Scanner:
 
         def slab(item):
             """(W, M, V) per mu of the rows lo .. hi - 1 with a halo row on
-            both sides, zero past the edges; sample j at theta = 2 pi j / samples."""
+            both sides, zero past the edges; sample j at theta = 2 pi j / samples,
+            and sample 0 again after the last, so that reversed they read -theta.
+            Under the mirror rule even N's middle row comes apart: (rows lo .. end
+            - 1 or None, the middle row or None)."""
             lo, hi, start, block = item
             first, last = max(lo - 1, 0), min(hi + 1, dim)
             cut = min(max(first, top), last)
             pieces = () if block is None else (
                 block[first - start : cut - start],
                 block[n + 1 - last - start : n + 1 - cut - start][::-1, ::-1])
-            partials = np.empty((3, len(states), samples))
+            end = min(hi, half) if self.mirror else hi
+            moments = np.empty((3, len(states), samples + 1)) if end > lo else None
+            middle = np.empty((3, len(states), samples)) if end < hi else None
             w = np.empty((hi - lo + 2, samples), dtype=complex)
             for i, (v0, diag, below, above) in enumerate(states):
+                if self.eigen is not None:  # as the mirror takes it
+                    v0 = _project(v0, self.eigen)
                 w.fill(0.0)
                 at = first - lo + 1
                 for piece in pieces:
@@ -550,17 +611,37 @@ class _Scanner:
                 if block is None:  # no middle: row r of diag(v0) is v0_r e_r
                     w[np.arange(at, at + last - first), np.arange(first, last)] = v0[first:last]
                 np.fft.fft(w, axis=-1, out=w)
-                partials[:, i] = _moments(w, diag[lo:hi], below[lo:hi], above[lo:hi])
-            return partials
+                if moments is not None:
+                    moments[:, i, :samples] = _moments(w[: end - lo + 2], diag[lo:end],
+                                                       below[lo:end], above[lo:end])
+                if middle is not None:  # one row, as _moments takes it; T's diagonal is m = 0
+                    left, row, right = w[end - lo : end - lo + 3]
+                    tw = below[half] * left + above[half] * right
+                    weight = row.real**2 + row.imag**2
+                    middle[:2, i] = weight, (row.conj() * tw).real
+                    tw -= middle[1, i] / np.where(weight > 0, weight, 1.0) * row
+                    middle[2, i] = tw.real**2 + tw.imag**2
+            if moments is not None:
+                moments[..., samples] = moments[..., 0]
+            return moments, middle
 
-        mean, var = _merge(pool.map(slab, slabs(), self.slabs))
+        def partials():  # in slab order: a top slab's rows, their mirror image, a middle row
+            for rows, middle in pool.map(slab, slabs(), self.slabs):
+                if rows is not None:
+                    yield rows[..., :samples], 1
+                    if self.mirror:
+                        yield rows[..., self.mirror[0]], self.mirror[1]
+                if middle is not None:
+                    yield middle, 1
+
+        mean, var = _merge(partials())
 
         def finish(item):
             """A mu's arrays and its rounding-band points; where the mu run on
             the pool, a worker's, which writes no scan state."""
             mu, (v0, diag, below, above), mean_mu, var_mu = item
 
-            def direct(points):  # v0 after the dark zone and the middle, one column per point
+            def direct(points):  # v0, unprojected, after the dark zone and the middle, a column a point
                 w = np.zeros((dim + 2, len(points)), dtype=complex)
                 np.multiply(v0[:, None], np.exp(-1j * self.rate * np.outer(self.ops.m, points)),
                             out=w[1:-1])

@@ -192,6 +192,27 @@ def flips_jz(pulse: Pulse) -> bool:
     return pulse.kind == "rotate" and pulse.axis in ("x", "y") and abs(pulse.angle) == np.pi
 
 
+def pi_axis(axis: str | None, pulses) -> str | None:
+    """The axis b with U P_axis U^dagger = P_b up to a phase, for the pi
+    rotations P_a = e^{-i pi J_a} and U the pulses in temporal order; None
+    where the rule below does not tell.  A squeeze, even in J_z, commutes with
+    P_x, P_y and P_z, as each maps J_z to +-J_z.  A rotation by a multiple of
+    pi/2 permutes them, an odd multiple swapping the two axes other than its
+    own, and a rotation about the axis itself keeps it at any angle.  Any
+    other pulse ends the rule."""
+    for pulse in pulses:
+        if axis is None or pulse.kind == "squeeze":
+            continue
+        if pulse.kind != "rotate":
+            axis = None
+        elif pulse.angle % (np.pi / 2) == 0:
+            if pulse.axis != axis and round(pulse.angle / (np.pi / 2)) % 2:
+                axis = "xyz".replace(axis, "").replace(pulse.axis, "")
+        elif pulse.axis != axis:
+            axis = None
+    return axis
+
+
 def fold_echoes(pulses: tuple[Pulse, ...]) -> tuple[Pulse, ...]:
     """Rewrite every spin echo as a single dark zone.
 

@@ -111,7 +111,8 @@ def test_cd_scans_do_not_depend_on_blas_threads(tmp_path):
     # the process's BLAS thread count moves a byte.  With BLAS on its default
     # 2 threads each of these wrote other bytes than with 1: the scans of N =
     # 359, 400 and 600 before their slabs pinned BLAS, the other commands and
-    # the library's directly evaluated spec before every command and scan did
+    # the library's directly evaluated spec before every command and scan did.
+    # N = 507 and 508 sit on either side of the one-slab boundary
     if threads._openblas() is None:
         pytest.skip("numpy's OpenBLAS thread count is not reachable")
     commands = {
@@ -119,13 +120,13 @@ def test_cd_scans_do_not_depend_on_blas_threads(tmp_path):
                    "--phi-range", "-0.1pi:0.1pi:2001"],
         "sensitivity": ["sensitivity", "--n", "600", "--mu-range", "0.49pi:0.5pi:3",
                         "--xi", "1", "--normalize-hl"],
-        "fringe-359": ["fringe", "--protocol", "scac", "--ara", "y", "--n", "359",
+        "fringe-508": ["fringe", "--protocol", "scac", "--ara", "y", "--n", "508",
                        "--mu", "0.3pi", "--phi-range", "-0.1pi:0.1pi:2001"],
         "sensitivity-400": ["sensitivity", "--n", "400", "--mu-range", "0.49pi:0.5pi:3",
                             "--xi", "1", "--normalize-hl"],
-        "sensitivity-358": ["sensitivity", "--n", "358", "--mu-range", "0.49pi:0.5pi:3",
+        "sensitivity-507": ["sensitivity", "--n", "507", "--mu-range", "0.49pi:0.5pi:3",
                             "--xi", "1", "--normalize-hl"],
-        "fringe-358": ["fringe", "--protocol", "scac", "--ara", "y", "--n", "358",
+        "fringe-507": ["fringe", "--protocol", "scac", "--ara", "y", "--n", "507",
                        "--phi-range", "-0.1pi:0.1pi:2001"],
         "fringe-41": ["fringe", "--n", "41", "--mu", "0", "--phi-range", "-pi:pi:2001"],
         "csd-2000": ["fringe", "--n", "2000", "--detection", "csd",
@@ -342,10 +343,11 @@ class TestFringeCommand:
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
     def test_pool_above_threshold_is_byte_identical(self, tmp_path, many_cpus):
-        # N = 358 fits one slab of 729 samples, so the pool runs a sweep's 2
-        # mu, and a fringe's one mu serially; N = 359 takes two slabs, which
-        # the pool runs on up to 2 workers
-        for n, tasks in (("358", {"f": 1, "s": 2}), ("359", {"f": 2, "s": 2})):
+        # N = 507 fits its top rows in one slab of 1029 samples, so the pool
+        # runs a sweep's 2 mu, and a fringe's one mu serially; N = 508, with
+        # even N's middle row, takes two slabs, which the pool runs on up to
+        # 2 workers
+        for n, tasks in (("507", {"f": 1, "s": 2}), ("508", {"f": 2, "s": 2})):
             commands = {
                 "f": ["fringe", "--n", n, "--mu", "0.5pi", "--xi", "-1",
                       "--phi-range", "-0.1pi:0.1pi:201"],
@@ -367,7 +369,7 @@ class TestFringeCommand:
         args = ["fringe", "--n", "6", "--phi-range", "0:1:5", "--out", str(out)]
         assert main(args + ["--threads", str(10**6)]) == 0  # one slab: serial
         assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 1
-        slab_rows(monkeypatch, 6, 2)  # 4 slabs
+        slab_rows(monkeypatch, 6, 1)  # 4 top slabs
         assert main(args + ["--threads", "3"]) == 0
         assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["pool_workers"] == 3
 
@@ -397,7 +399,7 @@ class TestFringeCommand:
 
     def test_explicit_threads_capped_at_the_cpus(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        slab_rows(monkeypatch, 6, 2)  # 4 slabs
+        slab_rows(monkeypatch, 6, 1)  # 4 top slabs
         out = tmp_path / "f.csv"
         args = ["fringe", "--n", "6", "--phi-range", "0:1:5", "--out", str(out)]
         assert main(args + ["--threads", "4"]) == 0

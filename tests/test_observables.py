@@ -697,27 +697,32 @@ class TestSubGridPool:
             assert np.nanmax(np.abs(lam - lam_one), initial=0.0) <= 2e-11 * 40
 
     def test_slabs_tile_the_rows(self, monkeypatch):
-        # the top slabs and their mirror images cover every row once, and a
-        # slab and its mirror meet in one slab where they fit; each group's
-        # fold rows hold its slabs' rows and halo rows, row r > N/2 being
-        # fold row N - r, in one group or, with a small block, in several
+        # the top slabs tile the fold rows r <= N/2, alone under the mirror
+        # rule; without it with their mirror images, so that every row is
+        # covered once, a slab and its mirror meeting in one slab where they
+        # fit.  Each group's fold rows hold its slabs' rows and halo rows,
+        # row r > N/2 being fold row N - r, in one group or, with a small
+        # block, in several
         for block, groups in ((observables._BLOCK_ELEMENTS, 1), (150, 20)):
             monkeypatch.setattr(observables, "_BLOCK_ELEMENTS", block)
             for dim in range(2, 80):
                 for rows in range(1, 14):
-                    plan = observables._plan(dim, rows)
-                    spans = [s for _, _, slabs in plan for s in slabs]
-                    covered = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-                    assert np.array_equal(np.sort(covered), np.arange(dim)), (dim, rows)
-                    assert all(0 < hi - lo <= rows for lo, hi in spans)
-                    for first, last, slabs in plan:
-                        for lo, hi in slabs:
-                            held = np.arange(max(lo - 1, 0), min(hi + 1, dim))
-                            fold = np.minimum(held, dim - 1 - held)
-                            assert first <= fold.min() and fold.max() < last, (dim, rows)
-            assert len(observables._plan(79, 2)) == groups
+                    for mirror, tiled in ((False, dim), (True, (dim + 1) // 2)):
+                        plan = observables._plan(dim, rows, mirror)
+                        spans = [s for _, _, slabs in plan for s in slabs]
+                        covered = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+                        assert np.array_equal(np.sort(covered), np.arange(tiled)), (dim, rows)
+                        assert all(0 < hi - lo <= rows for lo, hi in spans)
+                        for first, last, slabs in plan:
+                            for lo, hi in slabs:
+                                held = np.arange(max(lo - 1, 0), min(hi + 1, dim))
+                                fold = np.minimum(held, dim - 1 - held)
+                                assert first <= fold.min() and fold.max() < last, (dim, rows)
+                    assert [g[:2] for g in plan] == [g[:2] for g in observables._plan(dim, rows, False)]
+            assert len(observables._plan(79, 2, False)) == groups
         monkeypatch.undo()
-        assert observables._plan(41, 1618) == [(0, 21, [(0, 41)])]
+        assert observables._plan(41, 1618, False) == [(0, 21, [(0, 41)])]
+        assert observables._plan(41, 1618, True) == [(0, 21, [(0, 21)])]
 
     def test_slab_moments_sum_to_the_whole(self):
         # W, M and the merged variance of a split column equal those of the
@@ -741,9 +746,14 @@ class TestSubGridPool:
         for cuts in ([0, 20, dim], [0, 1, 2, 30, 44, dim], list(range(dim + 1))):
             parts = [_moments(padded[a : b + 2], diag[a:b], below[a:b], above[a:b])
                      for a, b in zip(cuts[:-1], cuts[1:])]
-            merged_first, merged_var = _merge(parts)
+            merged_first, merged_var = _merge((part, 1) for part in parts)
             assert np.allclose(merged_first, first, rtol=1e-13, atol=1e-12)
             assert np.allclose(merged_var, var, rtol=1e-13)
+            # a part taken with sign -1 merges as the same part with M negated
+            signs = [(-1) ** i for i in range(len(parts))]
+            flipped = _merge(((w_s, sign * m_s, v_s), 1)
+                             for (w_s, m_s, v_s), sign in zip(parts, signs))
+            assert all(map(np.array_equal, _merge(zip(parts, signs)), flipped))
 
     def test_in_place_fft_is_bitwise_the_padded_one(self):
         rng = np.random.default_rng(7)
@@ -754,11 +764,12 @@ class TestSubGridPool:
 
     @pytest.mark.parametrize("xi", [1, -1])
     def test_pooled_scan_is_bitwise_the_serial_one(self, monkeypatch, many_cpus, xi):
-        # the slab budget gives N = 40 5 slabs of 9 rows, which run on up
-        # to 4 workers with a short switch interval to interleave them
+        # the slab budget gives N = 40 5 top slabs of 5 rows (the mirror
+        # rule takes the bottom rows from them), which run on up to 4 workers
+        # with a short switch interval to interleave them
         ops = cached_ops(40)
         spec, window = scain(xi=xi), default_phi_window(301)
-        slab_rows(monkeypatch, 40, 9)
+        slab_rows(monkeypatch, 40, 5)
 
         def scan(threads, report=None):
             return [np.array([f.signal, f.sds, f.pgs])
@@ -798,12 +809,13 @@ class TestSubGridPool:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("n", [40, 41, 358])
+    @pytest.mark.parametrize("n", [40, 41, 358, 507])
     def test_one_slab_sweep_on_the_pool_is_bitwise_the_serial_one(self, monkeypatch, many_cpus, n):
         # a one-slab CD sweep runs its mu on the pool, each mu's interpolation
         # and rounding-band recompute (all of the mu = 0 row) on one worker;
         # the main thread alone writes the scan's health, and where the
-        # tables fit the kept size (N = 40/41 here), alone builds them
+        # tables fit the kept size (N = 40/41 here), alone builds them.  N =
+        # 507 is the largest one-slab N, its top rows taking the whole slab
         ops, window = cached_ops(n), default_phi_window()
         mus = np.linspace(0.0, HALF, 7)
         builds, exp_tables = [], observables._exp_tables
@@ -946,17 +958,17 @@ class TestSubGridPool:
                                     [], [("rotate", "x")]), (n, pid, ara, xi)
 
     def test_pool_size_caps_at_the_slabs(self, many_cpus):
-        # the pool's tasks are the slabs: 8 of 129 rows at N = 1000 (2025
-        # samples), so however large the pool, a scan runs on 8 threads
+        # the pool's tasks are the slabs: 4 top slabs of 129 rows at N = 1000
+        # (2025 samples), so however large the pool, a scan runs on 4 threads
         ops = cached_ops(1000)
         scanner = observables._Scanner(scain(), ops.dims, ops, [0.1], 10**6)
-        assert scanner.slabs == 8
+        assert scanner.slabs == 4
         assert pool_size(1) == 1
         assert pool_size(3) == 3
         assert pool_size(10**6) == 64  # the CPUs of many_cpus
         report = {}
         list(scanner.scan([None], report))
-        assert report["pool_workers"] == 8
+        assert report["pool_workers"] == 4
         with pytest.raises(ValueError):
             pool_size(0)
 
@@ -1012,10 +1024,10 @@ class TestSubGridPool:
         three = (0.3, 0.9, HALF)
         assert workers(scain(), 4, 40) == 1  # one slab and one mu
         assert workers(scain(), 4, 40, three) == 3  # one slab: the pool takes the mu
-        assert workers(scain(), 4, 358) == 1  # one slab of 729 samples up to N = 358
-        assert workers(scain(), 4, 358, three) == 3
-        assert workers(scain(), 4, 359) == 2  # two slabs from N = 359
-        assert workers(scain(), 4, 359, three) == 2  # the slabs, not the mu
+        assert workers(scain(), 4, 507) == 1  # one top slab of 1029 samples up to N = 507
+        assert workers(scain(), 4, 507, three) == 3
+        assert workers(scain(), 4, 508) == 2  # two from N = 508, even N's middle row one more
+        assert workers(scain(), 4, 508, three) == 2  # the slabs, not the mu
         assert workers(scain(), 4) == 4
         assert workers(csd, 4) == 1
         assert workers(unfolded(), 4) == 1
@@ -1051,6 +1063,45 @@ class TestTailRule:
         scanner = observables._Scanner(self.X_MIDDLE, ops40.dims, ops40, [0.1])
         var = scanner._direct(np.array([0.1, 0.1 + np.pi]), 0.3)[1]
         assert abs(var[0] - var[1]) > 1e-3 * 40**2
+
+
+class TestMirrorRule:
+    """Every CD built-in scans only its top slabs and takes the bottom rows'
+    moments from their mirror images (observables._Scanner._route)."""
+
+    def test_every_cd_builtin_takes_the_mirror(self):
+        # SCAIN and SCAC with ara x at theta, v0 on one parity of k; with ara
+        # y at -theta, v0 on an eigenvector of P_x; CRAIN and CAC, with no
+        # middle, at -theta, v0 on one of P_y.  No built-in's T changes sign
+        for n in (40, 41):
+            ops = cached_ops(n)
+            for pid in ("crain", "scain", "cac", "scac"):
+                for ara in "xy":
+                    for xi in (1, -1):
+                        spec = builtin(pid, ProtocolParams(mu=0.3, ara=ara, xi=xi))
+                        scanner = observables._Scanner(spec, ops.dims, ops, [0.1])
+                        eigen = "y" if pid in ("crain", "cac") else {"x": "z", "y": "x"}[ara]
+                        columns, sign = scanner.mirror
+                        assert scanner.eigen == eigen and sign == 1, (pid, ara, xi)
+                        assert (columns.step == -1) == (eigen != "z")
+                        v0 = scanner.kernel.v0(0.3)
+                        if eigen == "z":  # one parity of k holds rounding, which goes
+                            off = int(np.linalg.norm(v0[1::2]) < np.linalg.norm(v0[::2]))
+                            assert np.max(np.abs(v0[off::2])) < 1e-14
+                            projected = observables._project(v0, eigen)
+                            assert not projected[off::2].any()
+                            assert np.array_equal(projected[1 - off :: 2], v0[1 - off :: 2])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_heisenberg_point_stays_below_the_bound(self, n):
+        # the README sweep's last mu, pi/2 (xi = 1): Lambda = N to rounding,
+        # and not above it by more than 1e-10 N.  Measured 1 + 2.1e-11 at N =
+        # 1000 and 1 + 7.8e-11 at 2000; the mirror without projecting v0 read
+        # 1 + 1.5e-10 and 1 + 2.6e-10
+        ops = cached_ops(n)
+        (lam,) = sensitivity_scan_mu(scain(xi=1), ops.dims, ops, [HALF]).lam
+        assert 1 - 1e-9 <= lam / n <= 1 + 1e-10
 
 
 class TestBlasThreads:

@@ -23,8 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from catspin import observables
 from catspin.dicke import apply_pulses, dark_pulse, rotate_pulse, squeeze_pulse
-from catspin.observables import _Scanner, _sensitivity
+from catspin.observables import _moments, _Scanner, _sensitivity
 from catspin.protocols import Detection, ProtocolParams, ProtocolSpec, builtin, compile_protocol
 from conftest import cached_ops, unfolded
 
@@ -283,3 +284,86 @@ def test_the_tail_rule_makes_the_variance_pi_periodic(n, pre, fraction, sign, po
     assert scanner.pi_periodic
     shifted = scanner._direct(np.array([phi, phi + math.pi / fraction]), mu)[1]
     assert abs(shifted[0] - shifted[1]) <= PERIODIC_VAR_TOL * n**2
+
+
+# The mirror rule: where v0 is an eigenvector of a pi rotation P_b that the
+# middle takes to P_x or P_y and the tail to one of the three, row N - r of
+# B D(theta) v0 is row r at theta (b = z) or at -theta (b = x or y), up to a
+# phase and a sign, and T changes sign where the tail ends on x or y
+x_turns = st.builds(lambda angle: rotate_pulse("x", angle), st.floats(-3.0, 3.0))
+
+# |bottom-half moments - mirrored top-half moments|: W, M over N and V over
+# N^2, of v0 as the pulses leave it; the maxima measured over 2000 random
+# specs of this strategy were 3.4e-15, 8.6e-16 and 1.5e-16
+MIRROR_TOL = 1e-14
+
+
+def mirror_halves(scanner, mu, thetas):
+    """(W, M, V) of the rows below N/2 and of those above N/2 at each theta,
+    from the state after the dark zone and the middle."""
+    ops, dim = scanner.ops, scanner.dims.dim
+    kernel = scanner.kernel
+    v0 = apply_pulses(ops, (*kernel.pre, *scanner.moved), kernel.v_lead, mu=mu)
+    w = np.zeros((dim + 2, len(thetas)), dtype=complex)
+    w[1:-1] = apply_pulses(ops, scanner.middle_pulses,
+                           v0[:, None] * np.exp(-1j * np.outer(ops.m, thetas)), mu=mu)
+    diag, below, above = scanner._observable(mu)
+    half = dim // 2
+    return (_moments(w[: half + 2], diag[:half], below[:half], above[:half]),
+            _moments(w[dim - half :], diag[dim - half :], below[dim - half :], above[dim - half :]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 48), pre=st.lists(quarter_turns | squeezes, max_size=3),
+       sign=st.sampled_from([1, -1]), post=st.lists(quarter_turns | squeezes | x_turns,
+                                                   max_size=5),
+       mu=st.floats(0.0, math.pi / 2), theta=st.floats(-math.pi, math.pi))
+# each case once: -theta or theta, T kept or flipped (random specs mostly
+# take -theta with T flipped)
+@example(n=7, pre=[], sign=1, post=[rotate_pulse("x", math.pi / 2)], mu=0.3, theta=0.4)
+@example(n=7, pre=[], sign=1, post=[], mu=0.3, theta=0.4)
+@example(n=8, pre=[rotate_pulse("x", math.pi / 2)], sign=-1,
+         post=[rotate_pulse("x", math.pi / 2), squeeze_pulse(0.5, 1),
+               rotate_pulse("x", math.pi / 2)], mu=0.3, theta=0.4)
+@example(n=8, pre=[rotate_pulse("x", math.pi / 2)], sign=-1,
+         post=[rotate_pulse("x", math.pi / 2), squeeze_pulse(0.5, 1)], mu=0.3, theta=0.4)
+def test_the_mirror_rule_maps_the_bottom_rows_to_the_top(n, pre, sign, post, mu, theta):
+    ops = cached_ops(n)
+    spec = ProtocolSpec("mirror-rule", (rotate_pulse("x", math.pi / 2), *pre,
+                                        dark_pulse(1.0, sign), *post), Detection("cd"))
+    scanner = _Scanner(spec, ops.dims, ops, [0.1])
+    assume(scanner._path is _Scanner._cd and scanner.mirror is not None)
+    columns, flip = scanner.mirror
+    thetas = np.array([theta, -theta])
+    top, bottom = mirror_halves(scanner, mu, thetas)
+    image = top[:, 1] if columns.step == -1 else top[:, 0]  # the top half at -theta or theta
+    image = image * [1, flip, 1]
+    assert np.allclose(bottom[:, 0], image, rtol=0,
+                       atol=MIRROR_TOL * max(1, n) ** np.array([0, 1, 2]))
+
+
+def test_the_mirror_rule_needs_v0_on_an_eigenspace(monkeypatch):
+    # SCAIN whose first x pi/2 is x 0.7 meets the tail rule but leaves no pi
+    # rotation that |E_0> is an eigenvector of: _route refuses the mirror,
+    # and the scan meets the oracle.  Forced onto the same-theta mirror of
+    # SCAIN, the scan fails the oracle gate
+    ops = cached_ops(40)
+    scain = builtin("scain")
+    mutant = ProtocolSpec("scain-0.7", (rotate_pulse("x", 0.7), *scain.pulses[1:]),
+                          scain.detection)
+    phis = seeded_phis(4)
+    scanner = _Scanner(mutant, ops.dims, ops, phis)
+    assert scanner.pi_periodic and scanner.mirror is None and scanner.eigen is None
+    assert _Scanner(scain, ops.dims, ops, phis).mirror is not None
+    assert_matches_oracle(mutant, ops, phis, (0.3,))
+    route = _Scanner._route
+
+    def forced(self, dims, ops, csd):
+        path, _ = route(self, dims, ops, csd)
+        self.eigen, self.mirror = "z", (slice(0, self.samples), 1)
+        self.plan = observables._plan(dims.dim, observables._slabs(dims, True)[1], True)
+        return path, sum(len(group) for _, _, group in self.plan)
+
+    monkeypatch.setattr(_Scanner, "_route", forced)
+    with pytest.raises(AssertionError):
+        assert_matches_oracle(mutant, ops, phis, (0.3,))
