@@ -9,30 +9,26 @@ Every scan goes through one spectral engine, whose path, slab plan and
 pool _Scanner decides once.  Once compile_protocol has folded the
 CRAIN/SCAIN spin echo into a single dark zone, each built-in reads
 psi(phi) = Tail B e^{-i c phi J_z} v0, so <J_z> and its variance are
-trigonometric polynomials of degree N and 2N in theta = c phi.  Their
-samples on an equispaced theta grid of at least 4N+1 points come from FFTs
-of the rows of B diag(v0), one per row, with J_z pushed back through Tail
-as a tridiagonal T.  B is never built whole: it is one x rotation or none,
-whose fold row r (dicke.rotation_rows) is its row r and, reversed, N - r.
-Where B and Tail hold only squeezes and rotations by multiples of pi/2
-(the tail rule, which every built-in meets), theta + pi maps J_z to +-J_z
-and the variance has even frequencies only: an odd grid of at least 2N+1
-points fixes both polynomials (2025 samples at N = 1000, against 4050).
-Where v0 is an eigenvector of a pi rotation P_b that B takes to P_x or P_y
-and Tail to one of the three (the mirror rule, which every CD built-in
-meets; Varshalovich, Moskalev & Khersonskii 1988, ch. 4), row N - r is row
-r at theta or at -theta, up to a phase, and the rows r <= N/2 give the
-moments of all rows.
+trigonometric polynomials of degree N and 2N in theta = c phi, with J_z
+pushed back through Tail as a tridiagonal T.  B is never built whole: it is
+one x rotation or none, whose fold row r (dicke.rotation_rows) is its row r
+and, reversed, N - r.  CD takes this rows path where two rules hold, as
+they do for every CD spec the CLI builds.  The tail rule: B and Tail hold
+only squeezes and rotations by multiples of pi/2, so theta + pi maps J_z
+to +-J_z and the variance has even frequencies only, and an odd theta grid
+of at least 2N+1 points (2025 at N = 1000) fixes both polynomials, their
+samples coming from FFTs of the rows of B diag(v0), one per row.  The
+mirror rule: v0 is an eigenvector of a pi rotation P_b that B takes to P_x
+or P_y and Tail to one of the three (Varshalovich, Moskalev & Khersonskii
+1988, ch. 4), so row N - r is row r at theta or at -theta, up to a phase,
+and the rows r <= N/2 give the moments of all rows.
 
-The rows run in slabs of at most 4 MB of samples, each a top slab of rows
-r <= N/2 with a halo row on each side as T couples neighbouring rows.
-Under the mirror rule the top slabs are all (4 at N = 1000, 63 at 4000,
-one up to N = 507, on the odd grid); else each comes with its mirror
-image, in one slab where the two fit (8 at N = 1000, one up to N = 358).
-The top slabs' fold rows come in groups of at most 16 MB, each built while
-the last slabs of the one before run, so two are held at most.  The mu run
-in batches whose slab moments hold at most 4 MB (86 mu at N = 1000, 21 at
-4000, on the odd grid); each group builds its rows once per batch.  The
+The rows run in top slabs of at most 4 MB of samples, rows r <= N/2 with a
+halo row on each side as T couples neighbouring rows (4 at N = 1000, 63 at
+4000, one up to N = 507).  Their fold rows come in groups of at most 16 MB,
+each built while the last slabs of the one before run, so two are held at
+most.  The mu run in batches whose slab moments hold at most 4 MB (86 mu at
+N = 1000, 21 at 4000); each group builds its rows once per batch.  The
 centred moments per mu merge in slab order by the pairwise update of Chan,
 Golub & LeVeque (1983), a top slab's again as its mirror image's.  Every
 scan runs in a threads.budget: every BLAS call on one thread of numpy's
@@ -51,9 +47,10 @@ its single row directly; its variance is p (1 - p), with 1 - p summed from
 the other populations of the state where it falls below 1e-4.  Variance
 samples are centered, sum |(T - S) w|^2, and requested points whose
 interpolated SDS falls in the rounding band below 1e-6 N are recomputed
-directly from the state.  Specs that do not fold to one dark zone, or
-whose B is more than one x rotation, are evaluated directly at every phi:
-CompiledProtocol.evaluate carries psi and its exact phase derivative.
+directly from the state.  Specs that do not fold to one dark zone, and CD
+specs whose B is more than one x rotation or that miss either rule, are
+evaluated directly at every phi: CompiledProtocol.evaluate carries psi and
+its exact phase derivative.
 
 Measured accuracy: the SDS matches the centered variance of run()'s state
 to 1e-15 N at N = 40/41; at N = 2000 (SCAIN, mu = pi/2) the signal matches
@@ -190,51 +187,41 @@ _BLOCK_ELEMENTS = 1 << 20
 _KEPT_TABLE_ELEMENTS = 1 << 16
 
 # Complex elements of a CD slab buffer (4 MB), whatever the threads: 129 rows
-# of 2025 samples at N = 1000, 32 of 8019 at 4000, on the odd grid; under the
-# mirror rule 4 and 63 top slabs there and one up to N = 507, else 8 and 126
-# and one up to N = 358.  _moments takes it in blocks of a quarter.  More than
-# one slab run on the budget's pool, with BLAS on one thread: an OpenBLAS
-# worker spun about 0.12 s of CPU after each threaded call, taking a core from
-# the slab workers.  On 2 vCPUs a pool of 2 against serial slabs (minima of 5
-# runs of 12 SCAIN mu) cost 13 % at N = 508, whose second top slab is its
-# middle row alone, and saved 7 % at 600 and 23 % at 1000; with slabs on both
-# sides of the rows it cost 1 % per mu at N = 359 and saved 1-31 % from 400 to
-# 1000.  A one-slab scan runs its mu on the pool instead.  BLAS on one thread
-# alone, with no pool, cut the CPU of the N = 40/41 sweeps and figures by
-# 47-49 % but cost 4-7 % of their wall time; with the mu on the pool their
-# wall time held.  Running the mu on the pool where there are several slabs
-# too raised the VmHWM of the N = 1000 sweeps from 62.7 to 68.4 MiB, so there
-# the pool keeps to the slabs.
+# of 2025 samples at N = 1000, 32 of 8019 at 4000, so 4 and 63 top slabs
+# there and one up to N = 507.  _moments takes it in blocks of a quarter.
+# More than one slab run on the budget's pool, with BLAS on one thread: an
+# OpenBLAS worker spun about 0.12 s of CPU after each threaded call, taking a
+# core from the slab workers.  On 2 vCPUs a pool of 2 against serial slabs
+# (minima of 5 runs of 12 SCAIN mu) cost 13 % at N = 508, whose second top
+# slab is its middle row alone, and saved 7 % at 600 and 23 % at 1000.  A
+# one-slab scan runs its mu on the pool instead.  BLAS on one thread alone,
+# with no pool, cut the CPU of the N = 40/41 sweeps and figures by 47-49 %
+# but cost 4-7 % of their wall time; with the mu on the pool their wall time
+# held.  Running the mu on the pool where there are several slabs too raised
+# the VmHWM of the N = 1000 sweeps from 62.7 to 68.4 MiB, so there the pool
+# keeps to the slabs.
 _SLAB_ELEMENTS = 1 << 18
 
 
-def _slabs(dims: EnsembleDims, pi_periodic: bool) -> tuple[int, int]:
-    """(samples, rows): CD takes a fast FFT length of at least 4N+1 samples,
-    or, where the variance is pi-periodic in theta, an odd one of at least
-    2N+1 (2025 at N = 1000, against 4050), in slabs of `rows` rows that
-    hold _SLAB_ELEMENTS."""
-    n = dims.n_atoms
-    samples = _fft_length(2 * n + 1, (3, 5, 7, 11)) if pi_periodic else _fft_length(4 * n + 1)
+def _slabs(dims: EnsembleDims) -> tuple[int, int]:
+    """(samples, rows): CD takes a fast odd FFT length of at least 2N+1
+    samples (2025 at N = 1000), which fixes the even-frequency variance of
+    a spec that meets the tail rule, in slabs of `rows` rows that hold
+    _SLAB_ELEMENTS."""
+    samples = _fft_length(2 * dims.n_atoms + 1)
     return samples, max(1, _SLAB_ELEMENTS // samples)
 
 
-def _plan(dim: int, rows: int, mirror: bool) -> list[tuple[int, int, list[tuple[int, int]]]]:
-    """The CD slabs (lo, hi) of `rows` rows by group, as (first, last, slabs)
-    with the group's fold rows first .. last - 1, its halo rows included.  The
-    top slabs tile the fold rows r <= N/2; under the mirror rule they are the
-    whole plan, else each comes with its mirror image, in one slab where the
-    two fit."""
+def _plan(dim: int, rows: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """The CD top slabs (lo, hi) of `rows` rows by group, as (first, last,
+    slabs) with the group's fold rows first .. last - 1, its halo rows
+    included.  The top slabs tile the fold rows r <= N/2; the mirror rule
+    gives the rows below."""
     top = (dim + 1) // 2
     group = rows * max(1, _BLOCK_ELEMENTS // (dim * rows))
-    plan = []
-    for g in range(0, top, group):
-        slabs = []
-        for a in range(g, min(g + group, top), rows):
-            hi = min(a + rows, top)
-            slabs += ([(a, hi)] if mirror else [(a, dim - a)] if dim - 2 * a <= rows else
-                      [(a, hi), (max(top, dim - a - rows), dim - a)])
-        plan.append((max(g - 1, 0), min(g + group + 1, top), slabs))
-    return plan
+    return [(max(g - 1, 0), min(g + group + 1, top),
+             [(a, min(a + rows, top)) for a in range(g, min(g + group, top), rows)])
+            for g in range(0, top, group)]
 
 
 def _exp_tables(first: float, baby: int, giant: int, t: np.ndarray):
@@ -284,12 +271,12 @@ def _fourier_sum(first: float, coefs: np.ndarray, theta: np.ndarray,
     return out
 
 
-def _fft_length(n: int, primes=(2, 3, 5)) -> int:
-    """Smallest integer >= n whose prime factors all lie in primes: a fast
-    FFT length (odd where primes are)."""
+def _fft_length(n: int) -> int:
+    """Smallest integer >= n whose prime factors all lie in 3, 5, 7 and 11:
+    a fast odd FFT length."""
     while True:
         rest = n
-        for p in primes:
+        for p in (3, 5, 7, 11):
             while rest % p == 0:
                 rest //= p
         if rest == 1:
@@ -387,12 +374,12 @@ class _Scanner:
     The constructor compiles the protocol and picks the path of every scan:
     CSD rows, CD rows with their slab plan and pool, or, for specs with
     several dark zones and CD specs whose middle stays longer than one x
-    rotation, direct evaluation at every phi (_direct).  With one dark zone
-    it reads tail middle D(rate phi) pre v_lead, pre acting first on v_lead.
-    tail is the longest trailing run that J_z can be pushed back through as
-    a tridiagonal T: diagonal pulses followed in time by x/y rotations,
-    through which T stays a spin component n.J whose off-diagonal the
-    diagonals twist.
+    rotation or that miss the tail or the mirror rule, direct evaluation at
+    every phi (_direct).  With one dark zone it reads tail middle D(rate
+    phi) pre v_lead, pre acting first on v_lead.  tail is the longest
+    trailing run that J_z can be pushed back through as a tridiagonal T:
+    diagonal pulses followed in time by x/y rotations, through which T stays
+    a spin component n.J whose off-diagonal the diagonals twist.
     """
 
     def __init__(self, spec: ProtocolSpec, dims: EnsembleDims, ops: OperatorSet,
@@ -462,27 +449,24 @@ class _Scanner:
         while middle and (middle[0].kind == "squeeze" or middle[0].axis == "z" or flips_jz(middle[0])):
             self.moved.append(middle.pop(0))
             self.rate *= -1 if flips_jz(self.moved[-1]) else 1
-        if len(middle) > 1:
-            return _Scanner._evaluated, 1
         self.middle_pulses = middle
         # The tail rule.  theta + pi multiplies the state after the tail by
         # U P_z U^dagger, U = tail middle, up to a phase.  Where pi_axis names
         # it a pi rotation, which maps J_z to +-J_z, the variance has even
-        # frequencies only.
-        self.pi_periodic = pi_axis("z", (*middle, *self.tail)) is not None
-        self.samples, rows = _slabs(dims, self.pi_periodic)
-        # the mirror rule (see the docstring)
+        # frequencies only.  Then the mirror rule (see the docstring)
         folded = fold_echoes(self.spec.pulses)
         dark = next((i for i, p in enumerate(folded) if p.kind == "dark_phase"), len(folded))
         self.eigen = pi_axis("z", (*folded[:dark], *self.moved))
         mirror = pi_axis(self.eigen, middle)
         sign = pi_axis(mirror, self.tail)
-        if mirror not in ("x", "y") or sign is None:
-            self.eigen = self.mirror = None
-        else:  # the mirror image's columns of a top slab's partials, and M's sign
-            self.mirror = (slice(0, self.samples) if self.eigen == "z" else
-                           slice(self.samples, 0, -1), 1 if sign == "z" else -1)
-        self.plan = _plan(dims.dim, rows, self.mirror is not None)
+        if (len(middle) > 1 or pi_axis("z", (*middle, *self.tail)) is None
+                or mirror not in ("x", "y") or sign is None):
+            return _Scanner._evaluated, 1
+        self.samples, rows = _slabs(dims)
+        # the mirror image's columns of a top slab's partials, and M's sign
+        self.mirror = (slice(0, self.samples) if self.eigen == "z" else
+                       slice(self.samples, 0, -1), 1 if sign == "z" else -1)
+        self.plan = _plan(dims.dim, rows)
         return _Scanner._cd, sum(len(group) for _, _, group in self.plan)
 
     # --- per-mu pieces ----------------------------------------------------
@@ -575,7 +559,7 @@ class _Scanner:
         kernel = self.kernel
         states = [(apply_pulses(self.ops, (*kernel.pre, *self.moved), kernel.v_lead, mu=mu),
                    *self._observable(mu)) for mu in mus]
-        half = dim // 2  # under the mirror rule the rows below mirror; at even N row half is its own
+        half = dim // 2  # the rows below mirror the top slabs'; at even N row half is its own
 
         def slabs():  # a group's rows are built while the last slabs of the one before run
             for first, last, group in self.plan:
@@ -588,21 +572,20 @@ class _Scanner:
             """(W, M, V) per mu of the rows lo .. hi - 1 with a halo row on
             both sides, zero past the edges; sample j at theta = 2 pi j / samples,
             and sample 0 again after the last, so that reversed they read -theta.
-            Under the mirror rule even N's middle row comes apart: (rows lo .. end
-            - 1 or None, the middle row or None)."""
+            Even N's middle row comes apart: (rows lo .. end - 1 or None, the
+            middle row or None)."""
             lo, hi, start, block = item
             first, last = max(lo - 1, 0), min(hi + 1, dim)
             cut = min(max(first, top), last)
             pieces = () if block is None else (
                 block[first - start : cut - start],
                 block[n + 1 - last - start : n + 1 - cut - start][::-1, ::-1])
-            end = min(hi, half) if self.mirror else hi
+            end = min(hi, half)
             moments = np.empty((3, len(states), samples + 1)) if end > lo else None
             middle = np.empty((3, len(states), samples)) if end < hi else None
             w = np.empty((hi - lo + 2, samples), dtype=complex)
             for i, (v0, diag, below, above) in enumerate(states):
-                if self.eigen is not None:  # as the mirror takes it
-                    v0 = _project(v0, self.eigen)
+                v0 = _project(v0, self.eigen)  # as the mirror takes it
                 w.fill(0.0)
                 at = first - lo + 1
                 for piece in pieces:
@@ -629,8 +612,7 @@ class _Scanner:
             for rows, middle in pool.map(slab, slabs(), self.slabs):
                 if rows is not None:
                     yield rows[..., :samples], 1
-                    if self.mirror:
-                        yield rows[..., self.mirror[0]], self.mirror[1]
+                    yield rows[..., self.mirror[0]], self.mirror[1]
                 if middle is not None:
                     yield middle, 1
 
@@ -658,7 +640,8 @@ class _Scanner:
 
     def _evaluated(self, mus, pool):
         """The path of specs with several dark zones after folding, and of CD
-        ones whose middle is more than one x rotation: every phi directly."""
+        ones whose middle is more than one x rotation or that miss the tail
+        or the mirror rule: every phi directly."""
         for mu in mus:
             signal, var, pgs = self._direct(self.phis, mu)
             yield signal, np.sqrt(np.maximum(var, 0.0)), pgs
@@ -693,8 +676,7 @@ class _Scanner:
         coefs[: degree + 1, 0] = _trig_coefficients(mean, degree)
         coefs[:, 1] = 1j * freqs * coefs[:, 0]
         coefs[:, 2] = _trig_coefficients(var, 2 * degree)
-        if self.pi_periodic:  # on the odd grid, odd bins hold only aliased negative frequencies
-            coefs[1::2, 2] = 0.0
+        coefs[1::2, 2] = 0.0  # on the odd grid, odd bins hold only aliased negative frequencies
         values = _fourier_sum(0.0, coefs, self.rate * self.phis, tables).real
         sds = np.sqrt(np.maximum(values[:, 2], 0.0))
         band = self._blockwise(sds, np.flatnonzero(sds < _ROUNDING_BAND * degree),

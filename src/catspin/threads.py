@@ -64,8 +64,8 @@ _blas_lock = threading.Lock()
 
 
 @contextmanager
-def _blas_limit(threads: int):
-    """BLAS on `threads` threads inside the block.  The count is the
+def _blas_limit():
+    """BLAS on one thread inside the block.  The count is the
     process's, so blocks open at once (budgets on several threads) share it:
     the first to open saves it, and the last to close, or raise, restores
     it, in whatever order they close."""
@@ -78,7 +78,7 @@ def _blas_limit(threads: int):
         if not _blas_saved["open"]:
             _blas_saved["count"] = get()
         _blas_saved["open"] += 1
-        put(threads)
+        put(1)
     try:
         yield
     finally:
@@ -143,7 +143,7 @@ def budget(threads: int | None = None):
         return
     own = _open.budget = Budget(workers)
     try:
-        with _blas_limit(1):
+        with _blas_limit():
             try:
                 yield own
             finally:

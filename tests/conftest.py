@@ -8,7 +8,7 @@ import pytest
 
 from catspin import observables
 from catspin.dicke import EnsembleDims, build_operator_set, dark_pulse, rotate_pulse
-from catspin.protocols import Detection, ProtocolSpec, builtin
+from catspin.protocols import Detection, ProtocolSpec
 
 
 @functools.lru_cache(maxsize=16)
@@ -55,11 +55,9 @@ def many_cpus(monkeypatch):
 
 
 def slab_rows(monkeypatch, n_atoms: int, rows: int):
-    """Slabs of `rows` rows for the built-in CD scans at N = n_atoms: the slab
-    budget is rows times the sample count that the scanner takes there (all
-    built-ins meet the tail rule, so they share it)."""
-    ops = cached_ops(n_atoms)
-    samples = observables._Scanner(builtin("scain"), ops.dims, ops, [0.0]).samples
+    """Slabs of `rows` rows for the CD rows path at N = n_atoms: the slab
+    budget is rows times the sample count that path takes there."""
+    samples = observables._slabs(EnsembleDims(n_atoms))[0]
     monkeypatch.setattr(observables, "_SLAB_ELEMENTS", rows * samples)
 
 

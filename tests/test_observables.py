@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import os
 import sys
@@ -697,32 +698,27 @@ class TestSubGridPool:
             assert np.nanmax(np.abs(lam - lam_one), initial=0.0) <= 2e-11 * 40
 
     def test_slabs_tile_the_rows(self, monkeypatch):
-        # the top slabs tile the fold rows r <= N/2, alone under the mirror
-        # rule; without it with their mirror images, so that every row is
-        # covered once, a slab and its mirror meeting in one slab where they
-        # fit.  Each group's fold rows hold its slabs' rows and halo rows,
-        # row r > N/2 being fold row N - r, in one group or, with a small
-        # block, in several
+        # the top slabs tile the fold rows r <= N/2, the mirror rule giving
+        # the rows below.  Each group's fold rows hold its slabs' rows and
+        # halo rows, row r > N/2 being fold row N - r, in one group or, with
+        # a small block, in several
         for block, groups in ((observables._BLOCK_ELEMENTS, 1), (150, 20)):
             monkeypatch.setattr(observables, "_BLOCK_ELEMENTS", block)
             for dim in range(2, 80):
                 for rows in range(1, 14):
-                    for mirror, tiled in ((False, dim), (True, (dim + 1) // 2)):
-                        plan = observables._plan(dim, rows, mirror)
-                        spans = [s for _, _, slabs in plan for s in slabs]
-                        covered = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-                        assert np.array_equal(np.sort(covered), np.arange(tiled)), (dim, rows)
-                        assert all(0 < hi - lo <= rows for lo, hi in spans)
-                        for first, last, slabs in plan:
-                            for lo, hi in slabs:
-                                held = np.arange(max(lo - 1, 0), min(hi + 1, dim))
-                                fold = np.minimum(held, dim - 1 - held)
-                                assert first <= fold.min() and fold.max() < last, (dim, rows)
-                    assert [g[:2] for g in plan] == [g[:2] for g in observables._plan(dim, rows, False)]
-            assert len(observables._plan(79, 2, False)) == groups
+                    plan = observables._plan(dim, rows)
+                    spans = [s for _, _, slabs in plan for s in slabs]
+                    covered = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+                    assert np.array_equal(covered, np.arange((dim + 1) // 2)), (dim, rows)
+                    assert all(0 < hi - lo <= rows for lo, hi in spans)
+                    for first, last, slabs in plan:
+                        for lo, hi in slabs:
+                            held = np.arange(max(lo - 1, 0), min(hi + 1, dim))
+                            fold = np.minimum(held, dim - 1 - held)
+                            assert first <= fold.min() and fold.max() < last, (dim, rows)
+            assert len(observables._plan(79, 2)) == groups
         monkeypatch.undo()
-        assert observables._plan(41, 1618, False) == [(0, 21, [(0, 41)])]
-        assert observables._plan(41, 1618, True) == [(0, 21, [(0, 21)])]
+        assert observables._plan(41, 1618) == [(0, 21, [(0, 21)])]
 
     def test_slab_moments_sum_to_the_whole(self):
         # W, M and the merged variance of a split column equal those of the
@@ -1040,8 +1036,9 @@ class TestSubGridPool:
 
 class TestTailRule:
     """Where every pulse of the CD middle and tail is a squeeze or a quarter
-    turn, the variance is pi-periodic in theta, and the scan samples it on
-    an odd FFT length of at least 2N+1 in place of one of at least 4N+1."""
+    turn, the variance is pi-periodic in theta, and the rows path samples it
+    on an odd FFT length of at least 2N+1; a spec whose middle is off the
+    quarter turns is evaluated directly."""
 
     X_MIDDLE = ProtocolSpec("x-middle", (
         rotate_pulse("x", HALF), dark_pulse(1.0, 1), rotate_pulse("x", 0.7),
@@ -1050,16 +1047,15 @@ class TestTailRule:
     def test_sample_counts(self):
         ops = cached_ops(1000)
         scanner = observables._Scanner(scain(), ops.dims, ops, [0.1])
-        assert scanner.pi_periodic and scanner.samples == 2025
+        assert scanner._path is observables._Scanner._cd and scanner.samples == 2025
         scanner = observables._Scanner(self.X_MIDDLE, ops.dims, ops, [0.1])
         assert scanner.middle_pulses == [rotate_pulse("x", 0.7)]
-        assert not scanner.pi_periodic and scanner.samples == 4050
-        for n, halved, whole in ((40, 81, 162), (41, 99, 180), (2000, 4125, 8100)):
-            assert observables._slabs(EnsembleDims(n), True)[0] == halved
-            assert observables._slabs(EnsembleDims(n), False)[0] == whole
+        assert scanner._path is observables._Scanner._evaluated
+        for n, samples in ((1, 3), (40, 81), (41, 99), (2000, 4125)):
+            assert observables._slabs(EnsembleDims(n))[0] == samples
 
     def test_a_middle_off_the_quarter_turns_is_not_pi_periodic(self, ops40):
-        # why such a spec keeps 4N+1 samples: theta + pi moves its variance
+        # why such a spec is evaluated directly: theta + pi moves its variance
         scanner = observables._Scanner(self.X_MIDDLE, ops40.dims, ops40, [0.1])
         var = scanner._direct(np.array([0.1, 0.1 + np.pi]), 0.3)[1]
         assert abs(var[0] - var[1]) > 1e-3 * 40**2
@@ -1067,30 +1063,60 @@ class TestTailRule:
 
 class TestMirrorRule:
     """Every CD built-in scans only its top slabs and takes the bottom rows'
-    moments from their mirror images (observables._Scanner._route)."""
+    moments from their mirror images (observables._Scanner._route); a CD
+    spec that misses the mirror or the tail rule is evaluated directly."""
 
     def test_every_cd_builtin_takes_the_mirror(self):
-        # SCAIN and SCAC with ara x at theta, v0 on one parity of k; with ara
-        # y at -theta, v0 on an eigenvector of P_x; CRAIN and CAC, with no
-        # middle, at -theta, v0 on one of P_y.  No built-in's T changes sign
-        for n in (40, 41):
+        # every CD spec the CLI builds, and COSAC with CD: SCAIN and SCAC
+        # with ara x at theta, v0 on one parity of k; with ara y at -theta,
+        # v0 on an eigenvector of P_x; CRAIN, CAC and COSAC, with no middle,
+        # at -theta, v0 on one of P_y.  No built-in's T changes sign.  A
+        # route off the rows path would cost these scans 4-12x and fail no
+        # law gate
+        for n in (1, 2, 3, 4, 40, 41):
             ops = cached_ops(n)
-            for pid in ("crain", "scain", "cac", "scac"):
-                for ara in "xy":
-                    for xi in (1, -1):
-                        spec = builtin(pid, ProtocolParams(mu=0.3, ara=ara, xi=xi))
-                        scanner = observables._Scanner(spec, ops.dims, ops, [0.1])
-                        eigen = "y" if pid in ("crain", "cac") else {"x": "z", "y": "x"}[ara]
-                        columns, sign = scanner.mirror
-                        assert scanner.eigen == eigen and sign == 1, (pid, ara, xi)
-                        assert (columns.step == -1) == (eigen != "z")
-                        v0 = scanner.kernel.v0(0.3)
-                        if eigen == "z":  # one parity of k holds rounding, which goes
-                            off = int(np.linalg.norm(v0[1::2]) < np.linalg.norm(v0[::2]))
-                            assert np.max(np.abs(v0[off::2])) < 1e-14
-                            projected = observables._project(v0, eigen)
-                            assert not projected[off::2].any()
-                            assert np.array_equal(projected[1 - off :: 2], v0[1 - off :: 2])
+            for pid in PROTOCOL_IDS:
+                for ara, xi, mu in itertools.product("xy", (1, -1), (0.0, 0.3, HALF)):
+                    detection = Detection("cd") if pid == "cosac" else None
+                    spec = builtin(pid, ProtocolParams(mu=mu, ara=ara, xi=xi, detection=detection))
+                    scanner = observables._Scanner(spec, ops.dims, ops, [0.1])
+                    case = (n, pid, ara, xi, mu)
+                    assert scanner._path is observables._Scanner._cd, case
+                    eigen = "y" if pid in ("crain", "cac", "cosac") else {"x": "z", "y": "x"}[ara]
+                    columns, sign = scanner.mirror
+                    assert scanner.eigen == eigen and sign == 1, case
+                    assert (columns.step == -1) == (eigen != "z")
+                    v0 = scanner.kernel.v0(mu)
+                    if eigen == "z":  # one parity of k holds rounding, which goes
+                        off = int(np.linalg.norm(v0[1::2]) < np.linalg.norm(v0[::2]))
+                        assert np.max(np.abs(v0[off::2])) < 1e-14
+                        projected = observables._project(v0, eigen)
+                        assert not projected[off::2].any()
+                        assert np.array_equal(projected[1 - off :: 2], v0[1 - off :: 2])
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_specs_that_miss_a_rule_scan_as_direct_evaluation(self, n):
+        # TestTailRule's x-middle spec misses both rules, SCAIN whose first x
+        # pi/2 is x 0.7 (v0 on no pi rotation's eigenspace) the mirror rule,
+        # and x-eigen (v0 on P_x, which its x 0.7 middle keeps) the tail
+        # rule, whose variance the odd grid would miss by 20 at N = 40.  Each
+        # takes the direct path, bitwise
+        ops, phis = cached_ops(n), default_phi_window(301)
+        scain_07 = ProtocolSpec("scain-0.7", (rotate_pulse("x", 0.7), *scain().pulses[1:]),
+                                scain().detection)
+        x_eigen = ProtocolSpec("x-eigen", (
+            rotate_pulse("x", HALF), rotate_pulse("z", HALF), dark_pulse(1.0, 1),
+            rotate_pulse("x", 0.7), squeeze_pulse(0.3, 1), rotate_pulse("x", HALF)),
+            Detection("cd"))
+        for spec in (TestTailRule.X_MIDDLE, scain_07, x_eigen):
+            scanner = observables._Scanner(spec, ops.dims, ops, phis)
+            assert scanner._path is observables._Scanner._evaluated
+            for mu in (0.0, 0.3, HALF):
+                signal, var, pgs = scanner._direct(phis, mu)
+                fringe = fringe_scan(spec, ops.dims, ops, phis, mu)
+                assert np.array_equal(fringe.signal, signal)
+                assert np.array_equal(fringe.sds, np.sqrt(np.maximum(var, 0.0)))
+                assert np.array_equal(fringe.pgs, pgs)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n", [1000, 2000])
@@ -1188,7 +1214,7 @@ class TestBlasThreads:
         return count
 
     def test_limits_open_at_once_restore_the_count_in_any_order(self, stand_in):
-        first, second = threads._blas_limit(1), threads._blas_limit(1)
+        first, second = threads._blas_limit(), threads._blas_limit()
         first.__enter__()
         second.__enter__()
         first.__exit__(None, None, None)  # closed in the order they opened
