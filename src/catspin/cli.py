@@ -22,7 +22,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -254,7 +254,8 @@ def _add_protocol_flags(sub):
     sub.add_argument("--ara", choices=["x", "y"], default="x", help="auxiliary rotation axis")
     sub.add_argument("--xi", type=int, choices=[1, -1], default=-1,
                      help="corrective rotation sign")
-    sub.add_argument("--detection", choices=["cd", "csd"], default="cd")
+    sub.add_argument("--detection", choices=["cd", "csd"],
+                     help="detection (default: the protocol's own, csd for cosac, else cd)")
     sub.add_argument("--csd-index", type=int, dest="csd_index")
 
 
@@ -391,6 +392,8 @@ def parse_config(argv: list[str]) -> RunConfig:
 def _validate(command: str, opts: dict):
     """The rules that join two options; each option's own domain is checked
     by its flag's type."""
+    if "detection" in opts and opts["detection"] is None:  # the protocol's own: CSD for cosac
+        opts["detection"] = builtin(opts["protocol"]).detection.kind
     if opts.get("csd_index") is not None:
         if opts["detection"] != "csd":
             raise UsageError("--csd-index only applies with --detection csd")
@@ -419,11 +422,11 @@ def _validate(command: str, opts: dict):
 def _protocol_setup(opts):
     dims = EnsembleDims(opts["n"])
     ops = build_operator_set(dims)
-    detection = None
-    if opts["detection"] == "csd":
-        detection = Detection("csd", index=opts["csd_index"])
+    detection = Detection("csd", index=opts["csd_index"]) if opts["detection"] == "csd" else None
     params = ProtocolParams(mu=opts["mu"], ara=opts["ara"], xi=opts["xi"], detection=detection)
     spec = builtin(opts["protocol"], params)
+    if spec.detection.kind != opts["detection"]:  # CD on cosac; CAC keeps its own CD, which adds j
+        spec = builtin(opts["protocol"], replace(params, detection=Detection("cd")))
     return dims, ops, spec
 
 

@@ -12,10 +12,19 @@ lambda >= 0 in each reversal parity, from J_x's three-term recurrence at its
 known spectrum m.  The eigenvector of -lambda is that of lambda with the
 signs of its odd-k rows flipped, of the same parity at even N and of the
 other at odd N; lambda = 0 (even N) is its own mirror and counts once.
+
+Rotations by multiples of pi/2, the only ones the paper's protocols hold,
+are exact in their phases: with V the matrix of those eigenvectors,
+d^j(pi/2) = R_y(pi/2) = V, so a quarter turn about x or y is one product
+with V between diagonals of +-1 and +-i, a half turn a signed reversal,
+and a z quarter turn the eighth roots of unity e^{-i pi (2m q mod 8) / 4};
+no phase passes through a rounded pi (Varshalovich, Moskalev & Khersonskii
+1988, ch. 4).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,13 +234,47 @@ def css_state(dims: EnsembleDims, theta: float, phi: float) -> SpinState:
     return SpinState(dims, amps)
 
 
-def _unfold(sym: np.ndarray, anti: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """G^T y into out for the fold rows y of each parity, with G the fold of
-    rotate; the symmetric rows past the pairs are even N's middle row."""
-    pairs = len(anti)
+def quarter_turns(angle: float) -> int | None:
+    """q where angle is q times the float pi/2, which every pulse takes as q
+    exact quarter turns; None at any other angle.  angle % (pi/2) is exact,
+    so only float multiples of pi/2 pass, and angle / (pi/2) is then q."""
+    return int(angle / (np.pi / 2)) if angle % (np.pi / 2) == 0 else None
+
+
+def _eighth_roots(e) -> np.ndarray:
+    """e^{-i pi e / 4} at the integers e, from e mod 8: exact at even e, and
+    within an ulp at odd e, whose components are +-sqrt(1/2)."""
+    s = np.sqrt(0.5)
+    roots = np.array([1, s - s * 1j, -1j, -s - s * 1j, -1, -s + s * 1j, 1j, s + s * 1j])
+    return roots[np.mod(e, 8)]
+
+
+def _split(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
+    """Fold rows (axis 1) as the products take them.  Even N: (parity,
+    fold-row parity, its rows, width); odd N: all rows."""
+    if ops.dims.n_atoms % 2:
+        return x[:, None]
+    return x.reshape(2, x.shape[1] // 2, 2, -1).transpose(0, 2, 1, 3)
+
+
+def _unfold(ops: OperatorSet, folded: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """G^T y into out, (dim, k), for the fold rows y of both parities as
+    rotate folds them: at odd N each output row reads the slot of its
+    parity, and at even N the symmetric rows past the pairs are the middle
+    row."""
+    dim, k = out.shape
+    pairs = dim // 2
+    if ops.dims.n_atoms % 2:
+        slots = folded.reshape(2, -1, 2, k)[:, :pairs]
+        np.add(slots[0, ::2, 0], slots[1, ::2, 0], out=out[:pairs:2])
+        np.add(slots[0, 1::2, 1], slots[1, 1::2, 1], out=out[1:pairs:2])
+        np.subtract(slots[0, ::2, 1], slots[1, ::2, 1], out=out[::-1][:pairs:2])
+        np.subtract(slots[0, 1::2, 0], slots[1, 1::2, 0], out=out[::-1][1:pairs:2])
+        return out
+    sym, anti = folded[0], folded[1, :pairs]
     np.add(sym[:pairs], anti, out=out[:pairs])
     np.subtract(sym[:pairs], anti, out=out[::-1][:pairs])
-    np.multiply(sym[pairs : len(out) - pairs], np.sqrt(2.0), out=out[pairs:-pairs])
+    np.multiply(sym[pairs : dim - pairs], np.sqrt(2.0), out=out[pairs:-pairs])
     return out
 
 
@@ -293,18 +336,30 @@ def rotate(ops: OperatorSet, axis: str, angle: float, amps) -> np.ndarray:
     blocks' flops.  Each reads H once, half the bytes of the full blocks.
     Both parities run as one stacked real product, on float views, or where
     large as two on the pool (_halves).
-    y: R_y = P R_x P^dagger with P = diag(e^{-i pi m/2}).
+    y: R_y = P R_x P^dagger with P = diag((-i)^k), e^{-i pi m/2} up to a
+    global phase.
+
+    An angle of q quarter turns (quarter_turns) is taken exactly, through
+    d^j(pi/2) = V, the real matrix whose column c is the J_x eigenvector of
+    lambda = m_c (Varshalovich, Moskalev & Khersonskii 1988, ch. 4):
+    R_y(pi/2) = V, R_y(pi) a = (-1)^k a_{N-k}, e^{-2 pi i J} = (-1)^N,
+    R_y(-theta) = D R_y(theta) D with D = diag((-1)^k), and R_x = P^dagger
+    R_y P with P's entries +-1 and +-i.  So a quarter turn is one product
+    with V (_v) between two such diagonals, and a half or whole turn a
+    signed reversal or copy, with no rounded phase.
     """
-    dim, odd = ops.dims.dim, ops.dims.n_atoms % 2
-    pairs, vecs = dim // 2, ops.vectors
+    q = quarter_turns(angle)
+    if q is not None:
+        return _quarter_turns(ops, axis, q, amps)
+    dim, vecs = ops.dims.dim, ops.vectors
     rows, cols = vecs.shape[1:]
-    twist = np.exp(-0.5j * np.pi * ops.m)[:, None] if axis == "y" else None
+    twist = _eighth_roots(2 * np.arange(dim))[:, None] if axis == "y" else None
     a = np.reshape(amps, (dim, -1))
     a = (np.ascontiguousarray(a, complex) if twist is None else a * twist.conj()).view(float)
     k = a.shape[1]
     # fold rows of both parities; those past a parity's own rows meet its zero rows
     top, bottom = a[:rows], a[::-1][:rows]
-    if odd:  # G a_e beside G a_o: a_i in the slot of i's parity, +-a_{N-i} in the other
+    if ops.dims.n_atoms % 2:  # G a_e beside G a_o: a_i in its parity's slot, +-a_{N-i} in the other
         folded = np.empty((2, rows, 2, k))
         folded[:, ::2, 0], folded[:, 1::2, 1] = top[::2], top[1::2]
         folded[0, ::2, 1], folded[0, 1::2, 0] = bottom[::2], bottom[1::2]
@@ -315,71 +370,103 @@ def rotate(ops: OperatorSet, axis: str, angle: float, amps) -> np.ndarray:
         folded = np.empty((2, rows, k))
         np.add(top, bottom, out=folded[0])
         np.subtract(top, bottom, out=folded[1])
-        folded[0, pairs : dim - pairs] *= np.sqrt(0.5)  # the middle row came out doubled
+        folded[0, dim // 2 : dim - dim // 2] *= np.sqrt(0.5)  # the middle row came out doubled
     del a, top, bottom
-
-    def split(x):  # even N: (parity, fold-row parity, its rows, width); odd N: all rows
-        return x[:, None] if odd else x.reshape(2, cols, 2, -1).transpose(0, 2, 1, 3)
-
-    room = _halves(split(vecs).mT, split(folded))
+    room = _halves(_split(ops, vecs).mT, _split(ops, folded))
     z = room.transpose(0, 2, 1, 3).reshape(2, cols, 2, k).view(complex)  # z_e beside z_o
     phase = _phases(ops, angle)[:, :, None, None]  # c - i s
     spare = folded.reshape(-1)[: room.size].view(complex).reshape(z.shape)  # folded is free
     np.multiply(z, 1j * phase.imag, out=spare)
     z *= phase.real
-    z += spare[:, :, ::-1]  # u = c z_e - i s z_o beside v = c z_o - i s z_e, in split's layout
-    _halves(split(vecs), room, out=split(folded))
-    out = room.reshape(-1)[: dim * k].reshape(dim, k)  # and is free again
-    if odd:  # G^T, each output row from the slot of its parity
-        slots = folded.reshape(2, rows, 2, k)[:, :pairs]
-        np.add(slots[0, ::2, 0], slots[1, ::2, 0], out=out[:pairs:2])
-        np.add(slots[0, 1::2, 1], slots[1, 1::2, 1], out=out[1:pairs:2])
-        np.subtract(slots[0, ::2, 1], slots[1, ::2, 1], out=out[::-1][:pairs:2])
-        np.subtract(slots[0, 1::2, 0], slots[1, 1::2, 0], out=out[::-1][1:pairs:2])
-    else:
-        _unfold(folded[0], folded[1, :pairs], out)
-    out = out.view(complex)
+    z += spare[:, :, ::-1]  # u = c z_e - i s z_o beside v = c z_o - i s z_e, in _split's layout
+    _halves(_split(ops, vecs), room, out=_split(ops, folded))
+    out = room.reshape(-1)[: dim * k].reshape(dim, k)  # room is free again
+    out = _unfold(ops, folded, out).view(complex)
     if twist is not None:
         out *= twist
     return out.reshape(np.shape(amps))
 
 
-def rotation_rows(ops: OperatorSet, angle: float, first: int, last: int) -> np.ndarray:
-    """Rows first .. last - 1 of R_x = e^{-i angle J_x}, last <= N/2 + 1, as
-    a (last - first, dim) array; row N - f of R_x is row f reversed.
+def _quarter_turns(ops: OperatorSet, axis: str, q: int, amps) -> np.ndarray:
+    """rotate at q quarter turns.  R_y(q pi/2) is V, the reversal
+    (-1)^k a_{N-k} or D V D for q = 1, 2, 3 mod 4 (the identity for 0),
+    times (-1)^N for q = 3 .. 6 mod 8, where D = diag((-1)^k) is e^{-i pi J_z}
+    up to a phase, which turns R_y(theta) into R_y(-theta).  R_x = P^dagger
+    R_y P with P = diag((-i)^k), and P^dagger D = P.  So each wraps V, or
+    the reversal, in a diagonal of +-1 and +-i and its conjugate."""
+    n, q = ops.dims.n_atoms, q % 8
+    # 1 (y), D (y, q = 3 mod 4), P (x) or P D (x, q = 3 mod 4)
+    twist = _eighth_roots(np.arange(n + 1) * (2 * (axis == "x") + 4 * (q % 4 == 3)))[:, None]
+    a = np.reshape(amps, (n + 1, -1))
+    if q % 2:
+        out = _v(ops, a * twist)
+    elif q % 4:  # a half turn
+        out = a[::-1] * twist[::-1]
+        np.negative(out[1::2], out=out[1::2])
+    else:
+        out = a * twist
+    if n % 2 and 3 <= q <= 6:
+        np.negative(out, out=out)
+    out *= twist.conj()
+    return out.reshape(np.shape(amps))
 
-    R_x = G^T C G (see rotate) is symmetric, so row f is (G^T C G e_f)^T.
-    The eigenvector of -lambda is D v, D = diag((-1)^k), so the pair
-    lambda, -lambda adds 2 cos(angle lambda) v_f v_c where f + c is even
-    and -2i sin(angle lambda) v_f v_c where it is odd (lambda = 0 once, by
-    cos halved).  Over the stored halves H, entry (f, c) is sum H[f] cos H[i]
-    or -i sum H[f] sin H[i]: at c = i both parities added, at c = N - i
-    (i < pairs) the antisymmetric one subtracted, and sqrt(2) more on even
-    N's middle row and column.  One stacked product serves the rows f of
-    one parity and the fold rows i of another.  At even N, i and N - i
-    share a parity and so a weight: half the flops of the full blocks' one
-    real product per block at a multiple of pi/2, a quarter of their two at
-    other angles.  At odd N each takes both weights, the full blocks' flops
-    at pi/2 and half of them at other angles.
+
+def _v(ops: OperatorSet, a: np.ndarray) -> np.ndarray:
+    """V a for a complex (dim, k) block that no caller holds, V = R_y(pi/2)
+    (see rotate): the back one of rotate's two products, on the
+    coefficients (a_{N-i} +- a_i) / sqrt(2) of lambda = m_{N-i} at fold row
+    i = 2c + b, which are the fold of a with the parities of i and of the
+    fold swapped (a_{N/2} / sqrt(2) at lambda = 0, counted once)."""
+    dim, odd, vecs = ops.dims.dim, ops.dims.n_atoms % 2, ops.vectors
+    rows, cols = vecs.shape[1:]
+    a = np.ascontiguousarray(a).view(float)
+    k = a.shape[1]
+    room = np.empty((2, cols, 2, k) if odd else (2, 2, cols, k))
+    coef = room.transpose(0, 2, 1, 3) if odd else room  # (parity b, +-, c)
+    top = a[:rows].reshape(cols, 2, k).transpose(1, 0, 2)  # a_i at [b, c]
+    bottom = a[::-1][:rows].reshape(cols, 2, k).transpose(1, 0, 2)  # a_{N-i}
+    np.add(bottom, top, out=coef[:, 0])
+    np.subtract(bottom, top, out=coef[:, 1])
+    del a, top, bottom  # the caller's twisted copy, freed before the product's output
+    room *= np.sqrt(0.5)
+    if not odd:  # lambda = 0: 2 a_{N/2} came out of the fold row N/2
+        coef[dim // 2 % 2, 0, dim // 4] *= 0.5
+    folded = np.empty((2, rows, 2 * k) if odd else (2, rows, k))
+    _halves(_split(ops, vecs), room.reshape(2, 2 - odd, cols, -1), out=_split(ops, folded))
+    return _unfold(ops, folded, room.reshape(-1)[: dim * k].reshape(dim, k)).view(complex)
+
+
+def rotation_rows(ops: OperatorSet, angle: float, first: int, last: int) -> np.ndarray:
+    """Rows first .. last - 1 of R_x = e^{-i angle J_x} at q quarter turns
+    (quarter_turns; ValueError at other angles), last <= N/2 + 1, as a
+    (last - first, dim) array; row N - f of R_x is row f reversed.
+
+    A gather, with no product.  R_x(pi/2) = P^dagger V P and R_x(-pi/2) =
+    P V P^dagger (see _quarter_turns), so entry (f, c) is (-i)^(c - f) V[f, c]
+    or its conjugate, times (-1)^N for q = 3 .. 6 mod 8.  V = R_y(pi/2): its
+    column c >= N/2 is the stored eigenvector of lambda = m_c at fold row
+    i = N - c, H_b[:, i // 2] for b = i % 2, with entries H_b[f] / sqrt(2)
+    at f < pairs and even N's middle H_b[N/2], and column N - c is D times
+    it.  Even q are +-identity and the reversal, rotate's on unit rows.
     """
-    dim, n = ops.dims.dim, ops.dims.n_atoms
+    q = quarter_turns(angle)
+    if q is None:
+        raise ValueError(f"rotation_rows takes a multiple of pi/2, got {angle}")
+    dim, n, q = ops.dims.dim, ops.dims.n_atoms, q % 8
+    if q % 2 == 0:  # R_x is symmetric: its rows are its columns
+        return np.ascontiguousarray(rotate(ops, "x", angle, np.eye(dim, last - first, -first)).T)
     pairs, vecs = dim // 2, ops.vectors
-    phase = _phases(ops, angle)[:, None]
-    rows = vecs[:, first:last]
-    weighted = (rows * phase.real, rows * phase.imag)  # real and imaginary parts
+    f = np.arange(first, last)
+    w = vecs[:, first:last].transpose(1, 2, 0).reshape(last - first, -1)  # H_b[f, i // 2] at i
     out = np.zeros((last - first, dim), dtype=complex)
-    for p in (0, 1):  # the local rows of one parity of f
-        for r in (0, 1):  # the fold rows i of one parity
-            direct, mirror = (first + p + r) % 2, (first + p + r + n) % 2
-            for t in {direct, mirror}:  # the parity of f + c picks the weight
-                y = weighted[t][:, p::2] @ vecs[:, r::2].mT
-                part = (out.real, out.imag)[t][p::2]
-                if t == direct:
-                    part[:, r : dim - pairs : 2] += (y[0] + y[1])[:, : len(range(r, dim - pairs, 2))]
-                if t == mirror:
-                    part[:, ::-1][:, r:pairs:2] += (y[0] - y[1])[:, : len(range(r, pairs, 2))]
-    out[:, pairs : dim - pairs] *= np.sqrt(2.0)  # even N's middle column
-    out[max(pairs - first, 0) :] *= np.sqrt(2.0)  # and middle row
+    out.real[:, pairs:] = w[:, : dim - pairs][:, ::-1]
+    np.multiply(w[:, :pairs], np.where(f % 2, -1.0, 1.0)[:, None], out=out.real[:, :pairs])
+    out.real[: max(pairs - first, 0)] *= np.sqrt(0.5)
+    turn = 2 if q % 4 == 1 else -2
+    out *= _eighth_roots(turn * np.arange(dim))
+    out *= _eighth_roots(-turn * f)[:, None]
+    if n % 2 and 3 <= q <= 6:
+        np.negative(out, out=out)
     return out
 
 
@@ -439,10 +526,17 @@ def pulse_diagonal(ops: OperatorSet, pulse: Pulse, phi: float, mu=None) -> np.nd
     """Diagonal of a z rotation, a squeeze or a dark-zone pulse, as a 1-d
     array; phi binds the dark-zone phase, mu (if given) the squeeze strength."""
     if pulse.kind == "rotate" and pulse.axis == "z":
+        q = quarter_turns(pulse.angle)
+        if q is not None:  # e^{-i q pi m / 2} from 2m q mod 8
+            return _eighth_roots(q % 8 * (2 * np.arange(ops.dims.dim) - ops.dims.n_atoms))
         return np.exp(-1j * pulse.angle * ops.m)
     if pulse.kind == "squeeze":
-        strength = pulse.mu if mu is None else float(mu)
-        return np.exp(1j * pulse.sign * strength * ops.jz_sq)
+        # strength = high + low, with high of 24 bits, whose product with
+        # m^2 = (2k - N)^2 / 4 < 2^22 is exact, and low = strength - high
+        strength = pulse.sign * (pulse.mu if mu is None else float(mu))
+        frac, power = math.frexp(strength)
+        high = math.ldexp(round(frac * 2.0**24), power - 24)
+        return np.exp(1j * high * ops.jz_sq) * np.exp(1j * (strength - high) * ops.jz_sq)
     if pulse.kind == "dark_phase":
         return np.exp(-1j * pulse.sign * (pulse.fraction * phi) * ops.m)
     raise ValueError(f"not a diagonal pulse: {pulse.kind} {pulse.axis}")
@@ -452,14 +546,18 @@ def apply_pulses(ops: OperatorSet, pulses, amps, phi: float = 0.0, mu=None) -> n
     """The pulses applied in order, pulses[0] first, to a complex vector or
     a (dim, k) block (the identity gives the unitary of the sequence).
 
-    Adjacent rotations about one axis merge into a single rotation.  x/y
-    rotations go through rotate, every other pulse multiplies by its
-    pulse_diagonal from the left.
+    Adjacent rotations about one axis merge into a single rotation, quarter
+    turns by their count mod 8 (e^{-4 pi i J_a} = 1), as a float sum such as
+    pi/2 - 6 pi is no multiple of the float pi/2.  x/y rotations go through
+    rotate, every other pulse multiplies by its pulse_diagonal from the left.
     """
     merged: list[Pulse] = []
     for pulse in pulses:
         if merged and pulse.kind == merged[-1].kind == "rotate" and pulse.axis == merged[-1].axis:
-            merged[-1] = rotate_pulse(pulse.axis, merged[-1].angle + pulse.angle)
+            turns = (quarter_turns(merged[-1].angle), quarter_turns(pulse.angle))
+            angle = (merged[-1].angle + pulse.angle if None in turns
+                     else sum(turns) % 8 * (np.pi / 2))
+            merged[-1] = rotate_pulse(pulse.axis, angle)
         else:
             merged.append(pulse)
     out = amps

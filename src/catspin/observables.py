@@ -11,8 +11,9 @@ CRAIN/SCAIN spin echo into a single dark zone, each built-in reads
 psi(phi) = Tail B e^{-i c phi J_z} v0, so <J_z> and its variance are
 trigonometric polynomials of degree N and 2N in theta = c phi, with J_z
 pushed back through Tail as a tridiagonal T.  B is never built whole: it is
-one x rotation or none, whose fold row r (dicke.rotation_rows) is its row r
-and, reversed, N - r.  CD takes this rows path where two rules hold, as
+one x rotation or none, whose row r (dicke.rotation_rows, a gather of the
+stored eigenvectors, as the rules below admit only multiples of pi/2) is,
+reversed, its row N - r.  CD takes this rows path where two rules hold, as
 they do for every CD spec the CLI builds.  The tail rule: B and Tail hold
 only squeezes and rotations by multiples of pi/2, so theta + pi maps J_z
 to +-J_z and the variance has even frequencies only, and an odd theta grid

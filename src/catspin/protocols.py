@@ -24,6 +24,7 @@ from catspin.dicke import (
     basis_state,
     check_phase,
     dark_pulse,
+    quarter_turns,
     rotate_pulse,
     squeeze_pulse,
 )
@@ -188,8 +189,9 @@ def run(
 
 
 def flips_jz(pulse: Pulse) -> bool:
-    """A pi rotation about x or y maps J_z to -J_z."""
-    return pulse.kind == "rotate" and pulse.axis in ("x", "y") and abs(pulse.angle) == np.pi
+    """A rotation by an odd multiple of pi about x or y maps J_z to -J_z."""
+    q = quarter_turns(pulse.angle) if pulse.kind == "rotate" and pulse.axis != "z" else None
+    return q is not None and q % 4 == 2
 
 
 def pi_axis(axis: str | None, pulses) -> str | None:
@@ -203,10 +205,11 @@ def pi_axis(axis: str | None, pulses) -> str | None:
     for pulse in pulses:
         if axis is None or pulse.kind == "squeeze":
             continue
+        q = quarter_turns(pulse.angle) if pulse.kind == "rotate" else None
         if pulse.kind != "rotate":
             axis = None
-        elif pulse.angle % (np.pi / 2) == 0:
-            if pulse.axis != axis and round(pulse.angle / (np.pi / 2)) % 2:
+        elif q is not None:
+            if pulse.axis != axis and q % 2:
                 axis = "xyz".replace(axis, "").replace(pulse.axis, "")
         elif pulse.axis != axis:
             axis = None

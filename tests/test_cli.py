@@ -333,6 +333,26 @@ class TestFringeCommand:
         # decimal points, no locale artifacts
         assert all("," not in cell for row in rows for cell in row)
 
+    def test_detection_flag_picks_the_detection(self, tmp_path):
+        # cosac detects |E_N> unless --detection cd asks for J_z; cac keeps
+        # its own CD, whose signal adds j, under --detection cd; the manifest
+        # records the detection that ran
+        def fringe(*flags, protocol="cosac"):
+            out = tmp_path / f"{protocol}{''.join(flags)}.csv"
+            assert main(["fringe", "--protocol", protocol, "--n", "4", "--phi-range", "0:1:3",
+                         *flags, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        default, csd, cd = fringe(), fringe("--detection", "csd"), fringe("--detection", "cd")
+        assert default == csd != cd
+        # at phi = 0 the two x(pi/2) take |E_0> to |E_N>, of J_z = N/2
+        assert float(read_csv(tmp_path / "cosac--detectioncd.csv")[1][1]) == pytest.approx(2.0)
+        assert fringe(protocol="cac") == fringe("--detection", "cd", protocol="cac")
+        # cosac's own detection is CSD, so --csd-index needs no --detection
+        assert fringe("--csd-index", "-1") == default != fringe("--csd-index", "0")
+        manifest = json.loads((tmp_path / "cosac.csv.manifest.json").read_text())
+        assert manifest["options"]["detection"] == "csd"
+
     def test_deterministic_across_runs_and_threads(self, tmp_path):
         args = ["fringe", "--protocol", "scain", "--n", "6", "--mu", "0.4pi",
                 "--phi-range", "-1:1:301"]

@@ -403,6 +403,17 @@ class TestApplyPulses:
         merged = apply_pulses(ops40, pair, state)
         assert np.array_equal(merged, apply_pulses(ops40, [rotate_pulse("y", 0.3 + 0.8)], state))
 
+    @pytest.mark.parametrize("n", [27, 40])
+    def test_quarter_turns_merge_by_their_count(self, n):
+        # pi/2 - 6 pi summed in floats is no multiple of the float pi/2; the
+        # merge counts quarter turns mod 8, so three turns of -2 pi are (-1)^N
+        ops = cached_ops(n)
+        state = css_state(ops.dims, 0.9, 0.4).amps
+        for axis in "xyz":
+            turns = [rotate_pulse(axis, np.pi / 2), *[rotate_pulse(axis, -2 * np.pi)] * 3]
+            once = apply_pulses(ops, turns[:1], state)
+            assert np.array_equal(apply_pulses(ops, turns, state), (-1) ** n * once)
+
     def test_empty_sequence_is_identity(self):
         block = random_amps(5, seed=4, cols=3)
         assert np.array_equal(apply_pulses(cached_ops(4), [], block), block)
@@ -494,11 +505,14 @@ class TestLargeEnsemble:
     def test_rotate_holds_the_fold_and_one_product(self, n, bound):
         # a 16 MiB complex block: the fold (16 MiB at even N, 32 at odd) and
         # the first product (16), mixed in place, traced 32.4 and 48.3 MiB; a
-        # mixed copy beside them took 48.2 and 64.3 MiB
+        # mixed copy beside them took 48.2 and 64.3 MiB.  A quarter turn holds
+        # the twisted copy until its fold is made, then the product's output;
+        # a half turn the twisted reversal alone
         ops = cached_ops(n)
         block = np.ones((n + 1, 524), dtype=complex)
         for axis in "xy":
-            assert traced_peak_mib(lambda: rotate(ops, axis, 0.7, block))[1] <= bound
+            for angle in (0.7, np.pi / 2, -np.pi / 2, np.pi):
+                assert traced_peak_mib(lambda: rotate(ops, axis, angle, block))[1] <= bound
 
 
 def lapack_blocks(n):
@@ -633,20 +647,20 @@ class TestRotationOracles:
     def test_unitary_and_block_match_expm(self, n):
         ops = cached_ops(n)
         block = random_amps(n + 1, seed=n, cols=3)
-        twist = np.exp(-0.5j * np.pi * ops.m)
+        identity = np.eye(n + 1, dtype=complex)
         for axis, generator in zip("xy", dense_generators(n)):
             for theta in (0.3, -1.1, 2.9, 7.5, np.pi / 2, -np.pi / 2, np.pi):
                 exact = expm(-1j * theta * generator)
-                # rows up to N/2 of R_x, the rest reversed; R_y = P R_x P^dagger
-                half = rotation_rows(ops, theta, 0, n // 2 + 1)
-                unitary = np.concatenate([half, half[: n - n // 2][::-1, ::-1]])
-                if axis == "y":
-                    unitary = twist[:, None] * unitary * twist.conj()
-                assert np.max(np.abs(unitary - exact)) <= 1e-13
-                for first in range(n // 2 + 1):  # any run of rows
-                    assert np.max(np.abs(rotation_rows(ops, theta, first, n // 2 + 1)
-                                         - half[first:])) <= 1e-13
+                assert np.max(np.abs(rotate(ops, axis, theta, identity) - exact)) <= 1e-13
                 assert np.max(np.abs(rotate(ops, axis, theta, block) - exact @ block)) <= 1e-13
+                if axis == "x" and dicke.quarter_turns(theta) is not None:
+                    # rows up to N/2 of R_x, the rest reversed
+                    half = rotation_rows(ops, theta, 0, n // 2 + 1)
+                    unitary = np.concatenate([half, half[: n - n // 2][::-1, ::-1]])
+                    assert np.max(np.abs(unitary - exact)) <= 1e-13
+                    for first in range(n // 2 + 1):  # any run of rows
+                        assert np.max(np.abs(rotation_rows(ops, theta, first, n // 2 + 1)
+                                             - half[first:])) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 300, 301])
     @pytest.mark.parametrize("chunk", [1, 97, 1 << 16])
@@ -655,7 +669,8 @@ class TestRotationOracles:
         # group by group, against rotate's vector path on the identity
         ops = cached_ops(n)
         half = n // 2 + 1
-        for theta in (0.3, 2.9, np.pi / 2, -np.pi / 2):  # pi/2: one product per block
+        for q in range(-3, 5):
+            theta = q * (np.pi / 2)
             rows = np.concatenate([rotation_rows(ops, theta, a, min(a + chunk, half))
                                    for a in range(0, half, chunk)])
             exact = rotate(ops, "x", theta, np.eye(n + 1, dtype=complex))
@@ -664,28 +679,76 @@ class TestRotationOracles:
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 300, 301])
     @pytest.mark.parametrize("chunk", [1, 97, 1 << 16])
     def test_in_place_unfold_is_bitwise_the_copying_one(self, n, chunk):
-        # rotation_rows writes G^T C G's rows straight into its output, run
-        # by run and parity by parity; the same products in rotate's fold
-        # layout, put through the copying _unfold, give the same additions
-        # bit for bit.  Output column c takes the weight of the parity of
-        # f + c, from fold row c (c < pairs) or N - c
+        # rotation_rows gathers V's entries straight into its output, run by
+        # run; rotate on the unit vectors reads the same entries through its
+        # one product and the copying _unfold, bit for bit but for even N's
+        # middle row and column, which rotate scales by sqrt(2) and back
         ops = cached_ops(n)
-        dim, pairs, vecs = n + 1, len(anti_vectors(ops)), ops.vectors
         half = n // 2 + 1
-        for theta in (0.3, 2.9):
-            phase = dicke._phases(ops, theta)[:, None]
-            for a in range(0, half, chunk):
-                b = min(a + chunk, half)
-                weighted = (vecs[:, a:b] * phase.real, vecs[:, a:b] * phase.imag)
-                copied = np.zeros((b - a, dim), dtype=complex)
-                for p in (0, 1):  # local rows of one parity
-                    for q in (0, 1):  # output columns of one parity
-                        t = (a + p + q) % 2
-                        folded = np.zeros((2, len(weighted[t][0, p::2]), vecs.shape[1]))
-                        for r in {q, (q + n) % 2}:  # fold rows of c = i, of c = N - i
-                            folded[:, :, r::2] = weighted[t][:, p::2] @ vecs[:, r::2].mT
-                        y = dicke._unfold(folded[0].T, folded[1, :, :pairs].T,
-                                          np.empty((dim, folded.shape[1]))).T
-                        (copied.real, copied.imag)[t][p::2, q::2] += y[:, q::2]
-                copied[max(pairs - a, 0) :] *= np.sqrt(2.0)  # even N's middle row
-                assert rotation_rows(ops, theta, a, b).tobytes() == copied.tobytes()
+        keep = np.ones((half, n + 1), dtype=bool)
+        if n % 2 == 0:
+            keep[n // 2], keep[:, n // 2] = False, False
+        for q in range(-8, 9):
+            theta = q * (np.pi / 2)
+            rows = np.concatenate([rotation_rows(ops, theta, a, min(a + chunk, half))
+                                   for a in range(0, half, chunk)])
+            exact = rotate(ops, "x", theta, np.eye(n + 1, dtype=complex))[:half]
+            assert np.array_equal(rows[keep], exact[keep]), q
+            assert np.max(np.abs(rows - exact)) <= 2.3e-16, q
+
+    def test_rows_take_only_quarter_turns(self):
+        with pytest.raises(ValueError, match="multiple of pi/2"):
+            rotation_rows(cached_ops(4), 0.3, 0, 3)
+
+
+class TestQuarterTurns:
+    """Rotations by multiples of pi/2 go through d^j(pi/2) = V with no rounded
+    phase: one product for an odd multiple, a signed reversal or copy for
+    an even one."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 40, 41])
+    def test_quarter_turns_match_expm(self, n):
+        ops = cached_ops(n)
+        block = random_amps(n + 1, seed=n, cols=3)
+        for axis, generator in zip("xy", dense_generators(n)):
+            for q in range(-8, 9):
+                exact = expm(-1j * (q * np.pi / 2) * generator)
+                for amps in (block, block[:, 0].copy()):
+                    out = rotate(ops, axis, q * (np.pi / 2), amps)
+                    assert out.shape == amps.shape
+                    assert np.max(np.abs(out - exact @ amps)) <= 1e-13, (axis, q, amps.shape)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 40, 41])
+    def test_half_turns_are_the_signed_reversal(self, n):
+        # e^{-i pi J_y} a = (-1)^k a_{N-k} and e^{-i pi J_x} a = (-i)^N a_{N-k};
+        # three half turns are (-1)^N times one
+        ops = cached_ops(n)
+        block = random_amps(n + 1, seed=n, cols=3)
+        flipped = block[::-1].copy()
+        flipped[1::2] = -flipped[1::2]
+        phase = (1, -1j, -1, 1j)[n % 4]
+        for q, sign in ((2, 1), (-2, (-1) ** n), (6, (-1) ** n), (-6, 1)):
+            assert np.array_equal(rotate(ops, "y", q * (np.pi / 2), block), sign * flipped)
+            assert np.array_equal(rotate(ops, "x", q * (np.pi / 2), block),
+                                  sign * phase * block[::-1])
+        for axis in "xy":
+            assert np.array_equal(rotate(ops, axis, 2 * np.pi, block), (-1) ** n * block)
+            assert np.array_equal(rotate(ops, axis, 0.0, block), block)
+
+    def test_quarter_turns_of_an_angle(self):
+        half = np.pi / 2
+        assert [dicke.quarter_turns(q * half) for q in range(-8, 9)] == list(range(-8, 9))
+        for angle in (0.3, half * (1 + 1e-16) + 1e-15, np.inf, np.nan, 1e-300):
+            assert dicke.quarter_turns(angle) is None
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_z_quarter_turns_are_eighth_roots(self, n):
+        # e^{-i q pi m / 2} from 2m q mod 8: the even powers exactly +-1, +-i
+        ops = cached_ops(n)
+        two_m = 2 * np.arange(n + 1) - n
+        for q in range(-8, 9):
+            phases = pulse_diagonal(ops, rotate_pulse("z", q * (np.pi / 2)), 0.0)
+            exact = np.exp(-0.25j * np.pi * (q * two_m % 8))
+            assert np.max(np.abs(phases - exact)) <= 4e-16  # the rounding of exp(-i pi e / 4)
+            even = q * two_m % 2 == 0
+            assert np.all(np.isin(phases[even], (1, -1, 1j, -1j)))

@@ -28,11 +28,11 @@ MUS = (0.0, 0.37, math.pi / 2)
 
 # |engine - reference|: CD signal over N, variance and dS/dphi over N^2;
 # CSD population and variance absolutely, dS/dphi over N^2.  Measured
-# maxima: CD 2.1e-13, 6.4e-15 and 1.2e-14, CSD 2.6e-15, 2.5e-15 and
-# 2.0e-16.  The CD signal's is SCAIN's at N = 1001 and mu = pi/2, where the
-# float squeeze phase mu m^2 (3.9e5, of ulp 5.8e-11) rounds; with that phase
-# rounded as the engine rounds it, the reference meets the engine to 8e-16 N
-CD_TOL = {"signal": 6e-13, "variance": 2e-14, "pgs": 4e-14}
+# maxima: CD 5.5e-15, 1.7e-15 and 2.0e-15, CSD 1.3e-15, 1.3e-15 and
+# 1.1e-17.  They were 2.1e-13, 6.4e-15 and 1.2e-14 for CD while the squeeze
+# phase mu m^2 (3.9e5 at N = 1001, of ulp 5.8e-11) rounded as one product
+# and pi rotations took the float pi
+CD_TOL = {"signal": 2e-14, "variance": 6e-15, "pgs": 6e-15}
 CSD_TOL = {"signal": 8e-15, "variance": 8e-15, "pgs": 6e-16}
 
 
@@ -79,8 +79,8 @@ def errors(n: int, spec, mu) -> dict:
     want = longdouble.reference(spec, n, phis, mu)
     got = [np.asarray(column, dtype=longdouble.LD) for column in (signal, sds, pgs)]
     cd = spec.detection.kind == "cd"
-    clear = want[1] > 1e-6 * n
-    lam = np.abs(got[2] / got[1] - want[2] / want[1])[clear] / n
+    clear = want[1] > 1e-6 * n  # where the engine's SDS may be exactly 0, Lambda is not read
+    lam = np.abs(got[2][clear] / got[1][clear] - want[2][clear] / want[1][clear]) / n
     return {key: float(np.max(value)) for key, value in (
         ("signal", np.abs(got[0] - want[0]) / (n if cd else 1)),
         ("variance", np.abs(got[1] ** 2 - want[1] ** 2) / (n**2 if cd else 1)),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from catspin.dicke import DimensionError, css_state
+from catspin.dicke import DimensionError, css_state, dark_pulse, rotate_pulse
 from catspin.observables import expect_jz
 from catspin.protocols import (
     PROTOCOL_IDS,
@@ -474,6 +474,24 @@ class TestCompiledKernel:
             darks = [p for p in fold_echoes(spec.pulses) if p.kind == "dark_phase"]
             assert [(d.fraction, d.sign) for d in darks] == [(1.0, 1)]
             assert len(compile_protocol(spec, dims40, ops40).segments) == 1
+
+    def test_echo_of_any_odd_multiple_of_pi_folds(self, dims40, ops40):
+        # x(3 pi) = (-1)^N x(pi) maps J_z to -J_z as x(pi) does; a turn by
+        # 2 pi or pi/2 keeps both dark zones
+        dark, back = dark_pulse(0.5, 1), dark_pulse(0.5, -1)
+        for angle, zones in ((np.pi, 1), (-3 * np.pi, 1), (5 * np.pi, 1), (2 * np.pi, 2),
+                             (HALF, 2)):
+            pulses = (dark, rotate_pulse("y", angle), back)
+            assert sum(p.kind == "dark_phase" for p in fold_echoes(pulses)) == zones, angle
+        outer = rotate_pulse("x", HALF)
+        spec = ProtocolSpec("echo-3pi", (outer, dark, rotate_pulse("x", 3 * np.pi), back, outer),
+                            Detection("cd"))
+        kernel = compile_protocol(spec, dims40, ops40)
+        assert len(kernel.segments) == 1
+        phis = np.array([-0.2, 0.017, 1.1])
+        folded = kernel.evaluate(phis)[0]
+        for i, phi in enumerate(phis):
+            assert np.max(np.abs(folded[:, i] - run(spec, dims40, ops40, phi).amps)) < 1e-12
 
     def test_holds_no_dense_matrix(self, dims40, ops40):
         # every array of a compiled protocol is a vector; the dense J_x
